@@ -2,10 +2,11 @@
 bijection round trips, series expansion, closed formulas and the
 verification suites.
 
-Exit codes: 0 all checks pass / command succeeded, 1 a check failed,
-2 unknown family, equation, formula or suite, 3 malformed map file,
-4 generation cap exceeded.  Output is byte-deterministic for fixed
-inputs and flags.
+Exit codes: 0 all checks pass / command succeeded, 1 a check failed or
+bad formula arguments, 2 unknown family, equation, formula or suite, or
+an invalid size, order or parameter, 3 malformed map file, 4 generation
+cap exceeded (checked before any work starts).  Output is
+byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def cmd_gen(args) -> int:
     if args.family not in families:
         print(f"unknown family {args.family!r}; known: "
               + ", ".join(sorted(families)), file=sys.stderr)
+        return EXIT_UNKNOWN
+    if args.n < 0:
+        print(f"--n must be nonnegative (got {args.n})", file=sys.stderr)
         return EXIT_UNKNOWN
     maps = families[args.family](args.n)
     fmt = _fmt(args)
@@ -118,85 +122,27 @@ def cmd_tutte(args) -> int:
     return EXIT_OK
 
 
-def _roundtrip_psi(k):
-    from tuttelab.bijections import phi_close, psi_open
-    from tuttelab.generate import four_valent
-    for n in range(1, k + 1):
-        for m in four_valent(n):
-            if phi_close(psi_open(m)) != m:
-                return False, f"4-valent map {m.to_json()}"
-    return True, None
-
-
-def _roundtrip_cvs(k):
-    from tuttelab.bijections import BijectionError, cvs_backward, cvs_forward
-    from tuttelab.generate import quadrangulations
-    for n in range(1, k + 1):
-        for q in quadrangulations(n):
-            for v0 in range(q.n_vertices):
-                try:
-                    t = cvs_forward(q, v0)
-                except BijectionError:
-                    continue
-                if not t.is_valid() or cvs_backward(t) != (q, v0):
-                    return False, f"quadrangulation {q.to_json()}, v0={v0}"
-    return True, None
-
-
-def _roundtrip_mullin(k):
-    from tuttelab.bijections import (mullin_decode, mullin_encode,
-                                     tree_root_key)
-    from tuttelab.generate import all_maps, all_spanning_trees
-    for n in range(k + 1):
-        for m in all_maps(n):
-            trees = [()] if m.is_atomic else all_spanning_trees(m)
-            for tr in trees:
-                w = mullin_encode(m, tr)
-                m2, tr2 = mullin_decode(w)
-                if (tree_root_key(m2, tr2) != tree_root_key(m, tr)
-                        or mullin_encode(m2, tr2) != w):
-                    return False, f"map {m.to_json()}, tree {tr}"
-    return True, None
-
-
-def _roundtrip_ising(k):
-    import itertools
-    from tuttelab.bijections import (ising_erase, ising_series_identity,
-                                     ising_subdivide)
-    from tuttelab.generate import all_maps
-    for n in range(1, min(k, 3) + 1):
-        for m in all_maps(n):
-            vo = m.vertex_of
-            edges = m.edges()
-            for col in itertools.product((0, 1), repeat=m.n_vertices):
-                base = [1 if col[vo[d1]] == col[vo[d2]] else 0
-                        for d1, d2 in edges]
-                for extra in itertools.product((0, 2), repeat=len(edges)):
-                    counts = [b + e for b, e in zip(base, extra)]
-                    m2, _, squares = ising_subdivide(m, col, counts)
-                    if ising_erase(m2, squares) != m:
-                        return False, (f"map {m.to_json()}, colouring {col},"
-                                       f" counts {counts}")
-    lhs, rhs = ising_series_identity(min(k, 4))
-    if lhs != rhs:
-        return False, "series identity mismatch"
-    return True, None
-
-
-_ROUNDTRIPS = {
-    "psi": _roundtrip_psi,
-    "cvs": _roundtrip_cvs,
-    "mullin": _roundtrip_mullin,
-    "ising": _roundtrip_ising,
-}
-
-
 def cmd_bijection(args) -> int:
-    if args.name not in _ROUNDTRIPS:
-        print(f"unknown bijection {args.name!r}; known: "
-              + ", ".join(sorted(_ROUNDTRIPS)), file=sys.stderr)
+    from tuttelab.generate import LIST_CAP, CapExceeded
+    from tuttelab.verify import ROUNDTRIPS, ising_identity
+    name, k = args.name, args.max_size
+    if name not in ROUNDTRIPS:
+        print(f"unknown bijection {name!r}; known: "
+              + ", ".join(sorted(ROUNDTRIPS)), file=sys.stderr)
         return EXIT_UNKNOWN
-    ok, counterexample = _ROUNDTRIPS[args.name](args.max_size)
+    if k < 0:
+        print(f"--max-size must be nonnegative (got {k})", file=sys.stderr)
+        return EXIT_UNKNOWN
+    if name != "ising" and k > LIST_CAP:  # ising clamps its sizes instead
+        raise CapExceeded(f"{name} round trips are capped at size "
+                          f"{LIST_CAP} (asked for {k})")
+    sizes = {"mullin": range(k + 1), "ising": range(1, min(k, 3) + 1)}
+    checks = [(ROUNDTRIPS[name], n) for n in sizes.get(name, range(1, k + 1))]
+    if name == "ising":
+        checks.append((ising_identity, min(k, 4)))
+    found = (check(n)[1] for check, n in checks)
+    counterexample = next((c for c in found if c is not None), None)
+    ok = counterexample is None
     fmt = _fmt(args)
     if fmt == "json":
         print(json.dumps({"bijection": args.name, "max_size": args.max_size,
@@ -232,11 +178,10 @@ def cmd_series(args) -> int:
               + ", ".join(e.name for e in EquationId), file=sys.stderr)
         return EXIT_UNKNOWN
     try:
-        params = _parse_set(args.set)
-    except ValueError as err:
+        series = expand(eq, args.order, _parse_set(args.set) or None)
+    except ValueError as err:  # bad --set, --order or parameter name
         print(str(err), file=sys.stderr)
         return EXIT_UNKNOWN
-    series = expand(eq, args.order, params or None)
     rows = [(f"{series.var}^{n}", str(series.coeff(n)))
             for n in range(args.order + 1)]
     fmt = _fmt(args)
@@ -272,7 +217,7 @@ def cmd_formula(args) -> int:
     except KeyError as err:
         print(str(err.args[0]), file=sys.stderr)
         return EXIT_UNKNOWN
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         print(f"bad arguments: {err}", file=sys.stderr)
         return EXIT_FAIL
     fmt = _fmt(args)

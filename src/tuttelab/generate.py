@@ -110,12 +110,6 @@ def count_maps(n: int) -> int:
     return sum(_count_by_degree(n).values())
 
 
-def maps_count_formula(n: int) -> int:
-    """2 * 3^n * C(2n, n) / ((n+1)(n+2))."""
-    from tuttelab.closed_forms import maps_count
-    return maps_count(n)
-
-
 def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
     """Independent enumeration by filtering all rotation systems.
 

@@ -5,8 +5,9 @@ explicit series: one introduces substitution series (V, U, X below) that
 annihilate the kernel of the equation, and then recovers the generating
 function as the positive (or non-negative) part of an explicit rational
 expression.  This module builds those series, performs the extractions,
-and cross-checks them against direct equation iteration and against the
-closed-form counting formulas.
+and cross-checks them against direct equation iteration and against
+Lagrange-inversion coefficient formulas.  The closed counting formulas
+are checked against brute force in `tuttelab.verify`.
 """
 
 from __future__ import annotations
@@ -333,70 +334,6 @@ def tree_rooted_tri_q0_coeff(n: int, i: int):
 # -- report-style check suites ----------------------------------------------------
 
 
-def _bipolar_formula_vs_brute_force(max_edges: int = 4) -> bool:
-    from tuttelab.generate import all_maps, all_bipolar_orientations
-    for n in range(2, max_edges + 1):
-        for m in range(1, n):
-            got = sum(len(all_bipolar_orientations(mm)) for mm in all_maps(n)
-                      if mm.n_vertices == m + 1)
-            if got != closed_forms.bipolar_count(n, m):
-                return False
-    return True
-
-
-def _bipolar_tri_formula_vs_brute_force(max_m: int = 3) -> bool:
-    """Sum of bipolar orientations over near-triangulations with m+1
-    vertices.  Maps with more than 7 edges all have outer degree 1 (a root
-    loop) and hence no bipolar orientation, so the 7-edge generation cap is
-    exhaustive for m <= 3."""
-    from tuttelab.generate import all_maps, all_bipolar_orientations
-    for m in range(1, max_m + 1):
-        got = 0
-        for e in range(1, 8):
-            got += sum(len(all_bipolar_orientations(mm)) for mm in all_maps(e)
-                       if mm.n_vertices == m + 1 and mm.is_near_triangulation())
-        if got != closed_forms.bipolar_tri_count(m):
-            return False
-    return True
-
-
-def _tree_rooted_formula_vs_brute_force(max_n: int = 4) -> bool:
-    from tuttelab.generate import all_maps, all_spanning_trees
-    for n in range(1, max_n + 1):
-        for i in range(0, n + 1):
-            j = n - i
-            got = sum(len(all_spanning_trees(mm)) for mm in all_maps(n)
-                      if mm.n_vertices == i + 1 and mm.n_faces == j + 1)
-            if got != closed_forms.tree_rooted_count(i, j):
-                return False
-    return True
-
-
-def _tree_rooted_tri_formula_vs_brute_force(max_i: int = 3) -> bool:
-    """Near-triangulations with i+1 vertices and root-face degree d carry
-    3i-d edges.  The only case beyond the 7-edge generation cap at i <= 3 is
-    (i, d) = (3, 1); a near-triangulation of outer degree 1 is a root loop
-    drawn around one of outer degree 2 with the same spanning trees, so that
-    case reduces to (3, 2)."""
-    from tuttelab.generate import all_maps, all_spanning_trees
-
-    def brute(i, d):
-        n = 3 * i - d
-        if n > 7:
-            raise ValueError("beyond generation cap")
-        return sum(len(all_spanning_trees(mm)) for mm in all_maps(n)
-                   if mm.is_near_triangulation() and mm.n_vertices == i + 1
-                   and mm.root_face_degree == d)
-
-    for i in range(1, max_i + 1):
-        for d in range(1, 2 * i + 1):
-            want = closed_forms.tree_rooted_tri_count(i, d)
-            got = brute(i, 2) if 3 * i - d > 7 else brute(i, d)
-            if got != want:
-                return False
-    return True
-
-
 def check_kernel_solutions(order: int = 6) -> dict:
     """Verification report for the bipolar-orientation kernel solutions."""
     return {
@@ -405,9 +342,6 @@ def check_kernel_solutions(order: int = 6) -> dict:
         "bipolar_tri_positive_part": bipolar_tri_positive_part_check(order),
         "gbt_closed_form": gbt_closed_form_check(order),
         "bipolar_maps_nonneg_part": bipolar_maps_nonneg_part_check(order),
-        "bipolar_formula_vs_brute_force": _bipolar_formula_vs_brute_force(),
-        "bipolar_tri_formula_vs_brute_force":
-            _bipolar_tri_formula_vs_brute_force(),
     }
 
 
@@ -458,6 +392,4 @@ def check_tree_rooted(order: int = 6) -> dict:
         "lagrange_V": _lagrange_V_spot_checks(),
         "lagrange_U": _lagrange_U_spot_checks(),
         "tri_q0_closed_form": _tri_q0_closed_form(order),
-        "formula_vs_brute_force": _tree_rooted_formula_vs_brute_force(),
-        "tri_formula_vs_brute_force": _tree_rooted_tri_formula_vs_brute_force(),
     }

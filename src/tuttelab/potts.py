@@ -122,13 +122,17 @@ def tutte(m: RootedMap) -> MultiPoly:
 
 
 def potts_from_tutte(m: RootedMap) -> MultiPoly:
-    """P(q, nu) with q = (mu-1)(nu-1): (mu-1) (nu-1)^v T becomes a polynomial
-    in q and nu once mu is eliminated; returned in (q, nu).
-
-    Uses the subset expansion directly so no rational division is needed:
-    (mu-1)^{c(S)} (nu-1)^{v} (nu-1)^{e(S)+c(S)-v} = q^{c(S)} (nu-1)^{e(S)}.
-    """
-    return potts_subset_oracle(m)
+    """P(q, nu) from the Tutte polynomial: P = (mu-1) (nu-1)^v T(mu, nu)
+    with q = (mu-1)(nu-1).  Writing mu = 1+a and nu = 1+b, each monomial
+    a^i b^j of T(1+a, 1+b) becomes a^{i+1} b^{j+v} = q^{i+1} (nu-1)^{j-i-1+v},
+    where j-i-1+v is the edge count of the spanning subgraphs it stands for."""
+    v = m.n_vertices
+    shifted = tutte(m).subs({"mu": MU + 1, "nu": NU + 1})
+    out = MultiPoly.zero()
+    for i, ci in shifted.by_powers("mu").items():
+        for j, c in ci.by_powers("nu").items():
+            out = out + c * Q ** (i + 1) * (NU - 1) ** (j - i - 1 + v)
+    return out
 
 
 def duality_check(m: RootedMap) -> bool:

@@ -6,14 +6,40 @@ brute force, equation iteration vs generation, bijection round trips,
 differential systems vs series iteration) with exact arithmetic.  The
 report is a list of (suite, case, expected, got, pass) rows in a fixed
 order, so its rendering is byte-deterministic.
+
+Each cross-check is written once, here.  The bijection round trips are
+shared with the `bijection roundtrip` command, and the closed-formula
+vs brute-force checks are memoised, so the two suites that report them
+run each one once per process.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
+from functools import cache
+
+from tuttelab import closed_forms as cf
+from tuttelab.algebraic import all_algebraic_checks
+from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
+                                 ising_erase, ising_series_identity,
+                                 ising_subdivide, mullin_decode,
+                                 mullin_decompose, mullin_encode, phi_bar,
+                                 phi_close, psi_open, tprime_degrees,
+                                 tree_root_key, unbalanced_join,
+                                 unbalanced_split)
+from tuttelab.desystems import check_de_maps, check_de_tri, check_tutte_ode
+from tuttelab.equations import EquationId, brute_force_gf, expand
+from tuttelab.generate import (all_bipolar_orientations, all_maps,
+                               all_maps_oracle, all_spanning_trees,
+                               four_valent, quadrangulations)
+from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
+from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
+                            potts_subset_oracle, spanning_tree_count)
+from tuttelab.trees import BlossomingTree, DyckShuffle
 
 
 class CaseResult:
@@ -36,15 +62,162 @@ def _bool_case(suite, case, ok):
     return CaseResult(suite, case, True, bool(ok))
 
 
+# -- bijection round trips ----------------------------------------------------
+# Each runs over the objects of one size and returns (number of objects,
+# first counterexample or None).
+
+
+def roundtrip_psi(n):
+    """phi(psi(m)) = m on the 4-valent maps with n vertices."""
+    maps = four_valent(n)
+    bad = next((m for m in maps if phi_close(psi_open(m)) != m), None)
+    return len(maps), bad and f"4-valent map {bad.to_json()}"
+
+
+def roundtrip_cvs(n):
+    """cvs_backward inverts cvs_forward on the quadrangulations with n faces,
+    at every pointed vertex where cvs_forward applies (those are counted),
+    and the tree pointed at the root vertex is well labelled."""
+    checked, bad = 0, None
+    for q in quadrangulations(n):
+        for v0 in range(q.n_vertices):
+            try:
+                t = cvs_forward(q, v0)
+            except BijectionError:
+                continue
+            checked += 1
+            if bad is None and not (t.is_valid()
+                                    and cvs_backward(t) == (q, v0)):
+                bad = f"quadrangulation {q.to_json()}, v0={v0}"
+        if bad is None and not cvs_forward(
+                q, q.vertex_of[q.root]).is_valid(well=True):
+            bad = f"quadrangulation {q.to_json()}, root tree not well labelled"
+    return checked, bad
+
+
+def roundtrip_mullin(n):
+    """Dyck-shuffle decoding inverts encoding on the tree-rooted maps with n
+    edges."""
+    checked, bad = 0, None
+    for m in all_maps(n):
+        for tr in [()] if m.is_atomic else all_spanning_trees(m):
+            checked += 1
+            w = mullin_encode(m, tr)
+            m2, tr2 = mullin_decode(w)
+            if bad is None and (tree_root_key(m2, tr2) != tree_root_key(m, tr)
+                                or mullin_encode(m2, tr2) != w):
+                bad = f"map {m.to_json()}, tree {tr}"
+    return checked, bad
+
+
+def roundtrip_ising(n):
+    """Subdividing the edges of a 2-coloured map with n edges gives a
+    bipartite map, and erasing the square vertices gives the map back."""
+    checked, bad = 0, None
+    for m in all_maps(n):
+        vo = m.vertex_of
+        edges = m.edges()
+        for col in itertools.product((0, 1), repeat=m.n_vertices):
+            base = [1 if col[vo[d1]] == col[vo[d2]] else 0
+                    for d1, d2 in edges]
+            for extra in itertools.product((0, 2), repeat=len(edges)):
+                counts = [b + e for b, e in zip(base, extra)]
+                checked += 1
+                m2, _, squares = ising_subdivide(m, col, counts)
+                if bad is None and not (m2.is_bipartite()
+                                        and ising_erase(m2, squares) == m):
+                    bad = (f"map {m.to_json()}, colouring {col},"
+                           f" counts {counts}")
+    return checked, bad
+
+
+def ising_identity(order):
+    """Both sides of the bipartite series identity agree to t^order."""
+    lhs, rhs = ising_series_identity(order)
+    return 1, None if lhs == rhs else "series identity mismatch"
+
+
+ROUNDTRIPS = {
+    "psi": roundtrip_psi,
+    "cvs": roundtrip_cvs,
+    "mullin": roundtrip_mullin,
+    "ising": roundtrip_ising,
+}
+
+
+# -- closed formulas vs brute force -------------------------------------------
+# The closed_forms and kernels suites both report these, hence the memo.
+
+
+@cache
+def bipolar_formula_vs_brute_force() -> bool:
+    """Bipolar orientations of maps with n <= 4 edges and m+1 vertices."""
+    for n in range(2, 5):
+        for m in range(1, n):
+            got = sum(len(all_bipolar_orientations(mm)) for mm in all_maps(n)
+                      if mm.n_vertices == m + 1)
+            if got != cf.bipolar_count(n, m):
+                return False
+    return True
+
+
+@cache
+def bipolar_tri_formula_vs_brute_force() -> bool:
+    """Sum of bipolar orientations over near-triangulations with m+1
+    vertices, m <= 3.  Maps with more than 7 edges all have outer degree 1
+    (a root loop) and hence no bipolar orientation, so the 7-edge
+    generation cap is exhaustive."""
+    for m in range(1, 4):
+        got = 0
+        for e in range(1, 8):
+            got += sum(len(all_bipolar_orientations(mm)) for mm in all_maps(e)
+                       if mm.n_vertices == m + 1 and mm.is_near_triangulation())
+        if got != cf.bipolar_tri_count(m):
+            return False
+    return True
+
+
+@cache
+def tree_rooted_formula_vs_brute_force() -> bool:
+    """Spanning trees of maps with i+1 vertices and j+1 faces, i+j <= 4."""
+    for n in range(1, 5):
+        for i in range(0, n + 1):
+            j = n - i
+            got = sum(len(all_spanning_trees(mm)) for mm in all_maps(n)
+                      if mm.n_vertices == i + 1 and mm.n_faces == j + 1)
+            if got != cf.tree_rooted_count(i, j):
+                return False
+    return True
+
+
+@cache
+def tree_rooted_tri_formula_vs_brute_force() -> bool:
+    """Spanning trees of near-triangulations with i+1 vertices, i <= 3, by
+    root-face degree d; such a map carries 3i-d edges.  The only case beyond
+    the 7-edge generation cap is (i, d) = (3, 1); a near-triangulation of
+    outer degree 1 is a root loop drawn around one of outer degree 2 with
+    the same spanning trees, so that case reduces to (3, 2)."""
+
+    def brute(i, d):
+        return sum(len(all_spanning_trees(mm)) for mm in all_maps(3 * i - d)
+                   if mm.is_near_triangulation() and mm.n_vertices == i + 1
+                   and mm.root_face_degree == d)
+
+    for i in range(1, 4):
+        for d in range(1, 2 * i + 1):
+            got = brute(i, 2) if 3 * i - d > 7 else brute(i, d)
+            if got != cf.tree_rooted_tri_count(i, d):
+                return False
+    return True
+
+
 # -- suites --------------------------------------------------------------------
 
 
 def suite_counts():
-    from tuttelab.closed_forms import maps_count
-    from tuttelab.generate import all_maps, all_maps_oracle
     out = []
     for n in range(7):
-        want = maps_count(n)
+        want = cf.maps_count(n)
         out.append(CaseResult("counts", f"maps({n}) generator", want,
                               len(all_maps(n))))
         if n <= 4:
@@ -54,9 +227,6 @@ def suite_counts():
 
 
 def suite_potts():
-    from tuttelab.generate import all_maps
-    from tuttelab.potts import (potts, potts_by_interpolation,
-                                potts_from_tutte, potts_subset_oracle)
     out = []
     for n in range(5):
         ok = all(potts(m) == potts_subset_oracle(m)
@@ -84,7 +254,6 @@ _EQ_CAPS = (
 
 
 def suite_equations():
-    from tuttelab.equations import EquationId, brute_force_gf, expand
     out = []
     for name, cap in _EQ_CAPS:
         eq = EquationId[name]
@@ -103,25 +272,18 @@ def suite_equations():
 
 
 def suite_closed_forms():
-    from tuttelab import closed_forms as cf
-    from tuttelab.generate import all_maps, four_valent
-    from tuttelab.kernels import (_bipolar_formula_vs_brute_force,
-                                  _bipolar_tri_formula_vs_brute_force,
-                                  _tree_rooted_formula_vs_brute_force,
-                                  _tree_rooted_tri_formula_vs_brute_force)
-    from tuttelab.potts import spanning_tree_count
     out = [
         CaseResult("closed_forms", "maps(2)", 9, cf.maps_count(2)),
         CaseResult("closed_forms", "tree_rooted(1,1)", 6,
                    cf.tree_rooted_count(1, 1)),
         _bool_case("closed_forms", "bipolar maps formulas, <= 4 edges",
-                   _bipolar_formula_vs_brute_force()),
+                   bipolar_formula_vs_brute_force()),
         _bool_case("closed_forms", "bipolar near-triangulations, m <= 3",
-                   _bipolar_tri_formula_vs_brute_force()),
+                   bipolar_tri_formula_vs_brute_force()),
         _bool_case("closed_forms", "tree-rooted maps, i+j <= 4",
-                   _tree_rooted_formula_vs_brute_force()),
+                   tree_rooted_formula_vs_brute_force()),
         _bool_case("closed_forms", "tree-rooted near-triangulations, i <= 3",
-                   _tree_rooted_tri_formula_vs_brute_force()),
+                   tree_rooted_tri_formula_vs_brute_force()),
     ]
     for n in range(2):
         want = cf.nt1_count(n)
@@ -150,23 +312,28 @@ def suite_closed_forms():
 
 
 def suite_kernels():
-    from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
-    out = []
-    for name, ok in check_kernel_solutions().items():
-        out.append(_bool_case("kernels", f"bipolar {name}", ok))
-    for name, ok in check_tree_rooted().items():
-        out.append(_bool_case("kernels", f"tree_rooted {name}", ok))
-    return out
+    bipolar = {**check_kernel_solutions(),
+               "bipolar_formula_vs_brute_force":
+                   bipolar_formula_vs_brute_force(),
+               "bipolar_tri_formula_vs_brute_force":
+                   bipolar_tri_formula_vs_brute_force()}
+    tree_rooted = {**check_tree_rooted(),
+                   "formula_vs_brute_force":
+                       tree_rooted_formula_vs_brute_force(),
+                   "tri_formula_vs_brute_force":
+                       tree_rooted_tri_formula_vs_brute_force()}
+    return ([_bool_case("kernels", f"bipolar {name}", ok)
+             for name, ok in bipolar.items()]
+            + [_bool_case("kernels", f"tree_rooted {name}", ok)
+               for name, ok in tree_rooted.items()])
 
 
 def suite_algebraic():
-    from tuttelab.algebraic import all_algebraic_checks
     return [_bool_case("algebraic", name, ok)
             for name, ok in all_algebraic_checks().items()]
 
 
 def suite_desystems():
-    from tuttelab.desystems import check_de_maps, check_de_tri, check_tutte_ode
     out = []
     for q, nu, w in ((2, 2, 1), (3, 2, 1), (Fraction(5, 2), 3, 1)):
         ok = check_de_maps(Fraction(q), Fraction(nu), Fraction(w), 6)
@@ -184,23 +351,12 @@ def suite_desystems():
 
 
 def suite_bijections():
-    from tuttelab import closed_forms as cf
-    from tuttelab.bijections import (BijectionError, cvs_backward,
-                                     cvs_forward, ising_erase,
-                                     ising_series_identity, ising_subdivide,
-                                     mullin_decode, mullin_decompose,
-                                     mullin_encode, phi_bar, phi_close,
-                                     psi_open, tprime_degrees, tree_root_key,
-                                     unbalanced_join, unbalanced_split)
-    from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
-                                   quadrangulations)
-    from tuttelab.trees import BlossomingTree, DyckShuffle
     out = []
 
     for n in range(1, 5):
-        ok = all(phi_close(psi_open(m)) == m for m in four_valent(n))
         out.append(_bool_case("bijections",
-                              f"phi(psi(m)) = m, 4-valent, {n} vertices", ok))
+                              f"phi(psi(m)) = m, 4-valent, {n} vertices",
+                              roundtrip_psi(n)[1] is None))
     for n in range(1, 4):
         bal = 0
         for t in BlossomingTree.all_trees(n):
@@ -245,36 +401,17 @@ def suite_bijections():
                           ok))
 
     for n in range(1, 5):
-        cnt = 0
-        ok = True
-        for q in quadrangulations(n):
-            for v0 in range(q.n_vertices):
-                try:
-                    t = cvs_forward(q, v0)
-                except BijectionError:
-                    continue
-                cnt += 1
-                ok = ok and t.is_valid() and cvs_backward(t) == (q, v0)
-            ok = ok and cvs_forward(q, q.vertex_of[q.root]).is_valid(well=True)
+        cnt, bad = roundtrip_cvs(n)
         out.append(_bool_case("bijections",
-                              f"cvs round trips, {n} faces", ok))
+                              f"cvs round trips, {n} faces", bad is None))
         out.append(CaseResult("bijections",
                               f"3^n C_n = (n+2)q_n/2 at n={n}",
                               cf.labelled_tree_count(n), cnt))
 
     for n in range(5):
-        cnt = 0
-        ok = True
-        for m in all_maps(n):
-            trees = [()] if m.is_atomic else all_spanning_trees(m)
-            for tr in trees:
-                w = mullin_encode(m, tr)
-                m2, tr2 = mullin_decode(w)
-                ok = (ok and tree_root_key(m2, tr2) == tree_root_key(m, tr)
-                      and mullin_encode(m2, tr2) == w)
-                cnt += 1
+        cnt, bad = roundtrip_mullin(n)
         out.append(_bool_case("bijections",
-                              f"mullin round trips, {n} edges", ok))
+                              f"mullin round trips, {n} edges", bad is None))
         want = sum(cf.shuffle_count(i, n - i) for i in range(n + 1))
         out.append(CaseResult("bijections",
                               f"tree-rooted maps with {n} edges", want, cnt))
@@ -287,25 +424,11 @@ def suite_bijections():
     out.append(_bool_case("bijections",
                           "decomposition degree multisets, <= 3 edges", ok))
 
-    ok = True
-    import itertools
-    for n in range(1, 4):
-        for m in all_maps(n):
-            vo = m.vertex_of
-            edges = m.edges()
-            for col in itertools.product((0, 1), repeat=m.n_vertices):
-                base = [1 if col[vo[d1]] == col[vo[d2]] else 0
-                        for d1, d2 in edges]
-                for extra in itertools.product((0, 2), repeat=len(edges)):
-                    counts = [b + e for b, e in zip(base, extra)]
-                    m2, col2, squares = ising_subdivide(m, col, counts)
-                    ok = (ok and m2.is_bipartite()
-                          and ising_erase(m2, squares) == m)
+    ok = all(roundtrip_ising(n)[1] is None for n in range(1, 4))
     out.append(_bool_case("bijections",
                           "subdivide/erase round trips, <= 3 edges", ok))
-    lhs, rhs = ising_series_identity(4)
-    out.append(_bool_case("bijections",
-                          "bipartite series identity to t^4", lhs == rhs))
+    out.append(_bool_case("bijections", "bipartite series identity to t^4",
+                          ising_identity(4)[1] is None))
     return out
 
 

@@ -4,6 +4,8 @@ Every equality is exact (integers, rationals, polynomials); there are no
 tolerances anywhere.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -104,14 +106,14 @@ def test_04_bijections():
 
 
 def test_05_closed_forms_vs_brute_force():
-    from tuttelab.kernels import (_bipolar_formula_vs_brute_force,
-                                  _bipolar_tri_formula_vs_brute_force,
-                                  _tree_rooted_formula_vs_brute_force,
-                                  _tree_rooted_tri_formula_vs_brute_force)
-    assert _bipolar_formula_vs_brute_force(4)
-    assert _bipolar_tri_formula_vs_brute_force(3)
-    assert _tree_rooted_formula_vs_brute_force(4)
-    assert _tree_rooted_tri_formula_vs_brute_force(3)
+    from tuttelab.verify import (bipolar_formula_vs_brute_force,
+                                 bipolar_tri_formula_vs_brute_force,
+                                 tree_rooted_formula_vs_brute_force,
+                                 tree_rooted_tri_formula_vs_brute_force)
+    assert bipolar_formula_vs_brute_force()
+    assert bipolar_tri_formula_vs_brute_force()
+    assert tree_rooted_formula_vs_brute_force()
+    assert tree_rooted_tri_formula_vs_brute_force()
     for n in range(2):
         got = sum(1 for m in all_maps(3 * n + 2)
                   if m.is_near_triangulation() and m.root_face_degree == 1)
@@ -150,6 +152,11 @@ def test_09_bipartite_series_identity():
     assert lhs == rhs
 
 
+# sha256 of `verify all --json`: the report must not change when checks move
+VERIFY_ALL_SHA256 = (
+    "60ad5606bb6ed6b171f317873f43f45692bfc0cda0d084744bb7e7952c2a9828")
+
+
 def test_10_verify_all_deterministic():
     cmd = [sys.executable, "-m", "tuttelab.cli", "verify", "all", "--json"]
     runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
@@ -157,3 +164,5 @@ def test_10_verify_all_deterministic():
         assert r.returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert b'"pass": false' not in runs[0].stdout
+    assert len(json.loads(runs[0].stdout)) == 118
+    assert hashlib.sha256(runs[0].stdout).hexdigest() == VERIFY_ALL_SHA256

@@ -64,9 +64,34 @@ def test_bijection_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "bijection", "roundtrip", "psi",
                            "--max-size", "2")
     assert code == 0 and "pass" in out
+    code, out, _ = run_cli(capsys, "bijection", "roundtrip", "ising",
+                           "--max-size", "100", "--json")
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, _, err = run_cli(capsys, "bijection", "roundtrip", "ising",
+                           "--max-size", "-1")
+    assert code == cli.EXIT_UNKNOWN and "nonnegative" in err
     code, _, err = run_cli(capsys, "bijection", "roundtrip", "nope",
                            "--max-size", "1")
     assert code == cli.EXIT_UNKNOWN
+
+
+def test_bijection_cap_checked_before_work(capsys, monkeypatch):
+    from tuttelab import generate, verify
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("all_maps called on the capped path")
+
+    for module in (generate, verify):
+        monkeypatch.setattr(module, "all_maps", no_generation)
+    for name in ("psi", "cvs", "mullin"):
+        code, _, err = run_cli(capsys, "bijection", "roundtrip", name,
+                               "--max-size", str(generate.LIST_CAP + 2))
+        assert code == cli.EXIT_CAP and "cap" in err
+
+
+def test_gen_negative_size(capsys):
+    code, _, err = run_cli(capsys, "gen", "maps", "--n", "-1")
+    assert code == cli.EXIT_UNKNOWN and "nonnegative" in err
 
 
 def test_series_expand(capsys):
@@ -91,6 +116,23 @@ def test_series_bad_set(capsys):
     code, _, err = run_cli(capsys, "series", "expand", "--eq", "POTTS_MAPS",
                            "--order", "1", "--set", "q2")
     assert code == cli.EXIT_UNKNOWN
+
+
+def test_series_negative_order(capsys):
+    code, _, err = run_cli(capsys, "series", "expand", "--eq", "MAPS_1CAT",
+                           "--order", "-1")
+    assert code == cli.EXIT_UNKNOWN and "nonnegative" in err
+
+
+def test_series_parameter_not_taken(capsys):
+    code, _, err = run_cli(capsys, "series", "expand", "--eq", "MAPS_1CAT",
+                           "--order", "2", "--set", "q=2")
+    assert code == cli.EXIT_UNKNOWN and "does not take parameters" in err
+
+
+def test_formula_missing_arguments(capsys):
+    code, _, err = run_cli(capsys, "formula", "bipolar")
+    assert code == cli.EXIT_FAIL and "bad arguments" in err
 
 
 def test_formula(capsys):

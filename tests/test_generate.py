@@ -5,8 +5,7 @@ from tuttelab.generate import (CapExceeded, all_bipolar_orientations,
                                all_maps, all_spanning_trees, bipartite_maps,
                                colouring_sum, count_maps,
                                eulerian_near_triangulations, four_valent,
-                               maps_count_formula, near_triangulations,
-                               quadrangulations)
+                               near_triangulations, quadrangulations)
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.poly import MultiPoly
 from tuttelab.potts import potts, spanning_tree_count
@@ -14,7 +13,7 @@ from tuttelab.potts import potts, spanning_tree_count
 
 def test_counts_match_formula():
     for n in range(5):
-        assert len(all_maps(n)) == count_maps(n) == maps_count_formula(n)
+        assert len(all_maps(n)) == count_maps(n) == cf.maps_count(n)
 
 
 def test_all_maps_distinct_and_sized():

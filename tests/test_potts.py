@@ -28,6 +28,15 @@ def test_three_methods_agree():
             assert p == potts_from_tutte(m)
 
 
+def test_potts_from_tutte_reads_tutte(monkeypatch):
+    # the Tutte route must depend on tutte(), not recompute P another way
+    import tuttelab.potts as potts_mod
+    m = all_maps(2)[0]
+    right = tutte(m)
+    monkeypatch.setattr(potts_mod, "tutte", lambda _: 2 * right)
+    assert potts_from_tutte(m) == 2 * potts(m)
+
+
 def test_potts_is_embedding_independent():
     # distinct rooted maps over the same multigraph share the polynomial
     from tuttelab.potts import _canonical_multigraph
