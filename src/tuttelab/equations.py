@@ -307,89 +307,60 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     quasi-triangulation ids yield the x = 0 slice (near-triangulations),
     the only slice with a direct combinatorial meaning.
     """
-    from tuttelab import generate
+    from tuttelab import generate as g
     from tuttelab.potts import potts, tutte
 
     p = _params(eq, params)
-    var = MAIN_VAR[eq]
-    x, y, w, z = (MultiPoly.var(v) for v in ("x", "y", "w", "z"))
-    out = TSeries.zero(var, order)
-    coeffs = [MultiPoly.zero() for _ in range(order + 1)]
+    q, nu, mu, w, z = (p(v) for v in ("q", "nu", "mu", "w", "z"))
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    E = EquationId
 
-    def add(n, mono):
-        if n <= order:
-            coeffs[n] = coeffs[n] + mono
+    def nt(n):
+        return g.near_angulations(n, 3)
 
-    if eq is EquationId.MAPS_1CAT:
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                add(n, y ** m.root_face_degree)
-    elif eq is EquationId.NT:
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                if m.is_near_triangulation():
-                    add(n, y ** m.root_face_degree)
-    elif eq is EquationId.NQ:
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                if m.is_near_quadrangulation():
-                    add(n, y ** m.root_face_degree)
-    elif eq is EquationId.BIP:
-        for n in range(order + 1):
-            for m in generate.bipartite_maps(n):
-                add(n, y ** (m.root_face_degree // 2))
-    elif eq is EquationId.EULER_NT:
-        for n in range(order + 1):
-            for m in generate.eulerian_near_triangulations(n):
-                add(n, y ** (m.root_face_degree // 3))
-    elif eq is EquationId.POTTS_MAPS:
-        q, nu = p("q"), p("nu")
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                pm = potts(m).divexact(MultiPoly.var("q"))
-                pm = pm.subs({"q": q, "nu": nu})
-                add(n, pm * w ** (m.n_vertices - 1)
-                    * x ** m.root_vertex_degree * y ** m.root_face_degree)
-    elif eq is EquationId.TUTTE_MAPS:
-        mu, nu = p("mu"), p("nu")
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                tm = tutte(m).subs({"mu": mu, "nu": nu})
-                add(n, tm * w ** (m.n_vertices - 1) * z ** (m.n_faces - 1)
-                    * x ** m.root_vertex_degree * y ** m.root_face_degree)
-    elif eq is EquationId.TUTTE_NONSEP_TRI:
-        q = p("q")
-        for n in range(order + 1):
-            for m in generate.non_separable_near_triangulations(n):
-                chrom = potts(m).subs({"nu": 0, "q": q})
-                add(n, chrom * x ** m.root_vertex_degree * y ** m.root_face_degree)
-    elif eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
-        nu, zp = p("nu"), p("z")
-        for n in range(order + 1):
-            for m in generate.all_maps(n):
-                if not m.is_near_triangulation():
-                    continue
-                if eq is EquationId.POTTS_QUASI_TRI:
-                    wgt = potts(m).divexact(MultiPoly.var("q"))
-                    wgt = wgt.subs({"q": p("q"), "nu": nu})
-                else:
-                    wgt = tutte(m).subs({"mu": p("mu"), "nu": nu})
-                add(n, wgt * zp ** (m.n_faces - 1) * y ** m.root_face_degree)
-    elif eq is EquationId.BIPOLAR_MAPS:
-        w_p = p("w")
-        for n in range(1, order + 1):
-            for m in generate.all_maps(n):
-                cnt = len(generate.all_bipolar_orientations(m))
-                if cnt:
-                    add(n, cnt * w_p ** (m.n_vertices - 1)
-                        * x ** m.root_vertex_degree * y ** m.root_face_degree)
-    elif eq is EquationId.BIPOLAR_TRI:
-        for n in range(order + 1):
-            for m in generate.non_separable_near_triangulations(n):
-                cnt = len(generate.all_bipolar_orientations(m))
-                if cnt:
-                    add(n, cnt * x ** m.root_vertex_degree
-                        * y ** m.root_face_degree)
-    else:  # pragma: no cover
-        raise UnknownEquation(f"unknown equation {eq!r}")
-    return TSeries(var, order, coeffs)
+    def outer(m, per=1):
+        return y ** (m.root_face_degree // per)
+
+    def degrees(m):
+        return x ** m.root_vertex_degree * outer(m)
+
+    def vw(m):
+        return w ** (m.n_vertices - 1)
+
+    def fz(m):
+        return z ** (m.n_faces - 1)
+
+    def potts_w(m):  # P_M(q, nu) / q
+        return potts(m).divexact(MultiPoly.var("q")).subs({"q": q, "nu": nu})
+
+    def tutte_w(m):
+        return tutte(m).subs({"mu": mu, "nu": nu})
+
+    def bipolar(m):  # the atomic map has none
+        return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
+
+    # {equation: (its maps of size n, the weight of one map)}, the size
+    # being the exponent of the equation's main variable
+    table = {
+        E.MAPS_1CAT: (g.all_maps, outer),
+        E.NT: (nt, outer),
+        E.NQ: (lambda n: g.near_angulations(n, 4), outer),
+        E.BIP: (g.bipartite_maps, lambda m: outer(m, 2)),
+        E.EULER_NT: (g.eulerian_near_triangulations, lambda m: outer(m, 3)),
+        E.POTTS_MAPS: (g.all_maps, lambda m: potts_w(m) * vw(m) * degrees(m)),
+        E.TUTTE_MAPS: (g.all_maps,
+                       lambda m: tutte_w(m) * vw(m) * fz(m) * degrees(m)),
+        E.TUTTE_NONSEP_TRI: (
+            g.non_separable_near_triangulations,
+            lambda m: potts(m).subs({"nu": 0, "q": q}) * degrees(m)),
+        E.POTTS_QUASI_TRI: (nt, lambda m: potts_w(m) * fz(m) * outer(m)),
+        E.TUTTE_QUASI_TRI: (nt, lambda m: tutte_w(m) * fz(m) * outer(m)),
+        E.BIPOLAR_MAPS: (g.all_maps,
+                         lambda m: bipolar(m) * vw(m) * degrees(m)),
+        E.BIPOLAR_TRI: (g.non_separable_near_triangulations,
+                        lambda m: bipolar(m) * degrees(m)),
+    }
+    family, weight = table[eq]
+    coeffs = [sum((weight(m) for m in family(n)), MultiPoly.zero())
+              for n in range(order + 1)]
+    return TSeries(MAIN_VAR[eq], order, coeffs)

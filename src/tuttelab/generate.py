@@ -1,27 +1,27 @@
 """Exhaustive generation of rooted planar maps and brute-force oracles.
 
-all_maps builds every rooted planar map with n edges constructively, by
-reversing root-edge deletion: a map with n edges is either a smaller map
-with a new root edge inserted into its root face (root_face_degree + 1
-ways), or two smaller maps joined by a new isthmus root edge.  Results are
-deduplicated by canonical code and returned sorted, so output is
-deterministic.
+Every family is built by one recursion that reverses root-edge deletion: a
+map with n edges is either a smaller map of the family with a new root edge
+inserted into its root face, or two smaller maps of the family joined by a
+new isthmus root edge.  Deletion inverts both, so each map arises once;
+lists are sorted by canonical code, so output is deterministic.  Families
+differ only in the insertion indices allowed: all_maps takes all of them,
+near_angulations(n, p) the one that closes an inner p-gon.
 
 all_maps_oracle is an independent check: it enumerates every rotation
 system on 2n darts with a fixed edge involution and fixed root, filters the
 connected genus-0 ones, and deduplicates.  It is exponential and capped at
 small n.
 
-The remaining generators produce the standard sub-families (bipartite
-maps, near-triangulations, quadrangulations, ...) and the brute-force
-counting oracles (colourings, spanning trees, bipolar orientations) used
-as ground truth by the rest of the package.
+The remaining generators derive the standard sub-families (bipartite
+maps, quadrangulations, non-separable near-triangulations, ...) from these
+two, and the brute-force counting oracles (colourings, spanning trees,
+bipolar orientations) are the ground truth for the rest of the package.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -42,48 +42,79 @@ class CapExceeded(ValueError):
     pass
 
 
-def _cache_path(n):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return Path(root) / f"maps-v{CACHE_FORMAT}-n{n}.jsonl"
-
-
-def all_maps(n: int, cap: int = LIST_CAP):
-    """All rooted planar maps with n edges, sorted by canonical code."""
+def _check_size(n, cap):
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     if n > cap:
         raise CapExceeded(f"all_maps cap is {cap} edges (asked for {n})")
-    if n in _maps_memo:
-        return _maps_memo[n]
-    path = _cache_path(n)
-    if path is not None and path.exists():
+
+
+def _root_edge_recursion(n, smaller, insertions):
+    """The maps with n edges, sorted by code, of a family closed under
+    root-edge deletion, given smaller(e), its maps with e < n edges, and
+    insertions(d), the indices allowed into a root face of degree d."""
+    if n == 0:
+        return [RootedMap.atomic()]
+    inserted = (m.insert_root_edge(k) for m in smaller(n - 1)
+                for k in insertions(m.root_face_degree))
+    joined = (RootedMap.join_by_root_edge(m1, m2) for e1 in range(n)
+              for m1 in smaller(e1) for m2 in smaller(n - 1 - e1))
+    # code each map as it is built: codes made later fragment the heap
+    keyed = sorted((m.code, m) for m in itertools.chain(inserted, joined))
+    return [m for _, m in keyed]
+
+
+def _read_cache(path, n):
+    """The maps stored at path, or None unless it holds count_maps(n)."""
+    try:
         with open(path) as fh:
             maps = [RootedMap.from_json(line) for line in fh if line.strip()]
-        _maps_memo[n] = maps
-        return maps
-    if n == 0:
-        maps = [RootedMap.atomic()]
-    else:
-        out = set()
-        for m in all_maps(n - 1, cap):
-            for k in range(m.root_face_degree + 1):
-                out.add(m.insert_root_edge(k))
-        for e1 in range(n):
-            for m1 in all_maps(e1, cap):
-                for m2 in all_maps(n - 1 - e1, cap):
-                    out.add(RootedMap.join_by_root_edge(m1, m2))
-        maps = sorted(out, key=lambda m: m.code)
+    except (OSError, TypeError, ValueError):  # MapError is a ValueError
+        return None
+    return maps if len(maps) == count_maps(n) else None
+
+
+def _write_cache(path, maps):
+    import tempfile  # loads a dozen modules, which only a cache needs
+    # a temporary file of its own, so concurrent writers do not collide
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(m.to_json() + "\n" for m in maps)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def all_maps(n: int, cap: int = LIST_CAP):
+    """All rooted planar maps with n edges, sorted by canonical code; a
+    TUTTELAB_CACHE file that does not hold them all is regenerated."""
+    _check_size(n, cap)
+    if n in _maps_memo:
+        return _maps_memo[n]
+    root = os.environ.get(CACHE_ENV)
+    path = Path(root) / f"maps-v{CACHE_FORMAT}-n{n}.jsonl" if root else None
+    maps = None if path is None else _read_cache(path, n)
+    if maps is None:
+        maps = _root_edge_recursion(n, lambda e: all_maps(e, cap),
+                                    lambda d: range(d + 1))
+        if path is not None:
+            _write_cache(path, maps)
     _maps_memo[n] = maps
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            for m in maps:
-                fh.write(m.to_json() + "\n")
-        tmp.replace(path)
     return maps
+
+
+@lru_cache(maxsize=None)
+def near_angulations(n: int, p: int):
+    """All maps with n edges whose inner faces all have degree p, sorted by
+    canonical code.  Inserting a root edge at index k into a root face of
+    degree d closes an inner face of degree d - k + 1, hence k = d - p + 1."""
+    _check_size(n, LIST_CAP)
+    return _root_edge_recursion(n, lambda e: near_angulations(e, p),
+                                lambda d: [d - p + 1] if d >= p - 1 else [])
 
 
 @lru_cache(maxsize=None)
@@ -137,10 +168,9 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
 
 def near_triangulations(max_edges: int):
     """All near-triangulations (finite faces of degree 3) with <= max_edges."""
-    out = []
-    for n in range(max_edges + 1):
-        out.extend(m for m in all_maps(n) if m.is_near_triangulation())
-    return out
+    if max_edges < 0:
+        raise ValueError("edge count must be nonnegative")
+    return [m for n in range(max_edges + 1) for m in near_angulations(n, 3)]
 
 
 def bipartite_maps(n_edges: int):
@@ -153,8 +183,8 @@ def eulerian_near_triangulations(n_black_faces: int):
     An Eulerian near-triangulation with 2n finite faces has 3n edges (its
     finite faces are properly 2-colourable into n black and n white).
     """
-    return [m for m in all_maps(3 * n_black_faces)
-            if m.is_near_triangulation() and m.is_eulerian()]
+    return [m for m in near_angulations(3 * n_black_faces, 3)
+            if m.is_eulerian()]
 
 
 def quadrangulations(n_faces: int):
@@ -177,15 +207,13 @@ def non_separable_near_triangulations(n_inner_faces: int):
     Such a map with n >= 1 inner faces has at most 2n + 1 edges (the outer
     face is a simple cycle), so the search space is finite.
     """
+    if n_inner_faces < 0:
+        raise ValueError("face count must be nonnegative")
     if n_inner_faces == 0:
         return [RootedMap.link()]
-    out = []
-    for e in range(1, 2 * n_inner_faces + 2):
-        for m in all_maps(e):
-            if (m.n_faces == n_inner_faces + 1 and not m.is_separable()
-                    and m.is_near_triangulation()):
-                out.append(m)
-    return out
+    return [m for e in range(1, 2 * n_inner_faces + 2)
+            for m in near_angulations(e, 3)
+            if m.n_faces == n_inner_faces + 1 and not m.is_separable()]
 
 
 # -- brute-force oracles --------------------------------------------------------

@@ -224,6 +224,8 @@ class MultiPoly:
         vars_ = tuple(sorted(set(v for i, v in enumerate(self.vars)
                                  if any(e[i] for e in self.terms)), key=_var_key))
         canon = self._remap(vars_)
+        if not vars_:  # a constant equals, so hashes like, its scalar
+            return hash(canon.get((), 0))
         return hash((vars_, frozenset(canon.items())))
 
     def __bool__(self):

@@ -35,7 +35,7 @@ from tuttelab.desystems import check_de_maps, check_de_tri, check_tutte_ode
 from tuttelab.equations import EquationId, brute_force_gf, expand
 from tuttelab.generate import (all_bipolar_orientations, all_maps,
                                all_maps_oracle, all_spanning_trees,
-                               four_valent, quadrangulations)
+                               four_valent, near_angulations, quadrangulations)
 from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle, spanning_tree_count)
@@ -168,10 +168,8 @@ def bipolar_tri_formula_vs_brute_force() -> bool:
     (a root loop) and hence no bipolar orientation, so the 7-edge
     generation cap is exhaustive."""
     for m in range(1, 4):
-        got = 0
-        for e in range(1, 8):
-            got += sum(len(all_bipolar_orientations(mm)) for mm in all_maps(e)
-                       if mm.n_vertices == m + 1 and mm.is_near_triangulation())
+        got = sum(len(all_bipolar_orientations(mm)) for e in range(1, 8)
+                  for mm in near_angulations(e, 3) if mm.n_vertices == m + 1)
         if got != cf.bipolar_tri_count(m):
             return False
     return True
@@ -199,9 +197,9 @@ def tree_rooted_tri_formula_vs_brute_force() -> bool:
     the same spanning trees, so that case reduces to (3, 2)."""
 
     def brute(i, d):
-        return sum(len(all_spanning_trees(mm)) for mm in all_maps(3 * i - d)
-                   if mm.is_near_triangulation() and mm.n_vertices == i + 1
-                   and mm.root_face_degree == d)
+        return sum(len(all_spanning_trees(mm))
+                   for mm in near_angulations(3 * i - d, 3)
+                   if mm.n_vertices == i + 1 and mm.root_face_degree == d)
 
     for i in range(1, 4):
         for d in range(1, 2 * i + 1):
@@ -287,8 +285,8 @@ def suite_closed_forms():
     ]
     for n in range(2):
         want = cf.nt1_count(n)
-        got = sum(1 for m in all_maps(3 * n + 2)
-                  if m.is_near_triangulation() and m.root_face_degree == 1)
+        got = sum(1 for m in near_angulations(3 * n + 2, 3)
+                  if m.root_face_degree == 1)
         out.append(CaseResult("closed_forms",
                               f"outer-degree-1 near-triangulations, n={n}",
                               want, got))

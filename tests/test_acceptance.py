@@ -11,12 +11,10 @@ import sys
 from fractions import Fraction
 
 from tuttelab import closed_forms as cf
-from tuttelab.equations import EquationId, brute_force_gf, expand
-from tuttelab.generate import (all_maps, all_maps_oracle, all_spanning_trees,
-                               four_valent, quadrangulations)
+from tuttelab.generate import all_maps, all_maps_oracle, four_valent
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle, spanning_tree_count)
-from tuttelab.trees import BlossomingTree, DyckShuffle
+from tuttelab.trees import BlossomingTree
 
 
 def test_01_map_counts():
@@ -38,29 +36,17 @@ def test_02_potts_three_ways():
 
 
 def test_03_equation_expansions_match_brute_force():
-    caps = [
-        (EquationId.POTTS_MAPS, 4),
-        (EquationId.NT, 6),
-        (EquationId.BIP, 4),
-        (EquationId.EULER_NT, 2),
-        (EquationId.TUTTE_NONSEP_TRI, 3),
-    ]
-    for eq, cap in caps:
-        assert expand(eq, cap) == brute_force_gf(eq, cap)
-    eq, cap = EquationId.POTTS_QUASI_TRI, 4
-    assert expand(eq, cap).subs({"x": 0}) == brute_force_gf(eq, cap)
+    from tuttelab import verify
+    assert verify.all_pass(verify.suite_equations())
 
 
 def test_04_bijections():
-    from tuttelab.bijections import (BijectionError, cvs_backward,
-                                     cvs_forward, mullin_decode,
-                                     mullin_encode, phi_bar, phi_close,
-                                     psi_open, tree_root_key)
+    from tuttelab.bijections import phi_bar
+    from tuttelab.verify import roundtrip_cvs, roundtrip_mullin, roundtrip_psi
 
     # opening/closure between 4-valent maps and balanced blossoming trees
     for n in range(1, 5):
-        for m in four_valent(n):
-            assert phi_close(psi_open(m)) == m
+        assert roundtrip_psi(n)[1] is None
 
     # signed closure of all blossoming trees is a bijection onto
     # (4-valent map, marked face) pairs: (n+2) m_n = 2 t_n
@@ -78,31 +64,17 @@ def test_04_bijections():
 
     # pointed quadrangulations vs labelled trees: 3^n C_n = (n+2) q_n / 2
     for n in range(1, 5):
-        cnt = 0
-        for q in quadrangulations(n):
-            for v0 in range(q.n_vertices):
-                try:
-                    t = cvs_forward(q, v0)
-                except BijectionError:
-                    continue
-                cnt += 1
-                assert t.is_valid()
-                assert cvs_backward(t) == (q, v0)
+        cnt, bad = roundtrip_cvs(n)
+        assert bad is None
         assert cnt == cf.labelled_tree_count(n)
         assert 2 * cf.labelled_tree_count(n) \
             == (n + 2) * cf.quadrangulation_count(n)
 
     # tree-rooted maps vs shuffles of two Dyck words
     for n in range(5):
-        for m in all_maps(n):
-            trees = [()] if m.is_atomic else all_spanning_trees(m)
-            for tr in trees:
-                w = mullin_encode(m, tr)
-                m2, tr2 = mullin_decode(w)
-                assert tree_root_key(m2, tr2) == tree_root_key(m, tr)
-                assert mullin_encode(m2, tr2) == w
-    m, tr = mullin_decode(DyckShuffle("bbaaBBAbBA"))
-    assert mullin_encode(m, tr).word == "bbaaBBAbBA"
+        cnt, bad = roundtrip_mullin(n)
+        assert bad is None
+        assert cnt == sum(cf.shuffle_count(i, n - i) for i in range(n + 1))
 
 
 def test_05_closed_forms_vs_brute_force():

@@ -28,6 +28,15 @@ def test_expand_vs_brute_force(name, cap):
     assert expand(eq, cap) == brute_force_gf(eq, cap)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("POTTS_MAPS", {"w": 2}), ("TUTTE_MAPS", {"z": 3}),
+    ("TUTTE_MAPS", {"w": 2}),
+])
+def test_expand_vs_brute_force_at_numeric_parameters(name, params):
+    eq = EquationId[name]
+    assert expand(eq, 2, params) == brute_force_gf(eq, 2, params)
+
+
 @pytest.mark.parametrize("name", ["POTTS_QUASI_TRI", "TUTTE_QUASI_TRI"])
 def test_quasi_equations_at_x0(name):
     eq = EquationId[name]

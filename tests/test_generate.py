@@ -1,11 +1,14 @@
 import pytest
 
 from tuttelab import closed_forms as cf
+from tuttelab import generate
 from tuttelab.generate import (CapExceeded, all_bipolar_orientations,
                                all_maps, all_spanning_trees, bipartite_maps,
                                colouring_sum, count_maps,
                                eulerian_near_triangulations, four_valent,
-                               near_triangulations, quadrangulations)
+                               near_angulations, near_triangulations,
+                               non_separable_near_triangulations,
+                               quadrangulations)
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.poly import MultiPoly
 from tuttelab.potts import potts, spanning_tree_count
@@ -26,6 +29,72 @@ def test_all_maps_distinct_and_sized():
 def test_cap():
     with pytest.raises(CapExceeded):
         all_maps(8)
+    with pytest.raises(CapExceeded):
+        near_angulations(8, 3)
+
+
+def test_negative_sizes_raise():
+    for family in (all_maps, near_triangulations,
+                   eulerian_near_triangulations,
+                   non_separable_near_triangulations, quadrangulations,
+                   lambda n: near_angulations(n, 3)):
+        with pytest.raises(ValueError):
+            family(-1)
+
+
+def test_near_angulations_match_filter():
+    # the root-edge recursion against a filter over every map
+    for n in range(8):
+        maps = all_maps(n)
+        assert near_angulations(n, 3) == [m for m in maps
+                                          if m.is_near_triangulation()]
+        assert near_angulations(n, 4) == [m for m in maps
+                                          if m.is_near_quadrangulation()]
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty TUTTELAB_CACHE directory and an empty in-process memo."""
+    monkeypatch.setenv(generate.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(generate, "_maps_memo", {})
+    return tmp_path
+
+
+def _fresh_maps(n, monkeypatch):
+    monkeypatch.setattr(generate, "_maps_memo", {})
+    return all_maps(n)
+
+
+def test_cache_regenerates_truncated_file(cache_dir, monkeypatch):
+    all_maps(3)
+    path = cache_dir / "maps-v1-n3.jsonl"
+    path.write_text("".join(path.read_text().splitlines(True)[:4]))
+    # building the next size reads the truncated list first
+    assert len(_fresh_maps(4, monkeypatch)) == 378
+    assert len(path.read_text().splitlines()) == 54
+    assert len(_fresh_maps(3, monkeypatch)) == 54
+
+
+def test_cache_regenerates_malformed_file(cache_dir, monkeypatch):
+    all_maps(3)
+    path = cache_dir / "maps-v1-n3.jsonl"
+    path.write_text("{nope\n" + path.read_text())
+    assert len(_fresh_maps(3, monkeypatch)) == 54
+
+
+def test_cache_leaves_no_temporary_file(cache_dir, monkeypatch):
+    all_maps(2)
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        f"maps-v1-n{n}.jsonl" for n in range(3)]
+
+    def broken(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(generate.RootedMap, "to_json", broken)
+    with pytest.raises(OSError):
+        all_maps(3)
+    assert not (cache_dir / "maps-v1-n3.jsonl").exists()
+    assert len(list(cache_dir.iterdir())) == 3
 
 
 def test_family_invariants():

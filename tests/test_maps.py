@@ -1,7 +1,65 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tuttelab.generate import all_maps
+from tuttelab.bijections import mullin_decode
+from tuttelab.generate import LIST_CAP, all_maps
 from tuttelab.maps import MapError, RootedMap
+
+
+@st.composite
+def rooted_maps(draw, max_edges=LIST_CAP + 3):
+    """The map of a random shuffle of two Dyck words (Mullin's encoding of
+    tree-rooted maps), up to max_edges edges."""
+    n = draw(st.integers(0, max_edges))
+    left = {"a": draw(st.integers(0, n))}
+    left["b"] = n - left["a"]
+    depth = {"a": 0, "b": 0}
+    word = []
+    for _ in range(2 * n):
+        ch = draw(st.sampled_from(
+            [c for c in "ab" if left[c]]
+            + [c.upper() for c in "ab" if depth[c]]))
+        c = ch.lower()
+        if ch == c:
+            left[c] -= 1
+            depth[c] += 1
+        else:
+            depth[c] -= 1
+        word.append(ch)
+    return mullin_decode("".join(word))[0]
+
+
+@settings(deadline=None)
+@given(rooted_maps())
+def test_dual_is_an_involution(m):
+    assert m.dual().dual() == m
+
+
+@settings(deadline=None)
+@given(rooted_maps())
+def test_delete_inverts_insert(m):
+    for k in range(m.root_face_degree + 1):
+        assert m.insert_root_edge(k).delete_root_edge() == ("single", (m, k))
+
+
+@settings(deadline=None)
+@given(rooted_maps(max_edges=5), rooted_maps(max_edges=5))
+def test_delete_inverts_join(m1, m2):
+    joined = RootedMap.join_by_root_edge(m1, m2)
+    assert joined.delete_root_edge() == ("pair", (m1, m2))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_code_is_invariant_under_relabelling(data):
+    m = data.draw(rooted_maps())
+    perm = data.draw(st.permutations(range(m.n_darts)))
+    alpha, sigma = [0] * m.n_darts, [0] * m.n_darts
+    for d in range(m.n_darts):
+        alpha[perm[d]] = perm[m.alpha[d]]
+        sigma[perm[d]] = perm[m.sigma[d]]
+    root = None if m.is_atomic else perm[m.root]
+    assert RootedMap(alpha, sigma, root).code == m.code
 
 
 def test_constructors():

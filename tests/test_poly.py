@@ -10,6 +10,14 @@ y = MultiPoly.var("y")
 q = MultiPoly.var("q")
 
 
+def test_constant_hashes_like_its_scalar():
+    for c in (3, Fraction(1, 2), Fraction(4, 2), 0):
+        p = MultiPoly.const(c)
+        assert p == c and hash(p) == hash(c) and p in {c}
+    assert MultiPoly.zero() in {0}
+    assert x - x + 5 in {5}
+
+
 def test_basic_arithmetic():
     p = (x + 1) * (x - 1)
     assert p == x * x - 1

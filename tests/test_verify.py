@@ -43,3 +43,24 @@ def test_failures_are_reported():
     assert not verify.all_pass(bad)
     assert "[FAIL] demo: broken (expected 1, got 2)" \
         in verify.format_report(bad, "plain")
+
+
+def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
+    from tuttelab import generate
+    unpatched = generate.all_maps
+
+    def below_seven(n, *args, **kwargs):
+        if n >= 7:
+            raise AssertionError(f"all_maps({n}) called")
+        return unpatched(n, *args, **kwargs)
+
+    for module in (generate, verify):
+        monkeypatch.setattr(module, "all_maps", below_seven)
+    # the formula checks are memoised; run them again under the patch
+    for check in (verify.bipolar_formula_vs_brute_force,
+                  verify.bipolar_tri_formula_vs_brute_force,
+                  verify.tree_rooted_formula_vs_brute_force,
+                  verify.tree_rooted_tri_formula_vs_brute_force):
+        check.cache_clear()
+    results = verify.run()
+    assert len(results) == 118 and verify.all_pass(results)
