@@ -361,6 +361,6 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
                         lambda m: bipolar(m) * degrees(m)),
     }
     family, weight = table[eq]
-    coeffs = [sum((weight(m) for m in family(n)), MultiPoly.zero())
+    coeffs = [MultiPoly.sum(weight(m) for m in family(n))
               for n in range(order + 1)]
     return TSeries(MAIN_VAR[eq], order, coeffs)

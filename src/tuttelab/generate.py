@@ -42,11 +42,12 @@ class CapExceeded(ValueError):
     pass
 
 
-def _check_size(n, cap):
+def _check_size(n, cap, family="all_maps", unit="edges"):
+    """Refuse a size before any generation: n counts the family's unit."""
     if n < 0:
-        raise ValueError("edge count must be nonnegative")
+        raise ValueError(f"{family}: the number of {unit} must be nonnegative")
     if n > cap:
-        raise CapExceeded(f"all_maps cap is {cap} edges (asked for {n})")
+        raise CapExceeded(f"{family} cap is {cap} {unit} (asked for {n})")
 
 
 def _root_edge_recursion(n, smaller, insertions):
@@ -112,7 +113,7 @@ def near_angulations(n: int, p: int):
     """All maps with n edges whose inner faces all have degree p, sorted by
     canonical code.  Inserting a root edge at index k into a root face of
     degree d closes an inner face of degree d - k + 1, hence k = d - p + 1."""
-    _check_size(n, LIST_CAP)
+    _check_size(n, LIST_CAP, "near_angulations")
     return _root_edge_recursion(n, lambda e: near_angulations(e, p),
                                 lambda d: [d - p + 1] if d >= p - 1 else [])
 
@@ -168,12 +169,12 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
 
 def near_triangulations(max_edges: int):
     """All near-triangulations (finite faces of degree 3) with <= max_edges."""
-    if max_edges < 0:
-        raise ValueError("edge count must be nonnegative")
+    _check_size(max_edges, LIST_CAP, "near_triangulations")
     return [m for n in range(max_edges + 1) for m in near_angulations(n, 3)]
 
 
 def bipartite_maps(n_edges: int):
+    _check_size(n_edges, LIST_CAP, "bipartite_maps")
     return [m for m in all_maps(n_edges) if m.is_bipartite()]
 
 
@@ -183,12 +184,15 @@ def eulerian_near_triangulations(n_black_faces: int):
     An Eulerian near-triangulation with 2n finite faces has 3n edges (its
     finite faces are properly 2-colourable into n black and n white).
     """
+    _check_size(n_black_faces, LIST_CAP // 3, "eulerian_near_triangulations",
+                "faces of each colour")
     return [m for m in near_angulations(3 * n_black_faces, 3)
             if m.is_eulerian()]
 
 
 def quadrangulations(n_faces: int):
     """All quadrangulations with n faces: duals of radials of n-edge maps."""
+    _check_size(n_faces, LIST_CAP, "quadrangulations", "faces")
     out = sorted((m.radial().dual() for m in all_maps(n_faces) if not m.is_atomic),
                  key=lambda m: m.code)
     assert all(m.is_quadrangulation() for m in out)
@@ -197,6 +201,7 @@ def quadrangulations(n_faces: int):
 
 def four_valent(n_vertices: int):
     """All 4-valent maps with n vertices: radials of n-edge maps."""
+    _check_size(n_vertices, LIST_CAP, "four_valent", "vertices")
     return sorted((m.radial() for m in all_maps(n_vertices) if not m.is_atomic),
                   key=lambda m: m.code)
 
@@ -207,8 +212,8 @@ def non_separable_near_triangulations(n_inner_faces: int):
     Such a map with n >= 1 inner faces has at most 2n + 1 edges (the outer
     face is a simple cycle), so the search space is finite.
     """
-    if n_inner_faces < 0:
-        raise ValueError("face count must be nonnegative")
+    _check_size(n_inner_faces, (LIST_CAP - 1) // 2,
+                "non_separable_near_triangulations", "inner faces")
     if n_inner_faces == 0:
         return [RootedMap.link()]
     return [m for e in range(1, 2 * n_inner_faces + 2)

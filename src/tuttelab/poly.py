@@ -24,6 +24,8 @@ def _var_key(name: str):
 
 
 def _norm_scalar(c) -> Scalar:
+    if type(c) is int:  # the common case, before the slower ABC checks
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
@@ -69,6 +71,30 @@ class MultiPoly:
     @staticmethod
     def one() -> "MultiPoly":
         return MultiPoly((), {(): 1})
+
+    @staticmethod
+    def sum(polys: Iterable) -> "MultiPoly":
+        """The sum of polynomials or scalars, added into one dict.
+
+        Equal to the left fold of + from zero, variables included: the
+        result is over the union of the input variables, sorted.  The
+        input is consumed as it is produced, one term at a time.
+        """
+        vars_: tuple = ()
+        out: dict = {}
+        for p in polys:
+            p = MultiPoly._coerce(p)
+            terms = p.terms
+            if p.vars != vars_:
+                union = tuple(sorted(set(vars_) | set(p.vars), key=_var_key))
+                if union != vars_:
+                    out = MultiPoly(vars_, out)._remap(union)
+                    vars_ = union
+                if p.vars != vars_:
+                    terms = p._remap(vars_)
+            for exps, c in terms.items():
+                out[exps] = out.get(exps, 0) + c
+        return MultiPoly(vars_, out)
 
     # -- basic queries ------------------------------------------------------
 
@@ -286,8 +312,7 @@ class MultiPoly:
         mapping = {k: self._coerce(v) for k, v in mapping.items() if k in self.vars}
         if not mapping:
             return self
-        keep = [v for v in self.vars if v not in mapping]
-        result = MultiPoly(tuple(keep), {})
+        keep = tuple(v for v in self.vars if v not in mapping)
         idx_keep = [self.vars.index(v) for v in keep]
         idx_sub = [(self.vars.index(v), v) for v in self.vars if v in mapping]
         pow_cache: dict = {}
@@ -302,14 +327,14 @@ class MultiPoly:
                     pow_cache[key] = base.monomial_inverse() ** (-k)
             return pow_cache[key]
 
-        for exps, c in self.terms.items():
-            term = MultiPoly(tuple(keep),
-                             {tuple(exps[i] for i in idx_keep): c})
+        def term(exps, c):
+            out = MultiPoly(keep, {tuple(exps[i] for i in idx_keep): c})
             for i, name in idx_sub:
                 if exps[i]:
-                    term = term * mono_pow(name, exps[i])
-            result = result + term
-        return result
+                    out = out * mono_pow(name, exps[i])
+            return out
+
+        return MultiPoly.sum(term(e, c) for e, c in self.terms.items())
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent monomial)."""

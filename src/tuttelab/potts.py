@@ -71,11 +71,9 @@ def potts_subset_oracle(m: RootedMap) -> MultiPoly:
     q^{c(S)} (nu-1)^{|S|}, with c(S) counting connected components."""
     v = m.n_vertices
     edges = m.multigraph_edges()
-    total = MultiPoly.zero()
-    for r in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, r):
-            total = total + Q ** _components(v, subset) * (NU - 1) ** r
-    return total
+    return MultiPoly.sum(Q ** _components(v, subset) * (NU - 1) ** r
+                         for r in range(len(edges) + 1)
+                         for subset in itertools.combinations(edges, r))
 
 
 def potts_by_interpolation(m: RootedMap) -> MultiPoly:
@@ -113,12 +111,10 @@ def tutte(m: RootedMap) -> MultiPoly:
     sum over edge subsets of (mu-1)^{c(S)-1} (nu-1)^{|S|+c(S)-v}."""
     v = m.n_vertices
     edges = m.multigraph_edges()
-    total = MultiPoly.zero()
-    for r in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, r):
-            c = _components(v, subset)
-            total = total + (MU - 1) ** (c - 1) * (NU - 1) ** (r + c - v)
-    return total
+    ranks = ((_components(v, subset), r) for r in range(len(edges) + 1)
+             for subset in itertools.combinations(edges, r))
+    return MultiPoly.sum((MU - 1) ** (c - 1) * (NU - 1) ** (r + c - v)
+                         for c, r in ranks)
 
 
 def potts_from_tutte(m: RootedMap) -> MultiPoly:
@@ -128,11 +124,9 @@ def potts_from_tutte(m: RootedMap) -> MultiPoly:
     where j-i-1+v is the edge count of the spanning subgraphs it stands for."""
     v = m.n_vertices
     shifted = tutte(m).subs({"mu": MU + 1, "nu": NU + 1})
-    out = MultiPoly.zero()
-    for i, ci in shifted.by_powers("mu").items():
-        for j, c in ci.by_powers("nu").items():
-            out = out + c * Q ** (i + 1) * (NU - 1) ** (j - i - 1 + v)
-    return out
+    return MultiPoly.sum(c * Q ** (i + 1) * (NU - 1) ** (j - i - 1 + v)
+                         for i, ci in shifted.by_powers("mu").items()
+                         for j, c in ci.by_powers("nu").items())
 
 
 def duality_check(m: RootedMap) -> bool:
@@ -158,10 +152,8 @@ def _cleared_nu_dual_sub(p: MultiPoly, e: int) -> MultiPoly:
     """Substitute nu -> 1 + q/(nu-1) into a (q, nu)-polynomial and clear the
     denominators by (nu-1)^e: each (nu-1)^k factor becomes q^k (nu-1)^{e-k}."""
     shifted = p.subs({"nu": NU + 1})  # now nu stands for nu - 1
-    out = MultiPoly.zero()
-    for k, c in shifted.by_powers("nu").items():
-        out = out + c * Q ** k * (NU - 1) ** (e - k)
-    return out
+    return MultiPoly.sum(c * Q ** k * (NU - 1) ** (e - k)
+                         for k, c in shifted.by_powers("nu").items())
 
 
 def spanning_tree_count(m: RootedMap) -> int:

@@ -8,8 +8,11 @@ arithmetic is exact and respects the truncation order.
 The module also provides the generic fixed-point iterator used to solve
 catalytic functional equations: any equation whose right-hand side carries
 an explicit factor of the main variable in every non-constant term
-determines its coefficients recursively, so iterating the map N + 1 times
-from the initial term reaches the unique solution up to order N.
+determines its coefficients recursively, so the k-th iterate from the
+initial term is exact to order k.  The iteration is graded: round k runs at
+order k, on the previous iterate padded with a zero coefficient, so only
+the last of the N + 1 rounds runs at the full order N.  One more round at
+order N confirms the solution.
 """
 
 from __future__ import annotations
@@ -128,14 +131,10 @@ class TSeries:
             return TSeries(self.var, self.order, [c * p for c in self.coeffs])
         o = self._coerce(other)
         n = min(self.order, o.order)
-        out = [MultiPoly.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs, o.coeffs
+        out = [MultiPoly.sum(a[i] * b[k - i] for i in range(k + 1)
+                             if a[i] and b[k - i])
+               for k in range(n + 1)]
         return TSeries(self.var, n, out)
 
     __rmul__ = __mul__
@@ -178,9 +177,8 @@ class TSeries:
         inv0 = Fraction(1, 1) / c0.constant_value()
         out = [MultiPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = MultiPoly.zero()
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * out[n - i]
+            acc = MultiPoly.sum(self.coeffs[i] * out[n - i]
+                                for i in range(1, n + 1))
             out.append(acc * MultiPoly.const(-inv0))
         return TSeries(self.var, self.order, out)
 
@@ -254,24 +252,23 @@ class TSeries:
         return out
 
 
-def fixed_point(update, var, order, seed=1, max_rounds=None) -> TSeries:
-    """Solve F = update(F) by iteration from the given initial term.
+def fixed_point(update, var, order, seed=1) -> TSeries:
+    """Solve F = update(F) by graded iteration from the given initial term.
 
     The update must be contracting: its value at order n may depend only on
     coefficients of orders < n (true whenever every non-constant term of the
-    right-hand side carries an explicit factor of the main variable).  If the
-    iterates fail to stabilize, the equation is not of this shape and a
-    SeriesError is raised.
+    right-hand side carries an explicit factor of the main variable).  Then
+    the iterate of round k is exact to order k, so round k runs on the
+    previous iterate truncated (zero-padded) to order k, and the last round
+    runs at full order.  One more full-order round confirms the solution; if
+    it moves, the equation is not of this shape and a SeriesError is raised.
     """
     f = TSeries.const(seed, var, order) if not isinstance(seed, TSeries) else seed
-    rounds = max_rounds if max_rounds is not None else order + 2
-    for _ in range(rounds):
-        nxt = update(f)
-        if nxt == f:
-            return f
-        f = nxt
-    nxt = update(f)
-    if nxt == f:
-        return f
-    raise SeriesError("fixed-point iteration did not stabilize; "
-                      "the equation is not contracting in the main variable")
+    for k in range(order + 1):
+        f = update(f.truncate(k))
+    if f.order != order:
+        raise SeriesError(f"the update returned order {f.order}, not {order}")
+    if update(f) != f:
+        raise SeriesError("fixed-point iteration did not stabilize; "
+                          "the equation is not contracting in the main variable")
+    return f

@@ -37,6 +37,14 @@ def test_gen_cap_exceeded(capsys):
     assert code == cli.EXIT_CAP and "cap" in err
 
 
+def test_gen_family_cap_message(capsys):
+    code, out, err = run_cli(capsys, "gen", "non_separable_near_triangulations",
+                             "--n", "4", "--count-only")
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == ("generation cap exceeded: non_separable_near_triangulations"
+                   " cap is 3 inner faces (asked for 4)\n")
+
+
 def test_tutte_outputs(tmp_path, capsys):
     mapfile = tmp_path / "m.json"
     mapfile.write_text(all_maps(2)[0].to_json())

@@ -33,6 +33,30 @@ def test_cap():
         near_angulations(8, 3)
 
 
+def test_family_caps_checked_before_generation(monkeypatch):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generation started on the capped path")
+
+    for name in ("_root_edge_recursion", "near_angulations", "all_maps"):
+        monkeypatch.setattr(generate, name, no_generation)
+    for family, n, message in (
+            (near_triangulations, 8,
+             "near_triangulations cap is 7 edges (asked for 8)"),
+            (non_separable_near_triangulations, 4,
+             "non_separable_near_triangulations cap is 3 inner faces "
+             "(asked for 4)"),
+            (eulerian_near_triangulations, 3,
+             "eulerian_near_triangulations cap is 2 faces of each colour "
+             "(asked for 3)"),
+            (bipartite_maps, 8, "bipartite_maps cap is 7 edges (asked for 8)"),
+            (quadrangulations, 8,
+             "quadrangulations cap is 7 faces (asked for 8)"),
+            (four_valent, 8, "four_valent cap is 7 vertices (asked for 8)")):
+        with pytest.raises(CapExceeded) as err:
+            family(n)
+        assert str(err.value) == message
+
+
 def test_negative_sizes_raise():
     for family in (all_maps, near_triangulations,
                    eulerian_near_triangulations,

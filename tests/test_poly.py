@@ -111,3 +111,48 @@ def test_ring_axioms(a, b, c):
 def test_exact_division_roundtrip(a, b):
     if not b.is_zero():
         assert (a * b).divexact(b) == a
+
+
+scalars = st.one_of(coeffs, st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=4))
+
+
+@st.composite
+def polys_in(draw, names=("q", "nu", "x", "y", "u")):
+    """A Laurent polynomial over a drawn variable tuple, in drawn order."""
+    vars_ = tuple(draw(st.lists(st.sampled_from(names), unique=True,
+                                max_size=3)))
+    exps = st.tuples(*[st.integers(-2, 3) for _ in vars_])
+    return MultiPoly(vars_, draw(st.dictionaries(exps, scalars, max_size=4)))
+
+
+@given(st.lists(st.one_of(polys_in(), scalars), max_size=6))
+def test_sum_is_the_left_fold(ps):
+    fold = MultiPoly.zero()
+    for p in ps:
+        fold = fold + p
+    total = MultiPoly.sum(iter(ps))
+    assert total == fold and total.vars == fold.vars
+    assert str(total) == str(fold)
+
+
+def test_sum_of_nothing_is_zero():
+    assert MultiPoly.sum([]).is_zero() and MultiPoly.sum([]).vars == ()
+
+
+nonzero = st.fractions(min_value=-3, max_value=3,
+                       max_denominator=4).filter(bool)
+
+
+@given(polys_in(names=("x", "y", "w")), polys_in(names=("q", "w")),
+       nonzero, st.integers(-2, 2), st.integers(-2, 2),
+       st.tuples(nonzero, nonzero, nonzero))
+def test_subs_then_eval_is_eval_at_the_substituted_values(
+        p, value, c, a, b, point):
+    # x may take a polynomial in new variables, so only ordinary powers;
+    # y takes an invertible Laurent monomial, so any power
+    p = p.part("x", lo=0)
+    mono = c * MultiPoly.var("nu", a) * MultiPoly.var("w", b)
+    at = dict(zip(("q", "nu", "w"), point))
+    extended = dict(at, x=value.eval(at), y=mono.eval(at))
+    assert p.subs({"x": value, "y": mono}).eval(at) == p.eval(extended)

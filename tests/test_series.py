@@ -76,3 +76,43 @@ def test_eval_with_fractions():
     s = TSeries("t", 2, [Fraction(1, 2), Fraction(1, 3), 1])
     assert (s * 6).coeff(1) == 2
     assert (s / Fraction(1, 2)).coeff(0) == 1
+
+
+def plain_iteration(update, var, order, seed):
+    """Full-order iteration, order + 1 rounds: the definition that the
+    graded fixed_point must reproduce."""
+    f = TSeries.const(seed, var, order)
+    for _ in range(order + 1):
+        f = update(f)
+    assert update(f) == f
+    return f
+
+
+def test_fixed_point_has_the_requested_order():
+    for order in range(9):
+        t = TSeries.t("t", order)
+        f = fixed_point(lambda f: 1 + t * f * f, "t", order)
+        assert f.order == order and len(f.coeffs) == order + 1
+    with pytest.raises(SeriesError):
+        fixed_point(lambda f: TSeries.const(1, "t", 5), "t", 3)
+
+
+def test_fixed_point_equals_plain_iteration():
+    x = MultiPoly.var("x")
+    order = 7
+    t = TSeries.t("t", order)
+    updates = [
+        (lambda f: 1 + t * f * f, 1),
+        (lambda f: 1 + t * y * f * f + t * (x - y) * f.subs({"y": 1}), x),
+    ]
+    for update, seed in updates:
+        assert fixed_point(update, "t", order, seed=seed) \
+            == plain_iteration(update, "t", order, seed)
+
+
+def test_expansions_are_consistent_across_orders():
+    from tuttelab.equations import EquationId, expand
+    for eq in EquationId:
+        for k in range(3):
+            low = expand(eq, k)
+            assert low.order == k and low == expand(eq, k + 1).truncate(k)
