@@ -70,10 +70,7 @@ def _poly_in_S(coeff_pairs) -> MultiPoly:
     """Build a polynomial in the formal variable S from (power, coeff) pairs,
     coefficients being MultiPoly values."""
     Sv = MultiPoly.var(S)
-    out = MultiPoly.zero()
-    for k, c in coeff_pairs:
-        out = out + c * Sv ** k
-    return out
+    return MultiPoly.sum(c * Sv ** k for k, c in coeff_pairs)
 
 
 def ising_parametrisation_series(order: int) -> TSeries:

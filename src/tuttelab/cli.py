@@ -5,8 +5,8 @@ verification suites.
 Exit codes: 0 all checks pass / command succeeded, 1 a check failed or
 bad formula arguments, 2 unknown family, equation, formula or suite, or
 an invalid size, order or parameter, 3 malformed map file, 4 generation
-cap exceeded (checked before any work starts).  Output is
-byte-deterministic for fixed inputs and flags.
+cap or `tutte` map size cap exceeded (checked before any work starts).
+Output is byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_BAD_FILE = 3
 EXIT_CAP = 4
+
+# Largest map `tutte` accepts: its subset expansion visits 2^e edge subsets,
+# a few seconds at 20 edges.
+TUTTE_CAP = 20
 
 
 def _families():
@@ -96,6 +100,7 @@ def cmd_gen(args) -> int:
 
 def cmd_tutte(args) -> int:
     from tuttelab import potts
+    from tuttelab.generate import CapExceeded
     try:
         with open(args.mapfile) as fh:
             m = RootedMap.from_json(fh.read())
@@ -103,6 +108,9 @@ def cmd_tutte(args) -> int:
         print(f"cannot read map file {args.mapfile!r}: {err}",
               file=sys.stderr)
         return EXIT_BAD_FILE
+    if m.n_edges > TUTTE_CAP:
+        raise CapExceeded(f"tutte cap is {TUTTE_CAP} edges "
+                          f"(asked for {m.n_edges})")
     if args.special:
         rows = sorted((k, str(v)) for k, v in potts.specializations(m).items())
     elif args.potts:

@@ -124,13 +124,13 @@ def _as_vector(p: MultiPoly, pendingset):
 
 
 def _from_vector(vec) -> MultiPoly:
-    out = MultiPoly.zero()
-    for key, c in vec.items():
-        term = MultiPoly.const(c)
+    def term(key, c):
+        out = MultiPoly.const(c)
         for name, e in key:
-            term = term * MultiPoly.var(name, e)
-        out = out + term
-    return out
+            out = out * MultiPoly.var(name, e)
+        return out
+
+    return MultiPoly.sum(term(key, c) for key, c in vec.items())
 
 
 def _linear_consequences(constraints, pending):
@@ -195,10 +195,8 @@ def _reduce(constraints, pending, coeff_lists, order):
 
 
 def _unknown_poly(names, powers):
-    out = MultiPoly.zero()
-    for name, p in zip(names, powers):
-        out = out + MultiPoly.var(name) * V ** p
-    return out
+    return MultiPoly.sum(MultiPoly.var(name) * V ** p
+                         for name, p in zip(names, powers))
 
 
 def _require_resolved(coeffs, pending, order):

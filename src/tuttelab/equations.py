@@ -312,17 +312,16 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
 
     p = _params(eq, params)
     q, nu, mu, w, z = (p(v) for v in ("q", "nu", "mu", "w", "z"))
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
     E = EquationId
 
     def nt(n):
         return g.near_angulations(n, 3)
 
     def outer(m, per=1):
-        return y ** (m.root_face_degree // per)
+        return MultiPoly.var("y", m.root_face_degree // per)
 
     def degrees(m):
-        return x ** m.root_vertex_degree * outer(m)
+        return MultiPoly.var("x", m.root_vertex_degree) * outer(m)
 
     def vw(m):
         return w ** (m.n_vertices - 1)

@@ -318,9 +318,6 @@ def colouring_sum(m: RootedMap, q: int, nu=None):
         counts[mono] = counts.get(mono, 0) + 1
     if nu is None:
         nuv = MultiPoly.var("nu")
-        total = MultiPoly.zero()
-        for mono, c in counts.items():
-            total = total + c * nuv ** mono
-        return total
+        return MultiPoly.sum(c * nuv ** mono for mono, c in counts.items())
     nu = Fraction(nu)
     return sum(c * nu ** mono for mono, c in counts.items())

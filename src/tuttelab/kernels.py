@@ -96,10 +96,8 @@ def kernel_six_pair_invariance() -> bool:
 
 def _geom_pow(p: int, cap: int) -> MultiPoly:
     """(1/(1-u))^p truncated at u^cap."""
-    out = MultiPoly.zero()
-    for k in range(cap + 1):
-        out = out + MultiPoly.const(comb(k + p - 1, p - 1)) * U ** k
-    return out
+    return MultiPoly.sum(MultiPoly.const(comb(k + p - 1, p - 1)) * U ** k
+                         for k in range(cap + 1))
 
 
 def trinomial_coeff(n: int, a: int, b: int) -> int:
@@ -144,12 +142,10 @@ def trinomial_expansion_check(order: int = 6, u_cap: int = 6) -> bool:
 
 def _subs_x_geometric(poly: MultiPoly, cap: int) -> MultiPoly:
     """Substitute x -> 1/(1-u) into a polynomial in x, truncating at u^cap."""
-    out = MultiPoly.zero()
-    for d, c in poly.by_powers("x").items():
-        if d < 0:
-            raise ValueError("negative power of x")
-        out = out + c * _geom_pow(d, cap)
-    return out
+    parts = poly.by_powers("x")
+    if parts and min(parts) < 0:
+        raise ValueError("negative power of x")
+    return MultiPoly.sum(c * _geom_pow(d, cap) for d, c in parts.items())
 
 
 def bipolar_tri_substituted(order: int, u_cap: int) -> TSeries:
@@ -173,9 +169,8 @@ def bipolar_tri_positive_part_check(order: int = 6, u_cap: int = 6) -> bool:
     L = Y * UB + YB
     # 1/K = sum_n z^n L^n / (1-u)^{n+1}; z also occurs in the numerator, so
     # everything is assembled as one z-truncated Laurent polynomial.
-    inv = MultiPoly.zero()
-    for n in range(order + 1):
-        inv = inv + Z ** n * L ** n * _geom_pow(n + 1, u_cap + 2 + n)
+    inv = MultiPoly.sum(Z ** n * L ** n * _geom_pow(n + 1, u_cap + 2 + n)
+                        for n in range(order + 1))
     rhs = ((num * inv).part("z", hi=order).part("u", lo=1, hi=u_cap)
            .part("y", lo=1))
     return lhs == rhs

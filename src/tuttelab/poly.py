@@ -138,7 +138,9 @@ class MultiPoly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         union = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
-        return union, self._remap(union), other._remap(union)
+        a = self.terms if self.vars == union else self._remap(union)
+        b = other.terms if other.vars == union else other._remap(union)
+        return union, a, b
 
     def _remap(self, new_vars: tuple) -> dict:
         idx = [self.vars.index(v) if v in self.vars else None for v in new_vars]
@@ -487,13 +489,14 @@ def lagrange_interpolate(points) -> "MultiPoly":
     """
     points = list(points)
     q = MultiPoly.var("q")
-    result = MultiPoly.zero()
-    for i, (xi, yi) in enumerate(points):
+
+    def term(i, xi, yi):
         num = MultiPoly.one()
         den = Fraction(1)
         for j, (xj, _) in enumerate(points):
             if i != j:
                 num = num * (q - xj)
                 den *= Fraction(xi) - Fraction(xj)
-        result = result + num * (MultiPoly._coerce(yi) / den)
-    return result
+        return num * (MultiPoly._coerce(yi) / den)
+
+    return MultiPoly.sum(term(i, xi, yi) for i, (xi, yi) in enumerate(points))

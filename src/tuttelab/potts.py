@@ -6,9 +6,10 @@ polynomial in q and nu.  It is computed by deletion-contraction,
 
     P_G = P_{G\\e} + (nu - 1) P_{G/e},
 
-with the convention that contracting a loop deletes it, and memoized on a
-canonical form of the multigraph (the polynomial does not depend on the
-root or the embedding).
+with the convention that contracting a loop deletes it, and memoized on
+the labelled edge multiset: the vertex count and the sorted edge pairs,
+each low end first.  No isomorphism search is made, so the size of a
+graph is limited only by the cost of the recursion.
 
 The Tutte polynomial T_G(mu, nu) is computed by its subset expansion and
 tied to P by q = (mu - 1)(nu - 1):
@@ -19,6 +20,7 @@ tied to P by q = (mu - 1)(nu - 1):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from tuttelab.maps import RootedMap
@@ -29,51 +31,46 @@ NU = MultiPoly.var("nu")
 MU = MultiPoly.var("mu")
 
 
-def _canonical_multigraph(v, edges):
-    """Canonical key of a loopy multigraph: lexicographically smallest sorted
-    edge multiset over all vertex relabellings."""
-    if v > 8:
-        raise ValueError("multigraph canonicalization capped at 8 vertices")
-    best = None
-    for perm in itertools.permutations(range(v)):
-        key = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-        if best is None or key < best:
-            best = key
-    return v, best
+# Equal polynomials from different keys share one object, so the memo
+# below holds one polynomial per value rather than one per labelled graph.
+_distinct: dict = {}
 
 
 @lru_cache(maxsize=None)
 def _potts_of_key(v, edges):
+    """P of the multigraph on vertices 0..v-1 whose edges are the sorted
+    tuple `edges`, each edge written low end first."""
     if not edges:
-        return Q ** v
-    (a, b), rest = edges[0], edges[1:]
-    deleted = _potts_of_key(*_canonical_multigraph(v, rest))
-    if a == b:
-        return NU * deleted
-    relabel = [i if i != b else a for i in range(v)]
-    shift = [i - (1 if i > b else 0) for i in relabel]
-    contracted_edges = [(shift[x], shift[y]) for x, y in rest]
-    contracted = _potts_of_key(*_canonical_multigraph(v - 1, contracted_edges))
-    return deleted + (NU - 1) * contracted
+        p = Q ** v
+    else:
+        (a, b), rest = edges[0], edges[1:]
+        deleted = _potts_of_key(v, rest)
+        if a == b:
+            p = NU * deleted
+        else:  # merge b into a and close the gap b leaves in the labels
+            label = [*range(b), a, *range(b, v - 1)]
+            contracted = _potts_of_key(v - 1, _edge_key(
+                (label[x], label[y]) for x, y in rest))
+            p = deleted + (NU - 1) * contracted
+    return _distinct.setdefault(p, p)
+
+
+def _edge_key(edges):
+    return tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
 
 
 def potts(m: RootedMap) -> MultiPoly:
     """Potts polynomial of the underlying multigraph, in (q, nu).
 
     Always a multiple of q; the atomic map gives q."""
-    v = m.n_vertices
-    key = _canonical_multigraph(v, m.multigraph_edges())
-    return _potts_of_key(*key)
+    return _potts_of_key(m.n_vertices, _edge_key(m.multigraph_edges()))
 
 
 def potts_subset_oracle(m: RootedMap) -> MultiPoly:
     """Fortuin-Kasteleyn expansion: sum over edge subsets S of
     q^{c(S)} (nu-1)^{|S|}, with c(S) counting connected components."""
-    v = m.n_vertices
-    edges = m.multigraph_edges()
-    return MultiPoly.sum(Q ** _components(v, subset) * (NU - 1) ** r
-                         for r in range(len(edges) + 1)
-                         for subset in itertools.combinations(edges, r))
+    return MultiPoly.sum(k * Q ** c * (NU - 1) ** r
+                         for (c, r), k in _subset_counts(m).items())
 
 
 def potts_by_interpolation(m: RootedMap) -> MultiPoly:
@@ -106,15 +103,22 @@ def _components(v, edges):
     return comp
 
 
+def _subset_counts(m: RootedMap) -> Counter:
+    """How many edge subsets S of the multigraph have c(S) components and
+    |S| edges, keyed by (c(S), |S|): the subset expansions below need only
+    these counts, so each distinct pair costs one polynomial term."""
+    v = m.n_vertices
+    edges = m.multigraph_edges()
+    return Counter((_components(v, subset), r) for r in range(len(edges) + 1)
+                   for subset in itertools.combinations(edges, r))
+
+
 def tutte(m: RootedMap) -> MultiPoly:
     """Tutte polynomial of the underlying (connected) multigraph in (mu, nu):
     sum over edge subsets of (mu-1)^{c(S)-1} (nu-1)^{|S|+c(S)-v}."""
     v = m.n_vertices
-    edges = m.multigraph_edges()
-    ranks = ((_components(v, subset), r) for r in range(len(edges) + 1)
-             for subset in itertools.combinations(edges, r))
-    return MultiPoly.sum((MU - 1) ** (c - 1) * (NU - 1) ** (r + c - v)
-                         for c, r in ranks)
+    return MultiPoly.sum(k * (MU - 1) ** (c - 1) * (NU - 1) ** (r + c - v)
+                         for (c, r), k in _subset_counts(m).items())
 
 
 def potts_from_tutte(m: RootedMap) -> MultiPoly:

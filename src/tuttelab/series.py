@@ -245,11 +245,8 @@ class TSeries:
         """The truncated series as a MultiPoly in the main variable."""
         name = t_name or self.var
         tv = MultiPoly.var(name)
-        out = MultiPoly.zero()
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * tv ** n
-        return out
+        return MultiPoly.sum(c * tv ** n for n, c in enumerate(self.coeffs)
+                             if not c.is_zero())
 
 
 def fixed_point(update, var, order, seed=1) -> TSeries:

@@ -68,6 +68,26 @@ def test_tutte_bad_file(tmp_path, capsys):
     assert code == cli.EXIT_BAD_FILE
 
 
+def test_tutte_cap_checked_before_work(tmp_path, capsys, monkeypatch):
+    from tuttelab import potts
+    from tuttelab.maps import RootedMap
+
+    def refuse(_):
+        raise AssertionError("polynomial work started on the capped path")
+
+    monkeypatch.setattr(potts, "tutte", refuse)
+    monkeypatch.setattr(potts, "potts", refuse)
+    m = RootedMap.atomic()
+    for _ in range(cli.TUTTE_CAP + 1):
+        m = m.insert_root_edge(0)
+    mapfile = tmp_path / "big.json"
+    mapfile.write_text(m.to_json())
+    for flags in ((), ("--potts",), ("--special",)):
+        code, out, err = run_cli(capsys, "tutte", str(mapfile), *flags)
+        assert code == cli.EXIT_CAP and out == ""
+        assert f"cap is {cli.TUTTE_CAP} edges" in err
+
+
 def test_bijection_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "bijection", "roundtrip", "psi",
                            "--max-size", "2")

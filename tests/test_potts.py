@@ -1,3 +1,5 @@
+import itertools
+
 from tuttelab.generate import all_maps
 from tuttelab.maps import RootedMap
 from tuttelab.poly import MultiPoly
@@ -37,17 +39,59 @@ def test_potts_from_tutte_reads_tutte(monkeypatch):
     assert potts_from_tutte(m) == 2 * potts(m)
 
 
+def _labelled_key(m):
+    return m.n_vertices, tuple(sorted(tuple(sorted(e))
+                                      for e in m.multigraph_edges()))
+
+
+def _isomorphism_key(m):
+    # brute force: the smallest labelled key over all vertex relabellings
+    v, edges = m.n_vertices, m.multigraph_edges()
+    return v, min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+                  for p in itertools.permutations(range(v)))
+
+
 def test_potts_is_embedding_independent():
-    # distinct rooted maps over the same multigraph share the polynomial
-    from tuttelab.potts import _canonical_multigraph
+    # maps over isomorphic multigraphs share the polynomial, also when the
+    # vertices are labelled differently, and equal polynomials share one
+    # object, so maps over one labelled multigraph do too
     groups = {}
-    for m in all_maps(3):
-        key = _canonical_multigraph(m.n_vertices, m.multigraph_edges())
-        groups.setdefault(key, []).append(m)
-    multi = [g for g in groups.values() if len(g) > 1]
-    assert multi
-    for g in multi:
+    for m in all_maps(4):
+        groups.setdefault(_isomorphism_key(m), []).append(m)
+    relabelled = [g for g in groups.values()
+                  if len({_labelled_key(m) for m in g}) > 1]
+    assert relabelled
+    for g in groups.values():
         assert len({str(potts(m)) for m in g}) == 1
+        assert all(potts(m) is potts(g[0]) for m in g)
+
+
+def _path(n):
+    # dart 2i leaves vertex i and dart 2i + 1 enters vertex i + 1
+    sigma = list(range(2 * n))
+    for i in range(1, n):
+        sigma[2 * i - 1], sigma[2 * i] = 2 * i, 2 * i - 1
+    return RootedMap([d ^ 1 for d in range(2 * n)], sigma, 0)
+
+
+def _cycle(n):
+    # as the path, with vertex n glued to vertex 0
+    sigma = [0] * (2 * n)
+    for i in range(n):
+        into = (2 * i - 1) % (2 * n)
+        sigma[2 * i], sigma[into] = into, 2 * i
+    return RootedMap([d ^ 1 for d in range(2 * n)], sigma, 0)
+
+
+def test_potts_of_large_tree_and_cycle():
+    # more vertices than an isomorphism search over all relabellings allows
+    n = 10
+    tree, cycle = _path(n), _cycle(n)
+    assert (tree.n_vertices, cycle.n_vertices) == (n + 1, n)
+    assert potts(tree) == q * (q + nu - 1) ** n
+    assert potts(cycle) == (q + nu - 1) ** n + (q - 1) * (nu - 1) ** n
+    for m in (tree, cycle):
+        assert potts(m) == potts_subset_oracle(m)
 
 
 def test_duality():
