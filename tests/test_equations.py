@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from tuttelab.equations import (EquationId, UnknownEquation, brute_force_gf,
-                                expand, quasi_tri_q2_relation_holds)
+from tuttelab.equations import (PARAM_VARS, EquationId, UnknownEquation,
+                                brute_force_gf, expand,
+                                quasi_tri_q2_relation_holds)
 
 
 def test_maps_counts_from_equation():
@@ -60,3 +62,35 @@ def test_errors():
         expand("NOPE", 2)
     with pytest.raises(ValueError):
         expand(EquationId.MAPS_1CAT, 2, {"q": 2})
+
+
+# sha256 prefixes of repr(expand(eq, order)) at verify's orders: with every
+# parameter symbolic, and at POINT (None for equations without parameters).
+# The printed expansions are part of the output contract, so any change to
+# the polynomial or series core must leave them byte-identical.
+POINT = {"q": Fraction(5, 3), "nu": Fraction(-3, 2), "mu": Fraction(2, 5),
+         "w": Fraction(-4, 3), "z": Fraction(3, 4)}
+
+
+@pytest.mark.parametrize("name,order,symbolic,numeric", [
+    ("MAPS_1CAT", 6, "2d39c98568873926", None),
+    ("NT", 6, "ec7fd5a10ce70c0b", None),
+    ("NQ", 4, "1b4c25c70d741f74", None),
+    ("BIP", 4, "6cb93f1652fea7fa", None),
+    ("EULER_NT", 2, "383e2abe22e16e2d", None),
+    ("POTTS_MAPS", 4, "dad4cdd7b0b7f72a", "dde4095d133eef1c"),
+    ("TUTTE_MAPS", 3, "b531e8c71a421604", "086546d38c814f6e"),
+    ("TUTTE_NONSEP_TRI", 3, "fbd9b3b45809f6d4", "8650b8601cd3ca83"),
+    ("POTTS_QUASI_TRI", 4, "af9086fcce55d7d3", "a845888fc1b71baa"),
+    ("TUTTE_QUASI_TRI", 4, "b79e13e8118d5061", "e7b3b5987673feb3"),
+    ("BIPOLAR_MAPS", 5, "fdc253f8cf8236ab", "a138530be1fa86f7"),
+    ("BIPOLAR_TRI", 3, "7417cfff6b47181d", None),
+])
+def test_expansion_text_is_pinned(name, order, symbolic, numeric):
+    def digest(s):
+        return hashlib.sha256(repr(s).encode()).hexdigest()[:16]
+
+    eq = EquationId[name]
+    assert digest(expand(eq, order)) == symbolic
+    point = {k: POINT[k] for k in PARAM_VARS[eq]}
+    assert (digest(expand(eq, order, point)) if point else None) == numeric
