@@ -30,6 +30,10 @@ EXIT_CAP = 4
 # a few seconds at 20 edges.
 TUTTE_CAP = 20
 
+# What a command's cap bounds, for the error message: the `tutte` cap bounds
+# the input map, every other cap bounds what would be generated.
+_CAP_KIND = {"tutte": "size"}
+
 
 def _families():
     from tuttelab import generate
@@ -304,7 +308,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CapExceeded as err:
-        print(f"generation cap exceeded: {err}", file=sys.stderr)
+        kind = _CAP_KIND.get(args.command, "generation")
+        print(f"{kind} cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
 
 

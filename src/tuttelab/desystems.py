@@ -56,7 +56,7 @@ V = MultiPoly.var("v")
 
 def _is_linear(p: MultiPoly, pendingset) -> bool:
     idx = [i for i, name in enumerate(p.vars) if name in pendingset]
-    return all(sum(exps[i] for i in idx) <= 1 for exps in p.terms)
+    return all(sum(exps[i] for i in idx) <= 1 for exps, _ in p.terms())
 
 
 def _rows(linear_eqs, pending):
@@ -112,7 +112,7 @@ def _as_vector(p: MultiPoly, pendingset):
     """A constraint as {pending-monomial: rational}; the key () is the
     constant term.  Monomials are tuples of (name, exponent) pairs."""
     vec = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.terms():
         key = tuple((name, e) for name, e in zip(p.vars, exps)
                     if e and name in pendingset)
         stray = [(name, e) for name, e in zip(p.vars, exps)

@@ -4,11 +4,37 @@ Exponent vectors may contain negative entries, so the same class serves as
 the coefficient ring for ordinary polynomials and for the Laurent-series
 manipulations needed by the kernel method (reciprocals of u, x, y).
 Coefficients are Python ints or Fractions; all arithmetic is exact.
+
+Representation (packed monomials, after Monagan & Pearce, "Sparse
+polynomial division using a heap", JSC 2011, and "POLY: a new polynomial
+data structure for Maple 17", 2013).  A polynomial over the variable tuple
+`vars` stores each term under one int key: the exponent vector written in
+base 2^16 with signed digits, the first variable most significant,
+
+    key = sum(e_i * 2^(16 * (len(vars) - 1 - i))).
+
+A monomial product is then one integer add, integer order is lex order on
+the exponent vectors, and the constant monomial is key 0 in every layout.
+Exponents must lie in [-8192, 8192): the sum of two such digits still fits
+its field, and every operation that can move an exponent checks its result
+and raises OverflowError rather than carry into the next variable.
+
+The public constructor takes {exponent tuple: coefficient}, normalises the
+scalars, drops zeros and checks the exponents.  Ring operations build their
+results through the trusted `_from_terms`, which does none of that: they
+keep coefficients nonzero, and integral Fractions as ints, themselves.
+Operands over different variable tuples are aligned on the sorted union,
+and only the operand whose tuple differs is repacked, by a layout that is
+cached per pair of tuples (a shift when its variables sit together in the
+union).  `terms()` yields the (exponent tuple, coefficient) pairs, so the
+packed keys stay private to this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import index, or_
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -17,6 +43,11 @@ Scalar = Union[int, Fraction]
 # library.  Unknown names sort after these, alphabetically.
 _VAR_RANK = {name: i for i, name in enumerate(
     ("q", "nu", "mu", "w", "x", "y", "z", "u", "v", "t"))}
+
+_W = 16                  # bits per exponent field
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)    # offset that makes every field of a key unsigned
+_LIMIT = 1 << (_W - 3)   # exponents lie in [-_LIMIT, _LIMIT)
 
 
 def _var_key(name: str):
@@ -33,44 +64,148 @@ def _norm_scalar(c) -> Scalar:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _clean(terms: dict) -> dict:
+    """The nonzero terms, with integral Fractions stored as ints (the same
+    dict when there is nothing to drop or convert)."""
+    values = terms.values()
+    if Fraction in set(map(type, values)):
+        return {k: c if type(c) is int else c.numerator if c.denominator == 1
+                else c for k, c in terms.items() if c}
+    if 0 in values:
+        return {k: c for k, c in terms.items() if c}
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _fields(n: int):
+    """Field shifts of n variables, most significant first, and the masks:
+    key + off has unsigned fields; (key + low) & guard is zero exactly when
+    every field lies in [-_LIMIT, _LIMIT), for keys whose fields lie in
+    [-2 * _LIMIT, 2 * _LIMIT), such as the sum of two valid keys."""
+    shifts = tuple(_W * (n - 1 - i) for i in range(n))
+    off = sum(_HALF << s for s in shifts)
+    low = sum(_LIMIT << s for s in shifts)
+    guard = sum((_MASK ^ (2 * _LIMIT - 1)) << s for s in shifts)
+    return shifts, off, low, guard
+
+
+def _check(terms: dict, n: int) -> dict:
+    """The terms, after checking that no exponent left its range."""
+    _, _, low, guard = _fields(n)
+    if reduce(or_, map(low.__add__, terms), 0) & guard:
+        raise OverflowError(f"an exponent left [-{_LIMIT}, {_LIMIT})")
+    return terms
+
+
+def _pack(exps, n: int) -> int:
+    if len(exps) != n:
+        raise ValueError(f"exponent vector {exps!r} does not have {n} entries")
+    key = 0
+    for e in exps:
+        if not -_LIMIT <= index(e) < _LIMIT:
+            raise OverflowError(f"exponent {e} outside [-{_LIMIT}, {_LIMIT})")
+        key = (key << _W) + e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    shifts, off, _, _ = _fields(n)
+    u = key + off
+    return tuple(((u >> s) & _MASK) - _HALF for s in shifts)
+
+
+@lru_cache(maxsize=4096)
+def _union(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(set(a) | set(b), key=_var_key))
+
+
+@lru_cache(maxsize=4096)
+def _layout(old: tuple, new: tuple):
+    """How keys over `old` become keys over `new`.  A shift when the old
+    variables sit together and in order in `new` (0 for constants); else
+    (old shift, new shift) for each kept field, and the mask and offset
+    that read the dropped fields."""
+    if not old:
+        return 0
+    pos = [new.index(v) if v in new else None for v in old]
+    if None not in pos and pos == list(range(pos[0], pos[0] + len(old))):
+        return _W * (len(new) - 1 - pos[-1])
+    old_s, new_s = _fields(len(old))[0], _fields(len(new))[0]
+    moved = tuple((old_s[i], new_s[p]) for i, p in enumerate(pos)
+                  if p is not None)
+    dropped = [old_s[i] for i, p in enumerate(pos) if p is None]
+    return (moved, sum(_MASK << s for s in dropped),
+            sum(_HALF << s for s in dropped))
+
+
+def _repack(terms: dict, old: tuple, new: tuple) -> dict:
+    """The terms over `old` rekeyed over `new` (the same dict if no key
+    moves); raises if a dropped variable occurs."""
+    plan = _layout(old, new)
+    if type(plan) is int:
+        return {k << plan: c for k, c in terms.items()} if plan else terms
+    moved, dmask, doff = plan
+    off = _fields(len(old))[1]
+    out = {}
+    for k, c in terms.items():
+        u = k + off
+        if u & dmask != doff:
+            missing = set(old) - set(new)
+            raise ValueError(f"cannot drop live variables {missing}")
+        out[sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])] = c
+    return out
+
+
+def _from_terms(vars_: tuple, terms: dict) -> "MultiPoly":
+    """Trusted constructor: `terms` is {packed key over vars_: nonzero
+    normalised coefficient}.  No polynomial mutates its dict, so results
+    may share one."""
+    p = object.__new__(MultiPoly)
+    p.vars = vars_
+    p._terms = terms
+    return p
+
+
 class MultiPoly:
     """A sparse Laurent polynomial over Q in a fixed tuple of variables.
 
-    Terms are stored as {exponent tuple: nonzero coefficient}.  Binary
-    operations align the variable tuples of both operands (union, sorted),
-    so polynomials in different variable sets mix freely.
+    Constructed from {exponent tuple: coefficient}; stored under packed int
+    keys (see the module docstring).  Binary operations align the variable
+    tuples of both operands (union, sorted), so polynomials in different
+    variable sets mix freely.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Scalar] | None = None):
         self.vars = tuple(vars)
+        n = len(self.vars)
         t = {}
         if terms:
             for exps, c in terms.items():
                 c = _norm_scalar(c)
                 if c:
-                    t[tuple(exps)] = c
-        self.terms = t
+                    t[_pack(tuple(exps), n)] = c
+        self._terms = t
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        c = Fraction(c) if not isinstance(c, (int, Fraction)) else c
-        return MultiPoly((), {(): c} if c else {})
+        c = _norm_scalar(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        return _from_terms((), {0: c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "MultiPoly":
-        return MultiPoly((name,), {(power,): 1})
+        return _from_terms((name,), {_pack((power,), 1): 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return _from_terms((), {})
 
     @staticmethod
     def one() -> "MultiPoly":
-        return MultiPoly((), {(): 1})
+        return _from_terms((), {0: 1})
 
     @staticmethod
     def sum(polys: Iterable) -> "MultiPoly":
@@ -82,84 +217,87 @@ class MultiPoly:
         """
         vars_: tuple = ()
         out: dict = {}
+        get = out.get
         for p in polys:
             p = MultiPoly._coerce(p)
-            terms = p.terms
+            terms = p._terms
             if p.vars != vars_:
-                union = tuple(sorted(set(vars_) | set(p.vars), key=_var_key))
+                union = _union(vars_, p.vars)
                 if union != vars_:
-                    out = MultiPoly(vars_, out)._remap(union)
+                    out = _repack(out, vars_, union)
+                    get = out.get
                     vars_ = union
                 if p.vars != vars_:
-                    terms = p._remap(vars_)
-            for exps, c in terms.items():
-                out[exps] = out.get(exps, 0) + c
-        return MultiPoly(vars_, out)
+                    terms = _repack(terms, p.vars, vars_)
+            for k, c in terms.items():
+                out[k] = get(k, 0) + c
+        return _from_terms(vars_, _clean(out))
 
     # -- basic queries ------------------------------------------------------
 
+    def terms(self):
+        """The (exponent tuple over self.vars, coefficient) pairs."""
+        n = len(self.vars)
+        return ((_unpack(k, n), c) for k, c in self._terms.items())
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Scalar:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         val = 0
-        for exps, c in self.terms.items():
-            if any(exps):
+        for k, c in self._terms.items():
+            if k:
                 raise ValueError(f"not a constant: {self}")
             val = c
         return val
 
+    def _field(self, name: str):
+        """Shift and offset for reading the exponent of `name` from a key."""
+        shifts, off, _, _ = _fields(len(self.vars))
+        return shifts[self.vars.index(name)], off
+
     def degree(self, name: str) -> int:
         """Largest exponent of `name` (0 if the variable does not occur)."""
-        if name not in self.vars or not self.terms:
+        if name not in self.vars or not self._terms:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e for e, _, _, _ in self._exponents(name))
 
     def valuation(self, name: str) -> int:
         """Smallest exponent of `name`; 0 for polynomials without it.
 
         Raises on the zero polynomial (its valuation is +infinity).
         """
-        if not self.terms:
+        if not self._terms:
             raise ValueError("valuation of zero polynomial")
         if name not in self.vars:
             return 0
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
+        return min(e for e, _, _, _ in self._exponents(name))
+
+    def _exponents(self, name: str):
+        """(exponent of `name`, shift, key, coefficient) for every term."""
+        s, off = self._field(name)
+        return (((((k + off) >> s) & _MASK) - _HALF, s, k, c)
+                for k, c in self._terms.items())
 
     # -- variable alignment --------------------------------------------------
 
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
-        a = self.terms if self.vars == union else self._remap(union)
-        b = other.terms if other.vars == union else other._remap(union)
+            return self.vars, self._terms, other._terms
+        union = _union(self.vars, other.vars)
+        a = self._terms if self.vars == union else _repack(self._terms, self.vars, union)
+        b = other._terms if other.vars == union else _repack(other._terms, other.vars, union)
         return union, a, b
-
-    def _remap(self, new_vars: tuple) -> dict:
-        idx = [self.vars.index(v) if v in self.vars else None for v in new_vars]
-        # existing variables must all survive
-        missing = set(self.vars) - set(new_vars)
-        if missing:
-            drop = [self.vars.index(v) for v in missing]
-            if any(e[i] for e in self.terms for i in drop):
-                raise ValueError(f"cannot drop live variables {missing}")
-        out = {}
-        for exps, c in self.terms.items():
-            key = tuple(exps[i] if i is not None else 0 for i in idx)
-            out[key] = out.get(key, 0) + c
-        return {k: v for k, v in out.items() if v}
 
     def in_vars(self, new_vars: Iterable[str]) -> "MultiPoly":
         """Re-express this polynomial over the given variable tuple."""
         new_vars = tuple(new_vars)
-        return MultiPoly(new_vars, self._remap(new_vars))
+        return _from_terms(new_vars, _repack(self._terms, self.vars, new_vars))
 
     # -- ring operations -----------------------------------------------------
 
@@ -177,18 +315,15 @@ class MultiPoly:
         other = self._coerce(other)
         vars_, a, b = self._aligned(other)
         out = dict(a)
-        for exps, c in b.items():
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return MultiPoly(vars_, out)
+        get = out.get
+        for k, c in b.items():
+            out[k] = get(k, 0) + c
+        return _from_terms(vars_, _clean(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _from_terms(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
@@ -199,26 +334,30 @@ class MultiPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        other = self._coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _from_terms(self.vars, _clean(
+                {k: c * other for k, c in self._terms.items()}))
         vars_, a, b = self._aligned(other)
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return MultiPoly(vars_, out)
+        if not a:
+            return _from_terms(vars_, {})
+        if len(a) == 1:  # a monomial (often a constant) times b
+            (k0, c0), = a.items()
+            if not k0:
+                return _from_terms(vars_, _clean({k: c * c0 for k, c in b.items()}))
+            out = _clean({k + k0: c * c0 for k, c in b.items()})
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            out = _clean(out)
+        return _from_terms(vars_, _check(out, len(vars_)))
 
     __rmul__ = __mul__
 
@@ -236,8 +375,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / Fraction(other)
-            return MultiPoly(self.vars, {e: c * inv for e, c in self.terms.items()})
+            return self * (Fraction(1, 1) / Fraction(other))
         return self.divexact(self._coerce(other))
 
     def __eq__(self, other):
@@ -249,59 +387,54 @@ class MultiPoly:
         return a == b
 
     def __hash__(self):
-        vars_ = tuple(sorted(set(v for i, v in enumerate(self.vars)
-                                 if any(e[i] for e in self.terms)), key=_var_key))
-        canon = self._remap(vars_)
+        live = self._live()
+        vars_ = tuple(sorted((self.vars[i] for i in live), key=_var_key))
         if not vars_:  # a constant equals, so hashes like, its scalar
-            return hash(canon.get((), 0))
+            return hash(self._terms.get(0, 0))
+        canon = _repack(self._terms, self.vars, vars_)
         return hash((vars_, frozenset(canon.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def _live(self) -> list:
+        """Indices of the variables that occur with a nonzero exponent."""
+        shifts, off, _, _ = _fields(len(self.vars))
+        seen = reduce(or_, ((k + off) ^ off for k in self._terms), 0)
+        return [i for i, s in enumerate(shifts) if (seen >> s) & _MASK]
 
     # -- coefficient extraction ----------------------------------------------
 
     def coeff(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name**power, as a polynomial with name removed."""
         if name not in self.vars:
-            return self if power == 0 else MultiPoly(self.vars, {})
-        i = self.vars.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                key = exps[:i] + (0,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + c
-        return MultiPoly(self.vars, {k: v for k, v in out.items() if v})
+            return self if power == 0 else _from_terms(self.vars, {})
+        return _from_terms(self.vars, {k - (e << s): c for e, s, k, c
+                                       in self._exponents(name) if e == power})
 
     def by_powers(self, name: str) -> dict:
         """Decompose into {power: coefficient poly (name zeroed out)}."""
         if name not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(name)
+            return {0: self} if self._terms else {}
         out: dict = {}
-        for exps, c in self.terms.items():
-            key = exps[:i] + (0,) + exps[i + 1:]
-            bucket = out.setdefault(exps[i], {})
-            bucket[key] = bucket.get(key, 0) + c
-        return {p: MultiPoly(self.vars, t) for p, t in sorted(out.items())}
+        for e, s, k, c in self._exponents(name):
+            out.setdefault(e, {})[k - (e << s)] = c
+        return {p: _from_terms(self.vars, t) for p, t in sorted(out.items())}
 
     def truncate(self, name: str, max_power: int) -> "MultiPoly":
         """Drop all terms with exponent of `name` above max_power."""
         if name not in self.vars:
             return self
-        i = self.vars.index(name)
-        return MultiPoly(self.vars,
-                         {e: c for e, c in self.terms.items() if e[i] <= max_power})
+        return self.part(name, hi=max_power)
 
     def part(self, name: str, lo=None, hi=None) -> "MultiPoly":
         """Terms whose exponent of `name` lies in [lo, hi] (None = unbounded)."""
         if name not in self.vars:
             keep = (lo is None or lo <= 0) and (hi is None or hi >= 0)
-            return self if keep else MultiPoly(self.vars, {})
-        i = self.vars.index(name)
-        return MultiPoly(self.vars, {
-            e: c for e, c in self.terms.items()
-            if (lo is None or e[i] >= lo) and (hi is None or e[i] <= hi)})
+            return self if keep else _from_terms(self.vars, {})
+        return _from_terms(self.vars, {
+            k: c for e, _, k, c in self._exponents(name)
+            if (lo is None or e >= lo) and (hi is None or e <= hi)})
 
     # -- substitution ---------------------------------------------------------
 
@@ -309,47 +442,56 @@ class MultiPoly:
         """Substitute polynomials/scalars for variables.
 
         Negative exponents are only allowed when the substituted value is an
-        invertible monomial (scalar times a single power product).
+        invertible monomial (scalar times a single power product).  Terms
+        are grouped by their exponents of the substituted variables, so each
+        distinct group costs one product.
         """
         mapping = {k: self._coerce(v) for k, v in mapping.items() if k in self.vars}
         if not mapping:
             return self
         keep = tuple(v for v in self.vars if v not in mapping)
-        idx_keep = [self.vars.index(v) for v in keep]
-        idx_sub = [(self.vars.index(v), v) for v in self.vars if v in mapping]
-        pow_cache: dict = {}
+        subbed = [v for v in self.vars if v in mapping]
+        shifts, off, _, _ = _fields(len(self.vars))
+        sub_shifts = [s for v, s in zip(self.vars, shifts) if v in mapping]
+        moved = _layout(self.vars, keep)[0]  # the kept fields
+        groups: dict = {}
+        for k, c in self._terms.items():
+            u = k + off
+            exps = tuple([((u >> s) & _MASK) - _HALF for s in sub_shifts])
+            key = sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])
+            groups.setdefault(exps, {})[key] = c
+        powers: dict = {}  # (name, sign) -> [value^0, value^sign, ...]
 
         def mono_pow(name, k):
-            key = (name, k)
-            if key not in pow_cache:
-                base = mapping[name]
-                if k >= 0:
-                    pow_cache[key] = base ** k
-                else:
-                    pow_cache[key] = base.monomial_inverse() ** (-k)
-            return pow_cache[key]
+            table = powers.setdefault((name, k > 0), [MultiPoly.one()])
+            if len(table) <= abs(k):
+                base = mapping[name] if k > 0 else mapping[name].monomial_inverse()
+                while len(table) <= abs(k):
+                    table.append(table[-1] * base)
+            return table[abs(k)]
 
-        def term(exps, c):
-            out = MultiPoly(keep, {tuple(exps[i] for i in idx_keep): c})
-            for i, name in idx_sub:
-                if exps[i]:
-                    out = out * mono_pow(name, exps[i])
+        def term(exps, terms):
+            out = _from_terms(keep, terms)
+            for name, k in zip(subbed, exps):
+                if k:
+                    out = out * mono_pow(name, k)
             return out
 
-        return MultiPoly.sum(term(e, c) for e, c in self.terms.items())
+        return MultiPoly.sum(term(e, t) for e, t in groups.items())
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent monomial)."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             raise ValueError(f"not a monomial: {self}")
-        (exps, c), = self.terms.items()
-        return MultiPoly(self.vars, {tuple(-e for e in exps): Fraction(1) / Fraction(c)})
+        (k, c), = self._terms.items()
+        return _from_terms(self.vars, _check(
+            _clean({-k: Fraction(1) / Fraction(c)}), len(self.vars)))
 
     def eval(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate fully at rational points; every live variable needs a value."""
         total = Fraction(0)
         vals = [Fraction(values[v]) if v in values else None for v in self.vars]
-        for exps, c in self.terms.items():
+        for exps, c in self.terms():
             prod = Fraction(c)
             for i, e in enumerate(exps):
                 if e:
@@ -364,35 +506,41 @@ class MultiPoly:
     def div_linear(self, name: str, c) -> "MultiPoly":
         """Exact division by (name - c) with c a rational constant.
 
-        Synthetic division on the `name`-power decomposition; raises
-        ValueError if the remainder is nonzero.
+        Synthetic division on the `name`-power decomposition, in one pass:
+        the carry at power p is the quotient's coefficient of name^(p-1), so
+        its keys are shifted in place.  Raises ValueError if the remainder
+        is nonzero.
         """
         parts = self.by_powers(name)
         if not parts:
             return self
         if min(parts) < 0:
             raise ValueError("div_linear requires nonnegative exponents")
-        deg = max(parts)
-        x = MultiPoly.var(name)
-        quot = MultiPoly.zero()
-        carry = MultiPoly.zero()
-        for p in range(deg, -1, -1):
-            carry = parts.get(p, MultiPoly.zero()) + carry * c
+        c = MultiPoly._coerce(c).constant_value()
+        s = self._field(name)[0]
+        out: dict = {}
+        carry = _from_terms(self.vars, {})
+        for p in range(max(parts), -1, -1):
+            carry = parts[p] + carry * c if p in parts else carry * c
             if p > 0:
-                quot = quot + carry * x ** (p - 1)
+                shift = (p - 1) << s
+                out.update((k + shift, v) for k, v in carry._terms.items())
         if not carry.is_zero():
             raise ValueError(f"division by ({name} - {c}) is not exact")
-        return quot
+        quot = _from_terms(self.vars, out)
+        union = _union(self.vars, ())
+        return quot if union == self.vars else quot.in_vars(union)
 
     def div_monomial(self, name: str, k: int) -> "MultiPoly":
         """Laurent shift: divide by name**k (always exact in Laurent ring)."""
         if name not in self.vars:
-            if not self.terms:
+            if not self._terms:
                 return self
             return self * MultiPoly.var(name, -k)
-        i = self.vars.index(name)
-        return MultiPoly(self.vars, {
-            e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.terms.items()})
+        _pack((-k,), 1)  # so that no field moves by more than it can hold
+        shift = k << self._field(name)[0]
+        return _from_terms(self.vars, _check(
+            {key - shift: c for key, c in self._terms.items()}, len(self.vars)))
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division (general, leading-term elimination)."""
@@ -401,9 +549,10 @@ class MultiPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             return self / divisor.constant_value()
-        if len(divisor.terms) == 1:
+        if len(divisor._terms) == 1:
             return self * divisor.monomial_inverse()
         vars_, a, b = self._aligned(divisor)
+        _, _, low, guard = _fields(len(vars_))
         rem = dict(a)
         lead = max(b)  # lex-max exponent of divisor
         lead_c = Fraction(b[lead])
@@ -414,30 +563,30 @@ class MultiPoly:
             if budget < 0:
                 raise ValueError("polynomial division did not terminate; not exact")
             e = max(rem)
-            diff = tuple(x - y for x, y in zip(e, lead))
-            qc = Fraction(rem[e]) / lead_c
+            diff = e - lead
+            if (diff + low) & guard:
+                raise OverflowError(f"an exponent left [-{_LIMIT}, {_LIMIT})")
+            qc = rem[e] / lead_c
+            if qc.denominator == 1:  # keep integer coefficients integers
+                qc = qc.numerator
             quot[diff] = quot.get(diff, 0) + qc
             for be, bc in b.items():
-                key = tuple(x + y for x, y in zip(diff, be))
+                key = diff + be
                 s = rem.get(key, 0) - qc * bc
                 if s:
                     rem[key] = s
                 elif key in rem:
                     del rem[key]
-        return MultiPoly(vars_, {e: _norm_scalar(Fraction(c)) for e, c in quot.items() if c})
+        return _from_terms(vars_, _clean(quot))
 
     # -- differentiation ---------------------------------------------------------
 
     def diff(self, name: str) -> "MultiPoly":
         if name not in self.vars:
-            return MultiPoly(self.vars, {})
-        i = self.vars.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + c * exps[i]
-        return MultiPoly(self.vars, {k: v for k, v in out.items() if v})
+            return _from_terms(self.vars, {})
+        return _from_terms(self.vars, _check(
+            {k - (1 << s): c * e for e, s, k, c in self._exponents(name) if e},
+            len(self.vars)))
 
     # -- rendering -----------------------------------------------------------------
 
@@ -446,9 +595,9 @@ class MultiPoly:
 
     def __str__(self):
         """Canonical string: graded lexicographic over the variable tuple."""
-        if not self.terms:
+        if not self._terms:
             return "0"
-        live = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
+        live = self._live()
 
         def key(item):
             exps, _ = item
@@ -456,7 +605,7 @@ class MultiPoly:
             return (-sum(proj), tuple(-x for x in proj))
 
         pieces = []
-        for exps, c in sorted(self.terms.items(), key=key):
+        for exps, c in sorted(self.terms(), key=key):
             factors = []
             for i in live:
                 e = exps[i]

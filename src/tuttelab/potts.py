@@ -125,12 +125,17 @@ def potts_from_tutte(m: RootedMap) -> MultiPoly:
     """P(q, nu) from the Tutte polynomial: P = (mu-1) (nu-1)^v T(mu, nu)
     with q = (mu-1)(nu-1).  Writing mu = 1+a and nu = 1+b, each monomial
     a^i b^j of T(1+a, 1+b) becomes a^{i+1} b^{j+v} = q^{i+1} (nu-1)^{j-i-1+v},
-    where j-i-1+v is the edge count of the spanning subgraphs it stands for."""
+    where j-i-1+v is the edge count of the spanning subgraphs it stands for.
+    Each power of (nu-1) is computed once, by one product from the last."""
     v = m.n_vertices
     shifted = tutte(m).subs({"mu": MU + 1, "nu": NU + 1})
-    return MultiPoly.sum(c * Q ** (i + 1) * (NU - 1) ** (j - i - 1 + v)
-                         for i, ci in shifted.by_powers("mu").items()
-                         for j, c in ci.by_powers("nu").items())
+    terms = [(c, i + 1, j - i - 1 + v)
+             for i, ci in shifted.by_powers("mu").items()
+             for j, c in ci.by_powers("nu").items()]
+    nu1 = [MultiPoly.one()]
+    for _ in range(max((k for _, _, k in terms), default=0)):
+        nu1.append(nu1[-1] * (NU - 1))
+    return MultiPoly.sum(c * MultiPoly.var("q", i) * nu1[k] for c, i, k in terms)
 
 
 def duality_check(m: RootedMap) -> bool:

@@ -85,7 +85,8 @@ def test_tutte_cap_checked_before_work(tmp_path, capsys, monkeypatch):
     for flags in ((), ("--potts",), ("--special",)):
         code, out, err = run_cli(capsys, "tutte", str(mapfile), *flags)
         assert code == cli.EXIT_CAP and out == ""
-        assert f"cap is {cli.TUTTE_CAP} edges" in err
+        assert err == (f"size cap exceeded: tutte cap is {cli.TUTTE_CAP} "
+                       f"edges (asked for {cli.TUTTE_CAP + 1})\n")
 
 
 def test_bijection_roundtrip(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
@@ -156,3 +156,170 @@ def test_subs_then_eval_is_eval_at_the_substituted_values(
     at = dict(zip(("q", "nu", "w"), point))
     extended = dict(at, x=value.eval(at), y=mono.eval(at))
     assert p.subs({"x": value, "y": mono}).eval(at) == p.eval(extended)
+
+
+# -- the packed representation against a tuple-keyed reference ---------------
+#
+# The reference keeps a polynomial as {((name, exponent), ...): coefficient}
+# over its nonzero exponents, so it needs no variable tuple at all.
+
+LIMIT = 8192  # documented exponent range: [-LIMIT, LIMIT)
+NAMES = ("q", "nu", "x", "y", "u")  # already in the library's display order
+
+
+def ref(p):
+    out = {}
+    for exps, c in p.terms():
+        # stored coefficients are nonzero, and ints when integral
+        assert c and (type(c) is int or c.denominator > 1)
+        mono = tuple(sorted((v, e) for v, e in zip(p.vars, exps) if e))
+        assert mono not in out
+        out[mono] = c
+    return out
+
+
+def ref_mono(*factors):
+    e = {}
+    for mono in factors:
+        for v, k in mono:
+            e[v] = e.get(v, 0) + k
+    return tuple(sorted((v, k) for v, k in e.items() if k))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_subs(a, mapping):
+    """Substitute invertible monomials {name: (coefficient, mono)}."""
+    out = {}
+    for mono, c in a.items():
+        factors = []
+        for v, e in mono:
+            if v in mapping:
+                vc, vm = mapping[v]
+                c = c * Fraction(vc) ** e
+                factors.append(tuple((w, k * e) for w, k in vm))
+            else:
+                factors.append(((v, e),))
+        m = ref_mono(*factors)
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def sorted_polys(draw, exps=st.integers(-2, 3)):
+    """A Laurent polynomial over a drawn subset of NAMES, in display order."""
+    chosen = draw(st.sets(st.sampled_from(NAMES)))
+    vars_ = tuple(v for v in NAMES if v in chosen)
+    terms = draw(st.dictionaries(st.tuples(*[exps for _ in vars_]), scalars,
+                                 max_size=5))
+    return MultiPoly(vars_, terms)
+
+
+@settings(deadline=None)
+@given(polys_in(), polys_in(), polys_in(names=("x", "y", "w")))
+def test_ring_operations_match_the_reference(a, b, c):
+    assert ref(a + b) == ref_add(ref(a), ref(b))
+    assert ref(a - b) == ref_add(ref(a), {m: -k for m, k in ref(b).items()})
+    assert ref(a * b) == ref_mul(ref(a), ref(b))
+    assert ref(a * b * c) == ref_mul(ref_mul(ref(a), ref(b)), ref(c))
+    assert ref(MultiPoly.sum([a, b, c])) == ref_add(ref_add(ref(a), ref(b)),
+                                                   ref(c))
+
+
+@settings(deadline=None)
+@given(polys_in(names=("x", "y", "w", "q")), nonzero, nonzero,
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+def test_subs_of_laurent_monomials_matches_the_reference(p, c1, c2, a, b, d):
+    xval = c1 * MultiPoly.var("nu", a) * MultiPoly.var("w", b)
+    yval = c2 * MultiPoly.var("x", d)  # simultaneous: x is substituted too
+    mapping = {"x": (c1, (("nu", a), ("w", b))), "y": (c2, (("x", d),))}
+    assert ref(p.subs({"x": xval, "y": yval})) == ref_subs(ref(p), mapping)
+
+
+@settings(deadline=None)
+@given(polys_in(), polys_in())
+def test_divexact_of_a_product_matches_the_reference(a, b):
+    if a and b:
+        assert ref((a * b).divexact(b)) == ref(a)
+        assert ref((a * b).divexact(a)) == ref(b)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-LIMIT, LIMIT - 1), min_size=n, max_size=n),
+    st.lists(st.integers(-LIMIT, LIMIT - 1), min_size=n, max_size=n))))
+def test_packed_order_is_lex_order(pair):
+    from tuttelab.poly import _pack
+    a, b = map(tuple, pair)
+    n = len(a)
+    assert (_pack(a, n) < _pack(b, n)) == (a < b)
+    assert (_pack(a, n) == _pack(b, n)) == (a == b)
+
+
+@settings(deadline=None)
+@given(sorted_polys(), st.permutations(NAMES + ("w",)))
+def test_in_vars_round_trips(p, order):
+    wide = p.in_vars(order)
+    assert wide == p and ref(wide) == ref(p) and hash(wide) == hash(p)
+    back = wide.in_vars(p.vars)
+    assert back.vars == p.vars and ref(back) == ref(p) and str(back) == str(p)
+
+
+@settings(deadline=None)
+@given(sorted_polys(), sorted_polys())
+def test_str_is_independent_of_the_operand_variable_tuples(a, b):
+    wa, wb = a.in_vars(NAMES), b.in_vars(NAMES)
+    assert str(a) == str(wa) and str(b) == str(wb)
+    assert str(a + b) == str(wa + wb) == str(wa + b)
+    assert str(a * b) == str(wa * wb) == str(a * wb)
+    a, wa = a.part("x", lo=0), wa.part("x", lo=0)
+    assert str(a.subs({"x": b})) == str(wa.subs({"x": wb}))
+
+
+@settings(deadline=None)
+@given(st.integers(-LIMIT, LIMIT - 1), st.integers(-LIMIT, LIMIT - 1),
+       st.integers(-3, 3), st.booleans())
+def test_exponent_overflow_raises_and_never_carries(e1, e2, f, low_field):
+    # the moving exponent sits in the high or the low field of (x, y)
+    def mono(e, g):
+        return MultiPoly(("x", "y"), {(g, e) if low_field else (e, g): 1})
+
+    a, b = mono(e1, f), mono(e2, 0)
+    if -LIMIT <= e1 + e2 < LIMIT:
+        assert list((a * b).terms()) == [(((f, e1 + e2) if low_field
+                                           else (e1 + e2, f)), 1)]
+    else:
+        with pytest.raises(OverflowError):
+            a * b
+
+
+def test_exponent_limits_are_checked_everywhere():
+    top, bottom = MultiPoly.var("x", LIMIT - 1), MultiPoly.var("x", -LIMIT)
+    for bad in (lambda: MultiPoly.var("x", LIMIT),
+                lambda: MultiPoly(("x", "y"), {(0, -LIMIT - 1): 1}),
+                lambda: top * MultiPoly.var("x"),
+                lambda: top * (x + y),
+                lambda: (top * y) ** 2,
+                lambda: bottom.monomial_inverse(),
+                lambda: bottom.diff("x"),
+                lambda: top.div_monomial("x", -1),
+                lambda: x.div_monomial("x", LIMIT + 2),
+                lambda: (bottom + 1).divexact(top + 1)):
+        with pytest.raises(OverflowError):
+            bad()
+    assert (top * MultiPoly.var("x", -1)).degree("x") == LIMIT - 2
+    assert bottom.div_monomial("x", -1).valuation("x") == 1 - LIMIT
