@@ -46,22 +46,6 @@ def corner_walk(sigma, alpha, start):
     return out
 
 
-def _bfs_labels(m: RootedMap):
-    """Canonical dart labels: the breadth-first relabelling from the root
-    that underlies the map's canonical code."""
-    label = {m.root: 0}
-    order = [m.root]
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for e in (m.sigma[d], m.alpha[d]):
-            if e not in label:
-                label[e] = len(order)
-                order.append(e)
-    return label
-
-
 # -- opening and closure ------------------------------------------------------
 
 
@@ -209,7 +193,7 @@ def phi_bar(t: BlossomingTree, sign: str):
     alpha2[other] = rd
     m = RootedMap(alpha2, sigma, rd)
     marked_dart = root
-    label = _bfs_labels(m)
+    label = m.bfs_labels()
     cm = m.relabelled()
     return cm, cm.face_of[label[marked_dart]]
 
@@ -511,7 +495,7 @@ def mullin_decode(w) -> tuple:
 def tree_root_key(m: RootedMap, tree):
     """Canonical key of a tree-rooted map: the map's code together with
     the tree edges written in canonical dart labels."""
-    label = _bfs_labels(m) if not m.is_atomic else {}
+    label = m.bfs_labels()
     edges = m.edges()
     tree_edges = tuple(sorted(
         tuple(sorted((label[edges[e][0]], label[edges[e][1]])))

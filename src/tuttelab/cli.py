@@ -249,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tuttelab",
         description="Exact enumeration of rooted planar maps: generation, "
                     "Potts/Tutte polynomials, bijections, series, formulas "
-                    "and verification suites.  The map cache directory is "
-                    "taken from the TUTTELAB_CACHE environment variable.")
+                    "and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a map family")

@@ -6,36 +6,32 @@ inserted into its root face, or two smaller maps of the family joined by a
 new isthmus root edge.  Deletion inverts both, so each map arises once;
 lists are sorted by canonical code, so output is deterministic.  Families
 differ only in the insertion indices allowed: all_maps takes all of them,
-near_angulations(n, p) the one that closes an inner p-gon.
+bipartite_maps the odd ones, near_angulations(n, p) the one that closes an
+inner p-gon.
 
 all_maps_oracle is an independent check: it enumerates every rotation
 system on 2n darts with a fixed edge involution and fixed root, filters the
 connected genus-0 ones, and deduplicates.  It is exponential and capped at
 small n.
 
-The remaining generators derive the standard sub-families (bipartite
-maps, quadrangulations, non-separable near-triangulations, ...) from these
-two, and the brute-force counting oracles (colourings, spanning trees,
-bipolar orientations) are the ground truth for the rest of the package.
+The remaining generators derive the other standard sub-families
+(quadrangulations, 4-valent maps, Eulerian and non-separable
+near-triangulations) from these three, and the brute-force counting oracles
+(colourings, spanning trees, bipolar orientations) are the ground truth for
+the rest of the package.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.poly import MultiPoly
 
-CACHE_ENV = "TUTTELAB_CACHE"
-CACHE_FORMAT = 1
 LIST_CAP = 7
 ORACLE_CAP = 4
-
-_maps_memo: dict = {}
 
 
 class CapExceeded(ValueError):
@@ -65,47 +61,11 @@ def _root_edge_recursion(n, smaller, insertions):
     return [m for _, m in keyed]
 
 
-def _read_cache(path, n):
-    """The maps stored at path, or None unless it holds count_maps(n)."""
-    try:
-        with open(path) as fh:
-            maps = [RootedMap.from_json(line) for line in fh if line.strip()]
-    except (OSError, TypeError, ValueError):  # MapError is a ValueError
-        return None
-    return maps if len(maps) == count_maps(n) else None
-
-
-def _write_cache(path, maps):
-    import tempfile  # loads a dozen modules, which only a cache needs
-    # a temporary file of its own, so concurrent writers do not collide
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(m.to_json() + "\n" for m in maps)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def all_maps(n: int, cap: int = LIST_CAP):
-    """All rooted planar maps with n edges, sorted by canonical code; a
-    TUTTELAB_CACHE file that does not hold them all is regenerated."""
-    _check_size(n, cap)
-    if n in _maps_memo:
-        return _maps_memo[n]
-    root = os.environ.get(CACHE_ENV)
-    path = Path(root) / f"maps-v{CACHE_FORMAT}-n{n}.jsonl" if root else None
-    maps = None if path is None else _read_cache(path, n)
-    if maps is None:
-        maps = _root_edge_recursion(n, lambda e: all_maps(e, cap),
-                                    lambda d: range(d + 1))
-        if path is not None:
-            _write_cache(path, maps)
-    _maps_memo[n] = maps
-    return maps
+@lru_cache(maxsize=None)
+def all_maps(n: int):
+    """All rooted planar maps with n edges, sorted by canonical code."""
+    _check_size(n, LIST_CAP)
+    return _root_edge_recursion(n, all_maps, lambda d: range(d + 1))
 
 
 @lru_cache(maxsize=None)
@@ -173,9 +133,15 @@ def near_triangulations(max_edges: int):
     return [m for n in range(max_edges + 1) for m in near_angulations(n, 3)]
 
 
+@lru_cache(maxsize=None)
 def bipartite_maps(n_edges: int):
+    """All bipartite maps with n_edges edges, sorted by canonical code.
+    Colours alternate along a face, so inserting at index k joins corners
+    of opposite colour exactly when k is odd; an isthmus join of two
+    bipartite maps is bipartite."""
     _check_size(n_edges, LIST_CAP, "bipartite_maps")
-    return [m for m in all_maps(n_edges) if m.is_bipartite()]
+    return _root_edge_recursion(n_edges, bipartite_maps,
+                                lambda d: range(1, d + 1, 2))
 
 
 def eulerian_near_triangulations(n_black_faces: int):

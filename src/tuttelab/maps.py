@@ -57,21 +57,11 @@ class RootedMap:
         self.alpha = alpha
         self.sigma = sigma
         self.root = root
-        if not self._connected():
+        # the code covers the darts reachable from the root, two entries each
+        if len(self.code) != 2 * n + 1:
             raise MapError("rotation system is not connected")
         if self.n_vertices - self.n_edges + self.n_faces != 2:
             raise MapError("rotation system has positive genus")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            d = stack.pop()
-            for e in (self.alpha[d], self.sigma[d]):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        return len(seen) == self.n_darts
 
     @property
     def is_atomic(self) -> bool:
@@ -183,6 +173,22 @@ class RootedMap:
 
     # -- equality / canonical code -----------------------------------------
 
+    def bfs_labels(self) -> dict:
+        """dart -> its position in the breadth-first walk from the root
+        (sigma before alpha), over the darts the walk reaches; the dict
+        iterates in walk order.  Empty for the atomic map."""
+        if self.is_atomic:
+            return {}
+        sigma, alpha = self.sigma, self.alpha
+        label = {self.root: 0}
+        order = [self.root]
+        for d in order:
+            for e in (sigma[d], alpha[d]):
+                if e not in label:
+                    label[e] = len(order)
+                    order.append(e)
+        return label
+
     @cached_property
     def code(self):
         """Canonical code: breadth-first relabelling from the root.
@@ -190,22 +196,10 @@ class RootedMap:
         Two maps have equal codes iff they are equal as rooted maps
         (isomorphic via a root- and orientation-preserving relabelling).
         """
-        if self.is_atomic:
-            return (0,)
-        label = {self.root: 0}
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for e in (self.sigma[d], self.alpha[d]):
-                if e not in label:
-                    label[e] = len(order)
-                    order.append(e)
-        n = self.n_darts
-        sig = tuple(label[self.sigma[d]] for d in order)
-        alf = tuple(label[self.alpha[d]] for d in order)
-        return (n,) + sig + alf
+        label = self.bfs_labels()
+        sig = tuple(label[self.sigma[d]] for d in label)
+        alf = tuple(label[self.alpha[d]] for d in label)
+        return (self.n_darts,) + sig + alf
 
     def relabelled(self) -> "RootedMap":
         """The canonical representative: same map, darts in code order."""

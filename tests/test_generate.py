@@ -58,10 +58,10 @@ def test_family_caps_checked_before_generation(monkeypatch):
 
 
 def test_negative_sizes_raise():
-    for family in (all_maps, near_triangulations,
+    for family in (all_maps, bipartite_maps, near_triangulations,
                    eulerian_near_triangulations,
                    non_separable_near_triangulations, quadrangulations,
-                   lambda n: near_angulations(n, 3)):
+                   four_valent, lambda n: near_angulations(n, 3)):
         with pytest.raises(ValueError):
             family(-1)
 
@@ -74,51 +74,17 @@ def test_near_angulations_match_filter():
                                           if m.is_near_triangulation()]
         assert near_angulations(n, 4) == [m for m in maps
                                           if m.is_near_quadrangulation()]
+        assert bipartite_maps(n) == [m for m in maps if m.is_bipartite()]
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """An empty TUTTELAB_CACHE directory and an empty in-process memo."""
-    monkeypatch.setenv(generate.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(generate, "_maps_memo", {})
-    return tmp_path
+def test_bipartite_maps_build_no_other_maps(monkeypatch):
+    def no_all_maps(n, *args, **kwargs):
+        raise AssertionError(f"all_maps({n}) called")
 
-
-def _fresh_maps(n, monkeypatch):
-    monkeypatch.setattr(generate, "_maps_memo", {})
-    return all_maps(n)
-
-
-def test_cache_regenerates_truncated_file(cache_dir, monkeypatch):
-    all_maps(3)
-    path = cache_dir / "maps-v1-n3.jsonl"
-    path.write_text("".join(path.read_text().splitlines(True)[:4]))
-    # building the next size reads the truncated list first
-    assert len(_fresh_maps(4, monkeypatch)) == 378
-    assert len(path.read_text().splitlines()) == 54
-    assert len(_fresh_maps(3, monkeypatch)) == 54
-
-
-def test_cache_regenerates_malformed_file(cache_dir, monkeypatch):
-    all_maps(3)
-    path = cache_dir / "maps-v1-n3.jsonl"
-    path.write_text("{nope\n" + path.read_text())
-    assert len(_fresh_maps(3, monkeypatch)) == 54
-
-
-def test_cache_leaves_no_temporary_file(cache_dir, monkeypatch):
-    all_maps(2)
-    assert sorted(p.name for p in cache_dir.iterdir()) == [
-        f"maps-v1-n{n}.jsonl" for n in range(3)]
-
-    def broken(self):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(generate.RootedMap, "to_json", broken)
-    with pytest.raises(OSError):
-        all_maps(3)
-    assert not (cache_dir / "maps-v1-n3.jsonl").exists()
-    assert len(list(cache_dir.iterdir())) == 3
+    monkeypatch.setattr(generate, "all_maps", no_all_maps)
+    bipartite_maps.cache_clear()  # build every size again under the patch
+    # 3 * 2^(n-1) * (2n)! / (n! (n+2)!) rooted bipartite maps with n edges
+    assert len(bipartite_maps(7)) == 9152
 
 
 def test_family_invariants():

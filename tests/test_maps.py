@@ -73,8 +73,9 @@ def test_constructors():
 def test_validation():
     with pytest.raises(MapError):
         RootedMap([0, 1], [1, 0], 0)  # alpha has fixed points
-    with pytest.raises(MapError):
-        RootedMap([1, 0, 3, 2], [0, 1, 2, 3], 0)  # disconnected
+    for root in (0, 2):
+        with pytest.raises(MapError, match="not connected"):
+            RootedMap([1, 0, 3, 2], [0, 1, 2, 3], root)
     with pytest.raises(MapError):
         RootedMap([1, 0], [0, 1], 5)  # root out of range
 
