@@ -23,6 +23,7 @@ conventions of the different constructions cannot drift apart.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
@@ -253,16 +254,12 @@ def unbalanced_join(t1, t2, t3) -> BlossomingTree:
 
 # -- quadrangulations and labelled trees --------------------------------------
 
-# Frozen readings of the pictorial parts of the labelling bijection,
-# validated by exhaustive injectivity onto labelled trees (3^n * Catalan(n)
-# of them) for n <= 3: which l+1 corner of an l,l+1,l+2,l+1 face is
-# "first", which corner the tree root edge starts at, and the rotation
-# sense used to order children.
-_CVS_FIRST_NEXT = True
-_CVS_ROOT_T1 = 0
-_CVS_ROOT_T2_END = 0
-_CVS_ROOT_T2_MID = 1
-_CVS_CHILD_STEP = 1
+# The pictorial parts of the labelling bijection are read as follows, a
+# reading validated by exhaustive injectivity onto labelled trees
+# (3^n * Catalan(n) of them) for n <= 3: the "first" l+1 corner of an
+# l,l+1,l+2,l+1 face follows the l corner on the contour, the tree root
+# edge starts as _cvs_root_orientation says, and children are ordered in
+# the rotation sense of the map.
 
 
 def _distances(m: RootedMap, v0: int):
@@ -315,9 +312,7 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
             c1, c2 = order[1], order[3]
             ftype = 1
         elif olabs == [l, l + 1, l + 2, l + 1]:
-            # the "first" l+1 corner follows the l corner on the contour
-            first = order[1] if _CVS_FIRST_NEXT else order[3]
-            c1, c2 = first, order[2]
+            c1, c2 = order[1], order[2]
             ftype = 2
         else:
             raise BijectionError("impossible corner labels in a face")
@@ -328,7 +323,7 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         if fi == root_face:
             root_pair = (c1, c2, ftype)
     c1, c2, ftype = root_pair
-    c_from, c_to = _cvs_root_orientation(m, dist, w_corner, c1, c2, ftype)
+    c_from, c_to = _cvs_root_orientation(w_corner, c1, c2, ftype)
 
     def build(at_corner):
         v = m.vertex_of[at_corner]
@@ -336,7 +331,7 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         i = ring.index(at_corner)
         children = []
         for k in range(1, len(ring)):
-            c = ring[(i + k * _CVS_CHILD_STEP) % len(ring)]
+            c = ring[(i + k) % len(ring)]
             children.append(build(host[c]))
         return LabelledTree(dist[v], children)
 
@@ -345,7 +340,7 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
     i = ring.index(c_from)
     children = []
     for k in range(len(ring)):
-        c = ring[(i + k * _CVS_CHILD_STEP) % len(ring)]
+        c = ring[(i + k) % len(ring)]
         children.append(build(host[c]))
     tree = LabelledTree(dist[rv], children)
     if tree.n_edges != m.n_faces:
@@ -353,24 +348,35 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
     return tree
 
 
-def _cvs_root_orientation(m, dist, w_corner, c1, c2, ftype):
+def _cvs_root_orientation(w_corner, c1, c2, ftype):
     """Orient the tree root edge away from the endpoint of the map's root
     edge (the corner w_corner): when that corner is an endpoint of the
-    drawn edge, start there; otherwise start at the corner labelled
-    l+2."""
-    if ftype == 1:
-        if w_corner not in (c1, c2):
-            raise BijectionError("root corner missing from its face edge")
-        frm, to = (w_corner, c1 if w_corner == c2 else c2)
-        return (frm, to) if _CVS_ROOT_T1 == 0 else (to, frm)
-    # type 2: endpoints labelled l+1 (c1) and l+2 (c2)
+    drawn edge, start there; otherwise, which happens only in a face with
+    labels l,l+1,l+2,l+1, start at the l+1 corner c1."""
     if w_corner in (c1, c2):
-        frm, to = (w_corner, c1 if w_corner == c2 else c2)
-        return (frm, to) if _CVS_ROOT_T2_END == 0 else (to, frm)
-    return (c2, c1) if _CVS_ROOT_T2_MID == 0 else (c1, c2)
+        return w_corner, c1 if w_corner == c2 else c2
+    if ftype == 1:
+        raise BijectionError("root corner missing from its face edge")
+    return c1, c2
 
 
-_CVS_CACHE = {}
+@lru_cache(maxsize=None)
+def _cvs_table(n):
+    """{tree string: (quadrangulation, pointed vertex)} over all pointed
+    quadrangulations with n faces."""
+    from tuttelab.generate import quadrangulations
+    table = {}
+    for q in quadrangulations(n):
+        for v0 in range(q.n_vertices):
+            try:
+                tree = cvs_forward(q, v0)
+            except BijectionError:
+                continue
+            key = tree.to_string()
+            if key in table:
+                raise BijectionError("labelling map is not injective")
+            table[key] = (q, v0)
+    return table
 
 
 def cvs_backward(t: LabelledTree):
@@ -379,23 +385,8 @@ def cvs_backward(t: LabelledTree):
     all quadrangulations with n faces and all valid pointings."""
     if not isinstance(t, LabelledTree) or not t.is_valid():
         raise BijectionError("input is not a valid labelled tree")
-    n = t.n_edges
-    if n not in _CVS_CACHE:
-        from tuttelab.generate import quadrangulations
-        table = {}
-        for q in quadrangulations(n):
-            for v0 in range(q.n_vertices):
-                try:
-                    tree = cvs_forward(q, v0)
-                except BijectionError:
-                    continue
-                key = tree.to_string()
-                if key in table:
-                    raise BijectionError("labelling map is not injective")
-                table[key] = (q, v0)
-        _CVS_CACHE[n] = table
     try:
-        return _CVS_CACHE[n][t.to_string()]
+        return _cvs_table(t.n_edges)[t.to_string()]
     except KeyError:
         raise BijectionError("tree is not in the image of cvs_forward")
 

@@ -59,10 +59,11 @@ def _fmt(args) -> str:
 
 
 def _add_format_flags(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON instead of plain text")
-    parser.add_argument("--csv", action="store_true",
-                        help="emit CSV instead of plain text")
+    g = parser.add_mutually_exclusive_group()
+    g.add_argument("--json", action="store_true",
+                   help="emit JSON instead of plain text")
+    g.add_argument("--csv", action="store_true",
+                   help="emit CSV instead of plain text")
 
 
 def cmd_gen(args) -> int:

@@ -29,14 +29,13 @@ Both identities are cleared of denominators before coefficient matching.
 Each order of the main variable adds unknown coefficients and constraints.
 A cleared constraint is affine or quadratic in the unknowns not yet solved:
 the B^2 terms give squares and products of coefficients of B.  _reduce
-solves the affine constraints by exact rational elimination, substitutes
-the solution everywhere and repeats.  A quadratic constraint turns affine
-once the unknowns in its quadratic terms are solved; when only quadratic
-constraints are left, row operations that cancel their quadratic monomials
-yield affine consequences (_linear_consequences).  At the parameter points
-that verify uses, the maps system meets 8 quadratic constraints, all at
-order 1, and cancels quadratic monomials once; the triangulation system
-meets 7 over orders 1 to 3 and cancels twice, both times at order 1.
+runs one exact sparse Gauss–Jordan elimination over the monomials of the
+constraints, nonlinear monomials first.  Every row of the result that is
+led by an unknown solves it affinely, including the consequences that
+come from cancelling quadratic monomials between constraints.  The
+solutions are substituted everywhere, which can turn quadratic
+constraints affine, and the elimination repeats until nothing new is
+solved.
 
 The solved series are cross-checked against the functional-equation
 iterates, giving two independent derivations of the same numbers.
@@ -63,143 +62,73 @@ class DESolveError(ValueError):
 V = MultiPoly.var("v")
 
 
-def _is_linear(p: MultiPoly, pendingset) -> bool:
-    idx = [i for i, name in enumerate(p.vars) if name in pendingset]
-    return all(sum(exps[i] for i in idx) <= 1 for exps, _ in p.terms())
+def _row(p: MultiPoly, rank) -> dict:
+    """A constraint as {monomial: rational}.  A monomial is a tuple of
+    (unknown's rank, exponent) pairs; () is the constant term."""
+    return {tuple(sorted((rank[name], e)
+                         for name, e in zip(p.vars, exps) if e)): c
+            for exps, c in p.terms()}
 
 
-def _rows(linear_eqs, pending):
-    """Affine equations as (row, const) pairs: row . pending + const = 0."""
-    zeros = {u: 0 for u in pending}
-    eqs = []
-    for p in linear_eqs:
-        row = [Fraction(p.coeff(u, 1).subs(zeros).constant_value())
-               for u in pending]
-        const = Fraction(p.subs(zeros).constant_value())
-        eqs.append((row, const))
-    return eqs
+def _column(mono):
+    """Column order: nonlinear monomials first, highest degree first, then
+    the unknowns oldest first, then the constant."""
+    deg = sum(e for _, e in mono)
+    return (deg < 2, deg == 0, -deg, mono)
 
 
-def _eliminate(eqs, pending, order):
-    """Row-reduce the affine system and return a substitution mapping each
-    pivot unknown to its expression in the remaining free unknowns.
-
-    Pending unknowns are listed oldest first, so the oldest ones are
-    resolved preferentially; unknowns that stay free are determined by the
-    equations of later orders.  Raises on an inconsistent system."""
-    k = len(pending)
-    rows = [list(r) + [c] for r, c in eqs]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = pr = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][k] != 0:
-            raise DESolveError("inconsistent linear system", order)
-    sub = {}
-    for i, col in enumerate(pivots):
-        expr = MultiPoly.const(-rows[i][k])
-        for j in range(col + 1, k):
-            if rows[i][j] != 0:
-                expr = expr - MultiPoly.const(rows[i][j]) * MultiPoly.var(pending[j])
-        sub[pending[col]] = expr
-    return sub
-
-
-def _as_vector(p: MultiPoly, pendingset):
-    """A constraint as {pending-monomial: rational}; the key () is the
-    constant term.  Monomials are tuples of (name, exponent) pairs."""
-    vec = {}
-    for exps, c in p.terms():
-        key = tuple((name, e) for name, e in zip(p.vars, exps)
-                    if e and name in pendingset)
-        stray = [(name, e) for name, e in zip(p.vars, exps)
-                 if e and name not in pendingset]
-        if stray:
-            raise ValueError(f"constraint mentions non-unknowns {stray}")
-        vec[key] = vec.get(key, Fraction(0)) + Fraction(c)
-    return {k: v for k, v in vec.items() if v}
-
-
-def _from_vector(vec) -> MultiPoly:
-    def term(key, c):
-        out = MultiPoly.const(c)
-        for name, e in key:
-            out = out * MultiPoly.var(name, e)
-        return out
-
-    return MultiPoly.sum(term(key, c) for key, c in vec.items())
-
-
-def _linear_consequences(constraints, pending):
-    """Eliminate the quadratic monomials among the constraints by row
-    operations.  Returns (derived, remaining): linear combinations free of
-    quadratic terms, and the spent still-quadratic rows."""
-    pendingset = set(pending)
-    vecs = [_as_vector(p, pendingset) for p in constraints]
-    quad_cols = sorted({k for v in vecs for k in v
-                        if sum(e for _, e in k) >= 2})
-    remaining = []
-    rows = vecs
-    for col in quad_cols:
-        piv = next((i for i, v in enumerate(rows) if v.get(col)), None)
-        if piv is None:
-            continue
-        pv = rows.pop(piv)
-        remaining.append(pv)
-        inv = Fraction(1) / pv[col]
-        for v in rows:
-            f = v.get(col)
-            if f:
-                fi = f * inv
-                for k, c in pv.items():
-                    nc = v.get(k, Fraction(0)) - fi * c
-                    if nc:
-                        v[k] = nc
-                    else:
-                        v.pop(k, None)
-    derived = [_from_vector(v) for v in rows if v]
-    return derived, [_from_vector(v) for v in remaining]
+def _poly(row, pending) -> MultiPoly:
+    """The inverse of _row."""
+    return MultiPoly.sum(MultiPoly([pending[i] for i, _ in mono],
+                                   {tuple(e for _, e in mono): c})
+                         for mono, c in row.items())
 
 
 def _reduce(constraints, pending, coeff_lists, order):
-    """Propagate constraints: repeatedly solve the currently-affine subset,
-    substitute the solution into the stored coefficient lists and into the
-    remaining constraints, and retry.  Nonlinear (quadratic) constraints are
-    used two ways: they become affine once one factor is resolved, and
-    affine consequences are extracted from them by cancelling quadratic
-    monomials between constraints.  Returns the surviving constraints and
-    unknowns."""
+    """Propagate constraints by exact sparse Gauss–Jordan elimination.
+
+    Each round brings the constraints to reduced row-echelon form with the
+    columns in _column order.  A row led by an unknown is affine: it solves
+    that unknown in terms of later ones.  A row led by a nonlinear monomial
+    stays a constraint, and a nonzero constant row is an inconsistency.
+    The solutions are substituted into the stored coefficient lists and the
+    remaining constraints, until a round solves nothing.  Returns the
+    surviving constraints and unknowns."""
     while True:
-        pendingset = set(pending)
-        linear = [c for c in constraints if _is_linear(c, pendingset)]
-        nonlinear = [c for c in constraints if not _is_linear(c, pendingset)]
-        if not linear and nonlinear:
-            derived, nonlinear = _linear_consequences(nonlinear, pending)
-            linear = [d for d in derived if not d.is_zero()]
-        if not linear:
-            return nonlinear, pending
-        sub = _eliminate(_rows(linear, pending), pending, order)
+        rank = {u: i for i, u in enumerate(pending)}
+        rows = [_row(c, rank) for c in constraints]
+        reduced = {}
+        for col in sorted({m for r in rows for m in r}, key=_column):
+            piv = next((i for i, r in enumerate(rows) if col in r), None)
+            if piv is None:
+                continue
+            if not col:
+                raise DESolveError("inconsistent linear system", order)
+            inv = 1 / Fraction(rows[piv][col])
+            pr = {m: c * inv for m, c in rows.pop(piv).items()}
+            for r in rows + list(reduced.values()):
+                f = r.get(col)
+                if f:
+                    for m, c in pr.items():
+                        nc = r.get(m, 0) - f * c
+                        if nc:
+                            r[m] = nc
+                        else:
+                            del r[m]
+            reduced[col] = pr
+        sub, constraints = {}, []
+        for col, r in reduced.items():
+            if sum(e for _, e in col) == 1:
+                del r[col]
+                sub[pending[col[0][0]]] = -_poly(r, pending)
+            else:
+                constraints.append(_poly(r, pending))
         if not sub:
-            if not nonlinear:
-                return [], pending
-            constraints = nonlinear
-            continue
+            return constraints, pending
         pending = [u for u in pending if u not in sub]
         for lst in coeff_lists:
             lst[:] = [p.subs(sub) for p in lst]
-        constraints = [c for c in (p.subs(sub) for p in nonlinear)
+        constraints = [c for c in (p.subs(sub) for p in constraints)
                        if not c.is_zero()]
 
 

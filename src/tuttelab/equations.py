@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from tuttelab.poly import MultiPoly
 from tuttelab.series import SeriesError, TSeries, fixed_point
@@ -323,11 +324,13 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     def degrees(m):
         return MultiPoly.var("x", m.root_vertex_degree) * outer(m)
 
+    w_pow, z_pow = (lru_cache(maxsize=None)(p.__pow__) for p in (w, z))
+
     def vw(m):
-        return w ** (m.n_vertices - 1)
+        return w_pow(m.n_vertices - 1)
 
     def fz(m):
-        return z ** (m.n_faces - 1)
+        return z_pow(m.n_faces - 1)
 
     def potts_w(m):  # P_M(q, nu) / q
         return potts(m).divexact(MultiPoly.var("q")).subs({"q": q, "nu": nu})

@@ -283,7 +283,7 @@ def colouring_sum(m: RootedMap, q: int, nu=None):
         mono = sum(1 for a, b in edges if col[a] == col[b])
         counts[mono] = counts.get(mono, 0) + 1
     if nu is None:
-        nuv = MultiPoly.var("nu")
-        return MultiPoly.sum(c * nuv ** mono for mono, c in counts.items())
+        return MultiPoly.sum(c * MultiPoly.var("nu", mono)
+                             for mono, c in counts.items())
     nu = Fraction(nu)
     return sum(c * nu ** mono for mono, c in counts.items())

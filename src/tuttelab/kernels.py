@@ -289,21 +289,6 @@ def tree_rooted_tri_extraction_check(order: int = 6) -> bool:
 # -- Lagrange-inversion coefficients ---------------------------------------------
 
 
-def lagrange_coeff(phi: MultiPoly, n: int, monomial=None):
-    """[t^n] (times an optional monomial in the other variables) of the
-    unique series F = t phi(F), with phi a polynomial in the variable F.
-
-    By Lagrange inversion this is (1/n) [F^{n-1}] phi(F)^n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    coeff = (phi ** n).coeff("F", n - 1) * Fraction(1, n)
-    for name, k in (monomial or {}).items():
-        coeff = coeff.coeff(name, k)
-    if coeff.is_constant():
-        return coeff.constant_value()
-    return coeff
-
-
 def lagrange_V_coeff(i: int, j: int, n: int):
     """[w^i z^j t^n u^{n+1-2i-2j}] V = (n-1)! / (i! (j-1)! j! (n+1-i-2j)!)."""
     if n < 1 or i < 0 or j < 1 or n + 1 - i - 2 * j < 0:

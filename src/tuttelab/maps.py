@@ -89,9 +89,6 @@ class RootedMap:
         """Face permutation sigma o alpha."""
         return self.sigma[self.alpha[d]]
 
-    def sigma_inv(self, d: int) -> int:
-        return self._inv_sigma[d]
-
     @cached_property
     def _inv_sigma(self):
         out = [0] * self.n_darts
@@ -159,9 +156,6 @@ class RootedMap:
 
     def vertex_degrees(self):
         return sorted(len(c) for c in self.vertices) if not self.is_atomic else [0]
-
-    def face_degrees(self):
-        return sorted(len(c) for c in self.faces)
 
     def edges(self):
         """Edges as pairs (d, alpha(d)) with d < alpha(d)."""

@@ -26,7 +26,6 @@ from functools import lru_cache
 from tuttelab.maps import RootedMap
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
-Q = MultiPoly.var("q")
 NU = MultiPoly.var("nu")
 MU = MultiPoly.var("mu")
 
@@ -36,12 +35,20 @@ MU = MultiPoly.var("mu")
 _distinct: dict = {}
 
 
+def _powers(base: MultiPoly, n: int) -> list:
+    """[base^0, ..., base^n], each by one product from the last."""
+    out = [MultiPoly.one()]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _potts_of_key(v, edges):
     """P of the multigraph on vertices 0..v-1 whose edges are the sorted
     tuple `edges`, each edge written low end first."""
     if not edges:
-        p = Q ** v
+        p = MultiPoly.var("q", v)
     else:
         (a, b), rest = edges[0], edges[1:]
         deleted = _potts_of_key(v, rest)
@@ -69,8 +76,10 @@ def potts(m: RootedMap) -> MultiPoly:
 def potts_subset_oracle(m: RootedMap) -> MultiPoly:
     """Fortuin-Kasteleyn expansion: sum over edge subsets S of
     q^{c(S)} (nu-1)^{|S|}, with c(S) counting connected components."""
-    return MultiPoly.sum(k * Q ** c * (NU - 1) ** r
-                         for (c, r), k in _subset_counts(m).items())
+    counts = _subset_counts(m)
+    nu1 = _powers(NU - 1, max(r for _, r in counts))
+    return MultiPoly.sum(k * MultiPoly.var("q", c) * nu1[r]
+                         for (c, r), k in counts.items())
 
 
 def potts_by_interpolation(m: RootedMap) -> MultiPoly:
@@ -117,8 +126,11 @@ def tutte(m: RootedMap) -> MultiPoly:
     """Tutte polynomial of the underlying (connected) multigraph in (mu, nu):
     sum over edge subsets of (mu-1)^{c(S)-1} (nu-1)^{|S|+c(S)-v}."""
     v = m.n_vertices
-    return MultiPoly.sum(k * (MU - 1) ** (c - 1) * (NU - 1) ** (r + c - v)
-                         for (c, r), k in _subset_counts(m).items())
+    counts = _subset_counts(m)
+    mu1 = _powers(MU - 1, max(c for c, _ in counts) - 1)
+    nu1 = _powers(NU - 1, max(r + c for c, r in counts) - v)
+    return MultiPoly.sum(k * mu1[c - 1] * nu1[r + c - v]
+                         for (c, r), k in counts.items())
 
 
 def potts_from_tutte(m: RootedMap) -> MultiPoly:
@@ -132,9 +144,7 @@ def potts_from_tutte(m: RootedMap) -> MultiPoly:
     terms = [(c, i + 1, j - i - 1 + v)
              for i, ci in shifted.by_powers("mu").items()
              for j, c in ci.by_powers("nu").items()]
-    nu1 = [MultiPoly.one()]
-    for _ in range(max((k for _, _, k in terms), default=0)):
-        nu1.append(nu1[-1] * (NU - 1))
+    nu1 = _powers(NU - 1, max((k for _, _, k in terms), default=0))
     return MultiPoly.sum(c * MultiPoly.var("q", i) * nu1[k] for c, i, k in terms)
 
 
@@ -152,7 +162,7 @@ def duality_check(m: RootedMap) -> bool:
     if td != t.subs({"mu": NU, "nu": MU}):
         return False
     e = m.n_edges
-    lhs = Q ** (m.n_vertices - 1) * potts(d)
+    lhs = MultiPoly.var("q", m.n_vertices - 1) * potts(d)
     rhs = _cleared_nu_dual_sub(potts(m), e)
     return lhs == rhs
 
@@ -161,7 +171,8 @@ def _cleared_nu_dual_sub(p: MultiPoly, e: int) -> MultiPoly:
     """Substitute nu -> 1 + q/(nu-1) into a (q, nu)-polynomial and clear the
     denominators by (nu-1)^e: each (nu-1)^k factor becomes q^k (nu-1)^{e-k}."""
     shifted = p.subs({"nu": NU + 1})  # now nu stands for nu - 1
-    return MultiPoly.sum(c * Q ** k * (NU - 1) ** (e - k)
+    nu1 = _powers(NU - 1, e)
+    return MultiPoly.sum(c * MultiPoly.var("q", k) * nu1[e - k]
                          for k, c in shifted.by_powers("nu").items())
 
 

@@ -62,15 +62,6 @@ class TSeries:
         """The main variable itself as a series."""
         return TSeries(var, order, [MultiPoly.zero(), MultiPoly.one()])
 
-    @staticmethod
-    def from_poly(p: MultiPoly, var, order) -> "TSeries":
-        """Expand a polynomial (ordinary powers of `var` only) as a series."""
-        by = p.by_powers(var)
-        if any(k < 0 for k in by):
-            raise SeriesError(f"negative power of {var} is not a power series")
-        coeffs = [by.get(k, MultiPoly.zero()) for k in range(order + 1)]
-        return TSeries(var, order, coeffs)
-
     # -- basics ------------------------------------------------------------
 
     def coeff(self, n: int) -> MultiPoly:

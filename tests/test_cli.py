@@ -189,6 +189,14 @@ def test_verify_output_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+def test_json_and_csv_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "counts", "--json", "--csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
