@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tuttelab import closed_forms as cf
@@ -19,6 +21,13 @@ def test_open_close_identity():
             t = psi_open(m)
             assert t.n_nodes == n
             assert phi_close(t) == m
+
+
+def test_psi_open_is_pinned():
+    trees = "\n".join(psi_open(m).to_string()
+                      for n in range(1, 6) for m in four_valent(n))
+    assert hashlib.sha256(trees.encode()).hexdigest()[:16] \
+        == "31a2d61345cea245"
 
 
 def test_close_open_identity_on_balanced_trees():

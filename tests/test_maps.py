@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttelab.bijections import mullin_decode
-from tuttelab.generate import LIST_CAP, all_maps
+from tuttelab.generate import LIST_CAP, all_bipolar_orientations, all_maps
 from tuttelab.maps import MapError, RootedMap
 
 
@@ -47,6 +47,47 @@ def test_delete_inverts_insert(m):
 def test_delete_inverts_join(m1, m2):
     joined = RootedMap.join_by_root_edge(m1, m2)
     assert joined.delete_root_edge() == ("pair", (m1, m2))
+
+
+def separable_by_cut_vertices(m):
+    """More than one block in the underlying multigraph, each loop a block
+    of its own: a loop among two or more edges, or a cut vertex."""
+    if m.is_atomic:
+        return True
+    edges = m.multigraph_edges()
+    if len(edges) == 1:
+        return False
+    if any(u == v for u, v in edges):
+        return True
+    for cut in range(m.n_vertices):
+        rest = [v for v in range(m.n_vertices) if v != cut]
+        reached = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            x = stack.pop()
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b != cut and b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+        if len(reached) < len(rest):
+            return True
+    return False
+
+
+def test_is_separable_matches_cut_vertices():
+    for n in range(6):
+        for m in all_maps(n):
+            assert m.is_separable() == separable_by_cut_vertices(m)
+            if 2 <= n <= 4:
+                assert bool(all_bipolar_orientations(m)) \
+                    == (not m.is_separable())
+
+
+@settings(deadline=None)
+@given(rooted_maps())
+def test_is_separable_matches_cut_vertices_on_random_maps(m):
+    assert m.is_separable() == separable_by_cut_vertices(m)
 
 
 @settings(deadline=None)
