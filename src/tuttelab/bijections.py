@@ -101,9 +101,11 @@ def psi_open(m: RootedMap) -> BlossomingTree:
     """Open a 4-valent map into a balanced blossoming tree.
 
     Cut the root edge into two leaves (the first is the tree root), then
-    walk the outer-face contour; each time a non-separating edge has just
-    been traversed, cut it: the traversed side becomes a flower, the
-    other a leaf.  Stops when only separating edges (a tree) remain.
+    walk the outer-face contour; each time an edge whose other side is a
+    different face has just been traversed, cut it: the traversed side
+    becomes a flower, the other a leaf.  Stops when one face is left, so
+    that only isthmuses (a tree) remain, by the isthmus fact of the maps
+    module docstring.
     """
     if m.is_atomic or not m.is_4valent():
         raise BijectionError("input must be a non-atomic 4-valent map")
@@ -111,27 +113,6 @@ def psi_open(m: RootedMap) -> BlossomingTree:
     sigma = list(m.sigma)
     alpha = list(m.alpha)
     kind = {}
-
-    def non_separating(d):
-        # deleting the edge {d, alpha[d]} keeps everything connected
-        a = alpha[d]
-        seen = {d}
-        stack = [d]
-        while stack:
-            x = stack.pop()
-            moves = [sigma[x]]
-            if alpha[x] != x and x not in (d, a):
-                moves.append(alpha[x])
-            for y in moves:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == n
-
-    def any_non_separating():
-        return any(alpha[d] != d and non_separating(d)
-                   for d in range(n) if d < alpha[d])
-
     r = m.root
     a0 = alpha[r]
     alpha[r] = r
@@ -139,18 +120,20 @@ def psi_open(m: RootedMap) -> BlossomingTree:
     kind[r] = LEAF
     kind[a0] = LEAF
     cur = sigma[r]
+    outer = set(corner_walk(sigma, alpha, r))
     guard = 0
-    while any_non_separating():
+    while len(outer) < n:
         guard += 1
         if guard > 4 * n * n:
             raise BijectionError("opening walk did not terminate")
-        nxt = sigma[alpha[cur]]
-        if alpha[cur] != cur and non_separating(cur):
-            a = alpha[cur]
+        a = alpha[cur]
+        nxt = sigma[a]
+        if a not in outer:  # a half-edge (a == cur) is on the outer face
             kind[cur] = FLOWER
             kind[a] = LEAF
             alpha[cur] = cur
             alpha[a] = a
+            outer = set(corner_walk(sigma, alpha, r))
         cur = nxt
     return BlossomingTree.from_darts(sigma, alpha, kind, r)
 

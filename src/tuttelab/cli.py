@@ -66,6 +66,11 @@ def _add_format_flags(parser):
                    help="emit CSV instead of plain text")
 
 
+def _quoted(value) -> str:
+    """A CSV field in double quotes, inner quotes doubled."""
+    return '"' + str(value).replace('"', '""') + '"'
+
+
 def cmd_gen(args) -> int:
     families = _families()
     if args.family not in families:
@@ -128,7 +133,7 @@ def cmd_tutte(args) -> int:
     elif fmt == "csv":
         print("name,value")
         for k, v in rows:
-            print(f"{k},\"{v}\"")
+            print(f"{k},{_quoted(v)}")
     else:
         for k, v in rows:
             print(f"{k}: {v}")
@@ -163,7 +168,7 @@ def cmd_bijection(args) -> int:
     elif fmt == "csv":
         print("bijection,max_size,pass,counterexample")
         print(f"{args.name},{args.max_size},"
-              f"{'pass' if ok else 'FAIL'},\"{counterexample or ''}\"")
+              f"{'pass' if ok else 'FAIL'},{_quoted(counterexample or '')}")
     else:
         print(f"{args.name} round trips up to size {args.max_size}: "
               + ("pass" if ok else f"FAIL ({counterexample})"))
@@ -204,7 +209,7 @@ def cmd_series(args) -> int:
     elif fmt == "csv":
         print("power,coefficient")
         for k, v in rows:
-            print(f"{k},\"{v}\"")
+            print(f"{k},{_quoted(v)}")
     else:
         for k, v in rows:
             print(f"{k}: {v}")

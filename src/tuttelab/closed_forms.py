@@ -148,21 +148,6 @@ def tree_rooted_tri_dual_count(i: int, d: int) -> int:
                       factorial(i) * factorial(i + 1) * factorial(2 * i - d))
 
 
-def tree_degree_count(d: int, j: int, degree_counts) -> int:
-    """Plane trees with root degree d, n_k non-root vertices of degree k,
-    and 2j extra half-edges: d (2j-1+sum n_k)! / ((2j)! prod n_k!).
-
-    degree_counts is a mapping k -> n_k.
-    """
-    if d < 0 or j < 0 or any(c < 0 for c in degree_counts.values()):
-        raise ValueError("arguments must be nonnegative")
-    total = sum(degree_counts.values())
-    den = factorial(2 * j)
-    for c in degree_counts.values():
-        den *= factorial(c)
-    return _exact_div(d * factorial(2 * j - 1 + total), den)
-
-
 def bipolar_count(n: int, m: int, i: int = None, j: int = None) -> int:
     """Bipolar orientations of planar maps with n edges and m+1 vertices,
     optionally refined by root-face degree j and root-vertex degree i.

@@ -22,6 +22,14 @@ functional equations):
 
 Every rooted map with at least one edge arises exactly once as an insertion
 or a join, and delete_root_edge inverts both.
+
+Connectivity is read off the faces, by two facts about a connected plane
+map (half-edges, as in the blossoming trees of the bijections, included):
+
+* (isthmus) an edge is an isthmus exactly when the same face lies on both
+  of its sides;
+* (separable) a map with at least one edge is separable exactly when some
+  face visits some vertex at two corners.
 """
 
 from __future__ import annotations
@@ -372,7 +380,9 @@ class RootedMap:
 
         Returns ("pair", (m1, m2)) when the root edge is an isthmus, with
         join_by_root_edge(m1, m2) == self, and ("single", (m, k)) otherwise,
-        with m.insert_root_edge(k) == self.
+        with m.insert_root_edge(k) == self.  The isthmus fact of the module
+        docstring tells the cases apart, and k = root_face_degree - 1 since
+        insertion at k gives root-face degree k + 1.
         """
         if self.is_atomic:
             raise MapError("cannot delete the root edge of the atomic map")
@@ -380,15 +390,11 @@ class RootedMap:
         b = self.alpha[a]
         pred_a = self._inv_sigma[a]
         pred_b = self._inv_sigma[b]
-        sig = dict(enumerate(self.sigma))
+        sig = {d: s for d, s in enumerate(self.sigma) if d not in (a, b)}
         alf = {d: x for d, x in enumerate(self.alpha) if d not in (a, b)}
-        for dart in (a, b):
-            q = next(kk for kk, vv in sig.items() if vv == dart)
-            if q == dart:
-                del sig[dart]
-            else:
-                sig[q] = sig[dart]
-                del sig[dart]
+        for p in (pred_a, pred_b):  # splice a and b out of their rotations
+            while p in sig and sig[p] in (a, b):
+                sig[p] = self.sigma[sig[p]]
         if self.face_of[a] == self.face_of[b]:
             # isthmus: two components, rooted at the predecessors of a and b
             m1 = _extract(sig, alf, pred_a if pred_a != a else None)
@@ -399,11 +405,7 @@ class RootedMap:
             r = pred_b if pred_b != a else None
         else:
             r = pred_a
-        m = _extract(sig, alf, r)
-        for k in range(m.root_face_degree + 1):
-            if m.insert_root_edge(k) == self:
-                return "single", (m, k)
-        raise MapError("root-edge deletion failed to invert")  # pragma: no cover
+        return "single", (_extract(sig, alf, r), self.root_face_degree - 1)
 
     def contract_root_edge(self) -> "RootedMap":
         """Contract the root edge; a root loop is simply deleted.
@@ -453,54 +455,12 @@ class RootedMap:
         """Atomic, or obtainable by gluing two non-atomic maps at a vertex.
 
         Equivalent to the underlying multigraph having more than one block,
-        where each loop counts as a block of its own.
+        where each loop counts as a block of its own; decided by the
+        separable fact of the module docstring.
         """
-        if self.is_atomic:
-            return True
-        if self.n_edges == 1:
-            return False
-        return self._block_count() > 1
-
-    def _block_count(self) -> int:
-        edges = self.multigraph_edges()
-        loops = sum(1 for u, v in edges if u == v)
-        plain = [(u, v) for u, v in edges if u != v]
-        if not plain:
-            return loops
-        adj = {}
-        for i, (u, v) in enumerate(plain):
-            adj.setdefault(u, []).append((v, i))
-            adj.setdefault(v, []).append((u, i))
-        index, low = {}, {}
-        blocks = 0
-        counter = 0
-        for start in adj:
-            if start in index:
-                continue
-            index[start] = low[start] = counter
-            counter += 1
-            call = [(start, None, iter(adj[start]))]
-            while call:
-                node, in_edge, it = call[-1]
-                advanced = False
-                for nbr, ei in it:
-                    if ei == in_edge:
-                        continue
-                    if nbr not in index:
-                        index[nbr] = low[nbr] = counter
-                        counter += 1
-                        call.append((nbr, ei, iter(adj[nbr])))
-                        advanced = True
-                        break
-                    low[node] = min(low[node], index[nbr])
-                if not advanced:
-                    call.pop()
-                    if call:
-                        parent = call[-1][0]
-                        low[parent] = min(low[parent], low[node])
-                        if low[node] >= index[parent]:
-                            blocks += 1
-        return blocks + loops
+        vertex_of = self.vertex_of
+        return self.is_atomic or any(len({vertex_of[d] for d in f}) < len(f)
+                                     for f in self.faces)
 
     def is_near_triangulation(self) -> bool:
         """All non-root faces have degree 3; the atomic map qualifies."""

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -102,6 +103,18 @@ def test_bijection_roundtrip(capsys):
     code, _, err = run_cli(capsys, "bijection", "roundtrip", "nope",
                            "--max-size", "1")
     assert code == cli.EXIT_UNKNOWN
+
+
+def test_bijection_csv_quotes_counterexample(capsys, monkeypatch):
+    from tuttelab import verify
+    text = 'map {"alpha":[1,0]}, tree ()'
+    monkeypatch.setitem(verify.ROUNDTRIPS, "psi", lambda n: (1, text))
+    code, out, _ = run_cli(capsys, "bijection", "roundtrip", "psi",
+                           "--max-size", "1", "--csv")
+    rows = list(csv.reader(out.splitlines()))
+    assert code == cli.EXIT_FAIL
+    assert rows == [["bijection", "max_size", "pass", "counterexample"],
+                    ["psi", "1", "FAIL", text]]
 
 
 def test_bijection_cap_checked_before_work(capsys, monkeypatch):
