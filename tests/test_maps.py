@@ -49,6 +49,64 @@ def test_delete_inverts_join(m1, m2):
     assert joined.delete_root_edge() == ("pair", (m1, m2))
 
 
+def walked_orbits(perm):
+    """The cycles of perm, each from its least element, by least element."""
+    seen, out = set(), []
+    for d in range(len(perm)):
+        if d not in seen:
+            cyc = [d]
+            while perm[cyc[-1]] != d:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return out
+
+
+def walked_statistics(m):
+    """Every orbit statistic of m, by plain walks over its permutations."""
+    if m.is_atomic:
+        return {"vertices": [], "faces": [()], "vertex_of": [], "face_of": [],
+                "n_vertices": 1, "n_faces": 1, "root_face": (),
+                "root_face_degree": 0, "root_vertex_degree": 0}
+    vertices = walked_orbits(m.sigma)
+    faces = walked_orbits([m.sigma[m.alpha[d]] for d in range(m.n_darts)])
+    vertex_of = [next(i for i, v in enumerate(vertices) if d in v)
+                 for d in range(m.n_darts)]
+    face_of = [next(i for i, f in enumerate(faces) if d in f)
+               for d in range(m.n_darts)]
+    root_face = faces[face_of[m.alpha[m.root]]]
+    return {"vertices": vertices, "faces": faces, "vertex_of": vertex_of,
+            "face_of": face_of, "n_vertices": len(vertices),
+            "n_faces": len(faces), "root_face": root_face,
+            "root_face_degree": len(root_face),
+            "root_vertex_degree": len(vertices[vertex_of[m.root]])}
+
+
+def assert_statistics_match_walks(m):
+    expected = walked_statistics(m)
+    names = list(expected)
+    # two fresh copies, read in opposite orders, so that a statistic
+    # computed on first use from a wrong or missing one shows
+    for order in (names, names[::-1]):
+        fresh = RootedMap(m.alpha, m.sigma, m.root)
+        for name in order:
+            assert getattr(fresh, name) == expected[name], name
+        for name in order:
+            assert getattr(fresh, name) == expected[name], name
+
+
+def test_statistics_match_walks():
+    for n in range(6):
+        for m in all_maps(n):
+            assert_statistics_match_walks(m)
+
+
+@settings(deadline=None)
+@given(rooted_maps())
+def test_statistics_match_walks_on_random_maps(m):
+    assert_statistics_match_walks(m)
+
+
 def separable_by_cut_vertices(m):
     """More than one block in the underlying multigraph, each loop a block
     of its own: a loop among two or more edges, or a cut vertex."""
