@@ -56,9 +56,7 @@ def _root_edge_recursion(n, smaller, insertions):
                 for k in insertions(m.root_face_degree))
     joined = (RootedMap.join_by_root_edge(m1, m2) for e1 in range(n)
               for m1 in smaller(e1) for m2 in smaller(n - 1 - e1))
-    # code each map as it is built: codes made later fragment the heap
-    keyed = sorted((m.code, m) for m in itertools.chain(inserted, joined))
-    return [m for _, m in keyed]
+    return sorted(itertools.chain(inserted, joined), key=lambda m: m.code)
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,15 @@ order of darts around each vertex).  Faces are the orbits of phi = sigma o
 alpha.  The atomic map (one vertex, no edge) is the unique map with zero
 darts and root None.
 
-Construction validates connectedness and Euler's relation, so every
-RootedMap instance is a genus-0 rooted map.  Instances are immutable.
+An instance stores its darts (alpha, sigma, root), its canonical code and
+its numbers of vertices and faces.  The constructor computes these once and
+checks on the way that the darts are integers, that alpha and sigma are
+permutations, alpha a fixed-point-free involution and root a dart, that the
+code covers every dart (connectedness) and that the cycle counts of sigma
+and phi satisfy Euler's relation (genus 0).  The orbit lists and labellings
+(vertices, faces, vertex_of, face_of, root_face) are computed on first use
+and kept.  Maps whose alpha is the standard involution (1, 0, 3, 2, ...)
+share one tuple for it per dart count.  Instances are immutable.
 
 Conventions frozen here (and validated in the tests against the catalytic
 functional equations):
@@ -35,14 +42,119 @@ map (half-edges, as in the blossoming trees of the bijections, included):
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import lru_cache
 
 
 class MapError(ValueError):
     pass
 
 
+@lru_cache(maxsize=64)
+def _standard_alpha(n_darts):
+    """The involution (1, 0, 3, 2, ...) on n_darts darts, shared by maps."""
+    return tuple(d ^ 1 for d in range(n_darts))
+
+
+def _orbits(perm):
+    """The cycles of perm as tuples, each from its least element, ordered
+    by least element."""
+    n = len(perm)
+    seen = [False] * n
+    out = []
+    for d in range(n):
+        if not seen[d]:
+            cyc = []
+            e = d
+            while not seen[e]:
+                seen[e] = True
+                cyc.append(e)
+                e = perm[e]
+            out.append(tuple(cyc))
+    return out
+
+
+def _cycle_labels(perm):
+    """element -> index of its cycle in _orbits(perm)."""
+    label = [-1] * len(perm)
+    count = 0
+    for d in range(len(perm)):
+        if label[d] < 0:
+            e = d
+            while label[e] < 0:
+                label[e] = count
+                e = perm[e]
+            count += 1
+    return label
+
+
+def _bfs(alpha, sigma, root):
+    """The darts reached by the breadth-first walk from root (sigma before
+    alpha), in walk order, and dart -> position in it (-1 if unreached)."""
+    label = [-1] * len(alpha)
+    label[root] = 0
+    order = [root]
+    for d in order:
+        for e in (sigma[d], alpha[d]):
+            if label[e] < 0:
+                label[e] = len(order)
+                order.append(e)
+    return order, label
+
+
+def _phi(m):
+    """The face permutation sigma o alpha, as a list."""
+    sigma = m.sigma
+    return [sigma[a] for a in m.alpha]
+
+
+def _root_face(m):
+    """The phi-orbit of alpha(root), from its least dart as in m.faces."""
+    if m.is_atomic:
+        return ()
+    sigma, alpha = m.sigma, m.alpha
+    start = alpha[m.root]
+    cyc = [start]
+    d = sigma[alpha[start]]
+    while d != start:
+        cyc.append(d)
+        d = sigma[alpha[d]]
+    i = cyc.index(min(cyc))
+    return tuple(cyc[i:] + cyc[:i])
+
+
+def _inv_sigma(m):
+    out = [0] * m.n_darts
+    for d, s in enumerate(m.sigma):
+        out[s] = d
+    return out
+
+
+# the slots RootedMap.__getattr__ fills on first use, and how
+_ON_FIRST_USE = {
+    "vertices": lambda m: _orbits(m.sigma),
+    "faces": lambda m: _orbits(_phi(m)) if m.n_darts else [()],
+    "vertex_of": lambda m: _cycle_labels(m.sigma),
+    "face_of": lambda m: _cycle_labels(_phi(m)),
+    "root_face": _root_face,
+    "_inv_sigma": _inv_sigma,
+}
+
+
 class RootedMap:
+    """A rooted planar map.
+
+    Set by the constructor: n_darts, alpha, sigma, root, code (the canonical
+    code: the breadth-first relabelling from the root, so two maps have
+    equal codes iff they are equal as rooted maps), n_vertices and n_faces.
+    Computed on first use and kept: vertices (sigma-orbits, tuples of
+    darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
+    face_of (dart -> index into vertices and faces), and root_face (the
+    phi-orbit of alpha(root), as it appears in faces).
+    """
+
+    __slots__ = ("n_darts", "alpha", "sigma", "root", "code", "n_vertices",
+                 "n_faces", "vertices", "faces", "vertex_of", "face_of",
+                 "root_face", "_inv_sigma")
 
     def __init__(self, alpha, sigma, root):
         alpha = tuple(alpha)
@@ -54,22 +166,43 @@ class RootedMap:
             if root is not None:
                 raise MapError("atomic map has root None")
             self.n_darts, self.alpha, self.sigma, self.root = 0, (), (), None
+            self.code, self.n_vertices, self.n_faces = (0,), 1, 1
             return
-        if sorted(alpha) != list(range(n)) or sorted(sigma) != list(range(n)):
+        # bool is an int subclass and 1.0 == 1: both would pass the checks below
+        if {*map(type, alpha), *map(type, sigma)} != {int}:
+            raise MapError("darts must be of type int")
+        darts = list(range(n))
+        if sorted(alpha) != darts or sorted(sigma) != darts:
             raise MapError("alpha and sigma must be permutations of 0..n_darts-1")
-        if any(alpha[alpha[d]] != d or alpha[d] == d for d in range(n)):
+        if any(alpha[alpha[d]] != d or alpha[d] == d for d in darts):
             raise MapError("alpha must be a fixed-point-free involution")
-        if not (isinstance(root, int) and 0 <= root < n):
+        if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
-        self.n_darts = n
-        self.alpha = alpha
-        self.sigma = sigma
-        self.root = root
+        standard = _standard_alpha(n)
+        if alpha == standard:
+            alpha = standard
+        self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
+        order, label = _bfs(alpha, sigma, root)
+        self.code = (n, *[label[sigma[d]] for d in order],
+                     *[label[alpha[d]] for d in order])
         # the code covers the darts reachable from the root, two entries each
         if len(self.code) != 2 * n + 1:
             raise MapError("rotation system is not connected")
-        if self.n_vertices - self.n_edges + self.n_faces != 2:
+        self.n_vertices = max(_cycle_labels(sigma)) + 1
+        self.n_faces = max(_cycle_labels(_phi(self))) + 1
+        if self.n_vertices - n // 2 + self.n_faces != 2:
             raise MapError("rotation system has positive genus")
+
+    def __getattr__(self, name):
+        # reached only for a name with no value yet: fill its slot on first use
+        try:
+            compute = _ON_FIRST_USE[name]
+        except KeyError:
+            raise AttributeError(
+                f"'RootedMap' object has no attribute {name!r}") from None
+        value = compute(self)
+        setattr(self, name, value)
+        return value
 
     @property
     def is_atomic(self) -> bool:
@@ -77,86 +210,23 @@ class RootedMap:
 
     # -- orbits and statistics -------------------------------------------
 
-    @staticmethod
-    def _orbits(perm):
-        n = len(perm)
-        seen = [False] * n
-        out = []
-        for d in range(n):
-            if not seen[d]:
-                cyc = []
-                e = d
-                while not seen[e]:
-                    seen[e] = True
-                    cyc.append(e)
-                    e = perm[e]
-                out.append(tuple(cyc))
-        return out
-
     def phi(self, d: int) -> int:
         """Face permutation sigma o alpha."""
         return self.sigma[self.alpha[d]]
-
-    @cached_property
-    def _inv_sigma(self):
-        out = [0] * self.n_darts
-        for d in range(self.n_darts):
-            out[self.sigma[d]] = d
-        return out
-
-    @cached_property
-    def vertices(self):
-        """sigma-orbits (tuples of darts), one per vertex."""
-        return self._orbits(self.sigma)
-
-    @cached_property
-    def faces(self):
-        """phi-orbits; for the atomic map the single degree-0 face is ()."""
-        if self.is_atomic:
-            return [()]
-        return self._orbits([self.sigma[self.alpha[d]] for d in range(self.n_darts)])
-
-    @property
-    def n_vertices(self):
-        return 1 if self.is_atomic else len(self.vertices)
 
     @property
     def n_edges(self):
         return self.n_darts // 2
 
     @property
-    def n_faces(self):
-        return len(self.faces)
-
-    @cached_property
-    def vertex_of(self):
-        """dart -> vertex index (into self.vertices)."""
-        out = [0] * self.n_darts
-        for i, cyc in enumerate(self.vertices):
-            for d in cyc:
-                out[d] = i
-        return out
-
-    @cached_property
-    def face_of(self):
-        out = [0] * self.n_darts
-        for i, cyc in enumerate(self.faces):
-            for d in cyc:
-                out[d] = i
-        return out
-
-    @cached_property
-    def root_face(self):
-        """The root face: the phi-orbit of alpha(root)."""
-        if self.is_atomic:
-            return ()
-        return self.faces[self.face_of[self.alpha[self.root]]]
-
-    @property
     def root_vertex_degree(self):
         if self.is_atomic:
             return 0
-        return len(self.vertices[self.vertex_of[self.root]])
+        sigma, root = self.sigma, self.root
+        d, k = sigma[root], 1
+        while d != root:
+            d, k = sigma[d], k + 1
+        return k
 
     @property
     def root_face_degree(self):
@@ -181,27 +251,8 @@ class RootedMap:
         iterates in walk order.  Empty for the atomic map."""
         if self.is_atomic:
             return {}
-        sigma, alpha = self.sigma, self.alpha
-        label = {self.root: 0}
-        order = [self.root]
-        for d in order:
-            for e in (sigma[d], alpha[d]):
-                if e not in label:
-                    label[e] = len(order)
-                    order.append(e)
-        return label
-
-    @cached_property
-    def code(self):
-        """Canonical code: breadth-first relabelling from the root.
-
-        Two maps have equal codes iff they are equal as rooted maps
-        (isomorphic via a root- and orientation-preserving relabelling).
-        """
-        label = self.bfs_labels()
-        sig = tuple(label[self.sigma[d]] for d in label)
-        alf = tuple(label[self.alpha[d]] for d in label)
-        return (self.n_darts,) + sig + alf
+        order, _ = _bfs(self.alpha, self.sigma, self.root)
+        return {d: i for i, d in enumerate(order)}
 
     def relabelled(self) -> "RootedMap":
         """The canonical representative: same map, darts in code order."""
@@ -285,8 +336,7 @@ class RootedMap:
         """
         if self.is_atomic:
             return self
-        phi = tuple(self.sigma[self.alpha[d]] for d in range(self.n_darts))
-        return RootedMap(self.alpha, phi, self.alpha[self.root])
+        return RootedMap(self.alpha, _phi(self), self.alpha[self.root])
 
     def radial(self) -> "RootedMap":
         """The radial map: 4-valent, one vertex per edge of self.

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +69,18 @@ def test_tutte_bad_file(tmp_path, capsys):
     assert code == cli.EXIT_BAD_FILE and "cannot read" in err
     code, _, err = run_cli(capsys, "tutte", str(tmp_path / "missing.json"))
     assert code == cli.EXIT_BAD_FILE
+
+
+@pytest.mark.parametrize("darts", ["[1.0, 0.0]", "[true, false]"])
+def test_tutte_non_integer_darts(tmp_path, darts):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"n_darts": 2, "alpha": {darts}, "sigma": [0, 1], '
+                   f'"root": 0}}')
+    run = subprocess.run([sys.executable, "-m", "tuttelab.cli", "tutte",
+                          str(bad)], capture_output=True, text=True)
+    assert run.returncode == cli.EXIT_BAD_FILE
+    assert "cannot read map file" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_tutte_cap_checked_before_work(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tuttelab import closed_forms as cf
@@ -24,6 +26,21 @@ def test_all_maps_distinct_and_sized():
         maps = all_maps(n)
         assert len({m.code for m in maps}) == len(maps)
         assert all(m.n_edges == n for m in maps)
+
+
+def test_generated_maps_are_lean():
+    assert not hasattr(all_maps(3)[5], "__dict__")
+    all_maps.cache_clear()
+    for n in range(5):
+        all_maps(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        maps = all_maps(5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(maps) < 800  # bytes per map
 
 
 def test_cap():

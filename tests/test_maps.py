@@ -177,6 +177,14 @@ def test_validation():
             RootedMap([1, 0, 3, 2], [0, 1, 2, 3], root)
     with pytest.raises(MapError):
         RootedMap([1, 0], [0, 1], 5)  # root out of range
+    for alpha, sigma, root in (([1.0, 0.0], [0, 1], 0), ([1, 0], [0, 1], 0.0),
+                               ([True, False], [0, 1], 0),
+                               ([1, 0], [0, 1], True)):
+        with pytest.raises(MapError):
+            RootedMap(alpha, sigma, root)
+    with pytest.raises(MapError, match="type int"):
+        RootedMap.from_json('{"n_darts":2,"alpha":[true,false],'
+                            '"sigma":[0,1],"root":true}')
 
 
 def test_euler_formula():
