@@ -41,6 +41,7 @@ f faces, dv root-vertex degree, df root-face degree):
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -301,12 +302,22 @@ def quasi_tri_q2_relation_holds(eq: EquationId, order: int, params=None) -> bool
 # -- brute-force ground truth -----------------------------------------------------
 
 
+#: what the weight of a map in brute_force_gf reads: `extra` is its Potts
+#: or Tutte polynomial or its number of bipolar orientations (None if the
+#: weight reads none), the rest are its statistics
+_Stats = namedtuple("_Stats", "extra n_vertices n_faces root_vertex_degree"
+                    " root_face_degree")
+
+
 def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     """The same series as expand(eq, ...), summed over generated maps.
 
-    Exponential in the order; meant for desk-scale cross-checks.  The two
-    quasi-triangulation ids yield the x = 0 slice (near-triangulations),
-    the only slice with a direct combinatorial meaning.
+    Exponential in the order; meant for desk-scale cross-checks.  The maps
+    of each size are counted by what their weight reads, and each group is
+    weighted once.  The root-edge families stream their top size, so it is
+    never held.  The two quasi-triangulation ids yield the x = 0 slice
+    (near-triangulations), the only slice with a direct combinatorial
+    meaning.
     """
     from tuttelab import generate as g
     from tuttelab.potts import potts, tutte
@@ -315,54 +326,76 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     q, nu, mu, w, z = (p(v) for v in ("q", "nu", "mu", "w", "z"))
     E = EquationId
 
-    def nt(n):
-        return g.near_angulations(n, 3)
+    def family(name, *args):
+        """size -> the maps of g.<name>(size, *args): the memoised list
+        below the order, a stream at the order."""
+        def maps(n):
+            if n == order:
+                return g.stream(name, n, *args)
+            return getattr(g, name)(n, *args)
+        return maps
 
-    def outer(m, per=1):
-        return MultiPoly.var("y", m.root_face_degree // per)
+    all_maps, nt = family("all_maps"), family("near_angulations", 3)
 
-    def degrees(m):
-        return MultiPoly.var("x", m.root_vertex_degree) * outer(m)
+    def outer(s, per=1):
+        return MultiPoly.var("y", s.root_face_degree // per)
+
+    def degrees(s):
+        return MultiPoly.var("x", s.root_vertex_degree) * outer(s)
 
     w_pow, z_pow = (lru_cache(maxsize=None)(p.__pow__) for p in (w, z))
 
-    def vw(m):
-        return w_pow(m.n_vertices - 1)
+    def vw(s):
+        return w_pow(s.n_vertices - 1)
 
-    def fz(m):
-        return z_pow(m.n_faces - 1)
+    def fz(s):
+        return z_pow(s.n_faces - 1)
 
-    def potts_w(m):  # P_M(q, nu) / q
-        return potts(m).divexact(MultiPoly.var("q")).subs({"q": q, "nu": nu})
+    def potts_w(s):  # P_M(q, nu) / q
+        return s.extra.divexact(MultiPoly.var("q")).subs({"q": q, "nu": nu})
 
-    def tutte_w(m):
-        return tutte(m).subs({"mu": mu, "nu": nu})
+    def tutte_w(s):
+        return s.extra.subs({"mu": mu, "nu": nu})
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
 
-    # {equation: (its maps of size n, the weight of one map)}, the size
-    # being the exponent of the equation's main variable
+    def nothing(m):
+        return None
+
+    # {equation: (its maps of size n, what else the weight of a map reads,
+    # the weight of one map of given _Stats)}, the size being the exponent
+    # of the equation's main variable
     table = {
-        E.MAPS_1CAT: (g.all_maps, outer),
-        E.NT: (nt, outer),
-        E.NQ: (lambda n: g.near_angulations(n, 4), outer),
-        E.BIP: (g.bipartite_maps, lambda m: outer(m, 2)),
-        E.EULER_NT: (g.eulerian_near_triangulations, lambda m: outer(m, 3)),
-        E.POTTS_MAPS: (g.all_maps, lambda m: potts_w(m) * vw(m) * degrees(m)),
-        E.TUTTE_MAPS: (g.all_maps,
-                       lambda m: tutte_w(m) * vw(m) * fz(m) * degrees(m)),
+        E.MAPS_1CAT: (all_maps, nothing, outer),
+        E.NT: (nt, nothing, outer),
+        E.NQ: (family("near_angulations", 4), nothing, outer),
+        E.BIP: (family("bipartite_maps"), nothing, lambda s: outer(s, 2)),
+        E.EULER_NT: (g.eulerian_near_triangulations, nothing,
+                     lambda s: outer(s, 3)),
+        E.POTTS_MAPS: (all_maps, potts,
+                       lambda s: potts_w(s) * vw(s) * degrees(s)),
+        E.TUTTE_MAPS: (all_maps, tutte,
+                       lambda s: tutte_w(s) * vw(s) * fz(s) * degrees(s)),
         E.TUTTE_NONSEP_TRI: (
-            g.non_separable_near_triangulations,
-            lambda m: potts(m).subs({"nu": 0, "q": q}) * degrees(m)),
-        E.POTTS_QUASI_TRI: (nt, lambda m: potts_w(m) * fz(m) * outer(m)),
-        E.TUTTE_QUASI_TRI: (nt, lambda m: tutte_w(m) * fz(m) * outer(m)),
-        E.BIPOLAR_MAPS: (g.all_maps,
-                         lambda m: bipolar(m) * vw(m) * degrees(m)),
-        E.BIPOLAR_TRI: (g.non_separable_near_triangulations,
-                        lambda m: bipolar(m) * degrees(m)),
+            g.non_separable_near_triangulations, potts,
+            lambda s: s.extra.subs({"nu": 0, "q": q}) * degrees(s)),
+        E.POTTS_QUASI_TRI: (nt, potts,
+                            lambda s: potts_w(s) * fz(s) * outer(s)),
+        E.TUTTE_QUASI_TRI: (nt, tutte,
+                            lambda s: tutte_w(s) * fz(s) * outer(s)),
+        E.BIPOLAR_MAPS: (all_maps, bipolar,
+                         lambda s: s.extra * vw(s) * degrees(s)),
+        E.BIPOLAR_TRI: (g.non_separable_near_triangulations, bipolar,
+                        lambda s: s.extra * degrees(s)),
     }
-    family, weight = table[eq]
-    coeffs = [MultiPoly.sum(weight(m) for m in family(n))
+    maps, extra, weight = table[eq]
+
+    def stats(m):
+        return _Stats(extra(m), m.n_vertices, m.n_faces,
+                      m.root_vertex_degree, m.root_face_degree)
+
+    coeffs = [MultiPoly.sum(k * weight(s)
+                            for s, k in Counter(map(stats, maps(n))).items())
               for n in range(order + 1)]
     return TSeries(MAIN_VAR[eq], order, coeffs)

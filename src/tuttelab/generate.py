@@ -3,11 +3,18 @@
 Every family is built by one recursion that reverses root-edge deletion: a
 map with n edges is either a smaller map of the family with a new root edge
 inserted into its root face, or two smaller maps of the family joined by a
-new isthmus root edge.  Deletion inverts both, so each map arises once;
-lists are sorted by canonical code, so output is deterministic.  Families
-differ only in the insertion indices allowed: all_maps takes all of them,
-bipartite_maps the odd ones, near_angulations(n, p) the one that closes an
-inner p-gon.
+new isthmus root edge.  Deletion inverts both, so each map arises once.
+Families differ only in the insertion indices allowed: all_maps takes all
+of them, bipartite_maps the odd ones, near_angulations(n, p) the one that
+closes an inner p-gon.
+
+stream(family, n, ...) yields the n-edge maps of one of these three
+families unsorted, built from the memoised lists of the smaller sizes, and
+keeps none of them.  The memoised lists sort what it yields by canonical
+code, so output is deterministic.  A caller that only counts or sums the
+top size streams it: the `maps(n) generator` rows of verify count the
+stream, and equations.brute_force_gf sums over it at its order, so verify
+never holds the 6-edge maps.
 
 all_maps_oracle is an independent check: it enumerates every rotation
 system on 2n darts with a fixed edge involution and fixed root, filters the
@@ -46,24 +53,52 @@ def _check_size(n, cap, family="all_maps", unit="edges"):
         raise CapExceeded(f"{family} cap is {cap} {unit} (asked for {n})")
 
 
+def _by_code(maps):
+    return sorted(maps, key=lambda m: m.code)
+
+
 def _root_edge_recursion(n, smaller, insertions):
-    """The maps with n edges, sorted by code, of a family closed under
-    root-edge deletion, given smaller(e), its maps with e < n edges, and
+    """The maps with n edges, unsorted, of a family closed under root-edge
+    deletion, given smaller(e), its maps with e < n edges, and
     insertions(d), the indices allowed into a root face of degree d."""
     if n == 0:
-        return [RootedMap.atomic()]
-    inserted = (m.insert_root_edge(k) for m in smaller(n - 1)
-                for k in insertions(m.root_face_degree))
-    joined = (RootedMap.join_by_root_edge(m1, m2) for e1 in range(n)
-              for m1 in smaller(e1) for m2 in smaller(n - 1 - e1))
-    return sorted(itertools.chain(inserted, joined), key=lambda m: m.code)
+        yield RootedMap.atomic()
+        return
+    for m in smaller(n - 1):
+        for k in insertions(m.root_face_degree):
+            yield m.insert_root_edge(k)
+    for e1 in range(n):
+        for m1 in smaller(e1):
+            for m2 in smaller(n - 1 - e1):
+                yield RootedMap.join_by_root_edge(m1, m2)
+
+
+# root-edge family -> its arguments after n -> (its maps by size, the
+# insertion indices allowed into a root face of degree d).  The memoised
+# lists are looked up by name when a stream starts.
+_ROOT_EDGE_FAMILIES = {
+    "all_maps": lambda: (all_maps, lambda d: range(d + 1)),
+    "bipartite_maps": lambda: (bipartite_maps, lambda d: range(1, d + 1, 2)),
+    "near_angulations": lambda p: (lambda e: near_angulations(e, p),
+                                   lambda d: [d - p + 1] if d >= p - 1 else []),
+}
+
+
+def stream(family: str, n: int, *args):
+    """The maps of family(n, *args), unsorted, for one of the root-edge
+    families all_maps, bipartite_maps and near_angulations.  They are built
+    from the family's memoised lists of smaller sizes and kept nowhere, so
+    a caller that only counts or sums the top size never holds it.  The cap
+    is checked here, before any map is built."""
+    rule = _ROOT_EDGE_FAMILIES[family]
+    _check_size(n, LIST_CAP, family)
+    return _root_edge_recursion(n, *rule(*args))
 
 
 @lru_cache(maxsize=None)
 def all_maps(n: int):
     """All rooted planar maps with n edges, sorted by canonical code."""
-    _check_size(n, LIST_CAP)
-    return _root_edge_recursion(n, all_maps, lambda d: range(d + 1))
+    return _by_code(stream("all_maps", n))
 
 
 @lru_cache(maxsize=None)
@@ -71,9 +106,7 @@ def near_angulations(n: int, p: int):
     """All maps with n edges whose inner faces all have degree p, sorted by
     canonical code.  Inserting a root edge at index k into a root face of
     degree d closes an inner face of degree d - k + 1, hence k = d - p + 1."""
-    _check_size(n, LIST_CAP, "near_angulations")
-    return _root_edge_recursion(n, lambda e: near_angulations(e, p),
-                                lambda d: [d - p + 1] if d >= p - 1 else [])
+    return _by_code(stream("near_angulations", n, p))
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +152,7 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
             out.add(RootedMap(alpha, sigma, 0))
         except MapError:
             continue
-    return sorted(out, key=lambda m: m.code)
+    return _by_code(out)
 
 
 # -- family generators ---------------------------------------------------------
@@ -137,9 +170,7 @@ def bipartite_maps(n_edges: int):
     Colours alternate along a face, so inserting at index k joins corners
     of opposite colour exactly when k is odd; an isthmus join of two
     bipartite maps is bipartite."""
-    _check_size(n_edges, LIST_CAP, "bipartite_maps")
-    return _root_edge_recursion(n_edges, bipartite_maps,
-                                lambda d: range(1, d + 1, 2))
+    return _by_code(stream("bipartite_maps", n_edges))
 
 
 def eulerian_near_triangulations(n_black_faces: int):
@@ -157,8 +188,8 @@ def eulerian_near_triangulations(n_black_faces: int):
 def quadrangulations(n_faces: int):
     """All quadrangulations with n faces: duals of radials of n-edge maps."""
     _check_size(n_faces, LIST_CAP, "quadrangulations", "faces")
-    out = sorted((m.radial().dual() for m in all_maps(n_faces) if not m.is_atomic),
-                 key=lambda m: m.code)
+    out = _by_code(m.radial().dual() for m in all_maps(n_faces)
+                   if not m.is_atomic)
     assert all(m.is_quadrangulation() for m in out)
     return out
 
@@ -166,8 +197,8 @@ def quadrangulations(n_faces: int):
 def four_valent(n_vertices: int):
     """All 4-valent maps with n vertices: radials of n-edge maps."""
     _check_size(n_vertices, LIST_CAP, "four_valent", "vertices")
-    return sorted((m.radial() for m in all_maps(n_vertices) if not m.is_atomic),
-                  key=lambda m: m.code)
+    return _by_code(m.radial() for m in all_maps(n_vertices)
+                    if not m.is_atomic)
 
 
 def non_separable_near_triangulations(n_inner_faces: int):

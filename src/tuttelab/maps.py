@@ -87,6 +87,20 @@ def _cycle_labels(perm):
     return label
 
 
+def _cycle_count(perm):
+    """The number of cycles of perm."""
+    seen = [False] * len(perm)
+    count = 0
+    for d in range(len(perm)):
+        if not seen[d]:
+            count += 1
+            e = d
+            while not seen[e]:
+                seen[e] = True
+                e = perm[e]
+    return count
+
+
 def _bfs(alpha, sigma, root):
     """The darts reached by the breadth-first walk from root (sigma before
     alpha), in walk order, and dart -> position in it (-1 if unreached)."""
@@ -172,15 +186,18 @@ class RootedMap:
         if {*map(type, alpha), *map(type, sigma)} != {int}:
             raise MapError("darts must be of type int")
         darts = list(range(n))
-        if sorted(alpha) != darts or sorted(sigma) != darts:
+        # the standard involution needs no check, and maps share its tuple
+        standard = _standard_alpha(n)
+        is_standard = alpha == standard
+        if is_standard:
+            alpha = standard
+        if not is_standard and sorted(alpha) != darts or sorted(sigma) != darts:
             raise MapError("alpha and sigma must be permutations of 0..n_darts-1")
-        if any(alpha[alpha[d]] != d or alpha[d] == d for d in darts):
+        if not is_standard and any(alpha[alpha[d]] != d or alpha[d] == d
+                                   for d in darts):
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
-        standard = _standard_alpha(n)
-        if alpha == standard:
-            alpha = standard
         self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
         order, label = _bfs(alpha, sigma, root)
         self.code = (n, *[label[sigma[d]] for d in order],
@@ -188,8 +205,8 @@ class RootedMap:
         # the code covers the darts reachable from the root, two entries each
         if len(self.code) != 2 * n + 1:
             raise MapError("rotation system is not connected")
-        self.n_vertices = max(_cycle_labels(sigma)) + 1
-        self.n_faces = max(_cycle_labels(_phi(self))) + 1
+        self.n_vertices = _cycle_count(sigma)
+        self.n_faces = _cycle_count(_phi(self))
         if self.n_vertices - n // 2 + self.n_faces != 2:
             raise MapError("rotation system has positive genus")
 

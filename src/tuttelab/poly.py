@@ -634,18 +634,17 @@ def lagrange_interpolate(points) -> "MultiPoly":
 
     Returns the unique polynomial in q of degree < len(points) (with the
     given polynomial values as coefficients of the other variables) passing
-    through all points.
+    through all points.  It is built in Newton form: the divided differences
+    of the values, then a Horner evaluation in q, one product per point.
     """
     points = list(points)
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [MultiPoly._coerce(y) for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
     q = MultiPoly.var("q")
-
-    def term(i, xi, yi):
-        num = MultiPoly.one()
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                num = num * (q - xj)
-                den *= Fraction(xi) - Fraction(xj)
-        return num * (MultiPoly._coerce(yi) / den)
-
-    return MultiPoly.sum(term(i, xi, yi) for i, (xi, yi) in enumerate(points))
+    out = MultiPoly.zero()
+    for x, c in zip(reversed(xs), reversed(coeffs)):
+        out = out * (q - x) + c
+    return out

@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 
-from tuttelab.maps import RootedMap
+from tuttelab.maps import RootedMap, _cycle_labels
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
 NU = MultiPoly.var("nu")
@@ -69,8 +69,11 @@ def _edge_key(edges):
 def potts(m: RootedMap) -> MultiPoly:
     """Potts polynomial of the underlying multigraph, in (q, nu).
 
-    Always a multiple of q; the atomic map gives q."""
-    return _potts_of_key(m.n_vertices, _edge_key(m.multigraph_edges()))
+    Always a multiple of q; the atomic map gives q.  The vertices are
+    labelled here, as in m.vertex_of, which stays unset on m."""
+    label = _cycle_labels(m.sigma)
+    return _potts_of_key(m.n_vertices, _edge_key(
+        (label[d], label[a]) for d, a in m.edges()))
 
 
 def potts_subset_oracle(m: RootedMap) -> MultiPoly:

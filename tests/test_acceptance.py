@@ -126,7 +126,7 @@ def test_09_bipartite_series_identity():
 
 # sha256 of `verify all --json`: the report must not change when checks move
 VERIFY_ALL_SHA256 = (
-    "60ad5606bb6ed6b171f317873f43f45692bfc0cda0d084744bb7e7952c2a9828")
+    "fec6e158bca596612a190dd037847561a0c934e7ecb74da898f9ff7e96d78ffd")
 
 
 def test_10_verify_all_deterministic():

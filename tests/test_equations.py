@@ -64,8 +64,9 @@ def test_errors():
         expand(EquationId.MAPS_1CAT, 2, {"q": 2})
 
 
-# sha256 prefixes of repr(expand(eq, order)) at verify's orders: with every
-# parameter symbolic, and at POINT (None for equations without parameters).
+# sha256 prefixes of repr(expand(eq, order)) at verify's orders, and at the
+# orders it used before raising them: with every parameter symbolic, and at
+# POINT (None for equations without parameters).
 # The printed expansions are part of the output contract, so any change to
 # the polynomial or series core must leave them byte-identical.
 POINT = {"q": Fraction(5, 3), "nu": Fraction(-3, 2), "mu": Fraction(2, 5),
@@ -76,7 +77,9 @@ POINT = {"q": Fraction(5, 3), "nu": Fraction(-3, 2), "mu": Fraction(2, 5),
     ("MAPS_1CAT", 6, "2d39c98568873926", None),
     ("NT", 6, "ec7fd5a10ce70c0b", None),
     ("NQ", 4, "1b4c25c70d741f74", None),
+    ("NQ", 5, "215cd22b14e8d0f3", None),
     ("BIP", 4, "6cb93f1652fea7fa", None),
+    ("BIP", 5, "6e99895a048657a6", None),
     ("EULER_NT", 2, "383e2abe22e16e2d", None),
     ("POTTS_MAPS", 4, "dad4cdd7b0b7f72a", "dde4095d133eef1c"),
     ("TUTTE_MAPS", 3, "b531e8c71a421604", "086546d38c814f6e"),

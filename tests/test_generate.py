@@ -33,14 +33,31 @@ def test_generated_maps_are_lean():
     all_maps.cache_clear()
     for n in range(5):
         all_maps(n)
+    for m in generate.stream("all_maps", 5):  # fill the potts memo
+        potts(m)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         maps = all_maps(5)
         retained = tracemalloc.get_traced_memory()[0] - before
+        for m in maps:
+            potts(m)
+        after_potts = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert retained / len(maps) < 800  # bytes per map
+    # potts labels the vertices for itself and leaves nothing on the maps
+    assert (after_potts - retained) / len(maps) < 8
+
+
+@pytest.mark.parametrize("family,args", [
+    ("all_maps", ()), ("bipartite_maps", ()), ("near_angulations", (3,)),
+    ("near_angulations", (4,))])
+def test_stream_is_the_list_unsorted(family, args):
+    listed = getattr(generate, family)
+    for n in range(generate.LIST_CAP + 1):
+        codes = sorted(m.code for m in generate.stream(family, n, *args))
+        assert codes == [m.code for m in listed(n, *args)]
 
 
 def test_cap():
@@ -48,6 +65,8 @@ def test_cap():
         all_maps(8)
     with pytest.raises(CapExceeded):
         near_angulations(8, 3)
+    with pytest.raises(KeyError):  # not a root-edge family
+        generate.stream("four_valent", 2)
 
 
 def test_family_caps_checked_before_generation(monkeypatch):
@@ -56,7 +75,15 @@ def test_family_caps_checked_before_generation(monkeypatch):
 
     for name in ("_root_edge_recursion", "near_angulations", "all_maps"):
         monkeypatch.setattr(generate, name, no_generation)
+    monkeypatch.setattr(RootedMap, "__init__", no_generation)
     for family, n, message in (
+            (all_maps, 8, "all_maps cap is 7 edges (asked for 8)"),
+            (lambda n: generate.stream("all_maps", n), 8,
+             "all_maps cap is 7 edges (asked for 8)"),
+            (lambda n: generate.stream("near_angulations", n, 3), 8,
+             "near_angulations cap is 7 edges (asked for 8)"),
+            (lambda n: generate.stream("bipartite_maps", n), 8,
+             "bipartite_maps cap is 7 edges (asked for 8)"),
             (near_triangulations, 8,
              "near_triangulations cap is 7 edges (asked for 8)"),
             (non_separable_near_triangulations, 4,
@@ -78,7 +105,8 @@ def test_negative_sizes_raise():
     for family in (all_maps, bipartite_maps, near_triangulations,
                    eulerian_near_triangulations,
                    non_separable_near_triangulations, quadrangulations,
-                   four_valent, lambda n: near_angulations(n, 3)):
+                   four_valent, lambda n: near_angulations(n, 3),
+                   lambda n: generate.stream("all_maps", n)):
         with pytest.raises(ValueError):
             family(-1)
 

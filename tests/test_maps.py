@@ -185,6 +185,12 @@ def test_validation():
     with pytest.raises(MapError, match="type int"):
         RootedMap.from_json('{"n_darts":2,"alpha":[true,false],'
                             '"sigma":[0,1],"root":true}')
+    # the standard alpha skips the permutation and involution checks of
+    # alpha, but not the type check (1.0 == 1) nor the checks of sigma
+    with pytest.raises(MapError, match="darts must be of type int"):
+        RootedMap((1.0, 0.0, 3.0, 2.0), (1, 2, 3, 0), 0)
+    with pytest.raises(MapError, match="alpha and sigma must be permutations"):
+        RootedMap((1, 0, 3, 2), (1, 1, 3, 0), 0)
 
 
 def test_euler_formula():

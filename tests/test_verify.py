@@ -45,22 +45,40 @@ def test_failures_are_reported():
         in verify.format_report(bad, "plain")
 
 
-def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
+def _run_refusing(monkeypatch, list_from, stream_from):
+    """verify.run() with all_maps(n) refused for n >= list_from and
+    generate.stream("all_maps", n) for n >= stream_from."""
     from tuttelab import generate
-    unpatched = generate.all_maps
+    lists, streams = generate.all_maps, generate.stream
 
-    def below_seven(n, *args, **kwargs):
-        if n >= 7:
+    def all_maps(n, *args, **kwargs):
+        if n >= list_from:
             raise AssertionError(f"all_maps({n}) called")
-        return unpatched(n, *args, **kwargs)
+        return lists(n, *args, **kwargs)
+
+    def stream(family, n, *args):
+        if family == "all_maps" and n >= stream_from:
+            raise AssertionError(f"stream('all_maps', {n}) called")
+        return streams(family, n, *args)
 
     for module in (generate, verify):
-        monkeypatch.setattr(module, "all_maps", below_seven)
+        monkeypatch.setattr(module, "all_maps", all_maps)
+        monkeypatch.setattr(module, "stream", stream)
     # the formula checks are memoised; run them again under the patch
     for check in (verify.bipolar_formula_vs_brute_force,
                   verify.bipolar_tri_formula_vs_brute_force,
                   verify.tree_rooted_formula_vs_brute_force,
                   verify.tree_rooted_tri_formula_vs_brute_force):
         check.cache_clear()
-    results = verify.run()
+    return verify.run()
+
+
+def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
+    results = _run_refusing(monkeypatch, 7, 7)
+    assert len(results) == 118 and verify.all_pass(results)
+
+
+def test_verify_all_keeps_no_six_edge_list(monkeypatch):
+    # the 6-edge maps are only counted and summed, so they are streamed
+    results = _run_refusing(monkeypatch, 6, 7)
     assert len(results) == 118 and verify.all_pass(results)
