@@ -97,3 +97,21 @@ def test_expansion_text_is_pinned(name, order, symbolic, numeric):
     assert digest(expand(eq, order)) == symbolic
     point = {k: POINT[k] for k in PARAM_VARS[eq]}
     assert (digest(expand(eq, order, point)) if point else None) == numeric
+
+
+# sha256 prefixes of repr(expand(eq, order, POINT)) above verify's orders:
+# the products of these expansions accumulate Fraction coefficients with
+# many distinct denominators, the hard case of the polynomial product.
+@pytest.mark.parametrize("name,order,numeric", [
+    ("POTTS_MAPS", 7, "ab0d4a68876356df"),
+    ("TUTTE_MAPS", 5, "eb230fea0cb8e79d"),
+    ("TUTTE_NONSEP_TRI", 9, "9382be686196dd6b"),
+    ("POTTS_QUASI_TRI", 8, "94a05cbbc3e3090c"),
+    ("TUTTE_QUASI_TRI", 8, "4e9a6ba9b7fb852a"),
+    ("BIPOLAR_MAPS", 10, "664d6e964d64c5ef"),
+])
+def test_numeric_expansion_is_pinned_above_verify_orders(name, order, numeric):
+    eq = EquationId[name]
+    point = {k: POINT[k] for k in PARAM_VARS[eq]}
+    text = repr(expand(eq, order, point))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == numeric
