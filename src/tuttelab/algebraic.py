@@ -186,13 +186,5 @@ _CHECKS = {
 }
 
 
-def check_algebraic(name: str, order: int = None) -> bool:
-    """Run one named algebraic check; order defaults per check."""
-    if name not in _CHECKS:
-        raise KeyError(f"unknown algebraic check {name!r}")
-    fn = _CHECKS[name]
-    return fn() if order is None else fn(order)
-
-
 def all_algebraic_checks() -> dict:
     return {name: fn() for name, fn in _CHECKS.items()}

@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tuttelab.equations import EquationId, expand
-from tuttelab.poly import MultiPoly
+from tuttelab.poly import MultiPoly, exact
 from tuttelab.series import TSeries
 
 
@@ -154,7 +154,7 @@ def solve_de_maps(q, nu, w, N):
     undetermined) exactly at nu = 1 and at q in {0, 4}; all other rational
     parameter points tried solve uniquely.
     """
-    q, nu, w = Fraction(q), Fraction(nu), Fraction(w)
+    q, nu, w = (Fraction(exact(v)) for v in (q, nu, w))
     b = nu - 1
     c0 = w * (q + 2 * b) - 1 - nu
     delta0 = MultiPoly.const(q * nu + b * b) - q * (nu + 1) * V + q * V ** 2
@@ -210,7 +210,7 @@ def check_de_maps(q, nu, w, N=6) -> bool:
     """The reconstructed M(1,1) agrees with the functional-equation iterate."""
     _, _, _, m11 = solve_de_maps(q, nu, w, N)
     ref = expand(EquationId.POTTS_MAPS, N,
-                 {"q": Fraction(q), "nu": Fraction(nu), "w": Fraction(w)})
+                 {"q": q, "nu": nu, "w": w})
     return m11 == ref.subs({"x": 1, "y": 1})
 
 
@@ -221,7 +221,7 @@ def solve_de_tri(q, N):
     coefficients, and T2 the reconstructed chromatic generating function of
     non-separable near-triangulations of outer degree 2, all to order N.
     """
-    q = Fraction(q)
+    q = Fraction(exact(q))
     if q == 4:
         raise ValueError("T2 extraction is singular at q = 4")
     delta = V + MultiPoly.const(4 - q)
@@ -263,7 +263,7 @@ def solve_de_tri(q, N):
 def tri_t2_series(q, N) -> TSeries:
     """T_2(q,z;1) by functional-equation iteration: the y^2 coefficient at
     x = 1 of the non-separable near-triangulation series."""
-    full = expand(EquationId.TUTTE_NONSEP_TRI, N, {"q": Fraction(q)})
+    full = expand(EquationId.TUTTE_NONSEP_TRI, N, {"q": q})
     return full.subs({"x": 1}).coeff_of("y", 2)
 
 
@@ -281,7 +281,7 @@ def check_tutte_ode(q, N=12) -> bool:
     exactly to the order supported by a z-order-N expansion of T_2.  Also
     checks that T_2 is supported on even z-powers (an Euler-relation parity
     consequence), so H is a genuine series in t."""
-    q = Fraction(q)
+    q = Fraction(exact(q))
     t2 = tri_t2_series(q, N)
     if any(not t2.coeff(n).is_zero() for n in range(1, N + 1, 2)):
         raise DESolveError("T2 has odd-order z terms", 0)

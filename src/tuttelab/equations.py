@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from tuttelab.poly import MultiPoly
@@ -111,7 +110,7 @@ def _params(eq, params):
     def p(name):
         if name in params:
             v = params[name]
-            return v if isinstance(v, MultiPoly) else MultiPoly.const(Fraction(v))
+            return v if isinstance(v, MultiPoly) else MultiPoly.const(v)
         return MultiPoly.var(name)
 
     return p
@@ -341,7 +340,8 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         return MultiPoly.var("y", s.root_face_degree // per)
 
     def degrees(s):
-        return MultiPoly.var("x", s.root_vertex_degree) * outer(s)
+        return MultiPoly(("x", "y"), {(s.root_vertex_degree,
+                                       s.root_face_degree): 1})
 
     w_pow, z_pow = (lru_cache(maxsize=None)(p.__pow__) for p in (w, z))
 
@@ -395,7 +395,7 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         return _Stats(extra(m), m.n_vertices, m.n_faces,
                       m.root_vertex_degree, m.root_face_degree)
 
-    coeffs = [MultiPoly.sum(k * weight(s)
+    coeffs = [MultiPoly.dot((weight(s), k)
                             for s, k in Counter(map(stats, maps(n))).items())
               for n in range(order + 1)]
     return TSeries(MAIN_VAR[eq], order, coeffs)

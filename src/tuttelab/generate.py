@@ -109,30 +109,6 @@ def near_angulations(n: int, p: int):
     return _by_code(stream("near_angulations", n, p))
 
 
-@lru_cache(maxsize=None)
-def _count_by_degree(n: int) -> dict:
-    """{root_face_degree: number of n-edge maps}, by the same recursion."""
-    if n == 0:
-        return {0: 1}
-    out: dict = {}
-    for d, c in _count_by_degree(n - 1).items():
-        for k in range(d + 1):
-            out[k + 1] = out.get(k + 1, 0) + c
-    for e1 in range(n):
-        left = _count_by_degree(e1)
-        right = _count_by_degree(n - 1 - e1)
-        for d1, c1 in left.items():
-            for d2, c2 in right.items():
-                d = d1 + d2 + 2
-                out[d] = out.get(d, 0) + c1 * c2
-    return out
-
-
-def count_maps(n: int) -> int:
-    """Number of rooted planar maps with n edges (count-only recursion)."""
-    return sum(_count_by_degree(n).values())
-
-
 def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
     """Independent enumeration by filtering all rotation systems.
 
@@ -312,7 +288,6 @@ def colouring_sum(m: RootedMap, q: int, nu=None):
         mono = sum(1 for a, b in edges if col[a] == col[b])
         counts[mono] = counts.get(mono, 0) + 1
     if nu is None:
-        return MultiPoly.sum(c * MultiPoly.var("nu", mono)
-                             for mono, c in counts.items())
+        return MultiPoly(("nu",), {(mono,): c for mono, c in counts.items()})
     nu = Fraction(nu)
     return sum(c * nu ** mono for mono, c in counts.items())

@@ -28,13 +28,25 @@ and only the operand whose tuple differs is repacked, by a layout that is
 cached per pair of tuples (a shift when its variables sit together in the
 union).  `terms()` yields the (exponent tuple, coefficient) pairs, so the
 packed keys stay private to this module.
+
+Products and sums are fraction-free (Geddes, Czapor & Labahn, "Algorithms
+for Computer Algebra", 1992, ch. 2).  `dot` scales each operand to integer
+numerators by the lcm of its denominators, and adds the integer products
+into one dict over a running common denominator, which grows, and
+rescales the dict, only when a pair's denominator does not divide it.
+`*`, `+`, `-` and `sum` are all `dot`.  A result keeps that integer
+form, with its denominator reduced to the lcm, so the next `dot` reads it
+as it is; the Fraction coefficients are built once, on first use by
+anything else, and then replace it.  A chain of ring operations thus
+builds no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import index, or_
+from math import gcd, lcm
+from operator import index, mul, or_
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -54,7 +66,9 @@ def _var_key(name: str):
     return (_VAR_RANK.get(name, len(_VAR_RANK)), name)
 
 
-def _norm_scalar(c) -> Scalar:
+def exact(c) -> Scalar:
+    """c as a stored coefficient: an int, or a Fraction that is not
+    integral.  Anything else, floats included, raises TypeError."""
     if type(c) is int:  # the common case, before the slower ABC checks
         return c
     if isinstance(c, Fraction):
@@ -64,16 +78,13 @@ def _norm_scalar(c) -> Scalar:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-def _clean(terms: dict) -> dict:
-    """The nonzero terms, with integral Fractions stored as ints (the same
-    dict when there is nothing to drop or convert)."""
-    values = terms.values()
-    if Fraction in set(map(type, values)):
-        return {k: c if type(c) is int else c.numerator if c.denominator == 1
-                else c for k, c in terms.items() if c}
-    if 0 in values:
-        return {k: c for k, c in terms.items() if c}
-    return terms
+def _integral(terms: dict):
+    """(d, {key: c * d}) with d the lcm of the denominators; d = 1 and the
+    same dict when every coefficient is an int."""
+    if set(map(type, terms.values())) <= {int}:
+        return 1, terms
+    d = lcm(*{c.denominator for c in terms.values()})
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +167,13 @@ def _repack(terms: dict, old: tuple, new: tuple) -> dict:
     return out
 
 
-def _from_terms(vars_: tuple, terms: dict) -> "MultiPoly":
+def _from_terms(vars_: tuple, terms) -> "MultiPoly":
     """Trusted constructor: `terms` is {packed key over vars_: nonzero
-    normalised coefficient}.  No polynomial mutates its dict, so results
-    may share one."""
+    normalised coefficient}, or their `_integral` (see `_terms`).  No
+    polynomial mutates its dicts, so results may share them."""
     p = object.__new__(MultiPoly)
     p.vars = vars_
-    p._terms = terms
+    p._t = terms
     return p
 
 
@@ -175,7 +186,7 @@ class MultiPoly:
     variable sets mix freely.
     """
 
-    __slots__ = ("vars", "_terms")
+    __slots__ = ("vars", "_t")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Scalar] | None = None):
         self.vars = tuple(vars)
@@ -183,16 +194,16 @@ class MultiPoly:
         t = {}
         if terms:
             for exps, c in terms.items():
-                c = _norm_scalar(c)
+                c = exact(c)
                 if c:
                     t[_pack(tuple(exps), n)] = c
-        self._terms = t
+        self._t = t
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        c = _norm_scalar(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = exact(c)
         return _from_terms((), {0: c} if c else {})
 
     @staticmethod
@@ -209,29 +220,66 @@ class MultiPoly:
 
     @staticmethod
     def sum(polys: Iterable) -> "MultiPoly":
-        """The sum of polynomials or scalars, added into one dict.
+        """The sum of polynomials or scalars, as `dot` with ones."""
+        return MultiPoly.dot((p, _ONE) for p in polys)
 
-        Equal to the left fold of + from zero, variables included: the
-        result is over the union of the input variables, sorted.  The
-        input is consumed as it is produced, one term at a time.
+    @staticmethod
+    def dot(pairs: Iterable) -> "MultiPoly":
+        """sum(p * q for p, q in pairs), for polynomials or scalars.
+
+        Equal to the left fold of + over the products, variables included:
+        the result is over the union of the input variables, sorted.  The
+        products are added as integers over one running common denominator
+        (see the module docstring), one pair at a time as it is produced.
         """
-        vars_: tuple = ()
-        out: dict = {}
-        get = out.get
-        for p in polys:
-            p = MultiPoly._coerce(p)
-            terms = p._terms
-            if p.vars != vars_:
-                union = _union(vars_, p.vars)
-                if union != vars_:
-                    out = _repack(out, vars_, union)
+        vars_, out, d, moved = (), {}, 1, False
+        for p, q in pairs:
+            (pv, da, a), (qv, db, b) = _operand(p), _operand(q)
+            # a constant (vars ()) fits every layout as it is
+            if pv not in (vars_, ()) or qv not in (vars_, ()):
+                new = _union(vars_, _union(pv, qv))
+                out, a, b = (_repack(out, vars_, new), _repack(a, pv, new),
+                             _repack(b, qv, new))
+                vars_ = new
+            m = da * db
+            if d % m:
+                f = lcm(d, m) // d
+                out = {k: n * f for k, n in out.items()}
+                d *= f
+            if len(a) >= len(b):  # b is the larger, and ONE in a sum is a
+                a, b = b, a
+            moved = moved or len(a) > 1 or 0 not in a  # keys of b can move
+            get, s = out.get, d // m
+            for k1, c1 in a.items():
+                c1 *= s
+                if not out:  # the first row fills the empty dict
+                    out = dict(b) if not k1 and c1 == 1 else {
+                        k1 + k2: c1 * c2 for k2, c2 in b.items()}
                     get = out.get
-                    vars_ = union
-                if p.vars != vars_:
-                    terms = _repack(terms, p.vars, vars_)
-            for k, c in terms.items():
-                out[k] = get(k, 0) + c
-        return _from_terms(vars_, _clean(out))
+                    continue
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        g = gcd(d, *out.values()) if d > 1 else 1
+        if g > 1 or 0 in out.values():  # then d is the lcm of the reduced
+            d //= g                      # denominators, as in _integral
+            out = {k: n // g for k, n in out.items() if n}
+        if moved:
+            _check(out, len(vars_))
+        return _from_terms(vars_, (d, out))
+
+    @property
+    def _terms(self) -> dict:
+        """{packed key: coefficient}.  A `dot` result keeps its `_integral`
+        instead; if that has a denominator, the first use by anything but
+        `dot` replaces it with these."""
+        t = self._t
+        if type(t) is tuple:
+            d, t = t
+            if d > 1:
+                t = self._t = {k: n // d if n % d == 0 else Fraction(n, d)
+                               for k, n in t.items()}
+        return t
 
     # -- basic queries ------------------------------------------------------
 
@@ -241,7 +289,7 @@ class MultiPoly:
         return ((_unpack(k, n), c) for k, c in self._terms.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def is_constant(self) -> bool:
         t = self._terms
@@ -312,52 +360,25 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented  # defer to the other operand (e.g. TSeries)
-        other = self._coerce(other)
-        vars_, a, b = self._aligned(other)
-        out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            out[k] = get(k, 0) + c
-        return _from_terms(vars_, _clean(out))
+        return MultiPoly.dot(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_terms(self.vars, {k: -c for k, c in self._terms.items()})
+        return MultiPoly.dot(((self, _MINUS_ONE),))
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return MultiPoly.dot(((self, _ONE), (other, _MINUS_ONE)))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return MultiPoly.dot(((other, _ONE), (self, _MINUS_ONE)))
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return _from_terms(self.vars, _clean(
-                {k: c * other for k, c in self._terms.items()}))
-        vars_, a, b = self._aligned(other)
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return _from_terms(vars_, {})
-        if len(a) == 1:  # a monomial (often a constant) times b
-            (k0, c0), = a.items()
-            if not k0:
-                return _from_terms(vars_, _clean({k: c * c0 for k, c in b.items()}))
-            out = _clean({k + k0: c * c0 for k, c in b.items()})
-        else:
-            out = {}
-            get = out.get
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-            out = _clean(out)
-        return _from_terms(vars_, _check(out, len(vars_)))
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
+        return MultiPoly.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -395,7 +416,8 @@ class MultiPoly:
         return hash((vars_, frozenset(canon.items())))
 
     def __bool__(self):
-        return bool(self._terms)
+        t = self._t
+        return bool(t[1] if type(t) is tuple else t)
 
     def _live(self) -> list:
         """Indices of the variables that occur with a nonzero exponent."""
@@ -470,14 +492,12 @@ class MultiPoly:
                     table.append(table[-1] * base)
             return table[abs(k)]
 
-        def term(exps, terms):
-            out = _from_terms(keep, terms)
-            for name, k in zip(subbed, exps):
-                if k:
-                    out = out * mono_pow(name, k)
-            return out
+        def value(exps):  # the product of the group's substituted powers
+            pows = [mono_pow(name, k) for name, k in zip(subbed, exps) if k]
+            return reduce(mul, pows) if pows else _ONE
 
-        return MultiPoly.sum(term(e, t) for e, t in groups.items())
+        return MultiPoly.dot((_from_terms(keep, t), value(e))
+                             for e, t in groups.items())
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent monomial)."""
@@ -485,12 +505,13 @@ class MultiPoly:
             raise ValueError(f"not a monomial: {self}")
         (k, c), = self._terms.items()
         return _from_terms(self.vars, _check(
-            _clean({-k: Fraction(1) / Fraction(c)}), len(self.vars)))
+            {-k: exact(1 / Fraction(c))}, len(self.vars)))
 
     def eval(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate fully at rational points; every live variable needs a value."""
         total = Fraction(0)
-        vals = [Fraction(values[v]) if v in values else None for v in self.vars]
+        vals = [Fraction(exact(values[v])) if v in values else None
+                for v in self.vars]
         for exps, c in self.terms():
             prod = Fraction(c)
             for i, e in enumerate(exps):
@@ -499,7 +520,7 @@ class MultiPoly:
                         raise ValueError(f"no value for variable {self.vars[i]}")
                     prod *= vals[i] ** e
             total += prod
-        return _norm_scalar(total)
+        return exact(total)
 
     # -- exact division --------------------------------------------------------
 
@@ -521,7 +542,8 @@ class MultiPoly:
         out: dict = {}
         carry = _from_terms(self.vars, {})
         for p in range(max(parts), -1, -1):
-            carry = parts[p] + carry * c if p in parts else carry * c
+            carry = MultiPoly.dot(((parts[p], 1), (carry, c)) if p in parts
+                                  else ((carry, c),))
             if p > 0:
                 shift = (p - 1) << s
                 out.update((k + shift, v) for k, v in carry._terms.items())
@@ -569,7 +591,7 @@ class MultiPoly:
             qc = rem[e] / lead_c
             if qc.denominator == 1:  # keep integer coefficients integers
                 qc = qc.numerator
-            quot[diff] = quot.get(diff, 0) + qc
+            quot[diff] = qc  # diff falls strictly, so each key is new
             for be, bc in b.items():
                 key = diff + be
                 s = rem.get(key, 0) - qc * bc
@@ -577,7 +599,7 @@ class MultiPoly:
                     rem[key] = s
                 elif key in rem:
                     del rem[key]
-        return _from_terms(vars_, _clean(quot))
+        return _from_terms(vars_, quot)
 
     # -- differentiation ---------------------------------------------------------
 
@@ -585,7 +607,8 @@ class MultiPoly:
         if name not in self.vars:
             return _from_terms(self.vars, {})
         return _from_terms(self.vars, _check(
-            {k - (1 << s): c * e for e, s, k, c in self._exponents(name) if e},
+            {k - (1 << s): exact(c * e) for e, s, k, c in self._exponents(name)
+             if e},
             len(self.vars)))
 
     # -- rendering -----------------------------------------------------------------
@@ -629,22 +652,36 @@ class MultiPoly:
         return " ".join(pieces)
 
 
+# in the integer form that `dot` reads as it is
+_ONE, _MINUS_ONE = _from_terms((), (1, {0: 1})), _from_terms((), (1, {0: -1}))
+
+
+def _operand(p):
+    """(vars, d, integer numerators) of a polynomial or an exact scalar."""
+    if isinstance(p, MultiPoly):
+        t = p._t
+        return (p.vars, *t) if type(t) is tuple else (p.vars, *_integral(t))
+    c = exact(p)
+    return (), c.denominator, {0: c.numerator} if c else {}
+
+
 def lagrange_interpolate(points) -> "MultiPoly":
     """Univariate-style interpolation through (q_value, MultiPoly value) pairs.
 
     Returns the unique polynomial in q of degree < len(points) (with the
     given polynomial values as coefficients of the other variables) passing
     through all points.  It is built in Newton form: the divided differences
-    of the values, then a Horner evaluation in q, one product per point.
+    of the values, then a Horner evaluation in q, one `dot` per step.
     """
     points = list(points)
     xs = [Fraction(x) for x, _ in points]
     coeffs = [MultiPoly._coerce(y) for _, y in points]
     for k in range(1, len(xs)):
         for i in range(len(xs) - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
+            h = 1 / (xs[i] - xs[i - k])
+            coeffs[i] = MultiPoly.dot(((coeffs[i], h), (coeffs[i - 1], -h)))
     q = MultiPoly.var("q")
     out = MultiPoly.zero()
     for x, c in zip(reversed(xs), reversed(coeffs)):
-        out = out * (q - x) + c
+        out = MultiPoly.dot(((out, q), (out, -x), (c, _ONE)))
     return out

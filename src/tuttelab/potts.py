@@ -28,6 +28,7 @@ from tuttelab.poly import MultiPoly, lagrange_interpolate
 
 NU = MultiPoly.var("nu")
 MU = MultiPoly.var("mu")
+NU1 = NU - 1
 
 
 # Equal polynomials from different keys share one object, so the memo
@@ -58,7 +59,7 @@ def _potts_of_key(v, edges):
             label = [*range(b), a, *range(b, v - 1)]
             contracted = _potts_of_key(v - 1, _edge_key(
                 (label[x], label[y]) for x, y in rest))
-            p = deleted + (NU - 1) * contracted
+            p = MultiPoly.dot(((deleted, 1), (NU1, contracted)))
     return _distinct.setdefault(p, p)
 
 
@@ -80,8 +81,8 @@ def potts_subset_oracle(m: RootedMap) -> MultiPoly:
     """Fortuin-Kasteleyn expansion: sum over edge subsets S of
     q^{c(S)} (nu-1)^{|S|}, with c(S) counting connected components."""
     counts = _subset_counts(m)
-    nu1 = _powers(NU - 1, max(r for _, r in counts))
-    return MultiPoly.sum(k * MultiPoly.var("q", c) * nu1[r]
+    nu1 = _powers(NU1, max(r for _, r in counts))
+    return MultiPoly.dot((MultiPoly(("q",), {(c,): k}), nu1[r])
                          for (c, r), k in counts.items())
 
 
@@ -131,9 +132,12 @@ def tutte(m: RootedMap) -> MultiPoly:
     v = m.n_vertices
     counts = _subset_counts(m)
     mu1 = _powers(MU - 1, max(c for c, _ in counts) - 1)
-    nu1 = _powers(NU - 1, max(r + c for c, r in counts) - v)
-    return MultiPoly.sum(k * mu1[c - 1] * nu1[r + c - v]
-                         for (c, r), k in counts.items())
+    nu1 = _powers(NU1, max(r + c for c, r in counts) - v)
+    by_c: dict = {}  # one product by each power of (mu-1)
+    for (c, r), k in counts.items():
+        by_c.setdefault(c, []).append((nu1[r + c - v], k))
+    return MultiPoly.dot((mu1[c - 1], MultiPoly.dot(pairs))
+                         for c, pairs in by_c.items())
 
 
 def potts_from_tutte(m: RootedMap) -> MultiPoly:
@@ -147,8 +151,9 @@ def potts_from_tutte(m: RootedMap) -> MultiPoly:
     terms = [(c, i + 1, j - i - 1 + v)
              for i, ci in shifted.by_powers("mu").items()
              for j, c in ci.by_powers("nu").items()]
-    nu1 = _powers(NU - 1, max((k for _, _, k in terms), default=0))
-    return MultiPoly.sum(c * MultiPoly.var("q", i) * nu1[k] for c, i, k in terms)
+    nu1 = _powers(NU1, max((k for _, _, k in terms), default=0))
+    return MultiPoly.dot((MultiPoly(("q",), {(i,): c.constant_value()}),
+                          nu1[k]) for c, i, k in terms)
 
 
 def duality_check(m: RootedMap) -> bool:
@@ -174,7 +179,7 @@ def _cleared_nu_dual_sub(p: MultiPoly, e: int) -> MultiPoly:
     """Substitute nu -> 1 + q/(nu-1) into a (q, nu)-polynomial and clear the
     denominators by (nu-1)^e: each (nu-1)^k factor becomes q^k (nu-1)^{e-k}."""
     shifted = p.subs({"nu": NU + 1})  # now nu stands for nu - 1
-    nu1 = _powers(NU - 1, e)
+    nu1 = _powers(NU1, e)
     return MultiPoly.sum(c * MultiPoly.var("q", k) * nu1[e - k]
                          for k, c in shifted.by_powers("nu").items())
 

@@ -111,7 +111,9 @@ class TSeries:
         return TSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        n = min(self.order, o.order)
+        return TSeries(self.var, n, [self.coeffs[i] - o.coeffs[i] for i in range(n + 1)])
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -123,7 +125,7 @@ class TSeries:
         o = self._coerce(other)
         n = min(self.order, o.order)
         a, b = self.coeffs, o.coeffs
-        out = [MultiPoly.sum(a[i] * b[k - i] for i in range(k + 1)
+        out = [MultiPoly.dot((a[i], b[k - i]) for i in range(k + 1)
                              if a[i] and b[k - i])
                for k in range(n + 1)]
         return TSeries(self.var, n, out)
@@ -168,7 +170,7 @@ class TSeries:
         inv0 = Fraction(1, 1) / c0.constant_value()
         out = [MultiPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = MultiPoly.sum(self.coeffs[i] * out[n - i]
+            acc = MultiPoly.dot((self.coeffs[i], out[n - i])
                                 for i in range(1, n + 1))
             out.append(acc * MultiPoly.const(-inv0))
         return TSeries(self.var, self.order, out)

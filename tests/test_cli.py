@@ -160,6 +160,10 @@ def test_series_expand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["equation"] == "POTTS_MAPS" and data["order"] == 1
+    # a decimal string is read as the exact decimal, never as a float
+    code, out, _ = run_cli(capsys, "series", "expand", "--eq", "BIPOLAR_MAPS",
+                           "--order", "1", "--set", "w=0.1")
+    assert code == 0 and out.splitlines()[1] == "t^1: 1/10*x*y^2"
 
 
 def test_series_unknown_equation(capsys):

@@ -54,6 +54,16 @@ def test_solutions_are_pinned():
     assert digest(solve_de_tri(Fraction(3), 12)) == "e96dc4e79909bce4"
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: solve_de_maps(Fraction(5, 2), 0.5, 1, 2),
+    lambda: solve_de_tri(2.5, 4),
+    lambda: check_tutte_ode(0.1, 4),
+])
+def test_float_parameters_are_not_exact(solve):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        solve()
+
+
 @pytest.mark.parametrize("q, nu", [(2, 1), (0, 2), (4, 2)])
 def test_degenerate_maps_points_raise(q, nu):
     with pytest.raises(DESolveError, match="coefficients remain undetermined"):

@@ -62,6 +62,8 @@ def test_errors():
         expand("NOPE", 2)
     with pytest.raises(ValueError):
         expand(EquationId.MAPS_1CAT, 2, {"q": 2})
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        expand(EquationId.BIPOLAR_MAPS, 1, {"w": 0.1})
 
 
 # sha256 prefixes of repr(expand(eq, order)) at verify's orders, and at the

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tuttelab.poly import MultiPoly, lagrange_interpolate
+from tuttelab.poly import MultiPoly, _integral, _operand, lagrange_interpolate
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -70,6 +70,7 @@ def test_subs_and_eval():
 def test_diff():
     p = q ** 3 + 2 * q - 5
     assert p.diff("q") == 3 * q ** 2 + 2
+    assert ref((q ** 2 / 2).diff("q")) == {(("q", 1),): 1}  # an int, too
 
 
 def test_interpolation():
@@ -138,6 +139,17 @@ def test_sum_is_the_left_fold(ps):
 
 def test_sum_of_nothing_is_zero():
     assert MultiPoly.sum([]).is_zero() and MultiPoly.sum([]).vars == ()
+    assert MultiPoly.dot([]).is_zero() and MultiPoly.dot([]).vars == ()
+
+
+def test_floats_are_not_exact_scalars():
+    for bad in (lambda: MultiPoly.const(0.1),
+                lambda: MultiPoly(("x",), {(1,): 0.25}),
+                lambda: x.eval({"x": 0.5})):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            bad()
+    with pytest.raises(TypeError):
+        x + 0.5
 
 
 nonzero = st.fractions(min_value=-3, max_value=3,
@@ -227,6 +239,35 @@ def sorted_polys(draw, exps=st.integers(-2, 3)):
     terms = draw(st.dictionaries(st.tuples(*[exps for _ in vars_]), scalars,
                                  max_size=5))
     return MultiPoly(vars_, terms)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.one_of(polys_in(), scalars),
+                          st.one_of(polys_in(), scalars)), max_size=5))
+def test_dot_is_the_left_fold_of_products(pairs):
+    def poly(v):
+        return v if isinstance(v, MultiPoly) else MultiPoly.const(v)
+
+    fold, want = MultiPoly.zero(), {}
+    for p, q in pairs:
+        fold = fold + p * q
+        want = ref_add(want, ref_mul(ref(poly(p)), ref(poly(q))))
+    got = MultiPoly.dot(iter(pairs))
+    kept = _operand(got)  # the integer form the result keeps
+    assert ref(got) == want  # ref checks: nonzero, and ints when integral
+    assert got == fold and got.vars == fold.vars and str(got) == str(fold)
+    # the running denominator ends as the lcm of the reduced denominators
+    assert kept == (got.vars, *_integral(got._terms))
+
+
+def test_dot_over_distinct_denominators():
+    a = Fraction(1, 3) * x + Fraction(2, 5) * y + Fraction(1, 7)
+    b = Fraction(3, 4) * x - Fraction(1, 6) * q
+    assert MultiPoly.dot([(a, b), (-a, b), (b, a - a)]).is_zero()
+    assert MultiPoly.dot([(a, b), (b, -a)]).vars == ("q", "x", "y")
+    ints = MultiPoly.dot([(x / 3, 3), (y / 10, Fraction(5, 2) * y), (a, 21)])
+    assert ints == 8 * x + y * y / 4 + Fraction(42, 5) * y + 3
+    assert ref(ints)[(("x", 1),)] == 8  # ref checks: an int, not 8/1
 
 
 @settings(deadline=None)

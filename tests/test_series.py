@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_poly import nonzero, polys_in, ref, ref_add, ref_mul
 from tuttelab.poly import MultiPoly
 from tuttelab.series import SeriesError, TSeries, fixed_point
 
@@ -116,3 +118,39 @@ def test_expansions_are_consistent_across_orders():
         for k in range(3):
             low = expand(eq, k)
             assert low.order == k and low == expand(eq, k + 1).truncate(k)
+
+
+# -- products against a naive convolution over tuple-keyed coefficients ------
+
+coeff_lists = st.lists(polys_in(), min_size=1, max_size=5)
+
+
+def convolve(a, b, order):
+    """[sum(a[i] * b[k - i] for i <= k) for k <= order], on references."""
+    a = a + [{}] * (order + 1 - len(a))
+    b = b + [{}] * (order + 1 - len(b))
+    out = []
+    for k in range(order + 1):
+        acc = {}
+        for i in range(k + 1):
+            acc = ref_add(acc, ref_mul(a[i], b[k - i]))
+        out.append(acc)
+    return out
+
+
+@settings(deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_product_is_the_naive_convolution(a, b):
+    order = max(len(a), len(b)) - 1
+    got = TSeries("t", order, a) * TSeries("t", order, b)
+    assert [ref(c) for c in got.coeffs] == convolve(
+        [ref(c) for c in a], [ref(c) for c in b], order)
+
+
+@settings(deadline=None)
+@given(nonzero, coeff_lists)
+def test_inverse_convolves_to_one(c0, rest):
+    s = TSeries("t", len(rest), [c0] + rest)
+    one = convolve([ref(c) for c in s.coeffs],
+                   [ref(c) for c in s.inverse().coeffs], s.order)
+    assert one == [{(): 1}] + [{}] * s.order
