@@ -154,3 +154,21 @@ def test_inverse_convolves_to_one(c0, rest):
     one = convolve([ref(c) for c in s.coeffs],
                    [ref(c) for c in s.inverse().coeffs], s.order)
     assert one == [{(): 1}] + [{}] * s.order
+
+
+# sha256 prefixes of repr() of the fixed points that expand does not cover,
+# at the orders verify uses them.
+@pytest.mark.parametrize("module,name,order,digest", [
+    ("kernels", "V_series", 6, "cbec358628783eb1"),
+    ("kernels", "U_series", 6, "0938a4fda5964735"),
+    ("algebraic", "blossoming_T", 10, "7ac2cdaaf607a087"),
+    ("algebraic", "ising_parametrisation_series", 6, "44b00b34d3f834bb"),
+    ("algebraic", "three_colour_parametrisation_series", 6,
+     "0231eb26fed7113c"),
+])
+def test_fixed_point_series_are_pinned(module, name, order, digest):
+    import hashlib
+    import importlib
+    fn = getattr(importlib.import_module(f"tuttelab.{module}"), name)
+    text = repr(fn(order))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
