@@ -32,7 +32,7 @@ def check_maps_quadratic(order: int = 10) -> bool:
 def blossoming_T(order: int) -> TSeries:
     """T = 1 + 3t T^2, the generating function of blossoming trees."""
     t = TSeries.t("t", order)
-    return fixed_point(lambda T: 1 + 3 * t * T * T, "t", order, seed=1)
+    return fixed_point(lambda T: 1 + 3 * t * T * T, "t", order)
 
 
 def check_blossoming_system(order: int = 10) -> bool:
@@ -60,7 +60,7 @@ def check_nt1_parametrisation(order: int = 10) -> bool:
     t = TSeries.t("t", order)
     Xp = fixed_point(
         lambda Xs: t ** 3 * ((1 - 2 * Xs) * (1 - 4 * Xs)).inverse(),
-        "t", order, seed=0)
+        "t", order)
     lhs = nt1_series(order).shift(1)
     rhs = Xp * (1 - 6 * Xp) * (1 - 4 * Xp).inverse()
     return lhs == rhs
@@ -92,7 +92,7 @@ def ising_parametrisation_series(order: int) -> TSeries:
         den = Ss.compose_poly(Qd, S)
         return t * num * num * den.inverse()
 
-    Ss = fixed_point(step, "t", order, seed=0)
+    Ss = fixed_point(step, "t", order)
     R = _poly_in_S([
         (6, NU ** 3),
         (5, 2 * NU ** 2 * (1 - NU)),
@@ -124,7 +124,7 @@ def three_colour_parametrisation_series(order: int) -> TSeries:
     def step(Ss):
         return t * (1 + 2 * Ss) ** 3 * (1 - 2 * Ss ** 3).inverse()
 
-    Ss = fixed_point(step, "t", order, seed=0)
+    Ss = fixed_point(step, "t", order)
     num = (1 + 2 * Ss) * (1 - 2 * Ss ** 2 - 4 * Ss ** 3 - 4 * Ss ** 4)
     den = (1 - 2 * Ss ** 3)
     return num * (den * den).inverse()

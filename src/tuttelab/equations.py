@@ -213,7 +213,7 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
             cross = (t * x * m1y * m).apply(lambda c: c.divexact(q))
             return (seed + cross.div_monomial("y", 1)
                     + t * x * ddy - t * (x ** 2 * y) * ddx)
-        return fixed_point(step, var, order, seed=seed)
+        return fixed_point(step, var, order)
 
     if eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
         nu, z = p("nu"), p("z")
@@ -250,7 +250,6 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
     if eq is EquationId.BIPOLAR_MAPS:
         w = p("w")
         kern = (1 - x) * (1 - y)
-        seed = TSeries.const(x * y ** 2 * w, var, order)
 
         def step(b):
             b1y = b.subs({"x": 1})
@@ -261,7 +260,7 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
                    - t * (x * y * w * (1 - y)) * b
                    - t * (x * y * (1 - x)) * b)
             return rhs.apply(lambda c: c.divexact(kern))
-        return fixed_point(step, var, order, seed=TSeries.zero(var, order))
+        return fixed_point(step, var, order)
 
     if eq is EquationId.BIPOLAR_TRI:
         seed_poly = x * y ** 2
@@ -276,7 +275,7 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
                    + (t * (x * xm1) * b).div_monomial("y", 1)
                    + t * (x ** 2 * y) * b)
             return rhs.div_linear("x", 1)
-        return fixed_point(step, var, order, seed=TSeries.zero(var, order))
+        return fixed_point(step, var, order)
 
     raise UnknownEquation(f"unknown equation {eq!r}")  # pragma: no cover
 

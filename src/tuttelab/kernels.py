@@ -42,7 +42,7 @@ def V_series(order: int) -> TSeries:
     Coefficients are Laurent polynomials in u with w, z ordinary."""
     t = TSeries.t("t", order)
     return fixed_point(lambda V: t * (Z + (U + W * UB) * V + V * V),
-                       "t", order, seed=0)
+                       "t", order)
 
 
 def U_series(order: int) -> TSeries:
@@ -50,7 +50,7 @@ def U_series(order: int) -> TSeries:
     U = t (y + U/y) / (1 - U y).  Coefficients are Laurent in y."""
     t = TSeries.t("t", order)
     return fixed_point(lambda Us: t * (Y + Us * YB) * (1 - Us * Y).inverse(),
-                       "t", order, seed=0)
+                       "t", order)
 
 
 def X_of_u(order: int) -> TSeries:
@@ -218,7 +218,7 @@ def bipolar_maps_extracted(order: int) -> TSeries:
     num = (ONE - UB * VB) * (U * VB - W * UB) * (UB * V_ - VB * WB)
     L = (ONE + UB) * (ONE + VB) * (U + V_ * W)
     t = TSeries.t("t", order)
-    D = fixed_point(lambda g: 1 + t * L * g, "t", order, seed=1)
+    D = fixed_point(lambda g: 1 + t * L * g, "t", order)
     return (D * num).nonneg_part("u").nonneg_part("v")
 
 
@@ -242,7 +242,7 @@ def bipolar_maps_nonneg_part_check(order: int = 6) -> bool:
 
 def _one_over_one_minus_ut(order: int) -> TSeries:
     t = TSeries.t("t", order)
-    return fixed_point(lambda g: 1 + t * U * g, "t", order, seed=1)
+    return fixed_point(lambda g: 1 + t * U * g, "t", order)
 
 
 def tree_rooted_S0(order: int) -> TSeries:

@@ -5,14 +5,16 @@ fixed order N, whose coefficients are MultiPoly values in the remaining
 variables (possibly Laurent in designated catalytic variables).  All
 arithmetic is exact and respects the truncation order.
 
-The module also provides the generic fixed-point iterator used to solve
-catalytic functional equations: any equation whose right-hand side carries
-an explicit factor of the main variable in every non-constant term
-determines its coefficients recursively, so the k-th iterate from the
-initial term is exact to order k.  The iteration is graded: round k runs at
-order k, on the previous iterate padded with a zero coefficient, so only
-the last of the N + 1 rounds runs at the full order N.  One more round at
-order N confirms the solution.
+The module also provides the solver of catalytic functional equations
+F = update(F): any equation whose right-hand side carries an explicit
+factor of the main variable in every non-constant term determines the
+coefficient of order n from those of lower order.  fixed_point solves it
+online, the lazy evaluation of McIlroy ("Power series, power serious",
+1999) and van der Hoeven ("Relax, but don't be too lazy", 2002): update is
+called once on a placeholder for F, which builds a graph of the series
+operations, and F's coefficients 0..N are then computed in order, each
+once, from those already known.  One eager round, update(F) == F on the
+resulting TSeries, confirms the solution.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tuttelab.poly import MultiPoly
+
+_NOT_CONTRACTING = ("fixed-point iteration did not stabilize; "
+                    "the equation is not contracting in the main variable")
 
 
 class SeriesError(ValueError):
@@ -34,7 +39,111 @@ def _as_poly(c) -> MultiPoly:
     raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
 
 
-class TSeries:
+def _product_coeff(a, b, n: int) -> MultiPoly:
+    """[var^n] of A * B, whose coefficients are read by a(i) and b(j): one
+    MultiPoly.dot over the pairs.  Of each pair the factor of lower index is
+    read first, and the other is not read when that one is zero, so a
+    product of online series never reads what a zero factor makes moot."""
+    pairs = []
+    for i in range(n + 1):
+        j = n - i
+        if i <= j:
+            p = a(i)
+            if p and (q := b(j)):
+                pairs.append((p, q))
+        else:
+            q = b(j)
+            if q and (p := a(i)):
+                pairs.append((p, q))
+    return MultiPoly.dot(pairs)
+
+
+def _inverse_coeff(a, out: list, n: int) -> MultiPoly:
+    """[var^n] of 1/A, whose coefficients are read by a(i), from out[:n],
+    the coefficients of 1/A below n.  A's constant term must be a nonzero
+    rational constant."""
+    if n:
+        return MultiPoly.dot((a(i), out[n - i])
+                             for i in range(1, n + 1)) * -out[0]
+    c0 = a(0)
+    if not c0.is_constant() or c0.is_zero():
+        raise SeriesError("series inverse requires a nonzero constant term")
+    return MultiPoly.const(Fraction(1, 1) / c0.constant_value())
+
+
+class _SeriesOps:
+    """The operations written once on top of apply, * and inverse, for both
+    TSeries and the online series of fixed_point."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        """other as a series in the same main variable: a TSeries or a node
+        (for which TSeries operators return NotImplemented, so that the
+        node's reflected operator builds the result)."""
+        if isinstance(other, (TSeries, _Node)):
+            if other.var != self.var:
+                raise SeriesError("main variables differ")
+            return other
+        return TSeries.const(other, self.var, self.order)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = TSeries.const(1, self.var, self.order)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def subs(self, mapping):
+        """Substitute values/polynomials into the coefficient variables."""
+        if self.var in mapping:
+            raise SeriesError("cannot substitute the main variable")
+        return self.apply(lambda c: c.subs(mapping))
+
+    def div_linear(self, name, a):
+        """Divided difference: divide every coefficient by (name - a), exactly."""
+        return self.apply(lambda c: c.div_linear(name, a))
+
+    def div_monomial(self, name, k=1):
+        """Multiply every coefficient by name^-k (Laurent shift)."""
+        return self.apply(lambda c: c.div_monomial(name, k))
+
+    def part(self, name, lo=None, hi=None):
+        """Keep the coefficient terms whose exponent of `name` is in [lo, hi]."""
+        return self.apply(lambda c: c.part(name, lo=lo, hi=hi))
+
+    def positive_part(self, name):
+        return self.part(name, lo=1)
+
+    def nonneg_part(self, name):
+        return self.part(name, lo=0)
+
+    def coeff_of(self, name, power):
+        """The series of [name^power] extracted from every coefficient."""
+        return self.apply(lambda c: c.coeff(name, power))
+
+    def diff(self, name):
+        """Derivative with respect to a coefficient variable."""
+        return self.apply(lambda c: c.diff(name))
+
+    def compose_poly(self, p: MultiPoly, name):
+        """Evaluate a polynomial in `name` at this series (other variables of
+        p become coefficient variables).  Requires self to have zero constant
+        term unless p is an ordinary polynomial."""
+        out = TSeries.zero(self.var, self.order)
+        for k, c in sorted(p.by_powers(name).items()):
+            if k < 0:
+                raise SeriesError("negative powers need an invertible argument")
+            out = out + self ** k * c
+        return out
+
+
+class TSeries(_SeriesOps):
 
     __slots__ = ("var", "order", "coeffs")
 
@@ -91,17 +200,12 @@ class TSeries:
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O({self.var}^{self.order + 1})>"
 
-    def _coerce(self, other):
-        if isinstance(other, TSeries):
-            if other.var != self.var:
-                raise SeriesError("main variables differ")
-            return other
-        return TSeries.const(other, self.var, self.order)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
+        if isinstance(o, _Node):
+            return NotImplemented
         n = min(self.order, o.order)
         return TSeries(self.var, n, [self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
 
@@ -112,6 +216,8 @@ class TSeries:
 
     def __sub__(self, other):
         o = self._coerce(other)
+        if isinstance(o, _Node):
+            return NotImplemented
         n = min(self.order, o.order)
         return TSeries(self.var, n, [self.coeffs[i] - o.coeffs[i] for i in range(n + 1)])
 
@@ -123,26 +229,13 @@ class TSeries:
             p = _as_poly(other)
             return TSeries(self.var, self.order, [c * p for c in self.coeffs])
         o = self._coerce(other)
+        if isinstance(o, _Node):
+            return NotImplemented
         n = min(self.order, o.order)
-        a, b = self.coeffs, o.coeffs
-        out = [MultiPoly.dot((a[i], b[k - i]) for i in range(k + 1)
-                             if a[i] and b[k - i])
-               for k in range(n + 1)]
-        return TSeries(self.var, n, out)
+        a, b = self.coeffs.__getitem__, o.coeffs.__getitem__
+        return TSeries(self.var, n, [_product_coeff(a, b, k) for k in range(n + 1)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = TSeries.const(1, self.var, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def shift(self, k: int = 1) -> "TSeries":
         """Multiply by var^k (k >= 0), keeping the truncation order."""
@@ -164,21 +257,17 @@ class TSeries:
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; the constant coefficient must be a unit
         (a nonzero rational constant)."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant() or c0.is_zero():
-            raise SeriesError("series inverse requires a nonzero constant term")
-        inv0 = Fraction(1, 1) / c0.constant_value()
-        out = [MultiPoly.const(inv0)]
-        for n in range(1, self.order + 1):
-            acc = MultiPoly.dot((self.coeffs[i], out[n - i])
-                                for i in range(1, n + 1))
-            out.append(acc * MultiPoly.const(-inv0))
+        a, out = self.coeffs.__getitem__, []
+        for n in range(self.order + 1):
+            out.append(_inverse_coeff(a, out, n))
         return TSeries(self.var, self.order, out)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1, 1) / Fraction(other))
         o = self._coerce(other)
+        if isinstance(o, _Node):
+            return NotImplemented
         return self * o.inverse()
 
     # -- coefficient-wise operations -------------------------------------------
@@ -186,53 +275,10 @@ class TSeries:
     def apply(self, fn) -> "TSeries":
         return TSeries(self.var, self.order, [fn(c) for c in self.coeffs])
 
-    def subs(self, mapping) -> "TSeries":
-        """Substitute values/polynomials into the coefficient variables."""
-        if self.var in mapping:
-            raise SeriesError("cannot substitute the main variable")
-        return self.apply(lambda c: c.subs(mapping))
-
-    def div_linear(self, name, a) -> "TSeries":
-        """Divided difference: divide every coefficient by (name - a), exactly."""
-        return self.apply(lambda c: c.div_linear(name, a))
-
-    def div_monomial(self, name, k=1) -> "TSeries":
-        """Multiply every coefficient by name^-k (Laurent shift)."""
-        return self.apply(lambda c: c.div_monomial(name, k))
-
-    def part(self, name, lo=None, hi=None) -> "TSeries":
-        """Keep the coefficient terms whose exponent of `name` is in [lo, hi]."""
-        return self.apply(lambda c: c.part(name, lo=lo, hi=hi))
-
-    def positive_part(self, name) -> "TSeries":
-        return self.part(name, lo=1)
-
-    def nonneg_part(self, name) -> "TSeries":
-        return self.part(name, lo=0)
-
-    def coeff_of(self, name, power) -> "TSeries":
-        """The series of [name^power] extracted from every coefficient."""
-        return self.apply(lambda c: c.coeff(name, power))
-
     def diff_main(self) -> "TSeries":
         """d/d(var); the order drops by one."""
         return TSeries(self.var, self.order - 1,
                        [(n + 1) * self.coeffs[n + 1] for n in range(self.order)])
-
-    def diff(self, name) -> "TSeries":
-        """Derivative with respect to a coefficient variable."""
-        return self.apply(lambda c: c.diff(name))
-
-    def compose_poly(self, p: MultiPoly, name) -> "TSeries":
-        """Evaluate a polynomial in `name` at this series (other variables of
-        p become coefficient variables).  Requires self to have zero constant
-        term unless p is an ordinary polynomial."""
-        out = TSeries.zero(self.var, self.order)
-        for k, c in sorted(p.by_powers(name).items()):
-            if k < 0:
-                raise SeriesError("negative powers need an invertible argument")
-            out = out + self ** k * c
-        return out
 
     def as_poly(self, t_name=None) -> MultiPoly:
         """The truncated series as a MultiPoly in the main variable."""
@@ -242,23 +288,223 @@ class TSeries:
                              if not c.is_zero())
 
 
-def fixed_point(update, var, order, seed=1) -> TSeries:
-    """Solve F = update(F) by graded iteration from the given initial term.
+# -- online series -------------------------------------------------------------
 
-    The update must be contracting: its value at order n may depend only on
-    coefficients of orders < n (true whenever every non-constant term of the
-    right-hand side carries an explicit factor of the main variable).  Then
-    the iterate of round k is exact to order k, so round k runs on the
-    previous iterate truncated (zero-padded) to order k, and the last round
-    runs at full order.  One more full-order round confirms the solution; if
-    it moves, the equation is not of this shape and a SeriesError is raised.
+
+def _reader(s):
+    """The coefficient lookup n -> [var^n] of a TSeries or a node."""
+    return s.coeffs.__getitem__ if isinstance(s, TSeries) else s.__getitem__
+
+
+def _val(s) -> int:
+    """A lower bound of the valuation of a TSeries or a node: the index
+    below which every coefficient is zero."""
+    if isinstance(s, _Node):
+        return s.val
+    return next((n for n, c in enumerate(s.coeffs) if c), s.order + 1)
+
+
+class _Node(_SeriesOps):
+    """An online series: a node of the graph that one call of the update
+    builds in fixed_point.  s[n] computes coefficient n from the operands'
+    coefficients (an operand is a node or a TSeries).  Below the valuation
+    bound `val` it is zero and reads nothing: a product with a factor of
+    zero constant term never reads the other factor at order 0.  A node
+    read more than once per coefficient (`uses` > 1, set by _count_uses)
+    keeps its coefficients and computes them in order; the others keep
+    nothing, since each of their coefficients is read once."""
+
+    __slots__ = ("var", "order", "val", "operands", "uses", "cs")
+    #: whether the node reads each coefficient of its operands many times
+    many = False
+
+    def __init__(self, order, val, *operands):
+        self.var = operands[0].var
+        self.order = min(order, *(s.order for s in operands))
+        self.val = val
+        self.operands = [s for s in operands if isinstance(s, _Node)]
+        self.uses = 0
+        self.cs = []
+
+    def __getitem__(self, n: int) -> MultiPoly:
+        if n < self.val:
+            return MultiPoly.zero()
+        cs = self.cs
+        if n < len(cs):
+            return cs[n]
+        if self.uses < 2:
+            return self._coeff(n)
+        while len(cs) <= n:
+            cs.append(self._coeff(len(cs)))
+        return cs[n]
+
+    def __add__(self, other):
+        return _Map(MultiPoly.__add__, self, self._coerce(other))
+
+    def __radd__(self, other):
+        return _Map(MultiPoly.__add__, self._coerce(other), self)
+
+    def __sub__(self, other):
+        return _Map(MultiPoly.__sub__, self, self._coerce(other))
+
+    def __rsub__(self, other):
+        return _Map(MultiPoly.__sub__, self._coerce(other), self)
+
+    def __neg__(self):
+        return self.apply(MultiPoly.__neg__)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            return _Shift(0, _as_poly(other), self)
+        return _product(self, self._coerce(other))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            return _Shift(0, _as_poly(other), self)
+        return _product(self._coerce(other), self)
+
+    def inverse(self):
+        return _Inverse(self)
+
+    def apply(self, fn):
+        return _Map(fn, self)
+
+
+class _Unknown(_Node):
+    """F, whose coefficients fixed_point appends in order.  Reading the one
+    being computed means the update is not contracting."""
+
+    __slots__ = ()
+
+    def __init__(self, var, order):
+        self.var, self.order, self.val = var, order, 0
+        self.operands, self.uses, self.cs = [], 2, []
+
+    def __getitem__(self, n: int) -> MultiPoly:
+        if n < len(self.cs):
+            return self.cs[n]
+        raise SeriesError(_NOT_CONTRACTING)
+
+
+class _Map(_Node):
+    """fn of the operands' coefficients of each order: a coefficient-wise
+    operation, a sum or a difference.  fn of zeros is zero, as for every
+    such operation (the eager confirmation of fixed_point would catch a
+    violation)."""
+
+    __slots__ = ("fn", "readers")
+
+    def __init__(self, fn, *operands):
+        super().__init__(operands[0].order, min(map(_val, operands)),
+                         *operands)
+        self.fn, self.readers = fn, [_reader(s) for s in operands]
+
+    def _coeff(self, n):
+        return self.fn(*[r(n) for r in self.readers])
+
+
+class _Shift(_Node):
+    """var^k c A for a polynomial c and a node A; a nested shift is folded
+    into one."""
+
+    __slots__ = ("k", "c", "unit", "inner")
+
+    def __init__(self, k, c, a, order=None):
+        order = a.order if order is None else min(order, a.order)
+        if isinstance(a, _Shift):
+            k, c, a = k + a.k, c * a.c, a.inner
+        super().__init__(order, k + a.val, a)
+        self.k, self.c, self.unit, self.inner = k, c, c == 1, a
+
+    def _coeff(self, n):
+        p = self.inner[n - self.k]
+        return p if self.unit else p * self.c
+
+
+class _Product(_Node):
+    __slots__ = ("a", "b")
+    many = True
+
+    def __init__(self, a, b):
+        super().__init__(a.order, _val(a) + _val(b), a, b)
+        self.a, self.b = _reader(a), _reader(b)
+
+    def _coeff(self, n):
+        return _product_coeff(self.a, self.b, n)
+
+
+class _Inverse(_Node):
+    """1/A; it reads its own coefficients, so it always keeps them."""
+
+    __slots__ = ("a",)
+    many = True
+
+    def __init__(self, a):
+        super().__init__(a.order, 0, a)
+        self.a, self.uses = _reader(a), 2
+
+    def _coeff(self, n):
+        return _inverse_coeff(self.a, self.cs, n)
+
+
+def _product(a, b):
+    """A * B for two series, at least one of them a node.  A factor var^k c
+    (a TSeries with one nonzero coefficient, or a shift) is taken out of the
+    product, (var^k c A) B = var^k c (A B), so the product keeps fewer
+    coefficients and reads none of A's above n - k."""
+    order = min(a.order, b.order)
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, TSeries):
+            nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
+            if len(nonzero) == 1:
+                k, c = nonzero[0]
+                if k == 0 and c == 1 and y.order == order:
+                    return y
+                return _Shift(k, c, y, order)
+        elif isinstance(x, _Shift):
+            return _Shift(x.k, x.c, _product(x.inner, y), order)
+    return _Product(a, b)
+
+
+def _count_uses(root):
+    """Set `uses` of every node below root: its reads per coefficient."""
+    stack, seen = [root], {id(root)}
+    while stack:
+        node = stack.pop()
+        for s in node.operands:
+            s.uses += 2 if node.many else 1
+            if id(s) not in seen:
+                seen.add(id(s))
+                stack.append(s)
+
+
+def _solve_online(update, var, order) -> TSeries:
+    """The online solve of fixed_point; its graph is released on return."""
+    F = _Unknown(var, order)
+    root = update(F)
+    if not isinstance(root, _Node):
+        return root
+    _count_uses(root)
+    for n in range(root.order + 1):
+        F.cs.append(root[n])
+    return TSeries(var, root.order, F.cs)
+
+
+def fixed_point(update, var, order) -> TSeries:
+    """Solve F = update(F) online, to the given order.
+
+    The update must be contracting: its coefficient of order n may depend
+    only on coefficients of F of orders < n (true whenever every
+    non-constant term of the right-hand side carries an explicit factor of
+    the main variable).  update is called once on a placeholder for F,
+    which records the operations; then each coefficient of F is computed
+    once, in order, from those below it, and a SeriesError is raised if one
+    reads itself.  The graph is then released, and one eager round,
+    update(F) == F, confirms the solution with the TSeries arithmetic.
     """
-    f = TSeries.const(seed, var, order) if not isinstance(seed, TSeries) else seed
-    for k in range(order + 1):
-        f = update(f.truncate(k))
+    f = _solve_online(update, var, order)
     if f.order != order:
         raise SeriesError(f"the update returned order {f.order}, not {order}")
     if update(f) != f:
-        raise SeriesError("fixed-point iteration did not stabilize; "
-                          "the equation is not contracting in the main variable")
+        raise SeriesError(_NOT_CONTRACTING)
     return f

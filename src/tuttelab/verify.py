@@ -243,10 +243,10 @@ _EQ_CAPS = (
     ("BIP", 5),
     ("EULER_NT", 2),
     ("POTTS_MAPS", 4),
-    ("TUTTE_MAPS", 3),
+    ("TUTTE_MAPS", 4),
     ("TUTTE_NONSEP_TRI", 3),
-    ("POTTS_QUASI_TRI", 4),
-    ("TUTTE_QUASI_TRI", 4),
+    ("POTTS_QUASI_TRI", 5),
+    ("TUTTE_QUASI_TRI", 5),
     ("BIPOLAR_MAPS", 5),
     ("BIPOLAR_TRI", 3),
 )

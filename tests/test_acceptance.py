@@ -126,7 +126,7 @@ def test_09_bipartite_series_identity():
 
 # sha256 of `verify all --json`: the report must not change when checks move
 VERIFY_ALL_SHA256 = (
-    "fec6e158bca596612a190dd037847561a0c934e7ecb74da898f9ff7e96d78ffd")
+    "bf218daa96a3722f4b533970a7688ff45976c1b268898d301694024802c6a363")
 
 
 def test_10_verify_all_deterministic():

@@ -55,6 +55,8 @@ def test_parameter_specialization_commutes():
 def test_q2_catalytic_relation():
     assert quasi_tri_q2_relation_holds(EquationId.POTTS_QUASI_TRI, 4,
                                        {"q": 2})
+    for name in ("POTTS_QUASI_TRI", "TUTTE_QUASI_TRI"):
+        assert quasi_tri_q2_relation_holds(EquationId[name], 8)
 
 
 def test_errors():

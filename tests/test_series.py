@@ -58,14 +58,29 @@ def test_truncation_order_tracking():
 
 def test_fixed_point_catalan():
     t = TSeries.t("t", 8)
-    cat = fixed_point(lambda f: 1 + t * f * f, "t", 8)
-    assert [cat.coeff(n).constant_value() for n in range(6)] \
-        == [1, 1, 2, 5, 14, 42]
+    for update in (lambda f: 1 + t * f * f, lambda f: 1 + f * f * t,
+                   lambda f: 1 + f * (t * f)):
+        cat = fixed_point(update, "t", 8)
+        assert [cat.coeff(n).constant_value() for n in range(9)] \
+            == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
 def test_fixed_point_requires_contraction():
-    with pytest.raises(SeriesError):
-        fixed_point(lambda f: f + 1, "t", 3)
+    for update in (lambda f: f + 1, lambda f: 1 + f * f):
+        with pytest.raises(SeriesError, match="not contracting"):
+            fixed_point(update, "t", 3)
+
+
+def test_fixed_point_calls_the_update_twice():
+    t = TSeries.t("t", 6)
+    calls = []
+
+    def update(f):
+        calls.append(f)
+        return 1 + t * f * f
+
+    fixed_point(update, "t", 6)
+    assert len(calls) == 2 and calls[1] == fixed_point(update, "t", 6)
 
 
 def test_compose_poly():
@@ -82,7 +97,7 @@ def test_eval_with_fractions():
 
 def plain_iteration(update, var, order, seed):
     """Full-order iteration, order + 1 rounds: the definition that the
-    graded fixed_point must reproduce."""
+    online fixed_point must reproduce."""
     f = TSeries.const(seed, var, order)
     for _ in range(order + 1):
         f = update(f)
@@ -108,8 +123,70 @@ def test_fixed_point_equals_plain_iteration():
         (lambda f: 1 + t * y * f * f + t * (x - y) * f.subs({"y": 1}), x),
     ]
     for update, seed in updates:
-        assert fixed_point(update, "t", order, seed=seed) \
+        assert fixed_point(update, "t", order) \
             == plain_iteration(update, "t", order, seed)
+
+
+# Random contracting updates: 1 + (a term with a factor of t), where t
+# stands on either side of a product, alone or as t + t^2, and the other
+# factors mix F, constants, subs and inverses.
+ORDER = 5
+leaf_trees = st.sampled_from([("F",), ("F",), ("c", 1), ("c", 2), ("y",)])
+any_trees = st.recursive(leaf_trees, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
+    st.tuples(st.sampled_from(["subs", "inv"]), kids)), max_leaves=5)
+small_trees = st.tuples(
+    st.sampled_from(["t*a", "a*t", "e*a", "a*e", "a*(t*b)", "a*(e*b)"]),
+    any_trees, any_trees)
+
+
+def build(tree, f, t):
+    """The series (or polynomial) of a tree at F = f, main variable t."""
+    op, *args = tree
+    if op == "F":
+        return f
+    if op == "c":
+        return MultiPoly.const(args[0])
+    if op == "y":
+        return y
+    kids = [build(k, f, t) for k in args]
+    e = t + t * t
+    if op == "subs":
+        return kids[0].subs({"y": 1})
+    if op == "inv":
+        return (1 - kids[0] * t).inverse()
+    a, b = kids
+    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+            "t*a": lambda: t * a, "a*t": lambda: a * t,
+            "e*a": lambda: e * a, "a*e": lambda: a * e,
+            "a*(t*b)": lambda: a * (t * b),
+            "a*(e*b)": lambda: a * (e * b)}[op]()
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_trees)
+def test_random_contracting_updates_match_plain_iteration(tree):
+    t = TSeries.t("t", ORDER)
+
+    def update(f):
+        return 1 + build(tree, f, t)
+
+    assert fixed_point(update, "t", ORDER) \
+        == plain_iteration(update, "t", ORDER, 1)
+
+
+# sha256 prefixes of repr(expand(eq, order)) far above verify's orders: the
+# online solve computes a coefficient from a graph of fixed depth, so its
+# recursion does not grow with the order.
+@pytest.mark.parametrize("name,order,digest", [
+    ("NT", 60, "78887033ede9a522"),
+    ("MAPS_1CAT", 30, "9ad0a008015fe4f3"),
+])
+def test_high_order_expansions_are_pinned(name, order, digest):
+    import hashlib
+    from tuttelab.equations import EquationId, expand
+    text = repr(expand(EquationId[name], order))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_expansions_are_consistent_across_orders():
