@@ -12,14 +12,15 @@ stream(family, n, ...) yields the n-edge maps of one of these three
 families unsorted, built from the memoised lists of the smaller sizes, and
 keeps none of them.  The memoised lists sort what it yields by canonical
 code, so output is deterministic.  A caller that only counts or sums the
-top size streams it: the `maps(n) generator` rows of verify count the
-stream, and equations.brute_force_gf sums over it at its order, so verify
-never holds the 6-edge maps.
+top size streams it: equations.brute_force_gf sums over it at its order,
+and verify reads both its `maps(n) generator` rows and its MAPS_1CAT
+equation row off one such sum, so verify streams the 6-edge maps once and
+never holds them.
 
-all_maps_oracle is an independent check: it enumerates every rotation
-system on 2n darts with a fixed edge involution and fixed root, filters the
-connected genus-0 ones, and deduplicates.  It is exponential and capped at
-small n.
+all_maps_oracle is an independent check: it enumerates the rotation
+systems on 2n darts with a fixed edge involution and fixed root, up to a
+relabelling of the non-root edges, filters the connected genus-0 ones, and
+deduplicates.  It is exponential and capped at small n.
 
 The remaining generators derive the other standard sub-families
 (quadrangulations, 4-valent maps, Eulerian and non-separable
@@ -110,11 +111,14 @@ def near_angulations(n: int, p: int):
 
 
 def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
-    """Independent enumeration by filtering all rotation systems.
+    """Independent enumeration by filtering rotation systems.
 
     alpha is fixed to (0 1)(2 3)...; the root is dart 0.  Every rooted map
     has such a representative, so deduplicating by canonical code yields the
-    full list.
+    full list.  Only the sigmas with sigma(0) in {0, 1, 2} are tried: a
+    relabelling of the non-root edges (permuting them, swapping the two
+    darts of one) keeps alpha and the root and turns a representative with
+    any other sigma(0) into one with sigma(0) = 2.
     """
     if n > cap:
         raise CapExceeded(f"oracle cap is {cap} edges (asked for {n})")
@@ -123,11 +127,13 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
     darts = 2 * n
     alpha = [d + 1 if d % 2 == 0 else d - 1 for d in range(darts)]
     out = set()
-    for sigma in itertools.permutations(range(darts)):
-        try:
-            out.add(RootedMap(alpha, sigma, 0))
-        except MapError:
-            continue
+    for first in range(min(3, darts)):
+        others = [d for d in range(darts) if d != first]
+        for rest in itertools.permutations(others):
+            try:
+                out.add(RootedMap(alpha, (first, *rest), 0))
+            except MapError:
+                continue
     return _by_code(out)
 
 
@@ -279,10 +285,14 @@ def colouring_sum(m: RootedMap, q: int, nu=None):
     With nu=None the result is a MultiPoly in nu; a rational nu gives an
     exact rational value.
     """
+    return graph_colouring_sum(m.n_vertices, m.multigraph_edges(), q, nu)
+
+
+def graph_colouring_sum(v: int, edges, q: int, nu=None):
+    """colouring_sum of the multigraph on vertices 0..v-1 with the given
+    (vertex, vertex) edges."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    v = m.n_vertices
-    edges = m.multigraph_edges()
     counts: dict = {}
     for col in itertools.product(range(q), repeat=v):
         mono = sum(1 for a, b in edges if col[a] == col[b])

@@ -90,11 +90,18 @@ def potts_by_interpolation(m: RootedMap) -> MultiPoly:
     """Potts polynomial recovered from integer-q colouring sums.
 
     Evaluates the colouring oracle at q = 1 .. v+1 plus the forced value 0
-    at q = 0 and interpolates; the degree in q is at most v."""
-    from tuttelab.generate import colouring_sum
-    v = m.n_vertices
+    at q = 0 and interpolates; the degree in q is at most v.  Memoised on
+    the labelled multigraph: the vertex count and the sorted edge pairs,
+    each low end first."""
+    return _interpolated(m.n_vertices, tuple(sorted(
+        (a, b) if a <= b else (b, a) for a, b in m.multigraph_edges())))
+
+
+@lru_cache(maxsize=None)
+def _interpolated(v, edges):
+    from tuttelab.generate import graph_colouring_sum
     points = [(0, MultiPoly.zero())]
-    points += [(k, colouring_sum(m, k)) for k in range(1, v + 2)]
+    points += [(k, graph_colouring_sum(v, edges, k)) for k in range(1, v + 2)]
     return lagrange_interpolate(points)
 
 

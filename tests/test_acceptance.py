@@ -126,7 +126,7 @@ def test_09_bipartite_series_identity():
 
 # sha256 of `verify all --json`: the report must not change when checks move
 VERIFY_ALL_SHA256 = (
-    "bf218daa96a3722f4b533970a7688ff45976c1b268898d301694024802c6a363")
+    "8dc38670699494c93a2fb11cfe5163e0ef7da0cd83cb01722ce2a1434a550eb8")
 
 
 def test_10_verify_all_deterministic():

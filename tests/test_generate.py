@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from tuttelab import closed_forms as cf
 from tuttelab import generate
 from tuttelab.generate import (CapExceeded, all_bipolar_orientations,
-                               all_maps, all_spanning_trees, bipartite_maps,
-                               colouring_sum,
+                               all_maps, all_maps_oracle, all_spanning_trees,
+                               bipartite_maps, colouring_sum,
                                eulerian_near_triangulations, four_valent,
                                near_angulations, near_triangulations,
                                non_separable_near_triangulations,
@@ -177,3 +178,28 @@ def test_proper_colourings_of_an_edge():
     q = MultiPoly.var("q")
     assert potts(m).subs({"nu": 0}) == q * (q - 1)
     assert colouring_sum(m, 3, 0) == 6
+
+
+def _unrestricted_oracle_codes(n):
+    # every sigma on 2n darts, alpha = (0 1)(2 3)..., root 0, by code
+    alpha = [d ^ 1 for d in range(2 * n)]
+    codes = set()
+    for sigma in itertools.permutations(range(2 * n)):
+        try:
+            codes.add(RootedMap(alpha, sigma, 0).code)
+        except MapError:
+            continue
+    return sorted(codes)
+
+
+def test_oracle_loses_no_map_to_its_restriction():
+    # the oracle tries only sigma(0) in {0, 1, 2}
+    for n in range(1, 4):
+        assert [m.code for m in all_maps_oracle(n)] \
+            == _unrestricted_oracle_codes(n)
+
+
+def test_oracle_equals_generator():
+    for n in range(5):
+        assert [m.code for m in all_maps_oracle(n)] \
+            == [m.code for m in all_maps(n)]

@@ -1,5 +1,7 @@
 import itertools
 
+import tuttelab.potts as potts_mod
+
 from tuttelab.generate import all_maps
 from tuttelab.maps import RootedMap
 from tuttelab.poly import MultiPoly
@@ -32,7 +34,6 @@ def test_three_methods_agree():
 
 def test_potts_from_tutte_reads_tutte(monkeypatch):
     # the Tutte route must depend on tutte(), not recompute P another way
-    import tuttelab.potts as potts_mod
     m = all_maps(2)[0]
     right = tutte(m)
     monkeypatch.setattr(potts_mod, "tutte", lambda _: 2 * right)
@@ -115,3 +116,21 @@ def test_chromatic_small():
     assert chromatic_poly(RootedMap.link()) == q * (q - 1)
     assert spanning_tree_count(RootedMap.link()) == 1
     assert spanning_tree_count(RootedMap.loop()) == 1
+
+
+def test_interpolation_is_memoised_on_the_labelled_multigraph():
+    # maps rooted differently over one labelled multigraph share a result;
+    # loops vs links and different vertex counts each get their own
+    maps = all_maps(2)
+    groups = {}
+    for m in maps:
+        groups.setdefault(_labelled_key(m), []).append(m)
+    assert {v for v, _ in groups} == {1, 2, 3}
+    assert (2, ((0, 0), (0, 1))) in groups and (2, ((0, 1), (0, 1))) in groups
+    potts_mod._interpolated.cache_clear()
+    for g in groups.values():
+        first = potts_by_interpolation(g[0])
+        assert first == potts(g[0])
+        assert all(potts_by_interpolation(m) is first for m in g[1:])
+    assert max(len(g) for g in groups.values()) > 1
+    assert potts_mod._interpolated.cache_info().misses == len(groups)

@@ -63,14 +63,19 @@ def _run_refusing(monkeypatch, list_from, stream_from):
 
     for module in (generate, verify):
         monkeypatch.setattr(module, "all_maps", all_maps)
-        monkeypatch.setattr(module, "stream", stream)
-    # the formula checks are memoised; run them again under the patch
+    monkeypatch.setattr(generate, "stream", stream)
+    _clear_memoised_checks()
+    return verify.run()
+
+
+def _clear_memoised_checks():
+    # the brute-force checks are memoised; run them again under a patch
     for check in (verify.bipolar_formula_vs_brute_force,
                   verify.bipolar_tri_formula_vs_brute_force,
                   verify.tree_rooted_formula_vs_brute_force,
-                  verify.tree_rooted_tri_formula_vs_brute_force):
+                  verify.tree_rooted_tri_formula_vs_brute_force,
+                  verify.maps_brute_force_gf):
         check.cache_clear()
-    return verify.run()
 
 
 def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
@@ -82,3 +87,19 @@ def test_verify_all_keeps_no_six_edge_list(monkeypatch):
     # the 6-edge maps are only counted and summed, so they are streamed
     results = _run_refusing(monkeypatch, 6, 7)
     assert len(results) == 118 and verify.all_pass(results)
+
+
+def test_verify_all_streams_the_six_edge_maps_once(monkeypatch):
+    # the counts and equations suites share one brute-force series
+    from tuttelab import generate
+    streams, calls = generate.stream, []
+
+    def stream(family, n, *args):
+        calls.append((family, n))
+        return streams(family, n, *args)
+
+    monkeypatch.setattr(generate, "stream", stream)
+    _clear_memoised_checks()
+    results = verify.run()
+    assert len(results) == 118 and verify.all_pass(results)
+    assert calls.count(("all_maps", 6)) == 1
