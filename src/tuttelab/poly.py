@@ -19,26 +19,25 @@ Exponents must lie in [-8192, 8192): the sum of two such digits still fits
 its field, and every operation that can move an exponent checks its result
 and raises OverflowError rather than carry into the next variable.
 
-The public constructor takes {exponent tuple: coefficient}, normalises the
-scalars, drops zeros and checks the exponents.  Ring operations build their
-results through the trusted `_from_terms`, which does none of that: they
-keep coefficients nonzero, and integral Fractions as ints, themselves.
+A polynomial stores a positive denominator d and {key: nonzero int
+numerator} with gcd(d, numerators) = 1, so d is the lcm of the reduced
+denominators and equal polynomials have equal forms.  The public
+constructor takes {exponent tuple: coefficient}, normalises the scalars,
+drops zeros and checks the exponents.  Ring operations build their results
+through the trusted `_from_terms`, which only divides out gcd(d,
+numerators): they keep numerators nonzero, and exponents in range, themselves.
 Operands over different variable tuples are aligned on the sorted union,
 and only the operand whose tuple differs is repacked, by a layout that is
 cached per pair of tuples (a shift when its variables sit together in the
 union).  `terms()` yields the (exponent tuple, coefficient) pairs, so the
-packed keys stay private to this module.
+packed keys stay private to this module; it divides by d on the way out.
 
 Products and sums are fraction-free (Geddes, Czapor & Labahn, "Algorithms
-for Computer Algebra", 1992, ch. 2).  `dot` scales each operand to integer
-numerators by the lcm of its denominators, and adds the integer products
-into one dict over a running common denominator, which grows, and
-rescales the dict, only when a pair's denominator does not divide it.
-`*`, `+`, `-` and `sum` are all `dot`.  A result keeps that integer
-form, with its denominator reduced to the lcm, so the next `dot` reads it
-as it is; the Fraction coefficients are built once, on first use by
-anything else, and then replace it.  A chain of ring operations thus
-builds no Fraction.
+for Computer Algebra", 1992, ch. 2).  `dot` adds the products of the stored
+numerators into one dict over a running common denominator, which grows,
+and rescales the dict, only when a pair's denominator does not divide it.
+`*`, `+`, `-` and `sum` are all `dot`; `coeff`, `part`, `subs` and `diff`
+work on the numerators under their d, so ring operations build no Fraction.
 """
 
 from __future__ import annotations
@@ -167,26 +166,36 @@ def _repack(terms: dict, old: tuple, new: tuple) -> dict:
     return out
 
 
-def _from_terms(vars_: tuple, terms) -> "MultiPoly":
-    """Trusted constructor: `terms` is {packed key over vars_: nonzero
-    normalised coefficient}, or their `_integral` (see `_terms`).  No
+def _scalar(n: int, d: int) -> Scalar:
+    """n / d as a stored coefficient."""
+    return n if d == 1 else n // d if n % d == 0 else Fraction(n, d)
+
+
+def _from_terms(vars_: tuple, d: int, terms: dict) -> "MultiPoly":
+    """Trusted constructor: `terms` is {packed key over vars_: nonzero int
+    numerator} over d > 0, and gcd(d, numerators) is divided out here.  No
     polynomial mutates its dicts, so results may share them."""
+    if d > 1:
+        g = gcd(d, *terms.values())
+        if g > 1:
+            d //= g
+            terms = {k: n // g for k, n in terms.items()}
     p = object.__new__(MultiPoly)
-    p.vars = vars_
-    p._t = terms
+    p.vars, p._d, p._t = vars_, d, terms
     return p
 
 
 class MultiPoly:
     """A sparse Laurent polynomial over Q in a fixed tuple of variables.
 
-    Constructed from {exponent tuple: coefficient}; stored under packed int
-    keys (see the module docstring).  Binary operations align the variable
-    tuples of both operands (union, sorted), so polynomials in different
-    variable sets mix freely.
+    Constructed from {exponent tuple: coefficient}; stored as int numerators
+    under packed int keys over one reduced denominator `_d` (see the module
+    docstring).  Binary operations align the variable tuples of both
+    operands (union, sorted), so polynomials in different variable sets mix
+    freely.
     """
 
-    __slots__ = ("vars", "_t")
+    __slots__ = ("vars", "_d", "_t")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Scalar] | None = None):
         self.vars = tuple(vars)
@@ -197,26 +206,26 @@ class MultiPoly:
                 c = exact(c)
                 if c:
                     t[_pack(tuple(exps), n)] = c
-        self._t = t
+        self._d, self._t = _integral(t)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
         c = exact(c)
-        return _from_terms((), {0: c} if c else {})
+        return _from_terms((), c.denominator, {0: c.numerator} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "MultiPoly":
-        return _from_terms((name,), {_pack((power,), 1): 1})
+        return _from_terms((name,), 1, {_pack((power,), 1): 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return _from_terms((), {})
+        return _from_terms((), 1, {})
 
     @staticmethod
     def one() -> "MultiPoly":
-        return _from_terms((), {0: 1})
+        return _from_terms((), 1, {0: 1})
 
     @staticmethod
     def sum(polys: Iterable) -> "MultiPoly":
@@ -260,49 +269,31 @@ class MultiPoly:
                 for k2, c2 in b.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        g = gcd(d, *out.values()) if d > 1 else 1
-        if g > 1 or 0 in out.values():  # then d is the lcm of the reduced
-            d //= g                      # denominators, as in _integral
-            out = {k: n // g for k, n in out.items() if n}
+        if 0 in out.values():
+            out = {k: n for k, n in out.items() if n}
         if moved:
             _check(out, len(vars_))
-        return _from_terms(vars_, (d, out))
-
-    @property
-    def _terms(self) -> dict:
-        """{packed key: coefficient}.  A `dot` result keeps its `_integral`
-        instead; if that has a denominator, the first use by anything but
-        `dot` replaces it with these."""
-        t = self._t
-        if type(t) is tuple:
-            d, t = t
-            if d > 1:
-                t = self._t = {k: n // d if n % d == 0 else Fraction(n, d)
-                               for k, n in t.items()}
-        return t
+        return _from_terms(vars_, d, out)
 
     # -- basic queries ------------------------------------------------------
 
     def terms(self):
         """The (exponent tuple over self.vars, coefficient) pairs."""
-        n = len(self.vars)
-        return ((_unpack(k, n), c) for k, c in self._terms.items())
+        n, d = len(self.vars), self._d
+        return ((_unpack(k, n), _scalar(c, d)) for k, c in self._t.items())
 
     def is_zero(self) -> bool:
         return not self
 
     def is_constant(self) -> bool:
-        t = self._terms
+        t = self._t
         return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Scalar:
         """The value of a constant polynomial (0 for the zero polynomial)."""
-        val = 0
-        for k, c in self._terms.items():
-            if k:
-                raise ValueError(f"not a constant: {self}")
-            val = c
-        return val
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self}")
+        return _scalar(self._t.get(0, 0), self._d)
 
     def _field(self, name: str):
         """Shift and offset for reading the exponent of `name` from a key."""
@@ -311,7 +302,7 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Largest exponent of `name` (0 if the variable does not occur)."""
-        if name not in self.vars or not self._terms:
+        if name not in self.vars or not self._t:
             return 0
         return max(e for e, _, _, _ in self._exponents(name))
 
@@ -320,32 +311,32 @@ class MultiPoly:
 
         Raises on the zero polynomial (its valuation is +infinity).
         """
-        if not self._terms:
+        if not self._t:
             raise ValueError("valuation of zero polynomial")
         if name not in self.vars:
             return 0
         return min(e for e, _, _, _ in self._exponents(name))
 
     def _exponents(self, name: str):
-        """(exponent of `name`, shift, key, coefficient) for every term."""
+        """(exponent of `name`, shift, key, numerator) for every term."""
         s, off = self._field(name)
         return (((((k + off) >> s) & _MASK) - _HALF, s, k, c)
-                for k, c in self._terms.items())
+                for k, c in self._t.items())
 
     # -- variable alignment --------------------------------------------------
 
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
-            return self.vars, self._terms, other._terms
+            return self.vars, self._t, other._t
         union = _union(self.vars, other.vars)
-        a = self._terms if self.vars == union else _repack(self._terms, self.vars, union)
-        b = other._terms if other.vars == union else _repack(other._terms, other.vars, union)
-        return union, a, b
+        return (union, _repack(self._t, self.vars, union),
+                _repack(other._t, other.vars, union))
 
     def in_vars(self, new_vars: Iterable[str]) -> "MultiPoly":
         """Re-express this polynomial over the given variable tuple."""
         new_vars = tuple(new_vars)
-        return _from_terms(new_vars, _repack(self._terms, self.vars, new_vars))
+        return _from_terms(new_vars, self._d,
+                           _repack(self._t, self.vars, new_vars))
 
     # -- ring operations -----------------------------------------------------
 
@@ -404,25 +395,24 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        vars_, a, b = self._aligned(other)
-        return a == b
+        _, a, b = self._aligned(other)
+        return self._d == other._d and a == b
 
     def __hash__(self):
         live = self._live()
         vars_ = tuple(sorted((self.vars[i] for i in live), key=_var_key))
         if not vars_:  # a constant equals, so hashes like, its scalar
-            return hash(self._terms.get(0, 0))
-        canon = _repack(self._terms, self.vars, vars_)
-        return hash((vars_, frozenset(canon.items())))
+            return hash(self.constant_value())
+        canon = _repack(self._t, self.vars, vars_)
+        return hash((vars_, self._d, frozenset(canon.items())))
 
     def __bool__(self):
-        t = self._t
-        return bool(t[1] if type(t) is tuple else t)
+        return bool(self._t)
 
     def _live(self) -> list:
         """Indices of the variables that occur with a nonzero exponent."""
         shifts, off, _, _ = _fields(len(self.vars))
-        seen = reduce(or_, ((k + off) ^ off for k in self._terms), 0)
+        seen = reduce(or_, ((k + off) ^ off for k in self._t), 0)
         return [i for i, s in enumerate(shifts) if (seen >> s) & _MASK]
 
     # -- coefficient extraction ----------------------------------------------
@@ -430,18 +420,20 @@ class MultiPoly:
     def coeff(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name**power, as a polynomial with name removed."""
         if name not in self.vars:
-            return self if power == 0 else _from_terms(self.vars, {})
-        return _from_terms(self.vars, {k - (e << s): c for e, s, k, c
-                                       in self._exponents(name) if e == power})
+            return self if power == 0 else _from_terms(self.vars, 1, {})
+        return _from_terms(self.vars, self._d, {
+            k - (e << s): c for e, s, k, c in self._exponents(name)
+            if e == power})
 
     def by_powers(self, name: str) -> dict:
         """Decompose into {power: coefficient poly (name zeroed out)}."""
         if name not in self.vars:
-            return {0: self} if self._terms else {}
+            return {0: self} if self._t else {}
         out: dict = {}
         for e, s, k, c in self._exponents(name):
             out.setdefault(e, {})[k - (e << s)] = c
-        return {p: _from_terms(self.vars, t) for p, t in sorted(out.items())}
+        return {p: _from_terms(self.vars, self._d, t)
+                for p, t in sorted(out.items())}
 
     def truncate(self, name: str, max_power: int) -> "MultiPoly":
         """Drop all terms with exponent of `name` above max_power."""
@@ -453,8 +445,8 @@ class MultiPoly:
         """Terms whose exponent of `name` lies in [lo, hi] (None = unbounded)."""
         if name not in self.vars:
             keep = (lo is None or lo <= 0) and (hi is None or hi >= 0)
-            return self if keep else _from_terms(self.vars, {})
-        return _from_terms(self.vars, {
+            return self if keep else _from_terms(self.vars, 1, {})
+        return _from_terms(self.vars, self._d, {
             k: c for e, _, k, c in self._exponents(name)
             if (lo is None or e >= lo) and (hi is None or e <= hi)})
 
@@ -465,8 +457,8 @@ class MultiPoly:
 
         Negative exponents are only allowed when the substituted value is an
         invertible monomial (scalar times a single power product).  Terms
-        are grouped by their exponents of the substituted variables, so each
-        distinct group costs one product.
+        are grouped by their exponents of the substituted variables, under
+        this d, so each distinct group costs one product.
         """
         mapping = {k: self._coerce(v) for k, v in mapping.items() if k in self.vars}
         if not mapping:
@@ -477,7 +469,7 @@ class MultiPoly:
         sub_shifts = [s for v, s in zip(self.vars, shifts) if v in mapping]
         moved = _layout(self.vars, keep)[0]  # the kept fields
         groups: dict = {}
-        for k, c in self._terms.items():
+        for k, c in self._t.items():
             u = k + off
             exps = tuple([((u >> s) & _MASK) - _HALF for s in sub_shifts])
             key = sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])
@@ -496,16 +488,17 @@ class MultiPoly:
             pows = [mono_pow(name, k) for name, k in zip(subbed, exps) if k]
             return reduce(mul, pows) if pows else _ONE
 
-        return MultiPoly.dot((_from_terms(keep, t), value(e))
+        return MultiPoly.dot((_from_terms(keep, self._d, t), value(e))
                              for e, t in groups.items())
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent monomial)."""
-        if len(self._terms) != 1:
+        if len(self._t) != 1:
             raise ValueError(f"not a monomial: {self}")
-        (k, c), = self._terms.items()
-        return _from_terms(self.vars, _check(
-            {-k: exact(1 / Fraction(c))}, len(self.vars)))
+        (k, n), = self._t.items()
+        c = Fraction(self._d, n)
+        return _from_terms(self.vars, c.denominator, _check(
+            {-k: c.numerator}, len(self.vars)))
 
     def eval(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate fully at rational points; every live variable needs a value."""
@@ -528,9 +521,9 @@ class MultiPoly:
         """Exact division by (name - c) with c a rational constant.
 
         Synthetic division on the `name`-power decomposition, in one pass:
-        the carry at power p is the quotient's coefficient of name^(p-1), so
-        its keys are shifted in place.  Raises ValueError if the remainder
-        is nonzero.
+        the carry at power p is the quotient's coefficient of name^(p-1),
+        and one `dot` adds the carries times those powers, aligning their
+        variables.  Raises ValueError if the remainder is nonzero.
         """
         parts = self.by_powers(name)
         if not parts:
@@ -538,40 +531,37 @@ class MultiPoly:
         if min(parts) < 0:
             raise ValueError("div_linear requires nonnegative exponents")
         c = MultiPoly._coerce(c).constant_value()
-        s = self._field(name)[0]
-        out: dict = {}
-        carry = _from_terms(self.vars, {})
+        carries = []
+        carry = MultiPoly.zero()
         for p in range(max(parts), -1, -1):
-            carry = MultiPoly.dot(((parts[p], 1), (carry, c)) if p in parts
+            carry = MultiPoly.dot(((parts[p], _ONE), (carry, c)) if p in parts
                                   else ((carry, c),))
             if p > 0:
-                shift = (p - 1) << s
-                out.update((k + shift, v) for k, v in carry._terms.items())
+                carries.append((carry, MultiPoly.var(name, p - 1)))
         if not carry.is_zero():
             raise ValueError(f"division by ({name} - {c}) is not exact")
-        quot = _from_terms(self.vars, out)
-        union = _union(self.vars, ())
-        return quot if union == self.vars else quot.in_vars(union)
+        return MultiPoly.dot(carries)
 
     def div_monomial(self, name: str, k: int) -> "MultiPoly":
         """Laurent shift: divide by name**k (always exact in Laurent ring)."""
         if name not in self.vars:
-            if not self._terms:
+            if not self._t:
                 return self
             return self * MultiPoly.var(name, -k)
         _pack((-k,), 1)  # so that no field moves by more than it can hold
         shift = k << self._field(name)[0]
-        return _from_terms(self.vars, _check(
-            {key - shift: c for key, c in self._terms.items()}, len(self.vars)))
+        return _from_terms(self.vars, self._d, _check(
+            {key - shift: c for key, c in self._t.items()}, len(self.vars)))
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division (general, leading-term elimination)."""
+        """Exact polynomial division (general, leading-term elimination) of
+        the numerators: (a/da) / (b/db) = (a/b) * (db/da), scaled once."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             return self / divisor.constant_value()
-        if len(divisor._terms) == 1:
+        if len(divisor._t) == 1:
             return self * divisor.monomial_inverse()
         vars_, a, b = self._aligned(divisor)
         _, _, low, guard = _fields(len(vars_))
@@ -599,16 +589,17 @@ class MultiPoly:
                     rem[key] = s
                 elif key in rem:
                     del rem[key]
-        return _from_terms(vars_, quot)
+        d, quot = _integral(quot)
+        return _from_terms(vars_, d * self._d,
+                           {k: n * divisor._d for k, n in quot.items()})
 
     # -- differentiation ---------------------------------------------------------
 
     def diff(self, name: str) -> "MultiPoly":
         if name not in self.vars:
-            return _from_terms(self.vars, {})
-        return _from_terms(self.vars, _check(
-            {k - (1 << s): exact(c * e) for e, s, k, c in self._exponents(name)
-             if e},
+            return _from_terms(self.vars, 1, {})
+        return _from_terms(self.vars, self._d, _check(
+            {k - (1 << s): c * e for e, s, k, c in self._exponents(name) if e},
             len(self.vars)))
 
     # -- rendering -----------------------------------------------------------------
@@ -618,7 +609,7 @@ class MultiPoly:
 
     def __str__(self):
         """Canonical string: graded lexicographic over the variable tuple."""
-        if not self._terms:
+        if not self._t:
             return "0"
         live = self._live()
 
@@ -652,15 +643,13 @@ class MultiPoly:
         return " ".join(pieces)
 
 
-# in the integer form that `dot` reads as it is
-_ONE, _MINUS_ONE = _from_terms((), (1, {0: 1})), _from_terms((), (1, {0: -1}))
+_ONE, _MINUS_ONE = _from_terms((), 1, {0: 1}), _from_terms((), 1, {0: -1})
 
 
 def _operand(p):
     """(vars, d, integer numerators) of a polynomial or an exact scalar."""
     if isinstance(p, MultiPoly):
-        t = p._t
-        return (p.vars, *t) if type(t) is tuple else (p.vars, *_integral(t))
+        return p.vars, p._d, p._t
     c = exact(p)
     return (), c.denominator, {0: c.numerator} if c else {}
 

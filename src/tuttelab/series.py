@@ -31,14 +31,6 @@ class SeriesError(ValueError):
     pass
 
 
-def _as_poly(c) -> MultiPoly:
-    if isinstance(c, MultiPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return MultiPoly.const(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
-
-
 def _product_coeff(a, b, n: int) -> MultiPoly:
     """[var^n] of A * B, whose coefficients are read by a(i) and b(j): one
     MultiPoly.dot over the pairs.  Of each pair the factor of lower index is
@@ -152,7 +144,7 @@ class TSeries(_SeriesOps):
             raise SeriesError("truncation order must be nonnegative")
         self.var = var
         self.order = order
-        cs = [_as_poly(c) for c in coeffs][:order + 1]
+        cs = [MultiPoly._coerce(c) for c in coeffs][:order + 1]
         cs += [MultiPoly.zero()] * (order + 1 - len(cs))
         self.coeffs = cs
 
@@ -160,7 +152,7 @@ class TSeries(_SeriesOps):
 
     @staticmethod
     def const(c, var, order) -> "TSeries":
-        return TSeries(var, order, [_as_poly(c)])
+        return TSeries(var, order, [MultiPoly._coerce(c)])
 
     @staticmethod
     def zero(var, order) -> "TSeries":
@@ -226,7 +218,7 @@ class TSeries(_SeriesOps):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            p = _as_poly(other)
+            p = MultiPoly._coerce(other)
             return TSeries(self.var, self.order, [c * p for c in self.coeffs])
         o = self._coerce(other)
         if isinstance(o, _Node):
@@ -355,12 +347,12 @@ class _Node(_SeriesOps):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return _Shift(0, _as_poly(other), self)
+            return _Shift(0, MultiPoly._coerce(other), self)
         return _product(self, self._coerce(other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return _Shift(0, _as_poly(other), self)
+            return _Shift(0, MultiPoly._coerce(other), self)
         return _product(self._coerce(other), self)
 
     def inverse(self):

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tuttelab.poly import MultiPoly, _integral, _operand, lagrange_interpolate
+from tuttelab.poly import MultiPoly, _integral, _pack, lagrange_interpolate
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -253,11 +254,10 @@ def test_dot_is_the_left_fold_of_products(pairs):
         fold = fold + p * q
         want = ref_add(want, ref_mul(ref(poly(p)), ref(poly(q))))
     got = MultiPoly.dot(iter(pairs))
-    kept = _operand(got)  # the integer form the result keeps
     assert ref(got) == want  # ref checks: nonzero, and ints when integral
     assert got == fold and got.vars == fold.vars and str(got) == str(fold)
     # the running denominator ends as the lcm of the reduced denominators
-    assert kept == (got.vars, *_integral(got._terms))
+    assert_one_form(got)
 
 
 def test_dot_over_distinct_denominators():
@@ -318,6 +318,55 @@ def test_in_vars_round_trips(p, order):
     assert wide == p and ref(wide) == ref(p) and hash(wide) == hash(p)
     back = wide.in_vars(p.vars)
     assert back.vars == p.vars and ref(back) == ref(p) and str(back) == str(p)
+
+
+def assert_one_form(p):
+    """The one stored form: d >= 1, int numerators, none zero, gcd(d,
+    numerators) = 1, and (d, numerators) is the `_integral` of the terms."""
+    d, t = p._d, p._t
+    assert d >= 1 and all(type(n) is int and n for n in t.values())
+    assert gcd(d, *t.values()) == 1
+    n = len(p.vars)
+    assert (d, t) == _integral({_pack(e, n): c for e, c in p.terms()})
+
+
+@settings(deadline=None)
+@given(sorted_polys(exps=st.integers(0, 3)), sorted_polys(), scalars, nonzero,
+       st.sampled_from(NAMES), st.permutations(NAMES))
+def test_every_result_is_in_the_one_form(p, r, c, k, v, order):
+    mono, lin = k * MultiPoly.var(v, 2), MultiPoly.var(v) - c
+    results = [p, r, MultiPoly.const(c), MultiPoly.dot([(p, r), (r, c)]),
+               p.coeff(v, 1), p.part(v, lo=1), *p.by_powers(v).values(),
+               p.diff(v), p.subs({v: r}), (p * lin).div_linear(v, c),
+               (p * mono).divexact(mono), mono.monomial_inverse(),
+               p.in_vars(order)]
+    if r:
+        results.append((p * r).divexact(r))
+    for got in results:
+        assert_one_form(got)
+
+
+@settings(deadline=None)
+@given(sorted_polys(), sorted_polys(), st.sampled_from(NAMES),
+       st.integers(-2, 3))
+def test_equal_polynomials_by_two_routes_hash_equal(p, r, v, e):
+    wide, i = p.in_vars(NAMES), NAMES.index(v)
+    got = wide.coeff(v, e)
+    want = MultiPoly(NAMES, {x[:i] + (0,) + x[i + 1:]: c
+                             for x, c in wide.terms() if x[i] == e})
+    assert got == want and hash(got) == hash(want)
+    if r:
+        back = (p * r).divexact(r)
+        assert back == p and hash(back) == hash(p)
+    half = MultiPoly.const(3) / 2
+    assert half == Fraction(6, 4) and hash(half) == hash(Fraction(3, 2))
+
+
+@settings(deadline=None)
+@given(sorted_polys(exps=st.integers(0, 3)), st.sampled_from(NAMES), scalars,
+       st.permutations(NAMES))
+def test_div_linear_over_any_variable_order(p, v, c, order):
+    assert (p * (MultiPoly.var(v) - c)).in_vars(order).div_linear(v, c) == p
 
 
 @settings(deadline=None)
