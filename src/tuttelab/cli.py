@@ -197,7 +197,9 @@ def cmd_series(args) -> int:
         return EXIT_UNKNOWN
     try:
         series = expand(eq, args.order, _parse_set(args.set) or None)
-    except ValueError as err:  # bad --set, --order or parameter name
+    except (ValueError, ZeroDivisionError) as err:
+        # bad --set (a zero denominator too), --order or parameter name,
+        # or a zero parameter that the equation divides by
         print(str(err), file=sys.stderr)
         return EXIT_UNKNOWN
     rows = [(f"{series.var}^{n}", str(series.coeff(n)))

@@ -227,10 +227,6 @@ class RootedMap:
 
     # -- orbits and statistics -------------------------------------------
 
-    def phi(self, d: int) -> int:
-        """Face permutation sigma o alpha."""
-        return self.sigma[self.alpha[d]]
-
     @property
     def n_edges(self):
         return self.n_darts // 2

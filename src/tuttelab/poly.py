@@ -435,12 +435,6 @@ class MultiPoly:
         return {p: _from_terms(self.vars, self._d, t)
                 for p, t in sorted(out.items())}
 
-    def truncate(self, name: str, max_power: int) -> "MultiPoly":
-        """Drop all terms with exponent of `name` above max_power."""
-        if name not in self.vars:
-            return self
-        return self.part(name, hi=max_power)
-
     def part(self, name: str, lo=None, hi=None) -> "MultiPoly":
         """Terms whose exponent of `name` lies in [lo, hi] (None = unbounded)."""
         if name not in self.vars:

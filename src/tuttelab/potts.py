@@ -93,8 +93,7 @@ def potts_by_interpolation(m: RootedMap) -> MultiPoly:
     at q = 0 and interpolates; the degree in q is at most v.  Memoised on
     the labelled multigraph: the vertex count and the sorted edge pairs,
     each low end first."""
-    return _interpolated(m.n_vertices, tuple(sorted(
-        (a, b) if a <= b else (b, a) for a, b in m.multigraph_edges())))
+    return _interpolated(m.n_vertices, _edge_key(m.multigraph_edges()))
 
 
 @lru_cache(maxsize=None)

@@ -301,22 +301,25 @@ class _Node(_SeriesOps):
     builds in fixed_point.  s[n] computes coefficient n from the operands'
     coefficients (an operand is a node or a TSeries).  Below the valuation
     bound `val` it is zero and reads nothing: a product with a factor of
-    zero constant term never reads the other factor at order 0.  A node
-    read more than once per coefficient (`uses` > 1, set by _count_uses)
+    zero constant term never reads the other factor at order 0.  Each node
+    adds its reads per coefficient to the `uses` of its node operands when
+    it is built.  A node read more than once per coefficient (`uses` > 1)
     keeps its coefficients and computes them in order; the others keep
     nothing, since each of their coefficients is read once."""
 
-    __slots__ = ("var", "order", "val", "operands", "uses", "cs")
+    __slots__ = ("var", "order", "val", "uses", "cs")
     #: whether the node reads each coefficient of its operands many times
     many = False
 
-    def __init__(self, order, val, *operands):
+    def __init__(self, val, *operands):
         self.var = operands[0].var
-        self.order = min(order, *(s.order for s in operands))
+        self.order = min(s.order for s in operands)
         self.val = val
-        self.operands = [s for s in operands if isinstance(s, _Node)]
         self.uses = 0
         self.cs = []
+        for s in operands:
+            if isinstance(s, _Node):
+                s.uses += 2 if self.many else 1
 
     def __getitem__(self, n: int) -> MultiPoly:
         if n < self.val:
@@ -347,13 +350,13 @@ class _Node(_SeriesOps):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return _Shift(0, MultiPoly._coerce(other), self)
-        return _product(self, self._coerce(other))
+            return self.apply(lambda p: p * other)
+        return _Product(self, self._coerce(other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return _Shift(0, MultiPoly._coerce(other), self)
-        return _product(self._coerce(other), self)
+            return self * other
+        return _Product(self._coerce(other), self)
 
     def inverse(self):
         return _Inverse(self)
@@ -370,7 +373,7 @@ class _Unknown(_Node):
 
     def __init__(self, var, order):
         self.var, self.order, self.val = var, order, 0
-        self.operands, self.uses, self.cs = [], 2, []
+        self.uses, self.cs = 2, []
 
     def __getitem__(self, n: int) -> MultiPoly:
         if n < len(self.cs):
@@ -380,37 +383,18 @@ class _Unknown(_Node):
 
 class _Map(_Node):
     """fn of the operands' coefficients of each order: a coefficient-wise
-    operation, a sum or a difference.  fn of zeros is zero, as for every
-    such operation (the eager confirmation of fixed_point would catch a
-    violation)."""
+    operation (a product with a scalar among them), a sum or a difference.
+    fn of zeros is zero, as for every such operation (the eager
+    confirmation of fixed_point would catch a violation)."""
 
     __slots__ = ("fn", "readers")
 
     def __init__(self, fn, *operands):
-        super().__init__(operands[0].order, min(map(_val, operands)),
-                         *operands)
+        super().__init__(min(map(_val, operands)), *operands)
         self.fn, self.readers = fn, [_reader(s) for s in operands]
 
     def _coeff(self, n):
         return self.fn(*[r(n) for r in self.readers])
-
-
-class _Shift(_Node):
-    """var^k c A for a polynomial c and a node A; a nested shift is folded
-    into one."""
-
-    __slots__ = ("k", "c", "unit", "inner")
-
-    def __init__(self, k, c, a, order=None):
-        order = a.order if order is None else min(order, a.order)
-        if isinstance(a, _Shift):
-            k, c, a = k + a.k, c * a.c, a.inner
-        super().__init__(order, k + a.val, a)
-        self.k, self.c, self.unit, self.inner = k, c, c == 1, a
-
-    def _coeff(self, n):
-        p = self.inner[n - self.k]
-        return p if self.unit else p * self.c
 
 
 class _Product(_Node):
@@ -418,7 +402,7 @@ class _Product(_Node):
     many = True
 
     def __init__(self, a, b):
-        super().__init__(a.order, _val(a) + _val(b), a, b)
+        super().__init__(_val(a) + _val(b), a, b)
         self.a, self.b = _reader(a), _reader(b)
 
     def _coeff(self, n):
@@ -432,42 +416,11 @@ class _Inverse(_Node):
     many = True
 
     def __init__(self, a):
-        super().__init__(a.order, 0, a)
+        super().__init__(0, a)
         self.a, self.uses = _reader(a), 2
 
     def _coeff(self, n):
         return _inverse_coeff(self.a, self.cs, n)
-
-
-def _product(a, b):
-    """A * B for two series, at least one of them a node.  A factor var^k c
-    (a TSeries with one nonzero coefficient, or a shift) is taken out of the
-    product, (var^k c A) B = var^k c (A B), so the product keeps fewer
-    coefficients and reads none of A's above n - k."""
-    order = min(a.order, b.order)
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, TSeries):
-            nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
-            if len(nonzero) == 1:
-                k, c = nonzero[0]
-                if k == 0 and c == 1 and y.order == order:
-                    return y
-                return _Shift(k, c, y, order)
-        elif isinstance(x, _Shift):
-            return _Shift(x.k, x.c, _product(x.inner, y), order)
-    return _Product(a, b)
-
-
-def _count_uses(root):
-    """Set `uses` of every node below root: its reads per coefficient."""
-    stack, seen = [root], {id(root)}
-    while stack:
-        node = stack.pop()
-        for s in node.operands:
-            s.uses += 2 if node.many else 1
-            if id(s) not in seen:
-                seen.add(id(s))
-                stack.append(s)
 
 
 def _solve_online(update, var, order) -> TSeries:
@@ -476,7 +429,6 @@ def _solve_online(update, var, order) -> TSeries:
     root = update(F)
     if not isinstance(root, _Node):
         return root
-    _count_uses(root)
     for n in range(root.order + 1):
         F.cs.append(root[n])
     return TSeries(var, root.order, F.cs)
@@ -489,10 +441,12 @@ def fixed_point(update, var, order) -> TSeries:
     only on coefficients of F of orders < n (true whenever every
     non-constant term of the right-hand side carries an explicit factor of
     the main variable).  update is called once on a placeholder for F,
-    which records the operations; then each coefficient of F is computed
-    once, in order, from those below it, and a SeriesError is raised if one
-    reads itself.  The graph is then released, and one eager round,
-    update(F) == F, confirms the solution with the TSeries arithmetic.
+    which records each series operation as one node of a graph (a product
+    with a scalar is a coefficient-wise map, any other product a
+    convolution); then each coefficient of F is computed once, in order,
+    from those below it, and a SeriesError is raised if one reads itself.
+    The graph is then released, and one eager round, update(F) == F,
+    confirms the solution with the TSeries arithmetic.
     """
     f = _solve_online(update, var, order)
     if f.order != order:

@@ -172,10 +172,15 @@ def test_series_unknown_equation(capsys):
     assert code == cli.EXIT_UNKNOWN and "unknown equation" in err
 
 
-def test_series_bad_set(capsys):
-    code, _, err = run_cli(capsys, "series", "expand", "--eq", "POTTS_MAPS",
-                           "--order", "1", "--set", "q2")
-    assert code == cli.EXIT_UNKNOWN
+@pytest.mark.parametrize("eq,assignment", [
+    ("POTTS_MAPS", "q2"),
+    ("POTTS_MAPS", "q=1/0"),
+    ("TUTTE_NONSEP_TRI", "q=0"),  # the equation divides by q
+])
+def test_series_bad_set(capsys, eq, assignment):
+    code, _, err = run_cli(capsys, "series", "expand", "--eq", eq,
+                           "--order", "2", "--set", assignment)
+    assert code == cli.EXIT_UNKNOWN and err
 
 
 def test_series_negative_order(capsys):

@@ -128,15 +128,17 @@ def test_fixed_point_equals_plain_iteration():
 
 
 # Random contracting updates: 1 + (a term with a factor of t), where t
-# stands on either side of a product, alone or as t + t^2, and the other
-# factors mix F, constants, subs and inverses.
+# stands on either side of a product, alone, as t + t^2, as t^2 or as y t,
+# and the other factors mix F, constants, subs, inverses and a cube (whose
+# ** starts from the constant series 1).
 ORDER = 5
 leaf_trees = st.sampled_from([("F",), ("F",), ("c", 1), ("c", 2), ("y",)])
 any_trees = st.recursive(leaf_trees, lambda kids: st.one_of(
     st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
     st.tuples(st.sampled_from(["subs", "inv"]), kids)), max_leaves=5)
 small_trees = st.tuples(
-    st.sampled_from(["t*a", "a*t", "e*a", "a*e", "a*(t*b)", "a*(e*b)"]),
+    st.sampled_from(["t*a", "a*t", "e*a", "a*e", "a*(t*b)", "a*(e*b)",
+                     "t*(t*a)", "(y*t)*a", "a*(t*y)", "t*a**3"]),
     any_trees, any_trees)
 
 
@@ -160,7 +162,10 @@ def build(tree, f, t):
             "t*a": lambda: t * a, "a*t": lambda: a * t,
             "e*a": lambda: e * a, "a*e": lambda: a * e,
             "a*(t*b)": lambda: a * (t * b),
-            "a*(e*b)": lambda: a * (e * b)}[op]()
+            "a*(e*b)": lambda: a * (e * b),
+            "t*(t*a)": lambda: t * (t * a),
+            "(y*t)*a": lambda: (y * t) * a, "a*(t*y)": lambda: a * (t * y),
+            "t*a**3": lambda: t * a ** 3}[op]()
 
 
 @settings(deadline=None, max_examples=60)
