@@ -470,38 +470,6 @@ class RootedMap:
             r = pred_a
         return "single", (_extract(sig, alf, r), self.root_face_degree - 1)
 
-    def contract_root_edge(self) -> "RootedMap":
-        """Contract the root edge; a root loop is simply deleted.
-
-        The contracted map is rooted at the sigma-successor of the old root
-        (or of its partner dart when the root vertex carried nothing else).
-        """
-        if self.is_atomic:
-            raise MapError("cannot contract the root edge of the atomic map")
-        a = self.root
-        b = self.alpha[a]
-        if self.vertex_of[a] == self.vertex_of[b]:
-            kind, data = self.delete_root_edge()
-            if kind == "pair":
-                raise MapError("loop deletion cannot disconnect")  # pragma: no cover
-            return data[0]
-        sig = dict(enumerate(self.sigma))
-        alf = {d: x for d, x in enumerate(self.alpha) if d not in (a, b)}
-        pred_a, pred_b = self._inv_sigma[a], self._inv_sigma[b]
-        succ_a, succ_b = self.sigma[a], self.sigma[b]
-        if succ_a == a and succ_b == b:
-            return RootedMap.atomic()
-        if succ_a == a:
-            sig[pred_b] = succ_b
-        elif succ_b == b:
-            sig[pred_a] = succ_a
-        else:
-            sig[pred_a] = succ_b
-            sig[pred_b] = succ_a
-        del sig[a], sig[b]
-        root = succ_a if succ_a != a else succ_b
-        return _extract(sig, alf, root)
-
     # -- predicates -------------------------------------------------------------
 
     def is_bipartite(self) -> bool:
@@ -545,9 +513,6 @@ class RootedMap:
 
     def is_4valent(self) -> bool:
         return not self.is_atomic and all(len(v) == 4 for v in self.vertices)
-
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.multigraph_edges())
 
 
 def _component(sig, alf, start):

@@ -82,14 +82,13 @@ class _SeriesOps:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = TSeries.const(1, self.var, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return TSeries.const(1, self.var, self.order)
+        if k == 1:
+            return self
+        half = self ** (k // 2)
+        square = half * half
+        return square * self if k % 2 else square
 
     def subs(self, mapping):
         """Substitute values/polynomials into the coefficient variables."""

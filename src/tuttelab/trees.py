@@ -12,14 +12,18 @@ Three families:
 * DyckShuffle -- a word over {a, A, b, B} whose a/A and b/B subwords are
   each balanced (Dyck) words.
 
-Serializations are deterministic strings: blossoming trees in preorder
-over {l, n<flower-position>}, labelled trees as preorder label:child-count
-tokens, shuffles as the raw ASCII word.
+All are immutable values (named tuples): two trees built by different
+routes are equal, and hash equal, exactly when they have the same
+structure, and a subtree may be shared between trees.
+
+to_string is a deterministic output form, with no parser: blossoming trees
+in preorder over {l, n<flower-position>}, labelled trees as preorder
+label:child-count tokens.  A shuffle is its raw ASCII word.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import namedtuple
 
 LEAF = "leaf"
 FLOWER = "flower"
@@ -29,22 +33,22 @@ class TreeError(ValueError):
     pass
 
 
-class BNode:
-    __slots__ = ("flower_pos", "left", "right")
+class BNode(namedtuple("BNode", "flower_pos left right")):
+    """An inner node: its flower slot (0, 1 or 2) and its two subtrees,
+    each a BNode or LEAF."""
 
-    def __init__(self, flower_pos, left, right):
+    __slots__ = ()
+
+    def __new__(cls, flower_pos, left, right):
         if flower_pos not in (0, 1, 2):
             raise TreeError("flower position must be 0, 1 or 2")
-        self.flower_pos = flower_pos
-        self.left = left
-        self.right = right
+        return super().__new__(cls, flower_pos, left, right)
 
 
-class BlossomingTree:
+class BlossomingTree(namedtuple("BlossomingTree", "top")):
     """top is a BNode, or LEAF for the trivial single-leaf tree."""
 
-    def __init__(self, top):
-        self.top = top
+    __slots__ = ()
 
     @property
     def n_nodes(self) -> int:
@@ -58,44 +62,6 @@ class BlossomingTree:
                 return "l"
             return f"n{t.flower_pos}({ser(t.left)},{ser(t.right)})"
         return ser(self.top)
-
-    @staticmethod
-    def from_string(s: str) -> "BlossomingTree":
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            if s[pos] == "l":
-                pos += 1
-                return LEAF
-            if s[pos] != "n":
-                raise TreeError(f"bad blossoming tree at {pos}: {s!r}")
-            fp = int(s[pos + 1])
-            pos += 2
-            if s[pos] != "(":
-                raise TreeError(f"expected ( at {pos}: {s!r}")
-            pos += 1
-            left = parse()
-            if s[pos] != ",":
-                raise TreeError(f"expected , at {pos}: {s!r}")
-            pos += 1
-            right = parse()
-            if s[pos] != ")":
-                raise TreeError(f"expected ) at {pos}: {s!r}")
-            pos += 1
-            return BNode(fp, left, right)
-
-        top = parse()
-        if pos != len(s):
-            raise TreeError(f"trailing input in {s!r}")
-        return BlossomingTree(top)
-
-    def __eq__(self, other):
-        return (isinstance(other, BlossomingTree)
-                and self.to_string() == other.to_string())
-
-    def __hash__(self):
-        return hash(self.to_string())
 
     def __repr__(self):
         return f"BlossomingTree({self.to_string()!r})"
@@ -116,47 +82,35 @@ class BlossomingTree:
 
     # -- dart form -----------------------------------------------------------
     #
-    # Inner node i owns darts 4i..4i+3 in counterclockwise order
-    # [parent, slot0, slot1, slot2]; sigma cycles them.  Flowers, leaves and
-    # the root leaf are alpha fixed points, tagged in `kind`.
+    # Inner node i, in preorder, owns darts 4i..4i+3 in counterclockwise
+    # order [parent, slot0, slot1, slot2]; sigma cycles them.  Flowers,
+    # leaves and the root leaf are alpha fixed points, tagged in `kind`.
 
     def to_darts(self):
         """Returns (sigma, alpha, kind, root_dart); kind maps half-edge
         darts to LEAF or FLOWER.  The trivial tree has no dart form."""
         if self.top is LEAF:
             raise TreeError("the trivial tree has no dart form")
-        index = {}
+        sigma, alpha, kind = [], [], {}
 
-        def walk(t):
-            index[id(t)] = len(nodes)
-            nodes.append(t)
-            if t.left is not LEAF:
-                walk(t.left)
-            if t.right is not LEAF:
-                walk(t.right)
-
-        nodes = []
-        walk(self.top)
-        n = len(nodes)
-        sigma = [0] * (4 * n)
-        alpha = list(range(4 * n))
-        kind = {}
-        for i in range(n):
-            for k in range(4):
-                sigma[4 * i + k] = 4 * i + (k + 1) % 4
-        for t in nodes:
-            i = index[id(t)]
-            slots = [4 * i + 1, 4 * i + 2, 4 * i + 3]
-            kind[slots[t.flower_pos]] = FLOWER
-            childs = [s for j, s in enumerate(slots) if j != t.flower_pos]
-            for s, child in zip(childs, (t.left, t.right)):
+        def place(t):
+            """Give t the next four darts and its subtrees the darts after
+            them; returns t's parent dart."""
+            p = len(sigma)
+            sigma.extend((p + 1, p + 2, p + 3, p))
+            alpha.extend(range(p, p + 4))
+            slots = [p + 1, p + 2, p + 3]
+            kind[slots.pop(t.flower_pos)] = FLOWER
+            for s, child in zip(slots, (t.left, t.right)):
                 if child is LEAF:
                     kind[s] = LEAF
                 else:
-                    p = 4 * index[id(child)]
-                    alpha[s] = p
-                    alpha[p] = s
-        root = 0
+                    c = place(child)
+                    alpha[s] = c
+                    alpha[c] = s
+            return p
+
+        root = place(self.top)
         kind[root] = LEAF
         return sigma, alpha, kind, root
 
@@ -187,12 +141,14 @@ class BlossomingTree:
         return BlossomingTree(build(root_dart))
 
 
-class LabelledTree:
-    """Rooted plane tree with integer labels; children are ordered."""
+class LabelledTree(namedtuple("LabelledTree", "label children")):
+    """Rooted plane tree with integer labels; children are ordered and
+    kept as a tuple, whatever sequence the caller passes."""
 
-    def __init__(self, label, children=()):
-        self.label = int(label)
-        self.children = list(children)
+    __slots__ = ()
+
+    def __new__(cls, label, children=()):
+        return super().__new__(cls, int(label), tuple(children))
 
     @property
     def n_edges(self) -> int:
@@ -226,75 +182,38 @@ class LabelledTree:
         ser(self)
         return " ".join(out)
 
-    @staticmethod
-    def from_string(s: str) -> "LabelledTree":
-        tokens = s.split()
-        pos = 0
-
-        def parse():
-            nonlocal pos
-            label, nc = tokens[pos].split(":")
-            pos += 1
-            return LabelledTree(int(label),
-                                [parse() for _ in range(int(nc))])
-
-        t = parse()
-        if pos != len(tokens):
-            raise TreeError(f"trailing input in {s!r}")
-        return t
-
-    def __eq__(self, other):
-        return (isinstance(other, LabelledTree)
-                and self.to_string() == other.to_string())
-
-    def __hash__(self):
-        return hash(self.to_string())
-
     def __repr__(self):
         return f"LabelledTree({self.to_string()!r})"
 
     @staticmethod
     def all_labelled_trees(n: int):
-        """All labelled trees with n edges (3^n * Catalan(n) of them):
-        every plane tree shape combined with every +-1/0 increment vector,
-        shifted so the minimum label is 1."""
-        def shapes(k):
+        """All labelled trees with n edges (3^n * Catalan(n) of them), each
+        built once: by root label, then by the first subtree of the root
+        and the tree left without it."""
+        def trees(k, r, touch):
+            # k edges, root label r, all labels >= 1; with touch, one is 1
             if k == 0:
-                yield LabelledTree(0)
+                if r == 1 or not touch:
+                    yield LabelledTree(r)
                 return
-            # root with first subtree of e edges (plus its connecting edge)
+            touch = touch and r != 1
             for e in range(k):
-                for first in shapes(e):
-                    for rest in shapes(k - 1 - e):
-                        yield LabelledTree(0, [first] + rest.children)
+                for c in (r - 1, r, r + 1) if r > 1 else (r, r + 1):
+                    for first in trees(e, c, False):
+                        rest_touch = touch and 1 not in first.labels()
+                        for rest in trees(k - 1 - e, r, rest_touch):
+                            yield LabelledTree(r, (first,) + rest.children)
 
-        def assign(t, diffs, it):
-            for c in t.children:
-                c.label = t.label + next(it)
-                assign(c, diffs, it)
-
-        out = []
-        for shape in shapes(n):
-            base = shape.to_string()
-            for diffs in itertools.product((-1, 0, 1), repeat=n):
-                t = LabelledTree.from_string(base)
-                assign(t, diffs, iter(diffs))
-                shift = 1 - min(t.labels())
-
-                def bump(node):
-                    node.label += shift
-                    for c in node.children:
-                        bump(c)
-                bump(t)
-                out.append(t)
-        return out
+        return [t for r in range(1, n + 2) for t in trees(n, r, True)]
 
 
-class DyckShuffle:
+class DyckShuffle(namedtuple("DyckShuffle", "word")):
     """A shuffle of two Dyck words: letters a/A form one balanced word,
     letters b/B the other."""
 
-    def __init__(self, word: str):
+    __slots__ = ()
+
+    def __new__(cls, word: str):
         if set(word) - set("aAbB"):
             raise TreeError(f"bad letters in {word!r}")
         for lo, hi in (("a", "A"), ("b", "B")):
@@ -309,21 +228,7 @@ class DyckShuffle:
                                         "is not a Dyck word")
             if depth:
                 raise TreeError(f"{lo}/{hi} subword of {word!r} is unbalanced")
-        self.word = word
-
-    @property
-    def n_tree_edges(self) -> int:
-        return sum(1 for ch in self.word if ch == "a")
-
-    @property
-    def n_nontree_edges(self) -> int:
-        return sum(1 for ch in self.word if ch == "b")
-
-    def __eq__(self, other):
-        return isinstance(other, DyckShuffle) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
+        return super().__new__(cls, word)
 
     def __repr__(self):
         return f"DyckShuffle({self.word!r})"
@@ -332,26 +237,20 @@ class DyckShuffle:
     def all_shuffles(i: int, j: int):
         """All shuffles of a Dyck word with i a-pairs and one with j
         b-pairs: C(2i+2j, 2i) * Catalan(i) * Catalan(j) of them."""
-        def dycks(k, lo, hi):
-            if k == 0:
-                yield ""
-                return
-            # first return decomposition: lo D1 hi D2
-            for inner in range(k):
-                for d1 in dycks(inner, lo, hi):
-                    for d2 in dycks(k - 1 - inner, lo, hi):
-                        yield lo + d1 + hi + d2
-
         out = []
-        for u in dycks(i, "a", "A"):
-            for v in dycks(j, "b", "B"):
-                for positions in itertools.combinations(
-                        range(2 * i + 2 * j), 2 * i):
-                    word = [None] * (2 * i + 2 * j)
-                    pos = set(positions)
-                    iu = iter(u)
-                    iv = iter(v)
-                    for k in range(len(word)):
-                        word[k] = next(iu) if k in pos else next(iv)
-                    out.append(DyckShuffle("".join(word)))
+
+        def write(word, a, open_a, b, open_b):
+            # a, b: pairs still to open; open_a, open_b: pairs to close
+            if not (a or open_a or b or open_b):
+                out.append(DyckShuffle(word))
+            if a:
+                write(word + "a", a - 1, open_a + 1, b, open_b)
+            if open_a:
+                write(word + "A", a, open_a - 1, b, open_b)
+            if b:
+                write(word + "b", a, open_a, b - 1, open_b + 1)
+            if open_b:
+                write(word + "B", a, open_a, b, open_b - 1)
+
+        write("", i, 0, j, 0)
         return out

@@ -12,7 +12,7 @@ from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
                                  unbalanced_split)
 from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
                                quadrangulations)
-from tuttelab.trees import BlossomingTree, DyckShuffle
+from tuttelab.trees import BlossomingTree, DyckShuffle, LabelledTree
 
 
 def test_open_close_identity():
@@ -39,7 +39,8 @@ def test_close_open_identity_on_balanced_trees():
             except BijectionError:
                 continue
             balanced += 1
-            assert psi_open(m) == t
+            back = psi_open(m)
+            assert back == t and hash(back) == hash(t)
         assert balanced == cf.balanced_blossoming_count(n)
 
 
@@ -95,6 +96,29 @@ def test_cvs_roundtrip():
             # pointing at the root vertex gives a well-labelled tree
             assert cvs_forward(q, q.vertex_of[q.root]).is_valid(well=True)
         assert cnt == cf.labelled_tree_count(n)
+
+
+def test_labelled_trees_are_the_cvs_images():
+    # the enumeration and the bijection agree tree by tree, not only in count
+    for n in range(1, 5):
+        images = set()
+        for q in quadrangulations(n):
+            for v0 in range(q.n_vertices):
+                try:
+                    images.add(cvs_forward(q, v0))
+                except BijectionError:
+                    pass
+        assert set(LabelledTree.all_labelled_trees(n)) == images
+
+
+def test_shuffles_are_the_mullin_words():
+    for n in range(5):
+        words = {mullin_encode(m, tr) for m in all_maps(n)
+                 for tr in ([()] if m.is_atomic else all_spanning_trees(m))}
+        shuffles = set()
+        for i in range(n + 1):
+            shuffles.update(DyckShuffle.all_shuffles(i, n - i))
+        assert shuffles == words
 
 
 def test_mullin_roundtrip():

@@ -250,13 +250,10 @@ def test_root_edge_surgery():
     assert j.is_separable()
     kind, (a, b) = j.delete_root_edge()
     assert kind == "pair" and a == loop and b == loop
-    link = RootedMap.link()
-    assert link.contract_root_edge() == RootedMap.atomic()
 
 
 def test_predicates():
     assert RootedMap.link().is_bipartite()
     assert not RootedMap.loop().is_bipartite()
     assert RootedMap.loop().is_eulerian()
-    assert RootedMap.loop().has_loop()
     assert not RootedMap.loop().is_separable()

@@ -31,6 +31,17 @@ def test_inverse_and_division():
         TSeries.t("t", 3).inverse()
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, -2])
+def test_power_is_the_repeated_product(k):
+    s = TSeries("t", 6, [2, y, 1 - y, 0, Fraction(1, 3), y ** 2, 5])
+    base, want = s if k >= 0 else s.inverse(), 1
+    for _ in range(abs(k)):
+        want = want * base
+    assert s ** k == want
+    if k < 0:
+        assert s ** k * s ** -k == 1
+
+
 def test_shift_and_divide_by_var():
     t = TSeries.t("t", 4)
     assert t.shift(2).coeff(3) == 1
@@ -129,8 +140,7 @@ def test_fixed_point_equals_plain_iteration():
 
 # Random contracting updates: 1 + (a term with a factor of t), where t
 # stands on either side of a product, alone, as t + t^2, as t^2 or as y t,
-# and the other factors mix F, constants, subs, inverses and a cube (whose
-# ** starts from the constant series 1).
+# and the other factors mix F, constants, subs, inverses and a cube.
 ORDER = 5
 leaf_trees = st.sampled_from([("F",), ("F",), ("c", 1), ("c", 2), ("y",)])
 any_trees = st.recursive(leaf_trees, lambda kids: st.one_of(

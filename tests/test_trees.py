@@ -1,14 +1,8 @@
 import pytest
 
 from tuttelab import closed_forms as cf
-from tuttelab.trees import (LEAF, BlossomingTree, DyckShuffle, LabelledTree,
-                            TreeError)
-
-
-def test_blossoming_string_roundtrip():
-    for n in range(4):
-        for t in BlossomingTree.all_trees(n):
-            assert BlossomingTree.from_string(t.to_string()) == t
+from tuttelab.trees import (LEAF, BlossomingTree, BNode, DyckShuffle,
+                            LabelledTree, TreeError)
 
 
 def test_blossoming_counts():
@@ -23,7 +17,19 @@ def test_blossoming_dart_roundtrip():
     for n in range(1, 4):
         for t in BlossomingTree.all_trees(n):
             sigma, alpha, kind, root = t.to_darts()
-            assert BlossomingTree.from_darts(sigma, alpha, kind, root) == t
+            back = BlossomingTree.from_darts(sigma, alpha, kind, root)
+            assert back == t and hash(back) == hash(t)
+
+
+def test_blossoming_shared_subtree_dart_roundtrip():
+    # trees are values, so one subtree object may stand in two places
+    x = BNode(0, LEAF, LEAF)
+    t = BlossomingTree(BNode(1, x, x))
+    u = BlossomingTree(BNode(1, BNode(0, LEAF, LEAF), BNode(0, LEAF, LEAF)))
+    assert t == u and hash(t) == hash(u)
+    assert t.to_darts() == u.to_darts()
+    sigma, alpha, kind, root = t.to_darts()
+    assert BlossomingTree.from_darts(sigma, alpha, kind, root) == t
 
 
 def test_blossoming_trivial_tree():
@@ -34,10 +40,21 @@ def test_blossoming_trivial_tree():
         t.to_darts()
 
 
-def test_blossoming_parse_errors():
-    for bad in ("x", "n5(l,l)", "n0(l)", "n0(l,l)l"):
+def test_flower_position_is_checked():
+    for bad in (5, -1, 3):
         with pytest.raises(TreeError):
-            BlossomingTree.from_string(bad)
+            BNode(bad, LEAF, LEAF)
+
+
+def test_trees_are_immutable():
+    node = BNode(0, LEAF, LEAF)
+    for obj, attr in ((node, "flower_pos"), (node, "left"),
+                      (BlossomingTree(node), "top"),
+                      (LabelledTree(1), "label"),
+                      (LabelledTree(1), "children"),
+                      (LabelledTree(1), "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 2)
 
 
 def test_labelled_tree_roundtrip_and_counts():
@@ -48,7 +65,16 @@ def test_labelled_tree_roundtrip_and_counts():
         for t in trees:
             assert t.n_edges == n
             assert t.is_valid()
-            assert LabelledTree.from_string(t.to_string()) == t
+            back = LabelledTree(t.label, list(t.children))
+            assert back == t and hash(back) == hash(t)
+
+
+def test_labelled_tree_children_are_a_tuple():
+    t = LabelledTree(1, [LabelledTree(2)])
+    assert t.children == (LabelledTree(2),)
+    assert t == LabelledTree(1, (LabelledTree(2),))
+    assert hash(t) == hash(LabelledTree(1, iter([LabelledTree(2)])))
+    assert repr(t) == "LabelledTree('1:1 2:0')"
 
 
 def test_labelled_tree_validity():
@@ -74,5 +100,5 @@ def test_shuffle_counts():
             shuffles = DyckShuffle.all_shuffles(i, j)
             assert len(shuffles) == cf.shuffle_count(i, j)
             assert len(set(shuffles)) == len(shuffles)
-            assert all(s.n_tree_edges == i and s.n_nontree_edges == j
+            assert all(s.word.count("a") == i and s.word.count("b") == j
                        for s in shuffles)

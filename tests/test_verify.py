@@ -47,9 +47,10 @@ def test_failures_are_reported():
 
 def _run_refusing(monkeypatch, list_from, stream_from):
     """verify.run() with all_maps(n) refused for n >= list_from and
-    generate.stream("all_maps", n) for n >= stream_from."""
+    generate.stream("all_maps", n) for n >= stream_from; returns the
+    results and the (family, n) of every stream call."""
     from tuttelab import generate
-    lists, streams = generate.all_maps, generate.stream
+    lists, streams, calls = generate.all_maps, generate.stream, []
 
     def all_maps(n, *args, **kwargs):
         if n >= list_from:
@@ -57,6 +58,7 @@ def _run_refusing(monkeypatch, list_from, stream_from):
         return lists(n, *args, **kwargs)
 
     def stream(family, n, *args):
+        calls.append((family, n))
         if family == "all_maps" and n >= stream_from:
             raise AssertionError(f"stream('all_maps', {n}) called")
         return streams(family, n, *args)
@@ -65,7 +67,7 @@ def _run_refusing(monkeypatch, list_from, stream_from):
         monkeypatch.setattr(module, "all_maps", all_maps)
     monkeypatch.setattr(generate, "stream", stream)
     _clear_memoised_checks()
-    return verify.run()
+    return verify.run(), calls
 
 
 def _clear_memoised_checks():
@@ -79,27 +81,13 @@ def _clear_memoised_checks():
 
 
 def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
-    results = _run_refusing(monkeypatch, 7, 7)
+    results, _ = _run_refusing(monkeypatch, 7, 7)
     assert len(results) == 118 and verify.all_pass(results)
 
 
 def test_verify_all_keeps_no_six_edge_list(monkeypatch):
-    # the 6-edge maps are only counted and summed, so they are streamed
-    results = _run_refusing(monkeypatch, 6, 7)
-    assert len(results) == 118 and verify.all_pass(results)
-
-
-def test_verify_all_streams_the_six_edge_maps_once(monkeypatch):
-    # the counts and equations suites share one brute-force series
-    from tuttelab import generate
-    streams, calls = generate.stream, []
-
-    def stream(family, n, *args):
-        calls.append((family, n))
-        return streams(family, n, *args)
-
-    monkeypatch.setattr(generate, "stream", stream)
-    _clear_memoised_checks()
-    results = verify.run()
+    # the 6-edge maps are only counted and summed, so they are streamed,
+    # and the counts and equations suites share one brute-force series
+    results, calls = _run_refusing(monkeypatch, 6, 7)
     assert len(results) == 118 and verify.all_pass(results)
     assert calls.count(("all_maps", 6)) == 1
