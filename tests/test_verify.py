@@ -85,9 +85,21 @@ def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
     assert len(results) == 118 and verify.all_pass(results)
 
 
-def test_verify_all_keeps_no_six_edge_list(monkeypatch):
-    # the 6-edge maps are only counted and summed, so they are streamed,
-    # and the counts and equations suites share one brute-force series
-    results, calls = _run_refusing(monkeypatch, 6, 7)
+@pytest.fixture(scope="module")
+def six_edge_streamed_run():
+    # one verify.run() serves the two tests below
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run_refusing(monkeypatch, 6, 7)
+
+
+def test_verify_all_keeps_no_six_edge_list(six_edge_streamed_run):
+    # the 6-edge maps are only counted and summed, so they are streamed
+    results, _ = six_edge_streamed_run
+    assert len(results) == 118 and verify.all_pass(results)
+
+
+def test_verify_all_streams_the_six_edge_maps_once(six_edge_streamed_run):
+    # the counts and equations suites share one brute-force series
+    results, calls = six_edge_streamed_run
     assert len(results) == 118 and verify.all_pass(results)
     assert calls.count(("all_maps", 6)) == 1
