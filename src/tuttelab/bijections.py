@@ -18,6 +18,11 @@ Four constructions, each with exact round-trip guarantees:
 All walks along face contours use the same corner iterator (the orbit of
 phi = sigma o alpha, alpha fixing half-edges), so the "first / next"
 conventions of the different constructions cannot drift apart.
+
+The closure of a blossoming tree is cyclic parenthesis matching along its
+contour: flowers open and leaves close, so each flower joins the first
+free leaf after it (Schaeffer 1997).  A tree with n flowers has n + 2
+leaves, and the two left unmatched form the root edge.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
-                            LabelledTree, TreeError)
+                            LabelledTree)
 
 
 class BijectionError(ValueError):
@@ -51,46 +56,41 @@ def corner_walk(sigma, alpha, start):
 
 
 def _closure_match(sigma, alpha, kind, start):
-    """Match flowers to leaves along the contour: repeatedly merge a
-    flower immediately followed (cyclically) by an unmatched leaf.
+    """Match flowers to leaves along the contour as parentheses: each
+    flower opens, and each leaf closes the last flower still open.  Read
+    cyclically, the flowers still open at the end of the contour close on
+    the first leaves left unmatched.
 
     Returns (alpha2, unmatched): the pairing with matched half-edges
     joined, and the two leaves left over, in contour order from `start`.
     The matching is independent of the starting corner; this is checked.
     """
-    alpha2 = list(alpha)
     seq = corner_walk(sigma, alpha, start)
     if len(seq) != len(sigma):
         raise BijectionError("half-edge structure is not a tree")
     cur = [d for d in seq if d in kind]
 
-    def run(cyc):
-        cyc = list(cyc)
-        pairs = []
-        while True:
-            hit = None
-            for i in range(len(cyc)):
-                f, l = cyc[i], cyc[(i + 1) % len(cyc)]
-                if kind[f] == FLOWER and kind[l] == LEAF:
-                    hit = i
-                    break
-            if hit is None:
-                break
-            f, l = cyc[hit], cyc[(hit + 1) % len(cyc)]
-            pairs.append((f, l))
-            cyc.remove(f)
-            cyc.remove(l)
-        if any(kind[d] == FLOWER for d in cyc):
-            raise BijectionError("closure did not terminate")
-        if len(cyc) != 2:
-            raise BijectionError("closure left more than two leaves")
-        return pairs, cyc
+    def match(cyc):
+        pairs, open_, free = [], [], []
+        for d in cyc:
+            if kind[d] == FLOWER:
+                open_.append(d)
+            elif open_:
+                pairs.append((open_.pop(), d))
+            else:
+                free.append(d)
+        if len(free) != len(open_) + 2:
+            raise BijectionError("closure does not leave exactly two leaves")
+        # every free leaf comes before every flower still open
+        pairs.extend(zip(reversed(open_), free))
+        return pairs, free[len(open_):]
 
-    pairs, unmatched = run(cur)
+    pairs, unmatched = match(cur)
     if len(cur) > 2:
-        check_pairs, check_un = run(cur[1:] + cur[:1])
+        check_pairs, _ = match(cur[1:] + cur[:1])
         if set(map(frozenset, pairs)) != set(map(frozenset, check_pairs)):
             raise BijectionError("closure matching depends on start corner")
+    alpha2 = list(alpha)
     for f, l in pairs:
         alpha2[f] = l
         alpha2[l] = f
@@ -112,13 +112,11 @@ def psi_open(m: RootedMap) -> BlossomingTree:
     n = m.n_darts
     sigma = list(m.sigma)
     alpha = list(m.alpha)
-    kind = {}
     r = m.root
     a0 = alpha[r]
     alpha[r] = r
     alpha[a0] = a0
-    kind[r] = LEAF
-    kind[a0] = LEAF
+    kind = {r: LEAF, a0: LEAF}
     cur = sigma[r]
     outer = set(corner_walk(sigma, alpha, r))
     guard = 0
@@ -129,26 +127,34 @@ def psi_open(m: RootedMap) -> BlossomingTree:
         a = alpha[cur]
         nxt = sigma[a]
         if a not in outer:  # a half-edge (a == cur) is on the outer face
+            outer.update(corner_walk(sigma, alpha, a))  # the face merged in
             kind[cur] = FLOWER
             kind[a] = LEAF
             alpha[cur] = cur
             alpha[a] = a
-            outer = set(corner_walk(sigma, alpha, r))
         cur = nxt
     return BlossomingTree.from_darts(sigma, alpha, kind, r)
+
+
+def _close(t: BlossomingTree, sign: str):
+    """Match the flowers of t to its leaves, then join the two leaves left
+    unmatched into the root edge, rooted at the first of them on the
+    contour from the tree root with sign '+', at the second with '-'.
+    Returns (map, tree-root dart)."""
+    sigma, alpha, kind, root = t.to_darts()
+    alpha2, unmatched = _closure_match(sigma, alpha, kind, root)
+    rd, other = unmatched if sign == "+" else unmatched[::-1]
+    alpha2[rd] = other
+    alpha2[other] = rd
+    return RootedMap(alpha2, sigma, rd), root
 
 
 def phi_close(t: BlossomingTree) -> RootedMap:
     """Close a balanced blossoming tree into a 4-valent map (inverse of
     psi_open); raises on unbalanced input (use phi_bar instead)."""
-    sigma, alpha, kind, root = t.to_darts()
-    alpha2, unmatched = _closure_match(sigma, alpha, kind, root)
-    if root not in unmatched:
+    m, root = _close(t, "+")
+    if m.root != root:  # the tree root, if unmatched, is reached first
         raise BijectionError("tree is not balanced")
-    other = unmatched[1] if unmatched[0] == root else unmatched[0]
-    alpha2[root] = other
-    alpha2[other] = root
-    m = RootedMap(alpha2, sigma, root)
     if not m.is_4valent():
         raise BijectionError("closure did not produce a 4-valent map")
     return m
@@ -169,14 +175,7 @@ def phi_bar(t: BlossomingTree, sign: str):
     """
     if sign not in ("+", "-"):
         raise BijectionError("sign must be '+' or '-'")
-    sigma, alpha, kind, root = t.to_darts()
-    alpha2, unmatched = _closure_match(sigma, alpha, kind, root)
-    u1, u2 = unmatched
-    rd, other = (u1, u2) if sign == "+" else (u2, u1)
-    alpha2[rd] = other
-    alpha2[other] = rd
-    m = RootedMap(alpha2, sigma, rd)
-    marked_dart = root
+    m, marked_dart = _close(t, sign)
     label = m.bfs_labels()
     cm = m.relabelled()
     return cm, cm.face_of[label[marked_dart]]
@@ -250,10 +249,7 @@ def _distances(m: RootedMap, v0: int):
     dist = [None] * m.n_vertices
     dist[v0] = 0
     queue = [v0]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
+    for v in queue:  # grows as the walk reaches new vertices
         for d in m.vertices[v]:
             u = m.vertex_of[m.alpha[d]]
             if dist[u] is None:
@@ -289,8 +285,7 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         labs = [dist[m.vertex_of[d]] for d in face]
         l = min(labs)
         i0 = labs.index(l)
-        order = [face[(i0 + k) % 4] for k in range(4)]
-        olabs = [dist[m.vertex_of[d]] for d in order]
+        order, olabs = face[i0:] + face[:i0], labs[i0:] + labs[:i0]
         if olabs == [l, l + 1, l, l + 1]:
             c1, c2 = order[1], order[3]
             ftype = 1
@@ -308,24 +303,17 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
     c1, c2, ftype = root_pair
     c_from, c_to = _cvs_root_orientation(w_corner, c1, c2, ftype)
 
-    def build(at_corner):
+    def build(at_corner, skip):
+        """Subtree at the vertex of at_corner, children in rotation order
+        from at_corner; skip=1 leaves out at_corner itself, the edge to
+        the parent, which the root does not have."""
         v = m.vertex_of[at_corner]
         ring = [d for d in m.vertices[v] if d in host]
         i = ring.index(at_corner)
-        children = []
-        for k in range(1, len(ring)):
-            c = ring[(i + k) % len(ring)]
-            children.append(build(host[c]))
-        return LabelledTree(dist[v], children)
+        return LabelledTree(dist[v], [build(host[c], 1)
+                                      for c in ring[i + skip:] + ring[:i]])
 
-    rv = m.vertex_of[c_from]
-    ring = [d for d in m.vertices[rv] if d in host]
-    i = ring.index(c_from)
-    children = []
-    for k in range(len(ring)):
-        c = ring[(i + k) % len(ring)]
-        children.append(build(host[c]))
-    tree = LabelledTree(dist[rv], children)
+    tree = build(c_from, 0)
     if tree.n_edges != m.n_faces:
         raise BijectionError("drawn edges do not form a spanning tree")
     return tree
@@ -410,10 +398,7 @@ def mullin_encode(m: RootedMap, tree) -> DyckShuffle:
     if m.is_atomic:
         return DyckShuffle("")
     edges = m.edges()
-    edge_of = {}
-    for i, (d, a) in enumerate(edges):
-        edge_of[d] = i
-        edge_of[a] = i
+    edge_of = {d: i for i, edge in enumerate(edges) for d in edge}
     in_tree = set(tree)
     word = []
     seen = set()

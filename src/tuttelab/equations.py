@@ -217,16 +217,15 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
 
     if eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
         nu, z = p("nu"), p("z")
-        if eq is EquationId.POTTS_QUASI_TRI:
-            head = p("q")          # y^2 t (q + (nu-1)/(1-x z t nu)) Q(0,y) Q
-            tail = nu - 1          # numerator of the geometric factor
-            dd_num = nu - 1        # y t (nu-1)/(1-x z t nu) * (Q - Q(0,y))/x
-        else:
-            head = p("mu")
-            tail = MultiPoly.zero()  # replaced below: mu + t x nu z/(1 - x nu t z)
-            dd_num = MultiPoly.one()
         # geometric series 1/(1 - x nu t z) to the working order
         geo = fixed_point(lambda g: one + t * (x * nu * z) * g, var, order)
+        # coefficients of y^2 t Q(0,y) Q (factor), y t (Q - Q(0,y))/x (geo_dd)
+        if eq is EquationId.POTTS_QUASI_TRI:
+            geo_dd = geo * (nu - 1)            # (nu-1)/(1-x z t nu)
+            factor = TSeries.const(p("q"), var, order) + geo_dd
+        else:
+            geo_dd = geo
+            factor = TSeries.const(p("mu"), var, order) + t * (x * nu * z) * geo
 
         def step(m):
             m0y = m.subs({"x": 0})
@@ -234,17 +233,13 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
             m2 = m.coeff_of("y", 2)
             dd_y = (m - one - m1 * y).div_monomial("y", 1)
             dd_x = (m - m0y).div_monomial("x", 1)
-            if eq is EquationId.POTTS_QUASI_TRI:
-                factor = TSeries.const(head, var, order) + geo * tail
-            else:
-                factor = TSeries.const(head, var, order) + t * (x * nu * z) * geo
             return (one
                     + t * z * dd_y
                     + t * (x * z) * (m - one)
                     + t * (x * y * z) * m1 * m
                     + t * (z * y * (nu - 1)) * m * (m1 * (2 * x) + m2)
                     + t * y ** 2 * factor * m0y * m
-                    + t * y * (geo * dd_num) * dd_x)
+                    + t * y * geo_dd * dd_x)
         return fixed_point(step, var, order)
 
     if eq is EquationId.BIPOLAR_MAPS:

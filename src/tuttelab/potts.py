@@ -205,7 +205,9 @@ def chromatic_poly(m: RootedMap) -> MultiPoly:
 
 def bipolar_count(m: RootedMap) -> int:
     """(-1)^{v} dP/dq (1, 0): the number of bipolar orientations with respect
-    to the root edge's endpoints."""
+    to the root edge's endpoints; the atomic map has none."""
+    if m.is_atomic:
+        return 0
     val = potts(m).diff("q").eval({"q": 1, "nu": 0})
     return int((-1) ** m.n_vertices * val)
 

@@ -14,7 +14,8 @@ Three families:
 
 All are immutable values (named tuples): two trees built by different
 routes are equal, and hash equal, exactly when they have the same
-structure, and a subtree may be shared between trees.
+structure, and a subtree may be shared between trees.  The named-tuple
+helpers _make and _replace go through the validating constructors.
 
 to_string is a deterministic output form, with no parser: blossoming trees
 in preorder over {l, n<flower-position>}, labelled trees as preorder
@@ -33,11 +34,17 @@ class TreeError(ValueError):
     pass
 
 
+def _validated_make(cls, iterable):
+    """namedtuple's _make, and so _replace, through the class's __new__."""
+    return cls(*iterable)
+
+
 class BNode(namedtuple("BNode", "flower_pos left right")):
     """An inner node: its flower slot (0, 1 or 2) and its two subtrees,
     each a BNode or LEAF."""
 
     __slots__ = ()
+    _make = classmethod(_validated_make)
 
     def __new__(cls, flower_pos, left, right):
         if flower_pos not in (0, 1, 2):
@@ -146,6 +153,7 @@ class LabelledTree(namedtuple("LabelledTree", "label children")):
     kept as a tuple, whatever sequence the caller passes."""
 
     __slots__ = ()
+    _make = classmethod(_validated_make)
 
     def __new__(cls, label, children=()):
         return super().__new__(cls, int(label), tuple(children))
@@ -212,6 +220,7 @@ class DyckShuffle(namedtuple("DyckShuffle", "word")):
     letters b/B the other."""
 
     __slots__ = ()
+    _make = classmethod(_validated_make)
 
     def __new__(cls, word: str):
         if set(word) - set("aAbB"):

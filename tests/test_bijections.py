@@ -3,7 +3,8 @@ import hashlib
 import pytest
 
 from tuttelab import closed_forms as cf
-from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
+from tuttelab.bijections import (BijectionError, _closure_match,
+                                 corner_walk, cvs_backward, cvs_forward,
                                  ising_erase, ising_series_identity,
                                  ising_subdivide, mullin_decode,
                                  mullin_decompose, mullin_encode, phi_bar,
@@ -12,7 +13,33 @@ from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
                                  unbalanced_split)
 from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
                                quadrangulations)
-from tuttelab.trees import BlossomingTree, DyckShuffle, LabelledTree
+from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
+                            LabelledTree)
+
+
+def _greedy_closure_match(sigma, alpha, kind, start):
+    """Reference closure: repeatedly join a flower to the leaf right after
+    it on the cyclic contour and take both out, until no flower is left;
+    returns (alpha2, unmatched leaves in contour order from start)."""
+    cyc = [d for d in corner_walk(sigma, alpha, start) if d in kind]
+    alpha2 = list(alpha)
+    while any(kind[d] == FLOWER for d in cyc):
+        i = next(i for i, f in enumerate(cyc) if kind[f] == FLOWER
+                 and kind[cyc[(i + 1) % len(cyc)]] == LEAF)
+        f, l = cyc[i], cyc[(i + 1) % len(cyc)]
+        alpha2[f], alpha2[l] = l, f
+        cyc.remove(f)
+        cyc.remove(l)
+    return alpha2, cyc
+
+
+def test_closure_match_is_the_greedy_matching():
+    for n in range(1, 5):
+        for t in BlossomingTree.all_trees(n):
+            sigma, alpha, kind, _ = t.to_darts()
+            for start in range(len(sigma)):
+                assert _closure_match(sigma, alpha, kind, start) \
+                    == _greedy_closure_match(sigma, alpha, kind, start)
 
 
 def test_open_close_identity():

@@ -62,6 +62,17 @@ def test_tutte_outputs(tmp_path, capsys):
                                     "bipolar_count"}
 
 
+def test_tutte_special_of_the_atomic_map(tmp_path, capsys):
+    from tuttelab.maps import RootedMap
+    mapfile = tmp_path / "atomic.json"
+    mapfile.write_text(RootedMap.atomic().to_json())
+    code, out, _ = run_cli(capsys, "tutte", str(mapfile), "--special")
+    assert code == 0 and "bipolar_count: 0\n" in out
+    code, out, _ = run_cli(capsys, "tutte", str(mapfile), "--special",
+                           "--json")
+    assert code == 0 and json.loads(out)["bipolar_count"] == "0"
+
+
 def test_tutte_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -2,11 +2,11 @@ import itertools
 
 import tuttelab.potts as potts_mod
 
-from tuttelab.generate import all_maps
+from tuttelab.generate import all_bipolar_orientations, all_maps
 from tuttelab.maps import RootedMap
 from tuttelab.poly import MultiPoly
-from tuttelab.potts import (chromatic_poly, duality_check, potts,
-                            potts_by_interpolation, potts_from_tutte,
+from tuttelab.potts import (bipolar_count, chromatic_poly, duality_check,
+                            potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle, spanning_tree_count,
                             specializations, tutte)
 
@@ -109,6 +109,13 @@ def test_specializations():
             assert s["chromatic_poly"] == chromatic_poly(m)
             if all(u != v for u, v in m.multigraph_edges()):
                 assert s["chromatic_poly"].degree("q") == m.n_vertices
+
+
+def test_bipolar_count_counts_the_orientations():
+    assert bipolar_count(RootedMap.atomic()) == 0
+    for n in range(1, 5):
+        for m in all_maps(n):
+            assert bipolar_count(m) == len(all_bipolar_orientations(m))
 
 
 def test_chromatic_small():

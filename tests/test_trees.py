@@ -57,6 +57,25 @@ def test_trees_are_immutable():
             setattr(obj, attr, 2)
 
 
+def test_named_tuple_helpers_validate():
+    # _make, and _replace through it, go through the validating constructor
+    node = BNode(0, LEAF, LEAF)
+    assert node._replace(flower_pos=2) == BNode(2, LEAF, LEAF)
+    with pytest.raises(TreeError):
+        node._replace(flower_pos=5)
+    with pytest.raises(TreeError):
+        BNode._make([3, LEAF, LEAF])
+    assert DyckShuffle._make(["abAB"]) == DyckShuffle("abAB")
+    with pytest.raises(TreeError):
+        DyckShuffle._make(["ab"])
+    with pytest.raises(TreeError):
+        DyckShuffle("aA")._replace(word="Aa")
+    t = LabelledTree._make([1, [LabelledTree(2)]])
+    assert t == LabelledTree(1, (LabelledTree(2),))
+    assert hash(t) == hash(LabelledTree(1, (LabelledTree(2),)))
+    assert LabelledTree(1)._replace(children=[LabelledTree(2)]) == t
+
+
 def test_labelled_tree_roundtrip_and_counts():
     for n in range(4):
         trees = LabelledTree.all_labelled_trees(n)

@@ -80,16 +80,17 @@ def _clear_memoised_checks():
         check.cache_clear()
 
 
-def test_verify_all_builds_no_seven_edge_maps(monkeypatch):
-    results, _ = _run_refusing(monkeypatch, 7, 7)
-    assert len(results) == 118 and verify.all_pass(results)
-
-
 @pytest.fixture(scope="module")
 def six_edge_streamed_run():
-    # one verify.run() serves the two tests below
+    # one verify.run() serves the three tests below; it refuses every
+    # all_maps list of 6 or more edges and every stream of 7 or more
     with pytest.MonkeyPatch.context() as monkeypatch:
         return _run_refusing(monkeypatch, 6, 7)
+
+
+def test_verify_all_builds_no_seven_edge_maps(six_edge_streamed_run):
+    results, _ = six_edge_streamed_run
+    assert len(results) == 118 and verify.all_pass(results)
 
 
 def test_verify_all_keeps_no_six_edge_list(six_edge_streamed_run):
