@@ -44,6 +44,7 @@ iterates, giving two independent derivations of the same numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from tuttelab.equations import EquationId, expand
 from tuttelab.poly import MultiPoly, exact
@@ -56,7 +57,12 @@ class DESolveError(ValueError):
 
     def __init__(self, message, order):
         super().__init__(f"{message} (at order {order})")
+        self.message = message
         self.order = order
+
+    def __reduce__(self):
+        # rebuilt from both arguments when it crosses a process boundary
+        return type(self), (self.message, self.order)
 
 
 V = MultiPoly.var("v")
@@ -260,9 +266,11 @@ def solve_de_tri(q, N):
             t2.truncate(N))
 
 
+@lru_cache(maxsize=None)
 def tri_t2_series(q, N) -> TSeries:
     """T_2(q,z;1) by functional-equation iteration: the y^2 coefficient at
-    x = 1 of the non-separable near-triangulation series."""
+    x = 1 of the non-separable near-triangulation series.  Memoised:
+    check_de_tri and check_tutte_ode read the same expansion."""
     full = expand(EquationId.TUTTE_NONSEP_TRI, N, {"q": q})
     return full.subs({"x": 1}).coeff_of("y", 2)
 

@@ -14,6 +14,15 @@ closed-formula vs brute-force checks (closed_forms and kernels) and the
 brute-force series of MAPS_1CAT to t^6 (counts reads the number of maps
 of each size off it, equations compares expand with it), whose 6-edge
 maps are streamed once and never held.
+
+`run` uses two processes.  One worker process runs closed_forms, kernels,
+algebraic, desystems and bijections (WORKER_SUITES) while the calling
+process runs counts, potts and equations; the rows are merged in the order
+of the names.  The split follows the memos: the suites that share a memo
+sit on the same side, so each memo is still computed once.  Only the
+generated lists of maps and bipartite maps with at most 4 edges and of
+near-triangulations with at most 7 edges are built on both sides.  A run
+whose suites all sit on one side starts no worker.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import csv
 import io
 import itertools
 import json
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 
@@ -462,16 +472,41 @@ SUITES = {
 }
 
 
+#: The suites that `run` hands to its worker process.  Suites that share a
+#: memo must sit on the same side of this set, or the memo is computed in
+#: both processes.
+WORKER_SUITES = frozenset({"closed_forms", "kernels", "algebraic",
+                           "desystems", "bijections"})
+
+
+def _run_suites(names):
+    """{name: rows} for the named suites, run in this process."""
+    return {name: SUITES[name]() for name in names}
+
+
 def run(names=None):
-    """Run the named suites (all by default, in catalog order)."""
-    if names is None or names == ["all"]:
-        names = list(SUITES)
-    results = []
-    for name in names:
-        if name not in SUITES:
+    """Run the named suites (all by default, in catalog order) and return
+    their rows in the order of the names.  'all' anywhere in the names means
+    every suite once; a name given twice repeats its rows, computed once.
+
+    When the names fall on both sides of WORKER_SUITES, one worker process
+    runs the worker-side suites while this process runs the rest."""
+    for name in names or ():
+        if name != "all" and name not in SUITES:
             raise KeyError(f"unknown verification suite {name!r}")
-        results.extend(SUITES[name]())
-    return results
+    if names is None or "all" in names:
+        names = list(SUITES)
+    unique = list(dict.fromkeys(names))
+    remote = [name for name in unique if name in WORKER_SUITES]
+    local = [name for name in unique if name not in WORKER_SUITES]
+    if remote and local:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(_run_suites, remote)
+            rows = _run_suites(local)
+            rows.update(pending.result())
+    else:
+        rows = _run_suites(unique)
+    return [r for name in names for r in rows[name]]
 
 
 def all_pass(results) -> bool:

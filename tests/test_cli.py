@@ -227,6 +227,18 @@ def test_verify_suite(capsys):
     assert code == cli.EXIT_UNKNOWN and "known suites" in err
 
 
+def test_verify_all_may_sit_anywhere_in_the_names(capsys, monkeypatch):
+    from tuttelab import verify
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name: [
+            verify.CaseResult(name, "fake", 1, 1)])
+    monkeypatch.setattr(verify, "WORKER_SUITES", frozenset())
+    for argv in (["all", "all"], ["counts", "all"]):
+        code, out, err = run_cli(capsys, "verify", *argv, "--json")
+        assert code == 0 and err == ""
+        assert [row["suite"] for row in json.loads(out)] == list(verify.SUITES)
+
+
 def test_verify_output_deterministic(capsys):
     outs = []
     for _ in range(2):

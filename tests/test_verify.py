@@ -1,6 +1,16 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tuttelab import verify
+from tuttelab.desystems import DESolveError
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker sees suites patched in this process")
 
 
 def test_suite_catalog():
@@ -9,9 +19,104 @@ def test_suite_catalog():
                                    "desystems", "bijections"]
 
 
-def test_unknown_suite():
-    with pytest.raises(KeyError):
-        verify.run(["nope"])
+def _fake_suites(monkeypatch):
+    """Replace every suite by one that returns a single passing row naming
+    it; return the list of suites run in this process, in call order."""
+    ran = []
+
+    def fake(name):
+        def suite():
+            ran.append(name)
+            return [verify.CaseResult(name, "fake", 1, 1)]
+        return suite
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, fake(name))
+    return ran
+
+
+def test_unknown_suite(monkeypatch):
+    # refused before any suite runs or any worker starts
+    ran = _fake_suites(monkeypatch)
+    for names in (["nope"], ["counts", "closed_forms", "nope"]):
+        with pytest.raises(KeyError):
+            verify.run(names)
+    assert ran == [] and multiprocessing.active_children() == []
+
+
+def test_all_anywhere_means_every_suite_once(monkeypatch):
+    ran = _fake_suites(monkeypatch)
+    monkeypatch.setattr(verify, "WORKER_SUITES", frozenset())
+    for names in (None, ["all"], ["all", "all"], ["counts", "all"],
+                  ["bijections", "all", "potts"]):
+        ran.clear()
+        assert [r.suite for r in verify.run(names)] == list(verify.SUITES)
+        assert ran == list(verify.SUITES)
+
+
+def test_a_name_given_twice_repeats_its_rows_computed_once(monkeypatch):
+    ran = _fake_suites(monkeypatch)
+    monkeypatch.setattr(verify, "WORKER_SUITES", frozenset())
+    rows = verify.run(["counts", "kernels", "counts"])
+    assert [r.suite for r in rows] == ["counts", "kernels", "counts"]
+    assert ran == ["counts", "kernels"]
+
+
+def test_rows_follow_the_names_and_no_worker_outlives_the_run():
+    rows = verify.run(["closed_forms", "counts"])
+    suites = [r.suite for r in rows]
+    assert suites == sorted(suites, key=["closed_forms", "counts"].index)
+    assert set(suites) == {"closed_forms", "counts"}
+    assert verify.all_pass(rows)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ValueError("boom"),
+                                   DESolveError("inconsistent system", 4)])
+def test_worker_exception_reaches_the_caller(monkeypatch, error):
+    _fake_suites(monkeypatch)
+
+    def broken():
+        raise error
+
+    monkeypatch.setitem(verify.SUITES, "desystems", broken)
+    with pytest.raises(type(error)) as caught:
+        verify.run(["counts", "desystems"])
+    assert str(caught.value) == str(error)
+    assert multiprocessing.active_children() == []
+
+
+def test_text_written_before_a_split_run_is_written_once():
+    # a forked worker flushes the stdio buffers it inherits when it exits;
+    # multiprocessing flushes this process's before it forks
+    script = ("import sys\n"
+              "from tuttelab import verify\n"
+              "sys.stdout.write('x')\n"
+              "sys.stderr.write('y')\n"
+              "verify.run(['potts', 'closed_forms'])\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "x" and done.stderr == "y"
+
+
+def test_no_memo_is_filled_on_both_sides():
+    # the suites run in the worker fill none of the memos the others read,
+    # so each memo is computed once per verify all
+    memos = [f for f in vars(verify).values()
+             if hasattr(f, "cache_clear") and f.__module__ == verify.__name__]
+    local = [name for name in verify.SUITES
+             if name not in verify.WORKER_SUITES]
+    filled = []
+    for side in (sorted(verify.WORKER_SUITES), local):
+        for memo in memos:
+            memo.cache_clear()
+        verify.run(side)
+        filled.append({memo.__name__ for memo in memos
+                       if memo.cache_info().currsize})
+    assert filled[0] and filled[1] and not filled[0] & filled[1]
+    assert filled[0] | filled[1] == {memo.__name__ for memo in memos}
 
 
 def test_counts_suite_passes():
