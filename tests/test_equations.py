@@ -119,3 +119,49 @@ def test_numeric_expansion_is_pinned_above_verify_orders(name, order, numeric):
     point = {k: POINT[k] for k in PARAM_VARS[eq]}
     text = repr(expand(eq, order, point))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == numeric
+
+
+def _digest(s):
+    return hashlib.sha256(repr(s).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of repr(brute_force_gf(eq, order, params)) at the caps of
+# test_expand_vs_brute_force, of the quasi-triangulation slices and of the
+# numeric cases at order 2: the printed sums over generated maps.
+@pytest.mark.parametrize("name,order,params,digest", [
+    ("MAPS_1CAT", 4, None, "b2b67bd876830419"),
+    ("NT", 4, None, "df1f6be65476e711"),
+    ("NQ", 3, None, "b02c680d9b13219f"),
+    ("BIP", 3, None, "5fddb69252429a56"),
+    ("EULER_NT", 2, None, "383e2abe22e16e2d"),
+    ("POTTS_MAPS", 3, None, "1bb5bb0b5cb8c356"),
+    ("TUTTE_MAPS", 3, None, "b531e8c71a421604"),
+    ("TUTTE_NONSEP_TRI", 3, None, "fbd9b3b45809f6d4"),
+    ("BIPOLAR_MAPS", 4, None, "9286eb32f98b1591"),
+    ("BIPOLAR_TRI", 3, None, "7417cfff6b47181d"),
+    ("POTTS_QUASI_TRI", 3, None, "f78a823f1b9bdffe"),
+    ("TUTTE_QUASI_TRI", 3, None, "f3ff94c87422bf29"),
+    ("POTTS_MAPS", 2, {"w": 2}, "ca617968cba6b64e"),
+    ("TUTTE_MAPS", 2, {"z": 3}, "6e88621c0be465d9"),
+    ("TUTTE_MAPS", 2, {"w": 2}, "5ff2881cd7d01c92"),
+])
+def test_brute_force_text_is_pinned(name, order, params, digest):
+    assert _digest(brute_force_gf(EquationId[name], order, params)) == digest
+
+
+# sha256 prefixes of repr(expand(eq, order, params)) for the two equations
+# of each step shape, near-p-angulations (NT, NQ) and the two-catalytic
+# Potts and Tutte maps, above the orders of test_expansion_text_is_pinned:
+# symbolic, and at rational points, one of which leaves w symbolic.
+@pytest.mark.parametrize("name,order,params,digest", [
+    ("NT", 12, None, "8c3dd4f1b8a4a3d4"),
+    ("NQ", 10, None, "0d2409f3e246ddf6"),
+    ("POTTS_MAPS", 5, None, "70ee4d2b25188152"),
+    ("POTTS_MAPS", 7, {"q": 3, "nu": Fraction(1, 2)}, "43e19aa4e75762ce"),
+    ("TUTTE_MAPS", 5, None, "49fdce154e743870"),
+    ("TUTTE_MAPS", 6, {"mu": Fraction(3, 2), "nu": Fraction(-2, 5),
+                       "w": Fraction(2, 3), "z": Fraction(5, 4)},
+     "cf075af841c83faa"),
+])
+def test_shared_step_expansions_are_pinned(name, order, params, digest):
+    assert _digest(expand(EquationId[name], order, params)) == digest
