@@ -11,9 +11,16 @@ Divided differences such as (y F(y) - F(1))/(y - 1) are evaluated by exact
 polynomial division coefficientwise; a division failure is a hard error
 (it would mean the equation was transcribed wrongly).
 
-brute_force_gf computes the same series as an explicit sum of monomials
-over exhaustively generated maps, providing the ground truth for every
-equation that has a generated counterpart family.
+Equations of one shape share one step: NT and NQ that of
+near-p-angulations, POTTS_MAPS and TUTTE_MAPS that of maps with two
+catalytic variables, whose four term weights are built once per call.
+
+brute_force_gf computes the same series as an explicit sum over
+exhaustively generated maps, the ground truth for every equation.  It is
+one table with a row per equation (family, what the weight reads, the
+monomial it marks, a fixed step); the maps of one size are grouped by
+weight, and parameters the caller sets are substituted once per
+coefficient, after the sum.
 
 Conventions of the generating functions (per map M: e edges, v vertices,
 f faces, dv root-vertex degree, df root-face degree):
@@ -41,12 +48,11 @@ f faces, dv root-vertex degree, df root-face degree):
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from enum import Enum
-from functools import lru_cache
 
 from tuttelab.poly import MultiPoly
-from tuttelab.series import SeriesError, TSeries, fixed_point
+from tuttelab.series import TSeries, fixed_point
 
 
 class EquationId(Enum):
@@ -101,19 +107,20 @@ class UnknownEquation(ValueError):
     pass
 
 
-def _params(eq, params):
+def _given(eq, params):
+    """The caller's parameter values as polynomials; a name that eq does
+    not take is an error."""
     params = dict(params or {})
     bad = set(params) - set(PARAM_VARS[eq])
     if bad:
         raise ValueError(f"{eq.value} does not take parameters {sorted(bad)}")
+    return {k: v if isinstance(v, MultiPoly) else MultiPoly.const(v)
+            for k, v in params.items()}
 
-    def p(name):
-        if name in params:
-            v = params[name]
-            return v if isinstance(v, MultiPoly) else MultiPoly.const(v)
-        return MultiPoly.var(name)
 
-    return p
+def _params(eq, params):
+    """Every parameter of eq: the caller's value, else its symbol."""
+    return {v: MultiPoly.var(v) for v in PARAM_VARS[eq]} | _given(eq, params)
 
 
 def expand(eq: EquationId, order: int, params=None) -> TSeries:
@@ -136,73 +143,48 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
             m1 = m.subs({"y": 1})
             dd = (m * y - m1).div_linear("y", 1)
             return one + t * y ** 2 * m * m + t * y * dd
-        return fixed_point(step, var, order)
+    elif eq in (EquationId.NT, EquationId.NQ):
+        # inner faces of degree k: dd = (M - sum_{i<k-1} M_i y^i) / y^(k-2)
+        k = 3 if eq is EquationId.NT else 4
 
-    if eq is EquationId.NT:
         def step(m):
-            m0 = m.coeff_of("y", 0)
-            m1 = m.coeff_of("y", 1)
-            dd = (m - m0 - m1 * y).div_monomial("y", 1)
-            return one + t * y ** 2 * m * m + t * dd
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.NQ:
-        def step(m):
-            m0 = m.coeff_of("y", 0)
-            m1 = m.coeff_of("y", 1)
-            m2 = m.coeff_of("y", 2)
-            dd = (m - m0 - m1 * y - m2 * y ** 2).div_monomial("y", 2)
-            return one + t * y ** 2 * m * m + t * dd
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.BIP:
+            rest = m - m.coeff_of("y", 0)
+            for i in range(1, k - 1):
+                rest = rest - m.coeff_of("y", i) * y ** i
+            return (one + t * y ** 2 * m * m
+                    + t * rest.div_monomial("y", k - 2))
+    elif eq is EquationId.BIP:
         def step(m):
             m1 = m.subs({"y": 1})
             dd = (m - m1).div_linear("y", 1)
             return one + t * y * m * m + t * y * dd
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.EULER_NT:
+    elif eq is EquationId.EULER_NT:
         def step(m):
             m0 = m.coeff_of("y", 0)
             m1 = m.coeff_of("y", 1)
             dd = (m - m0 - m1 * y).div_monomial("y", 1)
             return (one + t * y * m ** 3 + 2 * t * m * (m - m0)
                     + t * (m - m0) + t * dd)
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.POTTS_MAPS:
-        q, nu, w = p("q"), p("nu"), p("w")
-
-        def step(m):
-            mx1 = m.subs({"y": 1})
-            m1y = m.subs({"x": 1})
-            ddx = (m * x - m1y).div_linear("x", 1)
-            ddy = (m * y - mx1).div_linear("y", 1)
-            return (one
-                    + t * (x * y * w * (q * y + (nu - 1) * (y - 1))) * m * m1y
-                    + t * (x * y * (x * nu - 1)) * m * mx1
-                    + t * (x * y * w * (nu - 1)) * ddx
-                    + t * (x * y) * ddy)
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.TUTTE_MAPS:
-        mu, nu, w, z = p("mu"), p("nu"), p("w"), p("z")
+    elif eq in (EquationId.POTTS_MAPS, EquationId.TUTTE_MAPS):
+        # the weights of M M(1, y), M M(x, 1), ddx and ddy
+        nu, w = p["nu"], p["w"]
+        if eq is EquationId.POTTS_MAPS:
+            weights = (x * y * w * (p["q"] * y + (nu - 1) * (y - 1)),
+                       x * y * (x * nu - 1), x * y * w * (nu - 1), x * y)
+        else:
+            z = p["z"]
+            weights = (x * y * w * (y * p["mu"] - 1),
+                       x * y * z * (x * nu - 1), x * y * w, x * y * z)
+        a, b, c, d = (t * k for k in weights)
 
         def step(m):
             mx1 = m.subs({"y": 1})
             m1y = m.subs({"x": 1})
             ddx = (m * x - m1y).div_linear("x", 1)
             ddy = (m * y - mx1).div_linear("y", 1)
-            return (one
-                    + t * (x * y * w * (y * mu - 1)) * m * m1y
-                    + t * (x * y * z * (x * nu - 1)) * m * mx1
-                    + t * (x * y * w) * ddx
-                    + t * (x * y * z) * ddy)
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.TUTTE_NONSEP_TRI:
-        q = p("q")
+            return one + a * m * m1y + b * m * mx1 + c * ddx + d * ddy
+    elif eq is EquationId.TUTTE_NONSEP_TRI:
+        q = p["q"]
         seed = TSeries.const(x * y ** 2 * q * (q - 1), var, order)
 
         def step(m):
@@ -213,19 +195,17 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
             cross = (t * x * m1y * m).apply(lambda c: c.divexact(q))
             return (seed + cross.div_monomial("y", 1)
                     + t * x * ddy - t * (x ** 2 * y) * ddx)
-        return fixed_point(step, var, order)
-
-    if eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
-        nu, z = p("nu"), p("z")
+    elif eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
+        nu, z = p["nu"], p["z"]
         # geometric series 1/(1 - x nu t z) to the working order
         geo = fixed_point(lambda g: one + t * (x * nu * z) * g, var, order)
         # coefficients of y^2 t Q(0,y) Q (factor), y t (Q - Q(0,y))/x (geo_dd)
         if eq is EquationId.POTTS_QUASI_TRI:
             geo_dd = geo * (nu - 1)            # (nu-1)/(1-x z t nu)
-            factor = TSeries.const(p("q"), var, order) + geo_dd
+            factor = TSeries.const(p["q"], var, order) + geo_dd
         else:
             geo_dd = geo
-            factor = TSeries.const(p("mu"), var, order) + t * (x * nu * z) * geo
+            factor = TSeries.const(p["mu"], var, order) + t * (x * nu * z) * geo
 
         def step(m):
             m0y = m.subs({"x": 0})
@@ -240,10 +220,8 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
                     + t * (z * y * (nu - 1)) * m * (m1 * (2 * x) + m2)
                     + t * y ** 2 * factor * m0y * m
                     + t * y * geo_dd * dd_x)
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.BIPOLAR_MAPS:
-        w = p("w")
+    elif eq is EquationId.BIPOLAR_MAPS:
+        w = p["w"]
         kern = (1 - x) * (1 - y)
 
         def step(b):
@@ -255,9 +233,7 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
                    - t * (x * y * w * (1 - y)) * b
                    - t * (x * y * (1 - x)) * b)
             return rhs.apply(lambda c: c.divexact(kern))
-        return fixed_point(step, var, order)
-
-    if eq is EquationId.BIPOLAR_TRI:
+    elif eq is EquationId.BIPOLAR_TRI:
         seed_poly = x * y ** 2
         xm1 = x - 1
 
@@ -270,9 +246,9 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
                    + (t * (x * xm1) * b).div_monomial("y", 1)
                    + t * (x ** 2 * y) * b)
             return rhs.div_linear("x", 1)
-        return fixed_point(step, var, order)
-
-    raise UnknownEquation(f"unknown equation {eq!r}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise UnknownEquation(f"unknown equation {eq!r}")
+    return fixed_point(step, var, order)
 
 
 def quasi_tri_q2_relation_holds(eq: EquationId, order: int, params=None) -> bool:
@@ -280,7 +256,7 @@ def quasi_tri_q2_relation_holds(eq: EquationId, order: int, params=None) -> bool
     the quasi-triangulation series satisfy, in cleared (denominator-free)
     form."""
     p = _params(eq, params)
-    nu, z = p("nu"), p("z")
+    nu, z = p["nu"], p["z"]
     m = expand(eq, order, params)
     q1 = m.coeff_of("y", 1)
     q2 = m.coeff_of("y", 2)
@@ -295,28 +271,28 @@ def quasi_tri_q2_relation_holds(eq: EquationId, order: int, params=None) -> bool
 # -- brute-force ground truth -----------------------------------------------------
 
 
-#: what the weight of a map in brute_force_gf reads: `extra` is its Potts
-#: or Tutte polynomial or its number of bipolar orientations (None if the
-#: weight reads none), the rest are its statistics
-_Stats = namedtuple("_Stats", "extra n_vertices n_faces root_vertex_degree"
-                    " root_face_degree")
-
-
 def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     """The same series as expand(eq, ...), summed over generated maps.
 
-    Exponential in the order; meant for desk-scale cross-checks.  The maps
-    of each size are counted by what their weight reads, and each group is
-    weighted once.  The root-edge families stream their top size, so it is
-    never held.  The two quasi-triangulation ids yield the x = 0 slice
-    (near-triangulations), the only slice with a direct combinatorial
-    meaning.
+    Exponential in the order; meant for desk-scale cross-checks.  A row of
+    the table gives the equation's family, what the weight of a map reads
+    beside one monomial (nothing, its Potts or Tutte polynomial, or its
+    number of bipolar orientations), which of w^(v-1), x^dv, y^(df/per)
+    and z^(f-1) that monomial marks, and a fixed step (division by q of the
+    Potts weights, nu = 0 for TUTTE_NONSEP_TRI).  The maps of one size are
+    counted by (what the weight reads, exponents), and each group costs one
+    product with one monomial.  The fixed step, then the parameters the
+    caller sets, are applied once per coefficient; a symbolic parameter is
+    never substituted.  The top size is asked for first, so a size over
+    the family's cap is refused before any map is built, and the root-edge
+    families stream it, so it is never held.  The two quasi-triangulation
+    ids yield the x = 0 slice (near-triangulations), the only slice with a
+    direct combinatorial meaning.
     """
     from tuttelab import generate as g
     from tuttelab.potts import potts, tutte
 
-    p = _params(eq, params)
-    q, nu, mu, w, z = (p(v) for v in ("q", "nu", "mu", "w", "z"))
+    given = _given(eq, params)
     E = EquationId
 
     def family(name, *args):
@@ -329,67 +305,52 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         return maps
 
     all_maps, nt = family("all_maps"), family("near_angulations", 3)
-
-    def outer(s, per=1):
-        return MultiPoly.var("y", s.root_face_degree // per)
-
-    def degrees(s):
-        return MultiPoly(("x", "y"), {(s.root_vertex_degree,
-                                       s.root_face_degree): 1})
-
-    w_pow, z_pow = (lru_cache(maxsize=None)(p.__pow__) for p in (w, z))
-
-    def vw(s):
-        return w_pow(s.n_vertices - 1)
-
-    def fz(s):
-        return z_pow(s.n_faces - 1)
-
-    def potts_w(s):  # P_M(q, nu) / q
-        return s.extra.divexact(MultiPoly.var("q")).subs({"q": q, "nu": nu})
-
-    def tutte_w(s):
-        return s.extra.subs({"mu": mu, "nu": nu})
+    nonsep = g.non_separable_near_triangulations
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
 
-    def nothing(m):
-        return None
+    def over_q(c):  # P_M(q, nu) / q
+        return c.div_monomial("q", 1)
 
-    # {equation: (its maps of size n, what else the weight of a map reads,
-    # the weight of one map of given _Stats)}, the size being the exponent
-    # of the equation's main variable
+    def nu_0(c):  # P_T(q, 0)
+        return c.subs({"nu": 0})
+
+    # {equation: (its maps of size n, the size being the exponent of the
+    # main variable; what the weight of a map reads, None for nothing; the
+    # variables its monomial marks; per, which divides the root-face degree;
+    # the fixed step)}
     table = {
-        E.MAPS_1CAT: (all_maps, nothing, outer),
-        E.NT: (nt, nothing, outer),
-        E.NQ: (family("near_angulations", 4), nothing, outer),
-        E.BIP: (family("bipartite_maps"), nothing, lambda s: outer(s, 2)),
-        E.EULER_NT: (g.eulerian_near_triangulations, nothing,
-                     lambda s: outer(s, 3)),
-        E.POTTS_MAPS: (all_maps, potts,
-                       lambda s: potts_w(s) * vw(s) * degrees(s)),
-        E.TUTTE_MAPS: (all_maps, tutte,
-                       lambda s: tutte_w(s) * vw(s) * fz(s) * degrees(s)),
-        E.TUTTE_NONSEP_TRI: (
-            g.non_separable_near_triangulations, potts,
-            lambda s: s.extra.subs({"nu": 0, "q": q}) * degrees(s)),
-        E.POTTS_QUASI_TRI: (nt, potts,
-                            lambda s: potts_w(s) * fz(s) * outer(s)),
-        E.TUTTE_QUASI_TRI: (nt, tutte,
-                            lambda s: tutte_w(s) * fz(s) * outer(s)),
-        E.BIPOLAR_MAPS: (all_maps, bipolar,
-                         lambda s: s.extra * vw(s) * degrees(s)),
-        E.BIPOLAR_TRI: (g.non_separable_near_triangulations, bipolar,
-                        lambda s: s.extra * degrees(s)),
+        E.MAPS_1CAT: (all_maps, None, "y", 1, None),
+        E.NT: (nt, None, "y", 1, None),
+        E.NQ: (family("near_angulations", 4), None, "y", 1, None),
+        E.BIP: (family("bipartite_maps"), None, "y", 2, None),
+        E.EULER_NT: (g.eulerian_near_triangulations, None, "y", 3, None),
+        E.POTTS_MAPS: (all_maps, potts, "wxy", 1, over_q),
+        E.TUTTE_MAPS: (all_maps, tutte, "wxyz", 1, None),
+        E.TUTTE_NONSEP_TRI: (nonsep, potts, "xy", 1, nu_0),
+        E.POTTS_QUASI_TRI: (nt, potts, "yz", 1, over_q),
+        E.TUTTE_QUASI_TRI: (nt, tutte, "yz", 1, None),
+        E.BIPOLAR_MAPS: (all_maps, bipolar, "wxy", 1, None),
+        E.BIPOLAR_TRI: (nonsep, bipolar, "xy", 1, None),
     }
-    maps, extra, weight = table[eq]
+    maps, reads, marks, per, fixed = table[eq]
+    stat = {"w": lambda m: m.n_vertices - 1,
+            "x": lambda m: m.root_vertex_degree,
+            "y": lambda m: m.root_face_degree // per,
+            "z": lambda m: m.n_faces - 1}
+    stats = [stat[v] for v in marks]
 
-    def stats(m):
-        return _Stats(extra(m), m.n_vertices, m.n_faces,
-                      m.root_vertex_degree, m.root_face_degree)
+    def key(m):
+        return reads(m) if reads else 1, tuple([s(m) for s in stats])
 
-    coeffs = [MultiPoly.dot((weight(s), k)
-                            for s, k in Counter(map(stats, maps(n))).items())
-              for n in range(order + 1)]
+    def coeff(ms):
+        groups = Counter(map(key, ms))
+        c = MultiPoly.dot((value, MultiPoly(marks, {exps: k}))
+                          for (value, exps), k in groups.items())
+        c = fixed(c) if fixed else c
+        return c.subs(given) if given else c
+
+    top = maps(order)  # first, so that the cap is checked before any work
+    coeffs = [coeff(maps(n)) for n in range(order)] + [coeff(top)]
     return TSeries(MAIN_VAR[eq], order, coeffs)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from tuttelab import generate, potts
 from tuttelab.equations import (PARAM_VARS, EquationId, UnknownEquation,
                                 brute_force_gf, expand,
                                 quasi_tri_q2_relation_holds)
+from tuttelab.generate import CapExceeded
+from tuttelab.maps import RootedMap
 
 
 def test_maps_counts_from_equation():
@@ -33,10 +36,44 @@ def test_expand_vs_brute_force(name, cap):
 @pytest.mark.parametrize("name,params", [
     ("POTTS_MAPS", {"w": 2}), ("TUTTE_MAPS", {"z": 3}),
     ("TUTTE_MAPS", {"w": 2}),
+    ("POTTS_MAPS", {"q": 3, "nu": Fraction(1, 2)}),
+    ("TUTTE_NONSEP_TRI", {"q": Fraction(7, 2)}),
+    ("POTTS_QUASI_TRI", {"q": 2, "nu": 3, "z": Fraction(2, 3)}),
+    ("TUTTE_QUASI_TRI", {"mu": Fraction(3, 2), "nu": Fraction(-2, 5)}),
+    ("BIPOLAR_MAPS", {"w": Fraction(-5, 3)}),
+    ("TUTTE_MAPS", {"mu": 2, "nu": 3, "w": Fraction(1, 2), "z": 5}),
 ])
 def test_expand_vs_brute_force_at_numeric_parameters(name, params):
     eq = EquationId[name]
-    assert expand(eq, 2, params) == brute_force_gf(eq, 2, params)
+    lhs = expand(eq, 3, params)
+    if name.endswith("QUASI_TRI"):  # brute force has the x = 0 slice
+        lhs = lhs.subs({"x": 0})
+    assert lhs == brute_force_gf(eq, 3, params)
+
+
+def test_brute_force_cap_checked_before_generation(monkeypatch):
+    # every generator and weight is patched to raise, so that a memo filled
+    # by an earlier test cannot hide work done below the capped size
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on the capped path")
+
+    for name in ("all_maps", "near_angulations", "bipartite_maps",
+                 "_root_edge_recursion"):
+        monkeypatch.setattr(generate, name, no_work)
+    for name in ("potts", "tutte"):
+        monkeypatch.setattr(potts, name, no_work)
+    monkeypatch.setattr(RootedMap, "__init__", no_work)
+    for name, order, message in (
+            ("MAPS_1CAT", 8, "all_maps cap is 7 edges (asked for 8)"),
+            ("POTTS_MAPS", 8, "all_maps cap is 7 edges (asked for 8)"),
+            ("BIP", 8, "bipartite_maps cap is 7 edges (asked for 8)"),
+            ("EULER_NT", 3, "eulerian_near_triangulations cap is 2 faces "
+             "of each colour (asked for 3)"),
+            ("TUTTE_NONSEP_TRI", 4, "non_separable_near_triangulations cap "
+             "is 3 inner faces (asked for 4)")):
+        with pytest.raises(CapExceeded) as err:
+            brute_force_gf(EquationId[name], order)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", ["POTTS_QUASI_TRI", "TUTTE_QUASI_TRI"])
@@ -68,6 +105,10 @@ def test_errors():
         expand(EquationId.BIPOLAR_MAPS, 1, {"w": 0.1})
 
 
+def _digest(s):
+    return hashlib.sha256(repr(s).encode()).hexdigest()[:16]
+
+
 # sha256 prefixes of repr(expand(eq, order)) at verify's orders, and at the
 # orders it used before raising them: with every parameter symbolic, and at
 # POINT (None for equations without parameters).
@@ -94,13 +135,10 @@ POINT = {"q": Fraction(5, 3), "nu": Fraction(-3, 2), "mu": Fraction(2, 5),
     ("BIPOLAR_TRI", 3, "7417cfff6b47181d", None),
 ])
 def test_expansion_text_is_pinned(name, order, symbolic, numeric):
-    def digest(s):
-        return hashlib.sha256(repr(s).encode()).hexdigest()[:16]
-
     eq = EquationId[name]
-    assert digest(expand(eq, order)) == symbolic
+    assert _digest(expand(eq, order)) == symbolic
     point = {k: POINT[k] for k in PARAM_VARS[eq]}
-    assert (digest(expand(eq, order, point)) if point else None) == numeric
+    assert (_digest(expand(eq, order, point)) if point else None) == numeric
 
 
 # sha256 prefixes of repr(expand(eq, order, POINT)) above verify's orders:
@@ -117,12 +155,7 @@ def test_expansion_text_is_pinned(name, order, symbolic, numeric):
 def test_numeric_expansion_is_pinned_above_verify_orders(name, order, numeric):
     eq = EquationId[name]
     point = {k: POINT[k] for k in PARAM_VARS[eq]}
-    text = repr(expand(eq, order, point))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == numeric
-
-
-def _digest(s):
-    return hashlib.sha256(repr(s).encode()).hexdigest()[:16]
+    assert _digest(expand(eq, order, point)) == numeric
 
 
 # sha256 prefixes of repr(brute_force_gf(eq, order, params)) at the caps of
