@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -59,6 +60,24 @@ def test_stream_is_the_list_unsorted(family, args):
     for n in range(generate.LIST_CAP + 1):
         codes = sorted(m.code for m in generate.stream(family, n, *args))
         assert codes == [m.code for m in listed(n, *args)]
+
+
+# sha256 prefixes of repr([m.code for m in maps]), in list order: the
+# canonical codes the generator writes, which gen prints and every count
+# and brute-force sum reads.
+@pytest.mark.parametrize("family,args,digest", [
+    (all_maps, (0,), "78fce9491f4b0e3b"),
+    (all_maps, (1,), "641630098975874f"),
+    (all_maps, (2,), "15102f44510ecb74"),
+    (all_maps, (3,), "5d7de870689e38cb"),
+    (all_maps, (4,), "9963cdbeae93c997"),
+    (all_maps, (5,), "92f574142bc368f7"),
+    (all_maps, (6,), "452a923db38771db"),
+    (bipartite_maps, (6,), "ef910dfac2999217"),
+    (near_angulations, (7, 3), "076d1c5682df042d")])
+def test_generated_codes_are_pinned(family, args, digest):
+    codes = [m.code for m in family(*args)]
+    assert hashlib.sha256(repr(codes).encode()).hexdigest()[:16] == digest
 
 
 def test_cap():

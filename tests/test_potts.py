@@ -2,7 +2,7 @@ import itertools
 
 import tuttelab.potts as potts_mod
 
-from tuttelab.generate import all_bipolar_orientations, all_maps
+from tuttelab.generate import all_bipolar_orientations, all_maps, four_valent
 from tuttelab.maps import RootedMap
 from tuttelab.poly import MultiPoly
 from tuttelab.potts import (bipolar_count, chromatic_poly, duality_check,
@@ -38,6 +38,17 @@ def test_potts_from_tutte_reads_tutte(monkeypatch):
     right = tutte(m)
     monkeypatch.setattr(potts_mod, "tutte", lambda _: 2 * right)
     assert potts_from_tutte(m) == 2 * potts(m)
+
+
+def test_potts_key_is_the_labelled_multigraph(monkeypatch):
+    # the memo key potts builds for itself is the one the other routes build
+    # from multigraph_edges, also on radial maps, whose alpha is not the
+    # standard involution
+    monkeypatch.setattr(potts_mod, "_potts_of_key", lambda v, edges: (v, edges))
+    radials = [m for n in range(1, 5) for m in four_valent(n)]
+    for m in [m for n in range(6) for m in all_maps(n)] + radials:
+        assert potts(m) == (m.n_vertices,
+                            potts_mod._edge_key(m.multigraph_edges()))
 
 
 def _labelled_key(m):
