@@ -7,11 +7,13 @@ alpha.  The atomic map (one vertex, no edge) is the unique map with zero
 darts and root None.
 
 An instance stores its darts (alpha, sigma, root), its canonical code and
-its numbers of vertices and faces.  The constructor computes these once and
-checks on the way that the darts are integers, that alpha and sigma are
-permutations, alpha a fixed-point-free involution and root a dart, that the
-code covers every dart (connectedness) and that the cycle counts of sigma
-and phi satisfy Euler's relation (genus 0).  The orbit lists and labellings
+its numbers of vertices and faces.  The constructor checks that the darts
+are integers, that alpha and sigma are permutations, alpha a
+fixed-point-free involution and root a dart.  Then one breadth-first walk
+from the root labels the darts and writes the code, which covers every dart
+exactly when the map is connected, and one sweep over the darts counts the
+cycles of sigma and of phi together, whose counts satisfy Euler's relation
+exactly when the map has genus 0.  The orbit lists and labellings
 (vertices, faces, vertex_of, face_of, root_face) are computed on first use
 and kept.  Maps whose alpha is the standard involution (1, 0, 3, 2, ...)
 share one tuple for it per dart count.  Instances are immutable.
@@ -87,32 +89,51 @@ def _cycle_labels(perm):
     return label
 
 
-def _cycle_count(perm):
-    """The number of cycles of perm."""
-    seen = [False] * len(perm)
-    count = 0
-    for d in range(len(perm)):
-        if not seen[d]:
-            count += 1
+def _cycle_counts(alpha, sigma):
+    """The numbers of cycles of sigma and of phi = sigma o alpha, counted in
+    one sweep over the darts."""
+    n = len(sigma)
+    on_vertex = [False] * n
+    on_face = [False] * n
+    vertices = faces = 0
+    for d in range(n):
+        if not on_vertex[d]:
+            vertices += 1
             e = d
-            while not seen[e]:
-                seen[e] = True
-                e = perm[e]
-    return count
+            while not on_vertex[e]:
+                on_vertex[e] = True
+                e = sigma[e]
+        if not on_face[d]:
+            faces += 1
+            e = d
+            while not on_face[e]:
+                on_face[e] = True
+                e = sigma[alpha[e]]
+    return vertices, faces
 
 
 def _bfs(alpha, sigma, root):
-    """The darts reached by the breadth-first walk from root (sigma before
-    alpha), in walk order, and dart -> position in it (-1 if unreached)."""
+    """The breadth-first walk from root (sigma before alpha), which labels
+    each dart it reaches by its position in the walk.  Returns the reached
+    darts in walk order and the code: n_darts, then label[sigma[d]] and then
+    label[alpha[d]] for each reached dart d in walk order."""
     label = [-1] * len(alpha)
     label[root] = 0
     order = [root]
+    sig = []
+    alf = []
     for d in order:
-        for e in (sigma[d], alpha[d]):
-            if label[e] < 0:
-                label[e] = len(order)
-                order.append(e)
-    return order, label
+        e = sigma[d]
+        if label[e] < 0:
+            label[e] = len(order)
+            order.append(e)
+        sig.append(label[e])
+        e = alpha[d]
+        if label[e] < 0:
+            label[e] = len(order)
+            order.append(e)
+        alf.append(label[e])
+    return order, (len(alpha), *sig, *alf)
 
 
 def _phi(m):
@@ -182,13 +203,18 @@ class RootedMap:
             self.n_darts, self.alpha, self.sigma, self.root = 0, (), (), None
             self.code, self.n_vertices, self.n_faces = (0,), 1, 1
             return
-        # bool is an int subclass and 1.0 == 1: both would pass the checks below
-        if {*map(type, alpha), *map(type, sigma)} != {int}:
+        standard = _standard_alpha(n)
+        # bool is an int subclass and 1.0 == 1: both would pass the checks
+        # below.  The shared standard tuple holds ints, so it is exempt, but
+        # a tuple merely equal to it is not.
+        types = set(map(type, sigma))
+        if alpha is not standard:
+            types.update(map(type, alpha))
+        if types != {int}:
             raise MapError("darts must be of type int")
         darts = list(range(n))
         # the standard involution needs no check, and maps share its tuple
-        standard = _standard_alpha(n)
-        is_standard = alpha == standard
+        is_standard = alpha is standard or alpha == standard
         if is_standard:
             alpha = standard
         if not is_standard and sorted(alpha) != darts or sorted(sigma) != darts:
@@ -199,14 +225,11 @@ class RootedMap:
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
         self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
-        order, label = _bfs(alpha, sigma, root)
-        self.code = (n, *[label[sigma[d]] for d in order],
-                     *[label[alpha[d]] for d in order])
+        _, self.code = _bfs(alpha, sigma, root)
         # the code covers the darts reachable from the root, two entries each
         if len(self.code) != 2 * n + 1:
             raise MapError("rotation system is not connected")
-        self.n_vertices = _cycle_count(sigma)
-        self.n_faces = _cycle_count(_phi(self))
+        self.n_vertices, self.n_faces = _cycle_counts(alpha, sigma)
         if self.n_vertices - n // 2 + self.n_faces != 2:
             raise MapError("rotation system has positive genus")
 
@@ -389,7 +412,10 @@ class RootedMap:
             raise MapError(f"insertion index {k} out of range 0..{d}")
         n = self.n_darts
         a, b = n, n + 1  # a becomes the new root dart, b = alpha(a)
-        alpha = list(self.alpha) + [b, a]
+        if self.alpha is _standard_alpha(n):
+            alpha = _standard_alpha(n + 2)
+        else:
+            alpha = list(self.alpha) + [b, a]
         if self.is_atomic:
             return RootedMap(alpha, [1, 0], a)
         sigma = list(self.sigma) + [0, 0]
@@ -423,7 +449,10 @@ class RootedMap:
         """
         n1, n2 = m1.n_darts, m2.n_darts
         a, b = n1 + n2, n1 + n2 + 1
-        alpha = list(m1.alpha) + [x + n1 for x in m2.alpha] + [b, a]
+        if m1.alpha is _standard_alpha(n1) and m2.alpha is _standard_alpha(n2):
+            alpha = _standard_alpha(n1 + n2 + 2)
+        else:
+            alpha = list(m1.alpha) + [x + n1 for x in m2.alpha] + [b, a]
         sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [0, 0]
         if m1.is_atomic:
             sigma[a] = a

@@ -73,8 +73,11 @@ def potts(m: RootedMap) -> MultiPoly:
     Always a multiple of q; the atomic map gives q.  The vertices are
     labelled here, as in m.vertex_of, which stays unset on m."""
     label = _cycle_labels(m.sigma)
-    return _potts_of_key(m.n_vertices, _edge_key(
-        (label[d], label[a]) for d, a in m.edges()))
+    edges = [(label[d], label[a]) if label[d] <= label[a]
+             else (label[a], label[d])
+             for d, a in enumerate(m.alpha) if d < a]
+    edges.sort()
+    return _potts_of_key(m.n_vertices, tuple(edges))
 
 
 def potts_subset_oracle(m: RootedMap) -> MultiPoly:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tuttelab import cli
+from tuttelab import cli, generate
 from tuttelab.generate import all_maps
 
 
@@ -18,6 +18,24 @@ def run_cli(capsys, *argv):
 def test_gen_count_only(capsys):
     code, out, _ = run_cli(capsys, "gen", "maps", "--n", "2", "--count-only")
     assert code == 0 and out == "9\n"
+
+
+@pytest.mark.parametrize("family,listed,count", [
+    ("maps", "all_maps", 2916), ("bipartite", "bipartite_maps", 288)])
+def test_gen_count_only_streams(capsys, monkeypatch, family, listed, count):
+    # the count of the asked size is read off the stream: the memoised list
+    # is asked only for the smaller sizes it is built from
+    asked = []
+    build = getattr(generate, listed)
+
+    def spy(n):
+        asked.append(n)
+        return build(n)
+
+    monkeypatch.setattr(generate, listed, spy)
+    code, out, _ = run_cli(capsys, "gen", family, "--n", "5", "--count-only")
+    assert code == 0 and out == f"{count}\n"
+    assert asked and 5 not in asked
 
 
 def test_gen_listing_formats(capsys):

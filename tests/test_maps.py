@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tuttelab.bijections import mullin_decode
 from tuttelab.generate import LIST_CAP, all_bipolar_orientations, all_maps
-from tuttelab.maps import MapError, RootedMap
+from tuttelab.maps import MapError, RootedMap, _orbits, _standard_alpha
 
 
 @st.composite
@@ -191,6 +191,99 @@ def test_validation():
         RootedMap((1.0, 0.0, 3.0, 2.0), (1, 2, 3, 0), 0)
     with pytest.raises(MapError, match="alpha and sigma must be permutations"):
         RootedMap((1, 0, 3, 2), (1, 1, 3, 0), 0)
+
+
+@st.composite
+def rotation_systems(draw):
+    """(alpha, sigma, root) on at most 10 darts.  alpha is the shared
+    standard tuple, an equal list, a random matching or any permutation;
+    sigma a permutation or any list, now and then one entry short; root any
+    of -1..n_darts or None; and now and then one dart is a float or a bool."""
+    n = 2 * draw(st.integers(0, 5))
+    darts = list(range(n))
+    kind = draw(st.sampled_from(["shared", "standard", "matching", "any"]))
+    if kind == "shared":
+        alpha = _standard_alpha(n)
+    elif kind == "standard":
+        alpha = [d ^ 1 for d in darts]
+    elif kind == "matching":
+        p = draw(st.permutations(darts))
+        alpha = [0] * n
+        for a, b in zip(p[::2], p[1::2]):
+            alpha[a], alpha[b] = b, a
+    else:
+        alpha = draw(st.permutations(darts))
+    if draw(st.integers(0, 3)):
+        sigma = draw(st.permutations(darts))
+    else:
+        sigma = draw(st.lists(st.integers(0, max(n - 1, 0)),
+                              min_size=n, max_size=n))
+    if n and draw(st.integers(0, 7)) == 0:
+        sigma = sigma[1:]
+    root = draw(st.integers(-1, n)) if draw(st.integers(0, 7)) else None
+    retype = draw(st.sampled_from([None] * 6 + [float, bool]))
+    if retype and n:
+        alpha, sigma = list(alpha), list(sigma)
+        where = draw(st.sampled_from(["alpha", "sigma", "root"]))
+        if where == "root":
+            root = retype(root or 0)
+        else:
+            darts_of = alpha if where == "alpha" else sigma
+            i = draw(st.integers(0, len(darts_of) - 1))
+            darts_of[i] = retype(darts_of[i])
+    return alpha, sigma, root
+
+
+def reference_rejection(alpha, sigma, root):
+    """The message the constructor must raise on (alpha, sigma, root), or
+    None for a map: connectivity by union-find over the darts, genus 0 by
+    Euler's relation on the orbit counts of sigma and phi = sigma o alpha."""
+    n = len(alpha)
+    if len(sigma) != n or n % 2:
+        return "alpha and sigma must be permutations of an even dart set"
+    if n == 0:
+        return None if root is None else "atomic map has root None"
+    if any(type(d) is not int for d in [*alpha, *sigma]):
+        return "darts must be of type int"
+    if sorted(alpha) != list(range(n)) or sorted(sigma) != list(range(n)):
+        return "alpha and sigma must be permutations of 0..n_darts-1"
+    if any(alpha[alpha[d]] != d or alpha[d] == d for d in range(n)):
+        return "alpha must be a fixed-point-free involution"
+    if type(root) is not int or not 0 <= root < n:
+        return "root must be a dart"
+    parent = list(range(n))
+
+    def find(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    for d in range(n):
+        for e in (sigma[d], alpha[d]):
+            parent[find(e)] = find(d)
+    if len({find(d) for d in range(n)}) > 1:
+        return "rotation system is not connected"
+    phi = [sigma[alpha[d]] for d in range(n)]
+    if len(_orbits(sigma)) - n // 2 + len(_orbits(phi)) != 2:
+        return "rotation system has positive genus"
+    return None
+
+
+@settings(deadline=None, max_examples=400)
+@given(rotation_systems())
+def test_constructor_matches_reference(system):
+    alpha, sigma, root = system
+    message = reference_rejection(alpha, sigma, root)
+    if message is not None:
+        with pytest.raises(MapError) as err:
+            RootedMap(alpha, sigma, root)
+        assert str(err.value) == message
+        return
+    m = RootedMap(alpha, sigma, root)
+    if m.is_atomic:
+        assert (m.n_vertices, m.n_faces) == (1, 1)
+    else:
+        assert (m.n_vertices, m.n_faces) == (len(m.vertices), len(m.faces))
 
 
 def test_euler_formula():
