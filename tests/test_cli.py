@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -36,6 +37,25 @@ def test_gen_count_only_streams(capsys, monkeypatch, family, listed, count):
     code, out, _ = run_cli(capsys, "gen", family, "--n", "5", "--count-only")
     assert code == 0 and out == f"{count}\n"
     assert asked and 5 not in asked
+
+
+# sha256 prefixes of gen's stdout in plain, JSON, CSV and count-only form,
+# joined by NUL characters: the bytes a user reads for each family.
+@pytest.mark.parametrize("family,n,digest", [
+    ("maps", 3, "d8d2e6e21be1a900"),
+    ("bipartite", 3, "457a11d57116f990"),
+    ("quadrangulations", 3, "82d686302bf40781"),
+    ("four_valent", 3, "4c94d776f0a34547"),
+    ("near_triangulations", 3, "6fc5ec6ab3ceb6c1"),
+    ("eulerian_near_triangulations", 2, "533348dc30bd9d13"),
+    ("non_separable_near_triangulations", 3, "2c6b5b6d92657aaf")])
+def test_gen_output_is_pinned(capsys, family, n, digest):
+    outs = []
+    for flags in ((), ("--json",), ("--csv",), ("--count-only",)):
+        code, out, _ = run_cli(capsys, "gen", family, "--n", str(n), *flags)
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("\0".join(outs).encode()).hexdigest()[:16] == digest
 
 
 def test_gen_listing_formats(capsys):

@@ -74,7 +74,12 @@ def test_stream_is_the_list_unsorted(family, args):
     (all_maps, (5,), "92f574142bc368f7"),
     (all_maps, (6,), "452a923db38771db"),
     (bipartite_maps, (6,), "ef910dfac2999217"),
-    (near_angulations, (7, 3), "076d1c5682df042d")])
+    (near_angulations, (7, 3), "076d1c5682df042d"),
+    (quadrangulations, (5,), "e9a90b16ecd1a12a"),
+    (four_valent, (5,), "fe0695d4914c0048"),
+    (near_triangulations, (7,), "b62622fff47219d1"),
+    (eulerian_near_triangulations, (2,), "bc5fec2e5a59e28e"),
+    (non_separable_near_triangulations, (3,), "4f6bdfb611c139fd")])
 def test_generated_codes_are_pinned(family, args, digest):
     codes = [m.code for m in family(*args)]
     assert hashlib.sha256(repr(codes).encode()).hexdigest()[:16] == digest
