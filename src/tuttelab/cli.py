@@ -35,24 +35,16 @@ TUTTE_CAP = 20
 _CAP_KIND = {"tutte": "size"}
 
 
-def _families():
-    from tuttelab import generate
-    return {
-        "maps": generate.all_maps,
-        "bipartite": generate.bipartite_maps,
-        "quadrangulations": generate.quadrangulations,
-        "four_valent": generate.four_valent,
-        "near_triangulations": generate.near_triangulations,
-        "eulerian_near_triangulations":
-            generate.eulerian_near_triangulations,
-        "non_separable_near_triangulations":
-            generate.non_separable_near_triangulations,
-    }
-
-
-# The families whose --count-only count is read off generate.stream, which
-# keeps no map of the asked size, by the name stream knows them under.
-_STREAMED = {"maps": "all_maps", "bipartite": "bipartite_maps"}
+# gen's family names -> their names in generate.FAMILIES
+_GEN_FAMILIES = {
+    "maps": "all_maps",
+    "bipartite": "bipartite_maps",
+    "quadrangulations": "quadrangulations",
+    "four_valent": "four_valent",
+    "near_triangulations": "near_triangulations",
+    "eulerian_near_triangulations": "eulerian_near_triangulations",
+    "non_separable_near_triangulations": "non_separable_near_triangulations",
+}
 
 
 def _fmt(args) -> str:
@@ -77,21 +69,18 @@ def _quoted(value) -> str:
 
 
 def cmd_gen(args) -> int:
-    families = _families()
-    if args.family not in families:
+    from tuttelab.generate import stream
+    if args.family not in _GEN_FAMILIES:
         print(f"unknown family {args.family!r}; known: "
-              + ", ".join(sorted(families)), file=sys.stderr)
+              + ", ".join(sorted(_GEN_FAMILIES)), file=sys.stderr)
         return EXIT_UNKNOWN
     if args.n < 0:
         print(f"--n must be nonnegative (got {args.n})", file=sys.stderr)
         return EXIT_UNKNOWN
     fmt = _fmt(args)
-    if args.count_only:
-        if args.family in _STREAMED:
-            from tuttelab.generate import stream
-            count = sum(1 for _ in stream(_STREAMED[args.family], args.n))
-        else:
-            count = len(families[args.family](args.n))
+    maps = stream(_GEN_FAMILIES[args.family], args.n)
+    if args.count_only:  # counted as generated: none is kept
+        count = sum(1 for _ in maps)
         if fmt == "json":
             print(json.dumps({"family": args.family, "n": args.n,
                               "count": count}))
@@ -101,7 +90,7 @@ def cmd_gen(args) -> int:
         else:
             print(count)
         return EXIT_OK
-    maps = families[args.family](args.n)
+    maps = sorted(maps, key=lambda m: m.code)
     if fmt == "json":
         print(json.dumps([m.to_json_obj() for m in maps]))
     elif fmt == "csv":

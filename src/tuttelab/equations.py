@@ -283,9 +283,9 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     counted by (what the weight reads, exponents), and each group costs one
     product with one monomial.  The fixed step, then the parameters the
     caller sets, are applied once per coefficient; a symbolic parameter is
-    never substituted.  The top size is asked for first, so a size over
-    the family's cap is refused before any map is built, and the root-edge
-    families stream it, so it is never held.  The two quasi-triangulation
+    never substituted.  The top size is asked for first, as a stream of
+    the family, so a size over its cap is refused before any map is built
+    and the top size is never held.  The two quasi-triangulation
     ids yield the x = 0 slice (near-triangulations), the only slice with a
     direct combinatorial meaning.
     """
@@ -296,8 +296,8 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     E = EquationId
 
     def family(name, *args):
-        """size -> the maps of g.<name>(size, *args): the memoised list
-        below the order, a stream at the order."""
+        """size -> the maps of g.<name>(size, *args): the list below the
+        order, a stream at the order."""
         def maps(n):
             if n == order:
                 return g.stream(name, n, *args)
@@ -305,7 +305,8 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         return maps
 
     all_maps, nt = family("all_maps"), family("near_angulations", 3)
-    nonsep = g.non_separable_near_triangulations
+    eulerian = family("eulerian_near_triangulations")
+    nonsep = family("non_separable_near_triangulations")
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
@@ -325,7 +326,7 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         E.NT: (nt, None, "y", 1, None),
         E.NQ: (family("near_angulations", 4), None, "y", 1, None),
         E.BIP: (family("bipartite_maps"), None, "y", 2, None),
-        E.EULER_NT: (g.eulerian_near_triangulations, None, "y", 3, None),
+        E.EULER_NT: (eulerian, None, "y", 3, None),
         E.POTTS_MAPS: (all_maps, potts, "wxy", 1, over_q),
         E.TUTTE_MAPS: (all_maps, tutte, "wxyz", 1, None),
         E.TUTTE_NONSEP_TRI: (nonsep, potts, "xy", 1, nu_0),

@@ -1,32 +1,34 @@
 """Exhaustive generation of rooted planar maps and brute-force oracles.
 
-Every family is built by one recursion that reverses root-edge deletion: a
-map with n edges is either a smaller map of the family with a new root edge
-inserted into its root face, or two smaller maps of the family joined by a
-new isthmus root edge.  Deletion inverts both, so each map arises once.
-Families differ only in the insertion indices allowed: all_maps takes all
-of them, bipartite_maps the odd ones, near_angulations(n, p) the one that
-closes an inner p-gon.
+One table, FAMILIES, names every family with what its size counts, its
+cap and its maps of one size, unsorted.  Three families are built by one
+recursion that reverses root-edge deletion: a map with n edges is either a
+smaller map of the family with a new root edge inserted into its root
+face, or two smaller maps of the family joined by a new isthmus root edge.
+Deletion inverts both, so each map arises once.  They differ only in the
+insertion indices allowed: all_maps takes all of them, bipartite_maps the
+odd ones, near_angulations(n, p) the one that closes an inner p-gon.  The
+other standard sub-families are derived from these: quadrangulations and
+4-valent maps map the maps of all_maps, and the near-triangulations, the
+Eulerian and the non-separable ones filter those of near_angulations(e, 3).
 
-stream(family, n, ...) yields the n-edge maps of one of these three
-families unsorted, built from the memoised lists of the smaller sizes, and
-keeps none of them.  The memoised lists sort what it yields by canonical
-code, so output is deterministic.  A caller that only counts or sums the
-top size streams it: equations.brute_force_gf sums over it at its order,
-and verify reads both its `maps(n) generator` rows and its MAPS_1CAT
-equation row off one such sum, so verify streams the 6-edge maps once and
-never holds them.
+stream(family, n, ...) checks the cap and yields the maps of any family
+of the table unsorted, built from the memoised lists of the smaller sizes
+of the three root-edge families, and keeps none of them.  Each list
+function sorts its stream by canonical code, so output is deterministic;
+only the three root-edge lists are memoised.  A caller that only counts
+or sums the top size streams it: gen --count-only counts it,
+equations.brute_force_gf sums over it at its order, and verify reads both
+its `maps(n) generator` rows and its MAPS_1CAT equation row off one such
+sum, so verify streams the 6-edge maps once and never holds them.
 
 all_maps_oracle is an independent check: it enumerates the rotation
 systems on 2n darts with a fixed edge involution and fixed root, up to a
 relabelling of the non-root edges, filters the connected genus-0 ones, and
 deduplicates.  It is exponential and capped at small n.
 
-The remaining generators derive the other standard sub-families
-(quadrangulations, 4-valent maps, Eulerian and non-separable
-near-triangulations) from these three, and the brute-force counting oracles
-(colourings, spanning trees, bipolar orientations) are the ground truth for
-the rest of the package.
+The brute-force counting oracles (colourings, spanning trees, bipolar
+orientations) are the ground truth for the rest of the package.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class CapExceeded(ValueError):
     pass
 
 
-def _check_size(n, cap, family="all_maps", unit="edges"):
+def _check_size(n, cap, family, unit):
     """Refuse a size before any generation: n counts the family's unit."""
     if n < 0:
         raise ValueError(f"{family}: the number of {unit} must be nonnegative")
@@ -74,26 +76,41 @@ def _root_edge_recursion(n, smaller, insertions):
                 yield RootedMap.join_by_root_edge(m1, m2)
 
 
-# root-edge family -> its arguments after n -> (its maps by size, the
-# insertion indices allowed into a root face of degree d).  The memoised
-# lists are looked up by name when a stream starts.
-_ROOT_EDGE_FAMILIES = {
-    "all_maps": lambda: (all_maps, lambda d: range(d + 1)),
-    "bipartite_maps": lambda: (bipartite_maps, lambda d: range(1, d + 1, 2)),
-    "near_angulations": lambda p: (lambda e: near_angulations(e, p),
-                                   lambda d: [d - p + 1] if d >= p - 1 else []),
+# family -> (what its size n counts, its cap on n, (n, *args) -> its maps,
+# unsorted).  The root-edge families read their memoised lists of smaller
+# sizes, looked up by name when a stream starts; the others map or filter
+# a stream of all_maps or of near_angulations(e, 3).
+FAMILIES = {
+    "all_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
+        n, all_maps, lambda d: range(d + 1))),
+    "bipartite_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
+        n, bipartite_maps, lambda d: range(1, d + 1, 2))),
+    "near_angulations": ("edges", LIST_CAP, lambda n, p: _root_edge_recursion(
+        n, lambda e: near_angulations(e, p),
+        lambda d: [d - p + 1] if d >= p - 1 else [])),
+    "quadrangulations": ("faces", LIST_CAP, lambda n: (
+        m.radial().dual() for m in stream("all_maps", n) if not m.is_atomic)),
+    "four_valent": ("vertices", LIST_CAP, lambda n: (
+        m.radial() for m in stream("all_maps", n) if not m.is_atomic)),
+    "near_triangulations": ("edges", LIST_CAP, lambda n: (
+        m for e in range(n + 1) for m in stream("near_angulations", e, 3))),
+    "eulerian_near_triangulations": ("black faces", LIST_CAP // 3, lambda n: (
+        m for m in stream("near_angulations", 3 * n, 3) if m.is_eulerian())),
+    "non_separable_near_triangulations": (
+        "inner faces", (LIST_CAP - 1) // 2, lambda n: (
+            m for e in range(2 * n + 2) for m in stream("near_angulations", e, 3)
+            if m.n_faces == n + 1 and not m.is_separable())),
 }
 
 
 def stream(family: str, n: int, *args):
-    """The maps of family(n, *args), unsorted, for one of the root-edge
-    families all_maps, bipartite_maps and near_angulations.  They are built
-    from the family's memoised lists of smaller sizes and kept nowhere, so
-    a caller that only counts or sums the top size never holds it.  The cap
-    is checked here, before any map is built."""
-    rule = _ROOT_EDGE_FAMILIES[family]
-    _check_size(n, LIST_CAP, family)
-    return _root_edge_recursion(n, *rule(*args))
+    """The maps of family(n, *args), unsorted, for any family of FAMILIES.
+    They are built from memoised lists of smaller sizes and kept nowhere,
+    so a caller that only counts or sums them never holds them.  The cap is
+    checked here, before any map is built."""
+    unit, cap, maps = FAMILIES[family]
+    _check_size(n, cap, family, unit)
+    return maps(n, *args)
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +158,9 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
 
 
 def near_triangulations(max_edges: int):
-    """All near-triangulations (finite faces of degree 3) with <= max_edges."""
-    _check_size(max_edges, LIST_CAP, "near_triangulations")
-    return [m for n in range(max_edges + 1) for m in near_angulations(n, 3)]
+    """All near-triangulations (finite faces of degree 3) with <= max_edges
+    edges.  A code starts with the number of darts, so they come by size."""
+    return _by_code(stream("near_triangulations", max_edges))
 
 
 @lru_cache(maxsize=None)
@@ -156,46 +173,36 @@ def bipartite_maps(n_edges: int):
 
 
 def eulerian_near_triangulations(n_black_faces: int):
-    """Eulerian near-triangulations with n finite faces of each colour.
+    """Eulerian near-triangulations with n black faces.
 
-    An Eulerian near-triangulation with 2n finite faces has 3n edges (its
-    finite faces are properly 2-colourable into n black and n white).
+    The faces of an Eulerian planar map are properly 2-colourable; colour
+    the outer face white.  Every edge then borders exactly one black face,
+    a triangle, so such a map has 3n edges.  The white finite faces number
+    (3n - outer degree) / 3: the six maps with n = 2 have 2 or 3 finite
+    faces.
     """
-    _check_size(n_black_faces, LIST_CAP // 3, "eulerian_near_triangulations",
-                "faces of each colour")
-    return [m for m in near_angulations(3 * n_black_faces, 3)
-            if m.is_eulerian()]
+    return _by_code(stream("eulerian_near_triangulations", n_black_faces))
 
 
 def quadrangulations(n_faces: int):
     """All quadrangulations with n faces: duals of radials of n-edge maps."""
-    _check_size(n_faces, LIST_CAP, "quadrangulations", "faces")
-    out = _by_code(m.radial().dual() for m in all_maps(n_faces)
-                   if not m.is_atomic)
-    assert all(m.is_quadrangulation() for m in out)
-    return out
+    return _by_code(stream("quadrangulations", n_faces))
 
 
 def four_valent(n_vertices: int):
     """All 4-valent maps with n vertices: radials of n-edge maps."""
-    _check_size(n_vertices, LIST_CAP, "four_valent", "vertices")
-    return _by_code(m.radial() for m in all_maps(n_vertices)
-                    if not m.is_atomic)
+    return _by_code(stream("four_valent", n_vertices))
 
 
 def non_separable_near_triangulations(n_inner_faces: int):
     """Non-separable near-triangulations with n finite (triangular) faces.
 
-    Such a map with n >= 1 inner faces has at most 2n + 1 edges (the outer
-    face is a simple cycle), so the search space is finite.
+    Such a map has at most 2n + 1 edges (the outer face is a simple cycle),
+    so the search space is finite; for n = 0 it is the link alone, the
+    atomic map being separable.
     """
-    _check_size(n_inner_faces, (LIST_CAP - 1) // 2,
-                "non_separable_near_triangulations", "inner faces")
-    if n_inner_faces == 0:
-        return [RootedMap.link()]
-    return [m for e in range(1, 2 * n_inner_faces + 2)
-            for m in near_angulations(e, 3)
-            if m.n_faces == n_inner_faces + 1 and not m.is_separable()]
+    return _by_code(stream("non_separable_near_triangulations",
+                           n_inner_faces))
 
 
 # -- brute-force oracles --------------------------------------------------------

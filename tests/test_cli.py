@@ -22,21 +22,32 @@ def test_gen_count_only(capsys):
 
 
 @pytest.mark.parametrize("family,listed,count", [
-    ("maps", "all_maps", 2916), ("bipartite", "bipartite_maps", 288)])
+    ("maps", "all_maps", 2916), ("bipartite", "bipartite_maps", 288),
+    ("quadrangulations", "quadrangulations", 2916),
+    ("four_valent", "four_valent", 2916),
+    ("near_triangulations", "near_triangulations", 173),
+    ("eulerian_near_triangulations", "eulerian_near_triangulations", 6),
+    ("non_separable_near_triangulations",
+     "non_separable_near_triangulations", 9)])
 def test_gen_count_only_streams(capsys, monkeypatch, family, listed, count):
-    # the count of the asked size is read off the stream: the memoised list
-    # is asked only for the smaller sizes it is built from
+    # the count of the asked size is read off the stream: the list of that
+    # size is never built, and a root-edge family's memoised list is asked
+    # only for the smaller sizes its stream is built from
+    n = {"eulerian_near_triangulations": 2,
+         "non_separable_near_triangulations": 3}.get(family, 5)
     asked = []
     build = getattr(generate, listed)
 
-    def spy(n):
-        asked.append(n)
-        return build(n)
+    def spy(size):
+        asked.append(size)
+        return build(size)
 
     monkeypatch.setattr(generate, listed, spy)
-    code, out, _ = run_cli(capsys, "gen", family, "--n", "5", "--count-only")
+    code, out, _ = run_cli(capsys, "gen", family, "--n", str(n), "--count-only")
     assert code == 0 and out == f"{count}\n"
-    assert asked and 5 not in asked
+    assert n not in asked
+    if family in ("maps", "bipartite"):
+        assert asked
 
 
 # sha256 prefixes of gen's stdout in plain, JSON, CSV and count-only form,

@@ -67,8 +67,8 @@ def test_brute_force_cap_checked_before_generation(monkeypatch):
             ("MAPS_1CAT", 8, "all_maps cap is 7 edges (asked for 8)"),
             ("POTTS_MAPS", 8, "all_maps cap is 7 edges (asked for 8)"),
             ("BIP", 8, "bipartite_maps cap is 7 edges (asked for 8)"),
-            ("EULER_NT", 3, "eulerian_near_triangulations cap is 2 faces "
-             "of each colour (asked for 3)"),
+            ("EULER_NT", 3, "eulerian_near_triangulations cap is 2 black "
+             "faces (asked for 3)"),
             ("TUTTE_NONSEP_TRI", 4, "non_separable_near_triangulations cap "
              "is 3 inner faces (asked for 4)")):
         with pytest.raises(CapExceeded) as err:

@@ -54,10 +54,17 @@ def test_generated_maps_are_lean():
 
 @pytest.mark.parametrize("family,args", [
     ("all_maps", ()), ("bipartite_maps", ()), ("near_angulations", (3,)),
-    ("near_angulations", (4,))])
+    ("near_angulations", (4,)), ("quadrangulations", ()), ("four_valent", ()),
+    ("near_triangulations", ()), ("eulerian_near_triangulations", ()),
+    ("non_separable_near_triangulations", ())])
 def test_stream_is_the_list_unsorted(family, args):
+    # every family up to its cap, but the radial ones up to 6: a list of
+    # their 208,494 maps of size 7 holds 1-1.5 kB a map
     listed = getattr(generate, family)
-    for n in range(generate.LIST_CAP + 1):
+    cap = generate.FAMILIES[family][1]
+    if family in ("quadrangulations", "four_valent"):
+        cap = 6
+    for n in range(cap + 1):
         codes = sorted(m.code for m in generate.stream(family, n, *args))
         assert codes == [m.code for m in listed(n, *args)]
 
@@ -90,8 +97,8 @@ def test_cap():
         all_maps(8)
     with pytest.raises(CapExceeded):
         near_angulations(8, 3)
-    with pytest.raises(KeyError):  # not a root-edge family
-        generate.stream("four_valent", 2)
+    with pytest.raises(KeyError):  # not a family
+        generate.stream("widgets", 2)
 
 
 def test_family_caps_checked_before_generation(monkeypatch):
@@ -109,14 +116,25 @@ def test_family_caps_checked_before_generation(monkeypatch):
              "near_angulations cap is 7 edges (asked for 8)"),
             (lambda n: generate.stream("bipartite_maps", n), 8,
              "bipartite_maps cap is 7 edges (asked for 8)"),
+            (lambda n: generate.stream("quadrangulations", n), 8,
+             "quadrangulations cap is 7 faces (asked for 8)"),
+            (lambda n: generate.stream("four_valent", n), 8,
+             "four_valent cap is 7 vertices (asked for 8)"),
+            (lambda n: generate.stream("near_triangulations", n), 8,
+             "near_triangulations cap is 7 edges (asked for 8)"),
+            (lambda n: generate.stream("eulerian_near_triangulations", n), 3,
+             "eulerian_near_triangulations cap is 2 black faces (asked for 3)"),
+            (lambda n: generate.stream("non_separable_near_triangulations",
+                                       n), 4,
+             "non_separable_near_triangulations cap is 3 inner faces "
+             "(asked for 4)"),
             (near_triangulations, 8,
              "near_triangulations cap is 7 edges (asked for 8)"),
             (non_separable_near_triangulations, 4,
              "non_separable_near_triangulations cap is 3 inner faces "
              "(asked for 4)"),
             (eulerian_near_triangulations, 3,
-             "eulerian_near_triangulations cap is 2 faces of each colour "
-             "(asked for 3)"),
+             "eulerian_near_triangulations cap is 2 black faces (asked for 3)"),
             (bipartite_maps, 8, "bipartite_maps cap is 7 edges (asked for 8)"),
             (quadrangulations, 8,
              "quadrangulations cap is 7 faces (asked for 8)"),
@@ -160,8 +178,9 @@ def test_bipartite_maps_build_no_other_maps(monkeypatch):
 def test_family_invariants():
     for m in bipartite_maps(3):
         assert m.is_bipartite() and m.n_edges == 3
-    for m in quadrangulations(2):
-        assert m.is_quadrangulation() and m.n_faces == 2
+    for n in range(6):
+        for m in quadrangulations(n):
+            assert m.is_quadrangulation() and m.n_faces == n
     for m in four_valent(2):
         assert m.is_4valent() and m.n_vertices == 2
     for m in near_triangulations(4):
