@@ -61,10 +61,9 @@ def test_stream_is_the_list_unsorted(family, args):
     # every family up to its cap, but the radial ones up to 6: a list of
     # their 208,494 maps of size 7 holds 1-1.5 kB a map
     listed = getattr(generate, family)
-    cap = generate.FAMILIES[family][1]
-    if family in ("quadrangulations", "four_valent"):
-        cap = 6
-    for n in range(cap + 1):
+    top = (6 if family in ("quadrangulations", "four_valent")
+           else generate.FAMILIES[family][1])
+    for n in range(top + 1):
         codes = sorted(m.code for m in generate.stream(family, n, *args))
         assert codes == [m.code for m in listed(n, *args)]
 
