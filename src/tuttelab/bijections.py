@@ -13,7 +13,9 @@ Four constructions, each with exact round-trip guarantees:
   two Dyck words (mullin_encode, mullin_decode, mullin_decompose);
 * degree-2 subdivision: 2-coloured maps with parity-constrained edge
   subdivisions <-> properly bicoloured bipartite maps (ising_subdivide,
-  ising_erase) and the resulting two-variable series identity.
+  ising_erase) and the resulting two-variable series identity, whose
+  left side is the q = 2 Potts brute-force series of
+  equations.brute_force_gf.
 
 All walks along face contours use the same corner iterator (the orbit of
 phi = sigma o alpha, alpha fixing half-edges), so the "first / next"
@@ -27,7 +29,6 @@ leaves, and the two left unmatched form the root edge.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from tuttelab.maps import MapError, RootedMap
@@ -581,35 +582,33 @@ def ising_series_identity(order: int = 4):
         M(2, t*v, t/(1 - t^2 v^2), w; x, 1) = B(t, v + w, w; x),
 
     each generated independently by brute force to the given order in t.
-    Left side: all maps with <= order edges, their 2-colouring sums with
-    nu -> t*v, each edge carrying t/(1-t^2 v^2).  Right side: bipartite
-    maps by edges (t), with non-root degree-2 vertices weighted v + w and
-    other non-root vertices w; x marks the root vertex degree.
+    Left side: the q = 2 Potts brute-force series, brute_force_gf of
+    POTTS_MAPS, at y = 1, its [t^e nu^k] term placed at
+    v^k t^k (t/(1 - t^2 v^2))^e.  Right side: bipartite maps by edges (t),
+    with non-root degree-2 vertices weighted v + w and other non-root
+    vertices w; x marks the root vertex degree.
 
     Returns (lhs, rhs) as series in t.
     """
-    from tuttelab.generate import all_maps, bipartite_maps, colouring_sum
+    from tuttelab.equations import EquationId, brute_force_gf
+    from tuttelab.generate import bipartite_maps
     from tuttelab.poly import MultiPoly
     from tuttelab.series import TSeries
 
     v = MultiPoly.var("v")
     w = MultiPoly.var("w")
     x = MultiPoly.var("x")
-    half = Fraction(1, 2)
     # t/(1 - t^2 v^2) = sum_k t^(2k+1) v^(2k)
     edge_factor = TSeries("t", order, [
         v ** (k - 1) if k % 2 == 1 else MultiPoly.zero()
         for k in range(order + 1)])
+    potts = brute_force_gf(EquationId.POTTS_MAPS, order, {"q": 2})
     lhs = TSeries("t", order, [])
     for e in range(order + 1):
-        for m in all_maps(e):
-            p = colouring_sum(m, 2)  # polynomial in nu
-            pseries = TSeries("t", order, [
-                MultiPoly.const(p.coeff("nu", k).constant_value()) * v ** k
-                for k in range(order + 1)])
-            weight = (w ** (m.n_vertices - 1)
-                      * x ** m.root_vertex_degree) * half
-            lhs = lhs + pseries * edge_factor ** e * weight
+        p = potts.coeff(e).subs({"y": 1})  # polynomial in nu, w, x
+        pseries = TSeries("t", order, [p.coeff("nu", k) * v ** k
+                                       for k in range(order + 1)])
+        lhs = lhs + pseries * edge_factor ** e
     rhs = TSeries("t", order, [])
     tpow = TSeries.t("t", order)
     for e in range(order + 1):

@@ -79,7 +79,8 @@ def _root_edge_recursion(n, smaller, insertions):
 # family -> (what its size n counts, its cap on n, (n, *args) -> its maps,
 # unsorted).  The root-edge families read their memoised lists of smaller
 # sizes, looked up by name when a stream starts; the others map or filter
-# a stream of all_maps or of near_angulations(e, 3).
+# a stream of all_maps or of near_angulations(e, 3), reading the sizes
+# below the top from its memoised lists.
 FAMILIES = {
     "all_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
         n, all_maps, lambda d: range(d + 1))),
@@ -92,13 +93,14 @@ FAMILIES = {
         m.radial().dual() for m in stream("all_maps", n) if not m.is_atomic)),
     "four_valent": ("vertices", LIST_CAP, lambda n: (
         m.radial() for m in stream("all_maps", n) if not m.is_atomic)),
-    "near_triangulations": ("edges", LIST_CAP, lambda n: (
-        m for e in range(n + 1) for m in stream("near_angulations", e, 3))),
+    "near_triangulations": ("edges", LIST_CAP, lambda n: itertools.chain(
+        (m for e in range(n) for m in near_angulations(e, 3)),
+        stream("near_angulations", n, 3))),
     "eulerian_near_triangulations": ("black faces", LIST_CAP // 3, lambda n: (
         m for m in stream("near_angulations", 3 * n, 3) if m.is_eulerian())),
     "non_separable_near_triangulations": (
         "inner faces", (LIST_CAP - 1) // 2, lambda n: (
-            m for e in range(2 * n + 2) for m in stream("near_angulations", e, 3)
+            m for m in stream("near_triangulations", 2 * n + 1)
             if m.n_faces == n + 1 and not m.is_separable())),
 }
 
@@ -127,7 +129,7 @@ def near_angulations(n: int, p: int):
     return _by_code(stream("near_angulations", n, p))
 
 
-def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
+def all_maps_oracle(n: int):
     """Independent enumeration by filtering rotation systems.
 
     alpha is fixed to (0 1)(2 3)...; the root is dart 0.  Every rooted map
@@ -137,8 +139,8 @@ def all_maps_oracle(n: int, cap: int = ORACLE_CAP):
     darts of one) keeps alpha and the root and turns a representative with
     any other sigma(0) into one with sigma(0) = 2.
     """
-    if n > cap:
-        raise CapExceeded(f"oracle cap is {cap} edges (asked for {n})")
+    if n > ORACLE_CAP:
+        raise CapExceeded(f"oracle cap is {ORACLE_CAP} edges (asked for {n})")
     if n == 0:
         return [RootedMap.atomic()]
     darts = 2 * n
@@ -286,18 +288,14 @@ def all_bipolar_orientations(m: RootedMap):
     return out
 
 
-def colouring_sum(m: RootedMap, q: int, nu=None):
-    """Potts partition sum: over all q-colourings, nu^(#monochromatic edges).
+def graph_colouring_sum(v: int, edges, q: int, nu=None):
+    """Potts partition sum of the multigraph on vertices 0..v-1 with the
+    given (vertex, vertex) edges: over all q-colourings,
+    nu^(#monochromatic edges).
 
     With nu=None the result is a MultiPoly in nu; a rational nu gives an
     exact rational value.
     """
-    return graph_colouring_sum(m.n_vertices, m.multigraph_edges(), q, nu)
-
-
-def graph_colouring_sum(v: int, edges, q: int, nu=None):
-    """colouring_sum of the multigraph on vertices 0..v-1 with the given
-    (vertex, vertex) edges."""
     if q < 1:
         raise ValueError("q must be a positive integer")
     counts: dict = {}

@@ -314,14 +314,14 @@ def tree_rooted_tri_q0_coeff(n: int, i: int):
 # -- report-style check suites ----------------------------------------------------
 
 
-def check_kernel_solutions(order: int = 6) -> dict:
+def check_kernel_solutions() -> dict:
     """Verification report for the bipolar-orientation kernel solutions."""
     return {
         "six_pair_invariance": kernel_six_pair_invariance(),
-        "trinomial_expansion": trinomial_expansion_check(order),
-        "bipolar_tri_positive_part": bipolar_tri_positive_part_check(order),
-        "gbt_closed_form": gbt_closed_form_check(order),
-        "bipolar_maps_nonneg_part": bipolar_maps_nonneg_part_check(order),
+        "trinomial_expansion": trinomial_expansion_check(),
+        "bipolar_tri_positive_part": bipolar_tri_positive_part_check(),
+        "gbt_closed_form": gbt_closed_form_check(),
+        "bipolar_maps_nonneg_part": bipolar_maps_nonneg_part_check(),
     }
 
 
@@ -363,13 +363,13 @@ def _tri_q0_closed_form(order: int = 6) -> bool:
     return True
 
 
-def check_tree_rooted(order: int = 6) -> dict:
+def check_tree_rooted() -> dict:
     """Verification report for the spanning-tree kernel solutions."""
     return {
-        "x_of_u_inverts": x_of_u_inverts(order),
-        "maps_extraction": tree_rooted_extraction_check(order),
-        "tri_extraction": tree_rooted_tri_extraction_check(order),
+        "x_of_u_inverts": x_of_u_inverts(6),
+        "maps_extraction": tree_rooted_extraction_check(),
+        "tri_extraction": tree_rooted_tri_extraction_check(),
         "lagrange_V": _lagrange_V_spot_checks(),
         "lagrange_U": _lagrange_U_spot_checks(),
-        "tri_q0_closed_form": _tri_q0_closed_form(order),
+        "tri_q0_closed_form": _tri_q0_closed_form(),
     }

@@ -271,10 +271,9 @@ class TSeries(_SeriesOps):
         return TSeries(self.var, self.order - 1,
                        [(n + 1) * self.coeffs[n + 1] for n in range(self.order)])
 
-    def as_poly(self, t_name=None) -> MultiPoly:
+    def as_poly(self) -> MultiPoly:
         """The truncated series as a MultiPoly in the main variable."""
-        name = t_name or self.var
-        tv = MultiPoly.var(name)
+        tv = MultiPoly.var(self.var)
         return MultiPoly.sum(c * tv ** n for n, c in enumerate(self.coeffs)
                              if not c.is_zero())
 

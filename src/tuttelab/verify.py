@@ -13,7 +13,10 @@ two suites read is memoised, so it runs once per process: the four
 closed-formula vs brute-force checks (closed_forms and kernels) and the
 brute-force series of MAPS_1CAT to t^6 (counts reads the number of maps
 of each size off it, equations compares expand with it), whose 6-edge
-maps are streamed once and never held.
+maps are streamed once and never held.  The bipolar maps and
+spanning-tree series checks, like the bijections suite's Ising identity,
+read rows of brute_force_gf; the other closed-formula checks keep their
+own enumerator, and each says why.
 
 `run` uses two processes.  One worker process runs closed_forms, kernels,
 algebraic, desystems and bijections (WORKER_SUITES) while the calling
@@ -51,7 +54,7 @@ from tuttelab.generate import (all_bipolar_orientations, all_maps,
                                four_valent, near_angulations, quadrangulations)
 from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
-                            potts_subset_oracle, spanning_tree_count)
+                            potts_subset_oracle)
 from tuttelab.trees import BlossomingTree, DyckShuffle
 
 
@@ -164,14 +167,12 @@ ROUNDTRIPS = {
 
 @cache
 def bipolar_formula_vs_brute_force() -> bool:
-    """Bipolar orientations of maps with n <= 4 edges and m+1 vertices."""
-    for n in range(2, 5):
-        for m in range(1, n):
-            got = sum(len(all_bipolar_orientations(mm)) for mm in all_maps(n)
-                      if mm.n_vertices == m + 1)
-            if got != cf.bipolar_count(n, m):
-                return False
-    return True
+    """Bipolar orientations of maps with n <= 4 edges and m+1 vertices:
+    [t^n w^m] of the BIPOLAR_MAPS brute-force series at x = y = 1."""
+    brute = brute_force_gf(EquationId.BIPOLAR_MAPS, 4)
+    return all(brute.coeff(n).subs({"x": 1, "y": 1}).coeff("w", m)
+               == cf.bipolar_count(n, m)
+               for n in range(2, 5) for m in range(1, n))
 
 
 @cache
@@ -179,7 +180,9 @@ def bipolar_tri_formula_vs_brute_force() -> bool:
     """Sum of bipolar orientations over near-triangulations with m+1
     vertices, m <= 3.  Maps with more than 7 edges all have outer degree 1
     (a root loop) and hence no bipolar orientation, so the 7-edge
-    generation cap is exhaustive."""
+    generation cap is exhaustive.  It sums here rather than reading the
+    BIPOLAR_TRI brute-force series: the case m = 3 needs 4 inner faces,
+    over the cap of the non-separable near-triangulations."""
     for m in range(1, 4):
         got = sum(len(all_bipolar_orientations(mm)) for e in range(1, 8)
                   for mm in near_angulations(e, 3) if mm.n_vertices == m + 1)
@@ -190,7 +193,11 @@ def bipolar_tri_formula_vs_brute_force() -> bool:
 
 @cache
 def tree_rooted_formula_vs_brute_force() -> bool:
-    """Spanning trees of maps with i+1 vertices and j+1 faces, i+j <= 4."""
+    """Spanning trees of maps with i+1 vertices and j+1 faces, i+j <= 4.
+    They are enumerated by all_spanning_trees rather than read off the
+    TUTTE_MAPS brute-force series, which reads `tutte`, the subset walk
+    that the Potts checks already share; this and its near-triangulation
+    twin are the only refined checks of that second enumerator."""
     for n in range(1, 5):
         for i in range(0, n + 1):
             j = n - i
@@ -207,7 +214,8 @@ def tree_rooted_tri_formula_vs_brute_force() -> bool:
     root-face degree d; such a map carries 3i-d edges.  The only case beyond
     the 7-edge generation cap is (i, d) = (3, 1); a near-triangulation of
     outer degree 1 is a root loop drawn around one of outer degree 2 with
-    the same spanning trees, so that case reduces to (3, 2)."""
+    the same spanning trees, so that case reduces to (3, 2).  Like
+    tree_rooted_formula_vs_brute_force, it checks all_spanning_trees."""
 
     def brute(i, d):
         return sum(len(all_spanning_trees(mm))
@@ -313,20 +321,21 @@ def suite_closed_forms():
         _bool_case("closed_forms", "tree-rooted near-triangulations, i <= 3",
                    tree_rooted_tri_formula_vs_brute_force()),
     ]
+    nt = brute_force_gf(EquationId.NT, 5)
     for n in range(2):
-        want = cf.nt1_count(n)
-        got = sum(1 for m in near_angulations(3 * n + 2, 3)
-                  if m.root_face_degree == 1)
         out.append(CaseResult("closed_forms",
                               f"outer-degree-1 near-triangulations, n={n}",
-                              want, got))
+                              cf.nt1_count(n),
+                              nt.coeff(3 * n + 2).coeff("y", 1)
+                              .constant_value()))
+    # T_M(1, 1) counts the spanning trees of M
+    trees = brute_force_gf(EquationId.TUTTE_MAPS, 3,
+                           {"mu": 1, "nu": 1, "w": 1, "z": 1})
     for n in range(4):
-        want = cf.spanning_tree_series_coeff(n)
-        got = (1 if n == 0 else
-               sum(spanning_tree_count(m) for m in all_maps(n)))
         out.append(CaseResult("closed_forms",
                               f"spanning-tree series coefficient t^{n}",
-                              want, got))
+                              cf.spanning_tree_series_coeff(n),
+                              trees.coeff(n).eval({"x": 1, "y": 1})))
     for n in range(1, 5):
         out.append(CaseResult("closed_forms", f"four_valent({n}) generator",
                               cf.four_valent_count(n), len(four_valent(n))))

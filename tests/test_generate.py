@@ -8,8 +8,8 @@ from tuttelab import closed_forms as cf
 from tuttelab import generate
 from tuttelab.generate import (CapExceeded, all_bipolar_orientations,
                                all_maps, all_maps_oracle, all_spanning_trees,
-                               bipartite_maps, colouring_sum,
-                               eulerian_near_triangulations, four_valent,
+                               bipartite_maps, eulerian_near_triangulations,
+                               four_valent, graph_colouring_sum,
                                near_angulations, near_triangulations,
                                non_separable_near_triangulations,
                                quadrangulations)
@@ -164,6 +164,26 @@ def test_near_angulations_match_filter():
         assert bipartite_maps(n) == [m for m in maps if m.is_bipartite()]
 
 
+def test_near_triangulation_streams_build_each_map_once(monkeypatch):
+    # the sizes below the top are read from the memoised lists, so each
+    # near-triangulation with at most 7 edges is built once
+    built = 0
+    recursion = generate._root_edge_recursion
+
+    def counted(*args):
+        nonlocal built
+        for m in recursion(*args):
+            built += 1
+            yield m
+
+    monkeypatch.setattr(generate, "_root_edge_recursion", counted)
+    near_angulations.cache_clear()
+    for _ in generate.stream("non_separable_near_triangulations", 3):
+        pass
+    assert built == 2680
+    assert sum(len(near_angulations(e, 3)) for e in range(8)) == 2680
+
+
 def test_bipartite_maps_build_no_other_maps(monkeypatch):
     def no_all_maps(n, *args, **kwargs):
         raise AssertionError(f"all_maps({n}) called")
@@ -211,7 +231,8 @@ def test_bipolar_orientations():
 def test_colouring_sum_matches_potts():
     for n in range(3):
         for m in all_maps(n):
-            assert colouring_sum(m, 3, 2) == potts(m).eval({"q": 3, "nu": 2})
+            assert graph_colouring_sum(m.n_vertices, m.multigraph_edges(),
+                                       3, 2) == potts(m).eval({"q": 3, "nu": 2})
 
 
 def test_proper_colourings_of_an_edge():
@@ -219,7 +240,7 @@ def test_proper_colourings_of_an_edge():
     # proper colourings of a single edge with q colours: q(q-1)
     q = MultiPoly.var("q")
     assert potts(m).subs({"nu": 0}) == q * (q - 1)
-    assert colouring_sum(m, 3, 0) == 6
+    assert graph_colouring_sum(m.n_vertices, m.multigraph_edges(), 3, 0) == 6
 
 
 def _unrestricted_oracle_codes(n):

@@ -8,12 +8,12 @@ from tuttelab.kernels import (U_series, V_series, check_kernel_solutions,
 
 
 def test_kernel_solution_checks():
-    results = check_kernel_solutions(6)
+    results = check_kernel_solutions()
     assert results and all(results.values())
 
 
 def test_tree_rooted_checks():
-    results = check_tree_rooted(6)
+    results = check_tree_rooted()
     assert results and all(results.values())
 
 
