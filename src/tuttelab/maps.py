@@ -15,8 +15,18 @@ exactly when the map is connected, and one sweep over the darts counts the
 cycles of sigma and of phi together, whose counts satisfy Euler's relation
 exactly when the map has genus 0.  The orbit lists and labellings
 (vertices, faces, vertex_of, face_of, root_face) are computed on first use
-and kept.  Maps whose alpha is the standard involution (1, 0, 3, 2, ...)
-share one tuple for it per dart count.  Instances are immutable.
+and kept.  Instances are immutable.
+
+sigma and alpha send each dart d to sigma[d] and alpha[d]; the code is
+n_darts followed by the breadth-first labels of sigma, then of alpha, over
+the darts in walk order.  Below 256 darts a map stores the three as bytes,
+one byte an entry; from 256 darts up, as tuples of ints.  Both index and
+iterate as ints and compare lexicographically, so readers need not know
+which they hold, and codes sort alike either way, by size first.  Codes
+compare within one side of 256 darts only: a bytes code never equals a
+tuple code, and the two cannot be ordered.  The standard involution
+(1, 0, 3, 2, ...) is one tuple per dart count, shared by every map whose
+alpha it is.
 
 Conventions frozen here (and validated in the tests against the catalytic
 functional equations):
@@ -49,6 +59,17 @@ from functools import lru_cache
 
 class MapError(ValueError):
     pass
+
+
+# maps with fewer darts store sigma, alpha and code as bytes
+_BYTE_DARTS = 256
+
+
+def _compact(values, n_darts):
+    """values, ints in 0..n_darts, as a map on n_darts darts stores them:
+    bytes when n_darts < _BYTE_DARTS, so that each value fits a byte, and a
+    tuple otherwise."""
+    return bytes(values) if n_darts < _BYTE_DARTS else tuple(values)
 
 
 @lru_cache(maxsize=64)
@@ -115,25 +136,27 @@ def _cycle_counts(alpha, sigma):
 def _bfs(alpha, sigma, root):
     """The breadth-first walk from root (sigma before alpha), which labels
     each dart it reaches by its position in the walk.  Returns the reached
-    darts in walk order and the code: n_darts, then label[sigma[d]] and then
-    label[alpha[d]] for each reached dart d in walk order."""
+    darts in walk order and the code, stored by _compact: n_darts, then
+    label[sigma[d]] and then label[alpha[d]] for each reached dart d in
+    walk order."""
     label = [-1] * len(alpha)
     label[root] = 0
     order = [root]
-    sig = []
+    code = [len(alpha)]
     alf = []
     for d in order:
         e = sigma[d]
         if label[e] < 0:
             label[e] = len(order)
             order.append(e)
-        sig.append(label[e])
+        code.append(label[e])
         e = alpha[d]
         if label[e] < 0:
             label[e] = len(order)
             order.append(e)
         alf.append(label[e])
-    return order, (len(alpha), *sig, *alf)
+    code += alf
+    return order, _compact(code, len(alpha))
 
 
 def _phi(m):
@@ -181,6 +204,8 @@ class RootedMap:
     Set by the constructor: n_darts, alpha, sigma, root, code (the canonical
     code: the breadth-first relabelling from the root, so two maps have
     equal codes iff they are equal as rooted maps), n_vertices and n_faces.
+    sigma, alpha (unless it is the shared standard involution) and code are
+    bytes below 256 darts and tuples from 256 up; from_code takes either.
     Computed on first use and kept: vertices (sigma-orbits, tuples of
     darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
     face_of (dart -> index into vertices and faces), and root_face (the
@@ -200,8 +225,9 @@ class RootedMap:
         if n == 0:
             if root is not None:
                 raise MapError("atomic map has root None")
-            self.n_darts, self.alpha, self.sigma, self.root = 0, (), (), None
-            self.code, self.n_vertices, self.n_faces = (0,), 1, 1
+            self.n_darts, self.alpha, self.root = 0, (), None
+            self.sigma = _compact((), 0)
+            self.code, self.n_vertices, self.n_faces = _compact((0,), 0), 1, 1
             return
         standard = _standard_alpha(n)
         # bool is an int subclass and 1.0 == 1: both would pass the checks
@@ -224,6 +250,9 @@ class RootedMap:
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
+        if not is_standard:
+            alpha = _compact(alpha, n)
+        sigma = _compact(sigma, n)
         self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
         _, self.code = _bfs(alpha, sigma, root)
         # the code covers the darts reachable from the root, two entries each

@@ -297,6 +297,17 @@ def test_verify_output_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+def test_python_m_tuttelab_is_the_cli():
+    runs = [subprocess.run([sys.executable, "-m", module, "verify", "counts",
+                            "--json"], capture_output=True)
+            for module in ("tuttelab", "tuttelab.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != b""
+    imported = subprocess.run([sys.executable, "-c", "import tuttelab.__main__"],
+                              capture_output=True)
+    assert (imported.returncode, imported.stdout, imported.stderr) == (0, b"", b"")
+
+
 def test_json_and_csv_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "counts", "--json", "--csv"])

@@ -350,3 +350,46 @@ def test_predicates():
     assert not RootedMap.loop().is_bipartite()
     assert RootedMap.loop().is_eulerian()
     assert not RootedMap.loop().is_separable()
+
+
+def bouquet(loops):
+    """loops nested loops at one vertex, by repeated insertion at index 0."""
+    m = RootedMap.atomic()
+    for _ in range(loops):
+        m = m.insert_root_edge(0)
+    return m
+
+
+def test_storage_on_both_sides_of_256_darts():
+    # a map below 256 darts stores sigma, a non-standard alpha and code as
+    # bytes, and a larger one as tuples; the surgery below crosses the
+    # threshold and must come back across it
+    radial = bouquet(63).radial()  # 252 darts, alpha not the standard one
+    assert type(radial.alpha) is bytes
+    grown = {252: radial}
+    for n in (254, 256, 258):
+        grown[n] = grown[n - 2].insert_root_edge(1)
+    cases = []
+    for n in (254, 256, 258):
+        cases.append((bouquet(n // 2), ("single", (bouquet(n // 2 - 1), 0))))
+        cases.append((grown[n], ("single", (grown[n - 2], 1))))
+        left = (n - 2) // 4
+        b1, b2 = bouquet(left), bouquet((n - 2) // 2 - left)
+        cases.append((RootedMap.join_by_root_edge(b1, b2), ("pair", (b1, b2))))
+    for m, deleted in cases:
+        stored = bytes if m.n_darts < 256 else tuple
+        assert type(m.code) is type(m.sigma) is stored
+        # the standard involution stays the one tuple maps share
+        standard = list(m.alpha) == [d ^ 1 for d in range(m.n_darts)]
+        assert type(m.alpha) is (tuple if standard else stored)
+        assert m.code[0] == m.n_darts and len(m.code) == 2 * m.n_darts + 1
+        copies = (RootedMap.from_code(m.code), m.relabelled(),
+                  RootedMap.from_json(m.to_json()),
+                  RootedMap(list(m.alpha), list(m.sigma), m.root))
+        for copy in copies:
+            assert copy == m and hash(copy) == hash(m)
+            assert copy.code == m.code and type(copy.code) is stored
+        assert RootedMap.from_code(tuple(m.code)) == m
+        assert m.delete_root_edge() == deleted
+        assert m != deleted[1][0]
+    assert len({m for m, _ in cases}) == len(cases)
