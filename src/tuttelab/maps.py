@@ -14,8 +14,10 @@ from the root labels the darts and writes the code, which covers every dart
 exactly when the map is connected, and one sweep over the darts counts the
 cycles of sigma and of phi together, whose counts satisfy Euler's relation
 exactly when the map has genus 0.  The orbit lists and labellings
-(vertices, faces, vertex_of, face_of, root_face) are computed on first use
-and kept.  Instances are immutable.
+(vertices, faces, vertex_of, face_of) and root_face_degree, an int the
+generators read from every parent map, are computed on first use and kept.
+The root face and the inverse of sigma are computed each time they are
+asked for and not kept.  Instances are immutable.
 
 sigma and alpha send each dart d to sigma[d] and alpha[d]; the code is
 n_darts followed by the breadth-first labels of sigma, then of alpha, over
@@ -65,14 +67,15 @@ class MapError(ValueError):
 _BYTE_DARTS = 256
 
 
-def _compact(values, n_darts):
-    """values, ints in 0..n_darts, as a map on n_darts darts stores them:
-    bytes when n_darts < _BYTE_DARTS, so that each value fits a byte, and a
-    tuple otherwise."""
-    return bytes(values) if n_darts < _BYTE_DARTS else tuple(values)
+def _compact(values, n):
+    """values, ints in 0..n, as a map on n darts stores its darts and code
+    and potts its keys of multigraphs on n vertices: bytes when
+    n < _BYTE_DARTS, so that each value fits a byte, and a tuple otherwise.
+    Given bytes with n < _BYTE_DARTS, returns that object itself."""
+    return bytes(values) if n < _BYTE_DARTS else tuple(values)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _standard_alpha(n_darts):
     """The involution (1, 0, 3, 2, ...) on n_darts darts, shared by maps."""
     return tuple(d ^ 1 for d in range(n_darts))
@@ -181,6 +184,7 @@ def _root_face(m):
 
 
 def _inv_sigma(m):
+    """sigma^-1, as a list."""
     out = [0] * m.n_darts
     for d, s in enumerate(m.sigma):
         out[s] = d
@@ -193,8 +197,7 @@ _ON_FIRST_USE = {
     "faces": lambda m: _orbits(_phi(m)) if m.n_darts else [()],
     "vertex_of": lambda m: _cycle_labels(m.sigma),
     "face_of": lambda m: _cycle_labels(_phi(m)),
-    "root_face": _root_face,
-    "_inv_sigma": _inv_sigma,
+    "root_face_degree": lambda m: len(_root_face(m)),
 }
 
 
@@ -206,17 +209,21 @@ class RootedMap:
     equal codes iff they are equal as rooted maps), n_vertices and n_faces.
     sigma, alpha (unless it is the shared standard involution) and code are
     bytes below 256 darts and tuples from 256 up; from_code takes either.
+    A bytes alpha or sigma given to the constructor is kept as it is, so
+    m.dual() shares the alpha of m.
     Computed on first use and kept: vertices (sigma-orbits, tuples of
     darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
-    face_of (dart -> index into vertices and faces), and root_face (the
-    phi-orbit of alpha(root), as it appears in faces).
+    face_of (dart -> index into vertices and faces), and root_face_degree.
+    Computed each time and not kept: root_face (the phi-orbit of
+    alpha(root), as it appears in faces).
     """
 
     __slots__ = ("n_darts", "alpha", "sigma", "root", "code", "n_vertices",
                  "n_faces", "vertices", "faces", "vertex_of", "face_of",
-                 "root_face", "_inv_sigma")
+                 "root_face_degree")
 
     def __init__(self, alpha, sigma, root):
+        given_alpha, given_sigma = alpha, sigma
         alpha = tuple(alpha)
         sigma = tuple(sigma)
         n = len(alpha)
@@ -250,9 +257,12 @@ class RootedMap:
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
+        # _compact keeps a bytes input as it is, not copied
         if not is_standard:
-            alpha = _compact(alpha, n)
-        sigma = _compact(sigma, n)
+            alpha = _compact(
+                given_alpha if type(given_alpha) is bytes else alpha, n)
+        sigma = _compact(
+            given_sigma if type(given_sigma) is bytes else sigma, n)
         self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
         _, self.code = _bfs(alpha, sigma, root)
         # the code covers the darts reachable from the root, two entries each
@@ -294,8 +304,8 @@ class RootedMap:
         return k
 
     @property
-    def root_face_degree(self):
-        return len(self.root_face)
+    def root_face(self):
+        return _root_face(self)
 
     def vertex_degrees(self):
         return sorted(len(c) for c in self.vertices) if not self.is_atomic else [0]
@@ -414,7 +424,7 @@ class RootedMap:
         if self.is_atomic:
             return self
         n = self.n_darts
-        inv = self._inv_sigma
+        inv = _inv_sigma(self)
         alpha = [0] * (2 * n)
         sigma = [0] * (2 * n)
         for d in range(n):
@@ -509,8 +519,8 @@ class RootedMap:
             raise MapError("cannot delete the root edge of the atomic map")
         a = self.root
         b = self.alpha[a]
-        pred_a = self._inv_sigma[a]
-        pred_b = self._inv_sigma[b]
+        inv = _inv_sigma(self)
+        pred_a, pred_b = inv[a], inv[b]
         sig = {d: s for d, s in enumerate(self.sigma) if d not in (a, b)}
         alf = {d: x for d, x in enumerate(self.alpha) if d not in (a, b)}
         for p in (pred_a, pred_b):  # splice a and b out of their rotations

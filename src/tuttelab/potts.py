@@ -6,15 +6,21 @@ polynomial in q and nu.  It is computed by deletion-contraction,
 
     P_G = P_{G\\e} + (nu - 1) P_{G/e},
 
-with the convention that contracting a loop deletes it, and memoized on
-the labelled edge multiset: the vertex count and the sorted edge pairs,
-each low end first.  No isomorphism search is made, so the size of a
-graph is limited only by the cost of the recursion.
+with the convention that contracting a loop deletes it.  The recursion,
+the interpolation route and the Tutte polynomial are each memoised on one
+key of the labelled multigraph, built by _graph_key alone: (v, edges),
+with v the vertex count and edges the sorted edge pairs, each low end
+first, flattened and stored by maps._compact (bytes below 256 vertices, a
+tuple from 256 up).  No isomorphism search is made, so the size of a graph
+is limited only by the cost of the recursion.
 
 The Tutte polynomial T_G(mu, nu) is computed by its subset expansion and
 tied to P by q = (mu - 1)(nu - 1):
 
     P_G(q, nu) = (mu - 1)^{c(G)} (nu - 1)^{v(G)} T_G(mu, nu).
+
+potts_subset_oracle reads m.multigraph_edges() and is not memoised, so
+one route to P never goes through the key.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 
-from tuttelab.maps import RootedMap, _cycle_labels
+from tuttelab.maps import RootedMap, _compact, _cycle_labels, _standard_alpha
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
 NU = MultiPoly.var("nu")
@@ -46,44 +52,60 @@ def _powers(base: MultiPoly, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _potts_of_key(v, edges):
-    """P of the multigraph on vertices 0..v-1 whose edges are the sorted
-    tuple `edges`, each edge written low end first."""
+    """P of the multigraph with the key (v, edges) of _graph_key."""
     if not edges:
         p = MultiPoly.var("q", v)
     else:
-        (a, b), rest = edges[0], edges[1:]
+        a, b, rest = edges[0], edges[1], edges[2:]
         deleted = _potts_of_key(v, rest)
         if a == b:
             p = NU * deleted
         else:  # merge b into a and close the gap b leaves in the labels
             label = [*range(b), a, *range(b, v - 1)]
-            contracted = _potts_of_key(v - 1, _edge_key(
-                (label[x], label[y]) for x, y in rest))
+            contracted = _potts_of_key(*_graph_key(
+                v - 1, map(label.__getitem__, rest)))
             p = MultiPoly.dot(((deleted, 1), (NU1, contracted)))
     return _distinct.setdefault(p, p)
 
 
-def _edge_key(edges):
-    return tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
+def _graph_key(v, ends):
+    """The memo key of the multigraph on vertices 0..v-1 whose edges join
+    ends[0] to ends[1], ends[2] to ends[3], and so on: v, and the edges
+    sorted, each low end first, flattened and stored by maps._compact."""
+    edges = [(a, b) if a <= b else (b, a) for a, b in _pairs(ends)]
+    edges.sort()
+    return v, _compact(itertools.chain.from_iterable(edges), v)
+
+
+def _pairs(ends):
+    """The edges (ends[0], ends[1]), (ends[2], ends[3]), ..."""
+    it = iter(ends)
+    return zip(it, it)
+
+
+def _key(m: RootedMap):
+    """_graph_key of the multigraph of m.  The vertices are labelled here,
+    as in m.vertex_of, which stays unset on m."""
+    label = _cycle_labels(m.sigma)
+    if m.alpha is _standard_alpha(m.n_darts):
+        ends = label  # edge i joins darts 2i and 2i + 1
+    else:
+        ends = [label[x] for d, a in enumerate(m.alpha) if d < a
+                for x in (d, a)]
+    return _graph_key(m.n_vertices, ends)
 
 
 def potts(m: RootedMap) -> MultiPoly:
     """Potts polynomial of the underlying multigraph, in (q, nu).
 
-    Always a multiple of q; the atomic map gives q.  The vertices are
-    labelled here, as in m.vertex_of, which stays unset on m."""
-    label = _cycle_labels(m.sigma)
-    edges = [(label[d], label[a]) if label[d] <= label[a]
-             else (label[a], label[d])
-             for d, a in enumerate(m.alpha) if d < a]
-    edges.sort()
-    return _potts_of_key(m.n_vertices, tuple(edges))
+    Always a multiple of q; the atomic map gives q."""
+    return _potts_of_key(*_key(m))
 
 
 def potts_subset_oracle(m: RootedMap) -> MultiPoly:
     """Fortuin-Kasteleyn expansion: sum over edge subsets S of
     q^{c(S)} (nu-1)^{|S|}, with c(S) counting connected components."""
-    counts = _subset_counts(m)
+    counts = _subset_counts(m.n_vertices, m.multigraph_edges())
     nu1 = _powers(NU1, max(r for _, r in counts))
     return MultiPoly.dot((MultiPoly(("q",), {(c,): k}), nu1[r])
                          for (c, r), k in counts.items())
@@ -94,14 +116,14 @@ def potts_by_interpolation(m: RootedMap) -> MultiPoly:
 
     Evaluates the colouring oracle at q = 1 .. v+1 plus the forced value 0
     at q = 0 and interpolates; the degree in q is at most v.  Memoised on
-    the labelled multigraph: the vertex count and the sorted edge pairs,
-    each low end first."""
-    return _interpolated(m.n_vertices, _edge_key(m.multigraph_edges()))
+    the key of the labelled multigraph."""
+    return _interpolated(*_key(m))
 
 
 @lru_cache(maxsize=None)
 def _interpolated(v, edges):
     from tuttelab.generate import graph_colouring_sum
+    edges = list(_pairs(edges))
     points = [(0, MultiPoly.zero())]
     points += [(k, graph_colouring_sum(v, edges, k)) for k in range(1, v + 2)]
     return lagrange_interpolate(points)
@@ -125,21 +147,25 @@ def _components(v, edges):
     return comp
 
 
-def _subset_counts(m: RootedMap) -> Counter:
-    """How many edge subsets S of the multigraph have c(S) components and
-    |S| edges, keyed by (c(S), |S|): the subset expansions below need only
-    these counts, so each distinct pair costs one polynomial term."""
-    v = m.n_vertices
-    edges = m.multigraph_edges()
+def _subset_counts(v, edges) -> Counter:
+    """How many edge subsets S of the multigraph on vertices 0..v-1 with the
+    given (vertex, vertex) edges have c(S) components and |S| edges, keyed
+    by (c(S), |S|): the subset expansions below need only these counts, so
+    each distinct pair costs one polynomial term."""
     return Counter((_components(v, subset), r) for r in range(len(edges) + 1)
                    for subset in itertools.combinations(edges, r))
 
 
 def tutte(m: RootedMap) -> MultiPoly:
     """Tutte polynomial of the underlying (connected) multigraph in (mu, nu):
-    sum over edge subsets of (mu-1)^{c(S)-1} (nu-1)^{|S|+c(S)-v}."""
-    v = m.n_vertices
-    counts = _subset_counts(m)
+    sum over edge subsets of (mu-1)^{c(S)-1} (nu-1)^{|S|+c(S)-v}.
+    Memoised on the key of the labelled multigraph."""
+    return _tutte_of_key(*_key(m))
+
+
+@lru_cache(maxsize=None)
+def _tutte_of_key(v, edges):
+    counts = _subset_counts(v, list(_pairs(edges)))
     mu1 = _powers(MU - 1, max(c for c, _ in counts) - 1)
     nu1 = _powers(NU1, max(r + c for c, r in counts) - v)
     by_c: dict = {}  # one product by each power of (mu-1)

@@ -57,15 +57,21 @@ def test_generated_maps_are_lean():
             radial[family] = ((tracemalloc.get_traced_memory()[0] - start)
                               / len(listed))
             del listed
+        # serving as the parents of the 6-edge stream leaves nothing on them
+        start = tracemalloc.get_traced_memory()[0]
+        for m in generate.stream("all_maps", 6):
+            pass
+        as_parents = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    # bytes per map, measured at 242 for all_maps(5) and 325 for each radial
-    # family (Python 3.11), each bound about 25 % above
+    # bytes per map, measured at 234 for all_maps(5) and 317 for each radial
+    # family (Python 3.11), each bound about 25-30 % above
     assert retained / len(maps) < 300
     assert radial[four_valent] < 410
     assert radial[quadrangulations] < 410
     # potts labels the vertices for itself and leaves nothing on the maps
     assert (after_potts - retained) / len(maps) < 8
+    assert as_parents / len(maps) < 8
 
 
 @pytest.mark.parametrize("family,args", [

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttelab.bijections import mullin_decode
-from tuttelab.generate import LIST_CAP, all_bipolar_orientations, all_maps
+from tuttelab.generate import (LIST_CAP, all_bipolar_orientations, all_maps,
+                               four_valent)
 from tuttelab.maps import MapError, RootedMap, _orbits, _standard_alpha
 
 
@@ -322,6 +323,18 @@ def test_dual_involution():
         assert d.dual() == m
 
 
+def test_dual_shares_a_bytes_alpha():
+    # the constructor keeps a bytes alpha or sigma it is given, so a radial
+    # map and its dual hold one alpha; the few radial maps whose alpha is
+    # the standard involution hold the shared tuple
+    radials = [m for n in range(1, 5) for m in four_valent(n)]
+    assert any(type(m.alpha) is bytes for m in radials)
+    for m in radials:
+        d = m.dual()
+        assert d.alpha is m.alpha and d.dual().alpha is m.alpha
+        assert RootedMap(m.alpha, m.sigma, m.root).sigma is m.sigma
+
+
 def test_radial_is_4valent():
     for m in all_maps(3):
         if m.is_atomic:
@@ -393,3 +406,12 @@ def test_storage_on_both_sides_of_256_darts():
         assert m.delete_root_edge() == deleted
         assert m != deleted[1][0]
     assert len({m for m, _ in cases}) == len(cases)
+
+
+def test_standard_alpha_is_never_evicted():
+    # maps built before and after many dart counts share one standard tuple
+    kept = [RootedMap.link(), bouquet(3)]
+    for loops in range(1, 130):
+        bouquet(loops)
+    for m in kept + [bouquet(1), bouquet(3)]:
+        assert m.alpha is _standard_alpha(m.n_darts)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import tuttelab.potts as potts_mod
 
@@ -41,14 +42,55 @@ def test_potts_from_tutte_reads_tutte(monkeypatch):
 
 
 def test_potts_key_is_the_labelled_multigraph(monkeypatch):
-    # the memo key potts builds for itself is the one the other routes build
-    # from multigraph_edges, also on radial maps, whose alpha is not the
-    # standard involution
-    monkeypatch.setattr(potts_mod, "_potts_of_key", lambda v, edges: (v, edges))
+    # the memo key potts, the interpolation route and tutte read is the
+    # labelled multigraph of multigraph_edges, flattened, also on radial
+    # maps, whose alpha is not the standard involution
+    for memo in ("_potts_of_key", "_interpolated", "_tutte_of_key"):
+        monkeypatch.setattr(potts_mod, memo, lambda v, edges: (v, edges))
     radials = [m for n in range(1, 5) for m in four_valent(n)]
     for m in [m for n in range(6) for m in all_maps(n)] + radials:
-        assert potts(m) == (m.n_vertices,
-                            potts_mod._edge_key(m.multigraph_edges()))
+        v, edges = _labelled_key(m)
+        key = (v, bytes(x for e in edges for x in e))
+        assert potts(m) == potts_by_interpolation(m) == tutte(m) == key
+
+
+def test_potts_memo_is_lean():
+    # bytes the memo holds per entry, keys and distinct polynomials included,
+    # after potts over all_maps(5) from an empty memo; one pass first, so
+    # that the interpreter's free lists are full before memory is counted
+    maps = all_maps(5)
+    for m in maps:
+        potts(m)
+    potts_mod._potts_of_key.cache_clear()
+    potts_mod._distinct.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in maps:
+            potts(m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = potts_mod._potts_of_key.cache_info().currsize
+    # measured at 157 (Python 3.11), bound about 25 % above
+    assert held / entries < 196
+
+
+def test_potts_of_a_star_with_255_leaves():
+    # 256 vertices: the key takes the tuple branch of maps._compact, and a
+    # contraction in the recursion crosses back to bytes at 255 vertices
+    star = RootedMap.atomic()
+    for _ in range(255):
+        star = RootedMap.join_by_root_edge(star, RootedMap.atomic())
+    v, edges = potts_mod._key(star)
+    assert v == star.n_vertices == 256 and type(edges) is tuple
+    assert edges == tuple(x for e in _labelled_key(star)[1] for x in e)
+    # the whole star has P = q (q + nu - 1)^255, 32,896 terms and out of
+    # reach of the recursion; any k of its edges on its 256 vertices are a
+    # forest with P = q^(256 - k) (q + nu - 1)^k
+    for k in range(1, 6):
+        assert (potts_mod._potts_of_key(v, edges[-2 * k:])
+                == q ** (v - k) * (q + nu - 1) ** k)
 
 
 def _labelled_key(m):
