@@ -3,6 +3,7 @@
 Each check produces the left-hand series by functional-equation iteration
 (an independent derivation path) and verifies a polynomial identity or a
 rational parametrisation coefficientwise, exactly, to a requested order.
+`tuttelab.verify` names each check as a row of its algebraic suite.
 """
 
 from __future__ import annotations
@@ -163,19 +164,3 @@ def check_potts_nu1_reduces_to_maps(order: int = 6) -> bool:
         if M != plain:
             return False
     return True
-
-
-_CHECKS = {
-    "maps_quadratic": check_maps_quadratic,
-    "blossoming_system": check_blossoming_system,
-    "nt1_cubic": check_nt1_cubic,
-    "nt1_parametrisation": check_nt1_parametrisation,
-    "ising_parametrisation": check_ising_parametrisation,
-    "three_colour_parametrisation": check_three_colour_parametrisation,
-    "tutte_potts_change_of_variables": check_tutte_potts_change_of_variables,
-    "potts_nu1_reduces_to_maps": check_potts_nu1_reduces_to_maps,
-}
-
-
-def all_algebraic_checks() -> dict:
-    return {name: fn() for name, fn in _CHECKS.items()}

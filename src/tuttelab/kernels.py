@@ -311,21 +311,11 @@ def tree_rooted_tri_q0_coeff(n: int, i: int):
                     (i + 1) * (n + i))
 
 
-# -- report-style check suites ----------------------------------------------------
+# -- Lagrange-inversion spot checks ---------------------------------------------
 
 
-def check_kernel_solutions() -> dict:
-    """Verification report for the bipolar-orientation kernel solutions."""
-    return {
-        "six_pair_invariance": kernel_six_pair_invariance(),
-        "trinomial_expansion": trinomial_expansion_check(),
-        "bipolar_tri_positive_part": bipolar_tri_positive_part_check(),
-        "gbt_closed_form": gbt_closed_form_check(),
-        "bipolar_maps_nonneg_part": bipolar_maps_nonneg_part_check(),
-    }
-
-
-def _lagrange_V_spot_checks(order: int = 5) -> bool:
+def lagrange_V_spot_checks(order: int = 5) -> bool:
+    """lagrange_V_coeff matches V_series at every (i, j, n), n <= order."""
     V = V_series(order)
     for n in range(1, order + 1):
         cn = V.coeff(n)
@@ -339,7 +329,8 @@ def _lagrange_V_spot_checks(order: int = 5) -> bool:
     return True
 
 
-def _lagrange_U_spot_checks(order: int = 6) -> bool:
+def lagrange_U_spot_checks(order: int = 6) -> bool:
+    """lagrange_U_coeff matches U_series at every (n, i), n <= order."""
     Us = U_series(order)
     for n in range(1, order + 1):
         cn = Us.coeff(n)
@@ -350,7 +341,8 @@ def _lagrange_U_spot_checks(order: int = 6) -> bool:
     return True
 
 
-def _tri_q0_closed_form(order: int = 6) -> bool:
+def tri_q0_closed_form(order: int = 6) -> bool:
+    """tree_rooted_tri_q0_coeff matches tree_rooted_tri_Q0 to t^order."""
     Q0 = tree_rooted_tri_Q0(order)
     for n in range(1, order + 1):
         cn = Q0.coeff(n)
@@ -361,15 +353,3 @@ def _tri_q0_closed_form(order: int = 6) -> bool:
             if cn.coeff("y", d) != MultiPoly.const(tree_rooted_tri_q0_coeff(n, i)):
                 return False
     return True
-
-
-def check_tree_rooted() -> dict:
-    """Verification report for the spanning-tree kernel solutions."""
-    return {
-        "x_of_u_inverts": x_of_u_inverts(6),
-        "maps_extraction": tree_rooted_extraction_check(),
-        "tri_extraction": tree_rooted_tri_extraction_check(),
-        "lagrange_V": _lagrange_V_spot_checks(),
-        "lagrange_U": _lagrange_U_spot_checks(),
-        "tri_q0_closed_form": _tri_q0_closed_form(),
-    }

@@ -7,7 +7,14 @@ differential systems vs series iteration) with exact arithmetic.  The
 report is a list of (suite, case, expected, got, pass) rows in a fixed
 order, so its rendering is byte-deterministic.
 
-Each cross-check is written once, here.  The bijection round trips are
+A suite is a generator that yields its rows in report order.  A row is
+(case, expected, got), which passes when the two print the same, or
+(case, ok) for a case that passes or fails, so adding a row is adding one
+`yield`.  SUITES wraps each suite's rows in CaseResults.  The kernels and
+algebraic suites name a row for each check function of `tuttelab.kernels`
+and `tuttelab.algebraic`.
+
+Each cross-check is written once.  The bijection round trips are
 shared with the `bijection roundtrip` command.  The brute-force work that
 two suites read is memoised, so it runs once per process: the four
 closed-formula vs brute-force checks (closed_forms and kernels) and the
@@ -36,10 +43,10 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
+from tuttelab import algebraic, kernels
 from tuttelab import closed_forms as cf
-from tuttelab.algebraic import all_algebraic_checks
 from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
                                  ising_erase, ising_series_identity,
                                  ising_subdivide, mullin_decode,
@@ -52,7 +59,6 @@ from tuttelab.equations import EquationId, brute_force_gf, expand
 from tuttelab.generate import (all_bipolar_orientations, all_maps,
                                all_maps_oracle, all_spanning_trees,
                                four_valent, near_angulations, quadrangulations)
-from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle)
 from tuttelab.trees import BlossomingTree, DyckShuffle
@@ -61,21 +67,17 @@ from tuttelab.trees import BlossomingTree, DyckShuffle
 class CaseResult:
     __slots__ = ("suite", "case", "expected", "got", "ok")
 
-    def __init__(self, suite, case, expected, got, ok=None):
+    def __init__(self, suite, case, expected, got):
         self.suite = suite
         self.case = case
         self.expected = str(expected)
         self.got = str(got)
-        self.ok = (self.expected == self.got) if ok is None else bool(ok)
+        self.ok = self.expected == self.got
 
     def row(self):
         return {"suite": self.suite, "case": self.case,
                 "expected": self.expected, "got": self.got,
                 "pass": self.ok}
-
-
-def _bool_case(suite, case, ok):
-    return CaseResult(suite, case, True, bool(ok))
 
 
 # -- bijection round trips ----------------------------------------------------
@@ -245,29 +247,24 @@ def maps_brute_force_gf():
 
 
 # -- suites --------------------------------------------------------------------
+# Each suite is a generator of rows in report order: (case, expected, got),
+# or (case, ok) for a case that passes or fails.
 
 
 def suite_counts():
-    out = []
     maps = maps_brute_force_gf()
     for n in range(MAPS_ORDER + 1):
         want = cf.maps_count(n)
-        out.append(CaseResult("counts", f"maps({n}) generator", want,
-                              maps.coeff(n).eval({"y": 1})))
+        yield f"maps({n}) generator", want, maps.coeff(n).eval({"y": 1})
         if n <= 4:
-            out.append(CaseResult("counts", f"maps({n}) oracle", want,
-                                  len(all_maps_oracle(n))))
-    return out
+            yield f"maps({n}) oracle", want, len(all_maps_oracle(n))
 
 
 def suite_potts():
-    out = []
     for n in range(5):
-        ok = all(potts(m) == potts_subset_oracle(m)
-                 == potts_by_interpolation(m) == potts_from_tutte(m)
-                 for m in all_maps(n))
-        out.append(_bool_case("potts", f"triple equivalence, {n} edges", ok))
-    return out
+        yield f"triple equivalence, {n} edges", all(
+            potts(m) == potts_subset_oracle(m) == potts_by_interpolation(m)
+            == potts_from_tutte(m) for m in all_maps(n))
 
 
 # expand vs brute-force caps: symbolic coefficients throughout
@@ -288,7 +285,6 @@ _EQ_CAPS = (
 
 
 def suite_equations():
-    out = []
     for name, cap in _EQ_CAPS:
         eq = EquationId[name]
         lhs = expand(eq, cap)
@@ -296,104 +292,97 @@ def suite_equations():
             lhs = lhs.subs({"x": 0})
         brute = (maps_brute_force_gf() if eq is EquationId.MAPS_1CAT
                  else brute_force_gf(eq, cap))
-        ok = lhs == brute
-        out.append(_bool_case("equations", f"{name} vs brute force (order "
-                              f"{cap})", ok))
+        yield f"{name} vs brute force (order {cap})", lhs == brute
     lo = expand(EquationId.MAPS_1CAT, 4)
     hi = expand(EquationId.MAPS_1CAT, 8)
-    ok = all(lo.coeff(k) == hi.coeff(k) for k in range(5))
-    out.append(_bool_case("equations", "prefix stability (MAPS_1CAT 4 vs 8)",
-                          ok))
-    return out
+    yield "prefix stability (MAPS_1CAT 4 vs 8)", all(
+        lo.coeff(k) == hi.coeff(k) for k in range(5))
 
 
 def suite_closed_forms():
-    out = [
-        CaseResult("closed_forms", "maps(2)", 9, cf.maps_count(2)),
-        CaseResult("closed_forms", "tree_rooted(1,1)", 6,
-                   cf.tree_rooted_count(1, 1)),
-        _bool_case("closed_forms", "bipolar maps formulas, <= 4 edges",
-                   bipolar_formula_vs_brute_force()),
-        _bool_case("closed_forms", "bipolar near-triangulations, m <= 3",
-                   bipolar_tri_formula_vs_brute_force()),
-        _bool_case("closed_forms", "tree-rooted maps, i+j <= 4",
-                   tree_rooted_formula_vs_brute_force()),
-        _bool_case("closed_forms", "tree-rooted near-triangulations, i <= 3",
-                   tree_rooted_tri_formula_vs_brute_force()),
-    ]
+    yield "maps(2)", 9, cf.maps_count(2)
+    yield "tree_rooted(1,1)", 6, cf.tree_rooted_count(1, 1)
+    yield ("bipolar maps formulas, <= 4 edges",
+           bipolar_formula_vs_brute_force())
+    yield ("bipolar near-triangulations, m <= 3",
+           bipolar_tri_formula_vs_brute_force())
+    yield "tree-rooted maps, i+j <= 4", tree_rooted_formula_vs_brute_force()
+    yield ("tree-rooted near-triangulations, i <= 3",
+           tree_rooted_tri_formula_vs_brute_force())
     nt = brute_force_gf(EquationId.NT, 5)
     for n in range(2):
-        out.append(CaseResult("closed_forms",
-                              f"outer-degree-1 near-triangulations, n={n}",
-                              cf.nt1_count(n),
-                              nt.coeff(3 * n + 2).coeff("y", 1)
-                              .constant_value()))
+        yield (f"outer-degree-1 near-triangulations, n={n}", cf.nt1_count(n),
+               nt.coeff(3 * n + 2).coeff("y", 1).constant_value())
     # T_M(1, 1) counts the spanning trees of M
     trees = brute_force_gf(EquationId.TUTTE_MAPS, 3,
                            {"mu": 1, "nu": 1, "w": 1, "z": 1})
     for n in range(4):
-        out.append(CaseResult("closed_forms",
-                              f"spanning-tree series coefficient t^{n}",
-                              cf.spanning_tree_series_coeff(n),
-                              trees.coeff(n).eval({"x": 1, "y": 1})))
+        yield (f"spanning-tree series coefficient t^{n}",
+               cf.spanning_tree_series_coeff(n),
+               trees.coeff(n).eval({"x": 1, "y": 1}))
     for n in range(1, 5):
-        out.append(CaseResult("closed_forms", f"four_valent({n}) generator",
-                              cf.four_valent_count(n), len(four_valent(n))))
+        yield (f"four_valent({n}) generator", cf.four_valent_count(n),
+               len(four_valent(n)))
     for n in range(5):
-        want = sum(cf.shuffle_count(i, n - i) for i in range(n + 1))
-        got = sum(cf.tree_rooted_count(i, n - i) for i in range(n + 1))
-        out.append(CaseResult("closed_forms",
-                              f"shuffle count = tree-rooted count, i+j={n}",
-                              want, got))
-    return out
+        yield (f"shuffle count = tree-rooted count, i+j={n}",
+               sum(cf.shuffle_count(i, n - i) for i in range(n + 1)),
+               sum(cf.tree_rooted_count(i, n - i) for i in range(n + 1)))
 
 
 def suite_kernels():
-    bipolar = {**check_kernel_solutions(),
-               "bipolar_formula_vs_brute_force":
-                   bipolar_formula_vs_brute_force(),
-               "bipolar_tri_formula_vs_brute_force":
-                   bipolar_tri_formula_vs_brute_force()}
-    tree_rooted = {**check_tree_rooted(),
-                   "formula_vs_brute_force":
-                       tree_rooted_formula_vs_brute_force(),
-                   "tri_formula_vs_brute_force":
-                       tree_rooted_tri_formula_vs_brute_force()}
-    return ([_bool_case("kernels", f"bipolar {name}", ok)
-             for name, ok in bipolar.items()]
-            + [_bool_case("kernels", f"tree_rooted {name}", ok)
-               for name, ok in tree_rooted.items()])
+    yield "bipolar six_pair_invariance", kernels.kernel_six_pair_invariance()
+    yield "bipolar trinomial_expansion", kernels.trinomial_expansion_check()
+    yield ("bipolar bipolar_tri_positive_part",
+           kernels.bipolar_tri_positive_part_check())
+    yield "bipolar gbt_closed_form", kernels.gbt_closed_form_check()
+    yield ("bipolar bipolar_maps_nonneg_part",
+           kernels.bipolar_maps_nonneg_part_check())
+    yield ("bipolar bipolar_formula_vs_brute_force",
+           bipolar_formula_vs_brute_force())
+    yield ("bipolar bipolar_tri_formula_vs_brute_force",
+           bipolar_tri_formula_vs_brute_force())
+    yield "tree_rooted x_of_u_inverts", kernels.x_of_u_inverts(6)
+    yield "tree_rooted maps_extraction", kernels.tree_rooted_extraction_check()
+    yield ("tree_rooted tri_extraction",
+           kernels.tree_rooted_tri_extraction_check())
+    yield "tree_rooted lagrange_V", kernels.lagrange_V_spot_checks()
+    yield "tree_rooted lagrange_U", kernels.lagrange_U_spot_checks()
+    yield "tree_rooted tri_q0_closed_form", kernels.tri_q0_closed_form()
+    yield ("tree_rooted formula_vs_brute_force",
+           tree_rooted_formula_vs_brute_force())
+    yield ("tree_rooted tri_formula_vs_brute_force",
+           tree_rooted_tri_formula_vs_brute_force())
 
 
 def suite_algebraic():
-    return [_bool_case("algebraic", name, ok)
-            for name, ok in all_algebraic_checks().items()]
+    yield "maps_quadratic", algebraic.check_maps_quadratic()
+    yield "blossoming_system", algebraic.check_blossoming_system()
+    yield "nt1_cubic", algebraic.check_nt1_cubic()
+    yield "nt1_parametrisation", algebraic.check_nt1_parametrisation()
+    yield "ising_parametrisation", algebraic.check_ising_parametrisation()
+    yield ("three_colour_parametrisation",
+           algebraic.check_three_colour_parametrisation())
+    yield ("tutte_potts_change_of_variables",
+           algebraic.check_tutte_potts_change_of_variables())
+    yield ("potts_nu1_reduces_to_maps",
+           algebraic.check_potts_nu1_reduces_to_maps())
 
 
 def suite_desystems():
-    out = []
     for q, nu, w in ((2, 2, 1), (3, 2, 1), (Fraction(5, 2), 3, 1)):
-        ok = check_de_maps(Fraction(q), Fraction(nu), Fraction(w), 6)
-        out.append(_bool_case(
-            "desystems", f"maps system reconstructs M(1,1) at "
-            f"(q,nu,w)=({q},{nu},{w})", ok))
+        yield (f"maps system reconstructs M(1,1) at (q,nu,w)=({q},{nu},{w})",
+               check_de_maps(Fraction(q), Fraction(nu), Fraction(w), 6))
     for q in (2, 3):
-        out.append(_bool_case("desystems",
-                              f"triangulation system T2 at q={q}, order 20",
-                              check_de_tri(Fraction(q), 20)))
-        out.append(_bool_case("desystems",
-                              f"Tutte ODE residual at q={q}, order 20",
-                              check_tutte_ode(Fraction(q), 20)))
-    return out
+        yield (f"triangulation system T2 at q={q}, order 20",
+               check_de_tri(Fraction(q), 20))
+        yield (f"Tutte ODE residual at q={q}, order 20",
+               check_tutte_ode(Fraction(q), 20))
 
 
 def suite_bijections():
-    out = []
-
     for n in range(1, 5):
-        out.append(_bool_case("bijections",
-                              f"phi(psi(m)) = m, 4-valent, {n} vertices",
-                              roundtrip_psi(n)[1] is None))
+        yield (f"phi(psi(m)) = m, 4-valent, {n} vertices",
+               roundtrip_psi(n)[1] is None)
     for n in range(1, 4):
         bal = 0
         for t in BlossomingTree.all_trees(n):
@@ -405,24 +394,19 @@ def suite_bijections():
             if psi_open(m) != t:
                 bal = -1
                 break
-        out.append(CaseResult("bijections",
-                              f"balanced trees with {n} nodes (psi(phi)=id)",
-                              cf.balanced_blossoming_count(n), bal))
+        yield (f"balanced trees with {n} nodes (psi(phi)=id)",
+               cf.balanced_blossoming_count(n), bal)
     for n in range(1, 4):
         seen = set()
         for t in BlossomingTree.all_trees(n):
             for s in ("+", "-"):
                 cm, fi = phi_bar(t, s)
                 seen.add((cm.code, fi))
-        want = 2 * cf.blossoming_count(n)
-        out.append(CaseResult("bijections",
-                              f"phi_bar image size, {n} nodes", want,
-                              len(seen)))
+        yield (f"phi_bar image size, {n} nodes", 2 * cf.blossoming_count(n),
+               len(seen))
     for n in range(1, 5):
-        faces = sum(m.n_faces for m in four_valent(n))
-        out.append(CaseResult("bijections",
-                              f"(n+2)m_n = 2t_n at n={n}",
-                              2 * cf.blossoming_count(n), faces))
+        yield (f"(n+2)m_n = 2t_n at n={n}", 2 * cf.blossoming_count(n),
+               sum(m.n_faces for m in four_valent(n)))
     ok = True
     for n in range(1, 4):
         for t in BlossomingTree.all_trees(n):
@@ -433,52 +417,52 @@ def suite_bijections():
                 pass
             if unbalanced_join(*unbalanced_split(t)) != t:
                 ok = False
-    out.append(_bool_case("bijections",
-                          "unbalanced split/join round trips, <= 3 nodes",
-                          ok))
+    yield "unbalanced split/join round trips, <= 3 nodes", ok
 
     for n in range(1, 5):
         cnt, bad = roundtrip_cvs(n)
-        out.append(_bool_case("bijections",
-                              f"cvs round trips, {n} faces", bad is None))
-        out.append(CaseResult("bijections",
-                              f"3^n C_n = (n+2)q_n/2 at n={n}",
-                              cf.labelled_tree_count(n), cnt))
+        yield f"cvs round trips, {n} faces", bad is None
+        yield f"3^n C_n = (n+2)q_n/2 at n={n}", cf.labelled_tree_count(n), cnt
 
     for n in range(5):
         cnt, bad = roundtrip_mullin(n)
-        out.append(_bool_case("bijections",
-                              f"mullin round trips, {n} edges", bad is None))
-        want = sum(cf.shuffle_count(i, n - i) for i in range(n + 1))
-        out.append(CaseResult("bijections",
-                              f"tree-rooted maps with {n} edges", want, cnt))
+        yield f"mullin round trips, {n} edges", bad is None
+        yield (f"tree-rooted maps with {n} edges",
+               sum(cf.shuffle_count(i, n - i) for i in range(n + 1)), cnt)
     m, tr = mullin_decode(DyckShuffle("bbaaBBAbBA"))
-    out.append(CaseResult("bijections", "fig-word re-encodes", "bbaaBBAbBA",
-                          mullin_encode(m, tr).word))
-    ok = all(tprime_degrees(mullin_decompose(m, tr)[1]) == m.vertex_degrees()
-             for n in range(1, 4) for m in all_maps(n)
-             for tr in all_spanning_trees(m))
-    out.append(_bool_case("bijections",
-                          "decomposition degree multisets, <= 3 edges", ok))
+    yield "fig-word re-encodes", "bbaaBBAbBA", mullin_encode(m, tr).word
+    yield "decomposition degree multisets, <= 3 edges", all(
+        tprime_degrees(mullin_decompose(m, tr)[1]) == m.vertex_degrees()
+        for n in range(1, 4) for m in all_maps(n)
+        for tr in all_spanning_trees(m))
 
-    ok = all(roundtrip_ising(n)[1] is None for n in range(1, 4))
-    out.append(_bool_case("bijections",
-                          "subdivide/erase round trips, <= 3 edges", ok))
-    out.append(_bool_case("bijections", "bipartite series identity to t^4",
-                          ising_identity(4)[1] is None))
+    yield "subdivide/erase round trips, <= 3 edges", all(
+        roundtrip_ising(n)[1] is None for n in range(1, 4))
+    yield "bipartite series identity to t^4", ising_identity(4)[1] is None
+
+
+def _results(suite, rows):
+    """The CaseResults of the rows that the generator function `rows`
+    yields, in order."""
+    out = []
+    for case, *values in rows():
+        if len(values) == 1:  # (case, ok)
+            values = (True, bool(values[0]))
+        out.append(CaseResult(suite, case, *values))
     return out
 
 
-SUITES = {
-    "counts": suite_counts,
-    "potts": suite_potts,
-    "equations": suite_equations,
-    "closed_forms": suite_closed_forms,
-    "kernels": suite_kernels,
-    "algebraic": suite_algebraic,
-    "desystems": suite_desystems,
-    "bijections": suite_bijections,
-}
+#: Each value runs its suite and returns its list of CaseResults.
+SUITES = {name: partial(_results, name, rows) for name, rows in (
+    ("counts", suite_counts),
+    ("potts", suite_potts),
+    ("equations", suite_equations),
+    ("closed_forms", suite_closed_forms),
+    ("kernels", suite_kernels),
+    ("algebraic", suite_algebraic),
+    ("desystems", suite_desystems),
+    ("bijections", suite_bijections),
+)}
 
 
 #: The suites that `run` hands to its worker process.  Suites that share a

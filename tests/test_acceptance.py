@@ -37,7 +37,8 @@ def test_02_potts_three_ways():
 
 def test_03_equation_expansions_match_brute_force():
     from tuttelab import verify
-    assert verify.all_pass(verify.suite_equations())
+    results = verify.run(["equations"])
+    assert len(results) == 13 and verify.all_pass(results)
 
 
 def test_04_bijections():
@@ -97,14 +98,15 @@ def test_05_closed_forms_vs_brute_force():
 
 
 def test_06_kernel_extractions():
-    from tuttelab.kernels import check_kernel_solutions, check_tree_rooted
-    assert all(check_kernel_solutions().values())
-    assert all(check_tree_rooted().values())
+    from tuttelab import verify
+    results = verify.run(["kernels"])
+    assert len(results) == 15 and verify.all_pass(results)
 
 
 def test_07_algebraic_theorems():
-    from tuttelab.algebraic import all_algebraic_checks
-    assert all(all_algebraic_checks().values())
+    from tuttelab import verify
+    results = verify.run(["algebraic"])
+    assert len(results) == 8 and verify.all_pass(results)
 
 
 def test_08_differential_systems():

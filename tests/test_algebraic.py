@@ -1,20 +1,16 @@
-import pytest
-
 from tuttelab import closed_forms as cf
-from tuttelab.algebraic import (_CHECKS, all_algebraic_checks, blossoming_T,
+from tuttelab import verify
+from tuttelab.algebraic import (blossoming_T, check_maps_quadratic,
                                 maps_series, nt1_series)
 
 
 def test_all_checks_pass():
-    results = all_algebraic_checks()
-    assert len(results) >= 8
-    assert all(results.values())
+    results = verify.run(["algebraic"])
+    assert len(results) == 8 and verify.all_pass(results)
 
 
 def test_named_check_dispatch():
-    assert _CHECKS["maps_quadratic"](6)
-    with pytest.raises(KeyError):
-        _CHECKS["nope"]
+    assert check_maps_quadratic(6)
 
 
 def test_maps_series_coefficients():

@@ -1,20 +1,28 @@
+import pytest
+
 from tuttelab import closed_forms as cf
+from tuttelab import verify
 from tuttelab.equations import EquationId, expand
-from tuttelab.kernels import (U_series, V_series, check_kernel_solutions,
-                              check_tree_rooted, kernel_six_pair_invariance,
+from tuttelab.kernels import (U_series, V_series, kernel_six_pair_invariance,
                               lagrange_U_coeff, lagrange_V_coeff,
                               trinomial_coeff, trinomial_expansion_check,
                               x_of_u_inverts)
 
 
-def test_kernel_solution_checks():
-    results = check_kernel_solutions()
-    assert results and all(results.values())
+@pytest.fixture(scope="module")
+def kernels_rows():
+    return verify.run(["kernels"])
 
 
-def test_tree_rooted_checks():
-    results = check_tree_rooted()
-    assert results and all(results.values())
+def test_kernel_solution_checks(kernels_rows):
+    assert len(kernels_rows) == 15
+    results = [r for r in kernels_rows if r.case.startswith("bipolar ")]
+    assert len(results) == 7 and verify.all_pass(results)
+
+
+def test_tree_rooted_checks(kernels_rows):
+    results = [r for r in kernels_rows if r.case.startswith("tree_rooted ")]
+    assert len(results) == 8 and verify.all_pass(results)
 
 
 def test_substitution_series():

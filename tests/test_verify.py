@@ -209,3 +209,10 @@ def test_verify_all_streams_the_six_edge_maps_once(six_edge_streamed_run):
     results, calls = six_edge_streamed_run
     assert len(results) == 118 and verify.all_pass(results)
     assert calls.count(("all_maps", 6)) == 1
+
+
+def test_verify_all_names_each_case_once(six_edge_streamed_run):
+    # a (suite, case) pair names one row, so it can key that row's data
+    results, _ = six_edge_streamed_run
+    keys = {(r.suite, r.case) for r in results}
+    assert len(results) == 118 and len(keys) == 118
