@@ -2,17 +2,28 @@
 
 The Potts polynomial P_G(q, nu) is the sum over q-colourings of the
 vertices of nu^(number of monochromatic edges), evaluated here as a
-polynomial in q and nu.  It is computed by deletion-contraction,
+polynomial in q and nu.  Three rules first take the multigraph apart:
+
+    a loop e:             P_G = nu P_{G\\e},
+    an isolated vertex x: P_G = q P_{G-x},
+    a pendant edge e:     P_G = (q + nu - 1) P_{G/e},
+
+applied until no vertex of degree 0 or 1 is left (Haggard, Pearce and
+Royle, "Computing Tutte polynomials", ACM TOMS 37, 2010).  A tree thus
+costs one pass over its edges.  What is left, the core, is taken on by
+deletion-contraction,
 
     P_G = P_{G\\e} + (nu - 1) P_{G/e},
 
-with the convention that contracting a loop deletes it.  The recursion,
-the interpolation route and the Tutte polynomial are each memoised on one
+whose two minors are reduced by the rules again.  The recursion, the
+interpolation route and the Tutte polynomial are each memoised on one
 key of the labelled multigraph, built by _graph_key alone: (v, edges),
 with v the vertex count and edges the sorted edge pairs, each low end
 first, flattened and stored by maps._compact (bytes below 256 vertices, a
-tuple from 256 up).  No isomorphism search is made, so the size of a graph
-is limited only by the cost of the recursion.
+tuple from 256 up).  No isomorphism search is made.  What limits the size
+of a graph is the cost of deletion-contraction on its core and the size
+of the result, which is dense: the star with 255 leaves has no core, and
+its P = q (q + nu - 1)^255 has 32,896 terms.
 
 The Tutte polynomial T_G(mu, nu) is computed by its subset expansion and
 tied to P by q = (mu - 1)(nu - 1):
@@ -35,6 +46,7 @@ from tuttelab.poly import MultiPoly, lagrange_interpolate
 NU = MultiPoly.var("nu")
 MU = MultiPoly.var("mu")
 NU1 = NU - 1
+PENDANT = MultiPoly.var("q") + NU1
 
 
 # Equal polynomials from different keys share one object, so the memo
@@ -52,20 +64,77 @@ def _powers(base: MultiPoly, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _potts_of_key(v, edges):
-    """P of the multigraph with the key (v, edges) of _graph_key."""
-    if not edges:
-        p = MultiPoly.var("q", v)
-    else:
+    """P of the multigraph with the key (v, edges) of _graph_key.
+
+    A multigraph with a loop or a vertex of degree 0 or 1 is reduced by
+    the three rules of the module docstring: each loop is a factor nu,
+    each isolated vertex a factor q and each pendant edge a factor
+    q + nu - 1, whose contraction takes its leaf away, until no vertex of
+    degree 0 or 1 is left.  The core that is left is relabelled and
+    recursed on through _graph_key, so that maps with equal cores share
+    its entry.  Deletion-contraction runs only on a core: a multigraph
+    with no loop and no vertex of degree below 2."""
+    pairs = list(_pairs(edges))
+    degree = [0] * v
+    for a, b in pairs:
+        degree[a] += 1
+        degree[b] += 1
+    if any(a == b for a, b in pairs) or min(degree, default=0) < 2:
+        p = _reduced(v, pairs)
+    else:  # merge b into a and close the gap b leaves in the labels
         a, b, rest = edges[0], edges[1], edges[2:]
-        deleted = _potts_of_key(v, rest)
-        if a == b:
-            p = NU * deleted
-        else:  # merge b into a and close the gap b leaves in the labels
-            label = [*range(b), a, *range(b, v - 1)]
-            contracted = _potts_of_key(*_graph_key(
-                v - 1, map(label.__getitem__, rest)))
-            p = MultiPoly.dot(((deleted, 1), (NU1, contracted)))
+        label = [*range(b), a, *range(b, v - 1)]
+        contracted = _potts_of_key(*_graph_key(
+            v - 1, map(label.__getitem__, rest)))
+        p = MultiPoly.dot(((_potts_of_key(v, rest), 1), (NU1, contracted)))
     return _distinct.setdefault(p, p)
+
+
+def _reduced(v, pairs):
+    """P of the multigraph on vertices 0..v-1 with the given edges: the
+    factors of its loops, isolated vertices and pendant edges, times the
+    memo entry of its core."""
+    links = [(a, b) for a, b in pairs if a != b]
+    at = [[] for _ in range(v)]  # the indices of the links at each vertex
+    for i, (a, b) in enumerate(links):
+        at[a].append(i)
+        at[b].append(i)
+    degree = [len(x) for x in at]  # -1 once the vertex is taken out
+    kept = [True] * len(links)
+    leaves = [x for x in range(v) if degree[x] < 2]
+    isolated = pendant = 0
+    while leaves:
+        x = leaves.pop()
+        if degree[x] < 0:
+            continue
+        if degree[x]:  # contract x's one link into its other end y
+            i = next(i for i in at[x] if kept[i])
+            kept[i] = False
+            pendant += 1
+            y = sum(links[i]) - x
+            degree[y] -= 1
+            if degree[y] < 2:
+                leaves.append(y)
+        else:
+            isolated += 1
+        degree[x] = -1
+    p = _factor(isolated, len(pairs) - len(links), pendant)
+    # label[x] is the number of core vertices below x: x's label in the core
+    label = list(itertools.accumulate((d >= 0 for d in degree), initial=0))
+    ends = [label[x] for e, k in zip(links, kept) if k for x in e]
+    if ends:
+        p = p * _potts_of_key(*_graph_key(label[-1], ends))
+    return p
+
+
+@lru_cache(maxsize=None)
+def _factor(isolated, loops, pendant):
+    """q^isolated nu^loops (q + nu - 1)^pendant, the powers of q + nu - 1
+    by one product from the last, as in _powers."""
+    p = MultiPoly(("q", "nu"), {(isolated, loops): 1})
+    for _ in range(pendant):
+        p = p * PENDANT
+    return p
 
 
 def _graph_key(v, ends):

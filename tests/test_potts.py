@@ -1,5 +1,8 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings
 
 import tuttelab.potts as potts_mod
 
@@ -10,6 +13,7 @@ from tuttelab.potts import (bipolar_count, chromatic_poly, duality_check,
                             potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle, spanning_tree_count,
                             specializations, tutte)
+from test_maps import bouquet, rooted_maps
 
 q = MultiPoly.var("q")
 nu = MultiPoly.var("nu")
@@ -72,25 +76,65 @@ def test_potts_memo_is_lean():
     finally:
         tracemalloc.stop()
     entries = potts_mod._potts_of_key.cache_info().currsize
-    # measured at 157 (Python 3.11), bound about 25 % above
+    # measured at 164 (Python 3.11), bound about 20 % above
     assert held / entries < 196
+    # the loop, isolated-vertex and pendant-edge rules fill 339 entries;
+    # deletion-contraction alone filled 871
+    assert entries <= 400
+
+
+def _star(k):
+    star = RootedMap.atomic()
+    for _ in range(k):
+        star = RootedMap.join_by_root_edge(star, RootedMap.atomic())
+    return star
 
 
 def test_potts_of_a_star_with_255_leaves():
     # 256 vertices: the key takes the tuple branch of maps._compact, and a
     # contraction in the recursion crosses back to bytes at 255 vertices
-    star = RootedMap.atomic()
-    for _ in range(255):
-        star = RootedMap.join_by_root_edge(star, RootedMap.atomic())
+    star = _star(255)
     v, edges = potts_mod._key(star)
     assert v == star.n_vertices == 256 and type(edges) is tuple
     assert edges == tuple(x for e in _labelled_key(star)[1] for x in e)
-    # the whole star has P = q (q + nu - 1)^255, 32,896 terms and out of
-    # reach of the recursion; any k of its edges on its 256 vertices are a
-    # forest with P = q^(256 - k) (q + nu - 1)^k
+    # any k of its edges on its 256 vertices are a forest with
+    # P = q^(256 - k) (q + nu - 1)^k
     for k in range(1, 6):
         assert (potts_mod._potts_of_key(v, edges[-2 * k:])
                 == q ** (v - k) * (q + nu - 1) ** k)
+    # the whole star has P = q (q + nu - 1)^255, 32,896 terms: compared
+    # at two rational points, exactly
+    p = potts(star)
+    assert p.degree("q") == 256
+    for x, y in ((Fraction(3, 2), Fraction(-2, 5)),
+                 (Fraction(-1, 3), Fraction(5, 7))):
+        assert p.eval({"q": x, "nu": y}) == x * (x + y - 1) ** 255
+
+
+def test_potts_of_a_star_takes_one_memo_entry():
+    # the pendant-edge rule takes a star apart in one memo entry, whatever
+    # its number of leaves; deletion-contraction alone took about k^2/2
+    added = []
+    for k in (16, 32, 64):
+        before = potts_mod._potts_of_key.cache_info().misses
+        assert potts(_star(k)) == q * (q + nu - 1) ** k
+        added.append(potts_mod._potts_of_key.cache_info().misses - before)
+    assert added == [1, 1, 1]
+
+
+def test_potts_of_bouquets_across_256_darts():
+    # a bouquet of k loops, on either side of 256 darts, is q nu^k
+    for k in (127, 128, 129):
+        m = bouquet(k)
+        assert m.n_darts == 2 * k
+        assert potts(m) == q * nu ** k
+
+
+@settings(deadline=None)
+@given(rooted_maps(max_edges=10))
+def test_potts_matches_the_subset_expansion(m):
+    # trees, pendant chains and loops at sizes the fixed tests never reach
+    assert potts(m) == potts_subset_oracle(m)
 
 
 def _labelled_key(m):
