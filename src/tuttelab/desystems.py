@@ -26,16 +26,24 @@ Two systems are solved order by order in the main series variable:
   near-triangulations of outer degree 2 is recovered.
 
 Both identities are cleared of denominators before coefficient matching.
-Each order of the main variable adds unknown coefficients and constraints.
+Stage n of the main variable adds the unknown coefficients of order n + 1
+of A and B (order n of C) and forms one coefficient: [t^n] (or [z^n]) of
+the cleared identity, read from the stored coefficient lists as one
+MultiPoly.dot over O(n) products.  For the maps system the coefficients
+D_k = sum_{l <= 2} A_{k-l} [t^l] Delta^2 of D, k <= n + 1, are formed
+first.  The powers of v of that coefficient are the new constraints.  No
+stage multiplies out a truncated series, so the N stages cost O(N^2)
+products in all.
+
 A cleared constraint is affine or quadratic in the unknowns not yet solved:
 the B^2 terms give squares and products of coefficients of B.  _reduce
 runs one exact sparse Gauss–Jordan elimination over the monomials of the
-constraints, nonlinear monomials first.  Every row of the result that is
-led by an unknown solves it affinely, including the consequences that
-come from cancelling quadratic monomials between constraints.  The
-solutions are substituted everywhere, which can turn quadratic
-constraints affine, and the elimination repeats until nothing new is
-solved.
+constraints, nonlinear monomials first, fraction-free in ints.  Every row
+of the result that is led by an unknown solves it affinely, including the
+consequences that come from cancelling quadratic monomials between
+constraints.  The solutions are substituted everywhere, which can turn
+quadratic constraints affine, and the elimination repeats until nothing
+new is solved.
 
 The solved series are cross-checked against the functional-equation
 iterates, giving two independent derivations of the same numbers.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from tuttelab.equations import EquationId, expand
 from tuttelab.poly import MultiPoly, exact
@@ -66,14 +75,18 @@ class DESolveError(ValueError):
 
 
 V = MultiPoly.var("v")
+V2, V3, V4 = V ** 2, V ** 3, V ** 4
 
 
 def _row(p: MultiPoly, rank) -> dict:
-    """A constraint as {monomial: rational}.  A monomial is a tuple of
-    (unknown's rank, exponent) pairs; () is the constant term."""
-    return {tuple(sorted((rank[name], e)
-                         for name, e in zip(p.vars, exps) if e)): c
-            for exps, c in p.terms()}
+    """A constraint as {monomial: int}: its coefficients times the lcm of
+    their denominators, which leaves its solutions alone.  A monomial is a
+    tuple of (unknown's rank, exponent) pairs; () is the constant term."""
+    row = {tuple(sorted((rank[name], e)
+                        for name, e in zip(p.vars, exps) if e)): c
+           for exps, c in p.terms()}
+    d = lcm(*(c.denominator for c in row.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in row.items()}
 
 
 def _column(mono):
@@ -84,7 +97,7 @@ def _column(mono):
 
 
 def _poly(row, pending) -> MultiPoly:
-    """The inverse of _row."""
+    """The polynomial of a row {monomial: rational}, as _row reads it."""
     return MultiPoly.sum(MultiPoly([pending[i] for i, _ in mono],
                                    {tuple(e for _, e in mono): c})
                          for mono, c in row.items())
@@ -94,12 +107,17 @@ def _reduce(constraints, pending, coeff_lists, order):
     """Propagate constraints by exact sparse Gauss–Jordan elimination.
 
     Each round brings the constraints to reduced row-echelon form with the
-    columns in _column order.  A row led by an unknown is affine: it solves
-    that unknown in terms of later ones.  A row led by a nonlinear monomial
-    stays a constraint, and a nonzero constant row is an inconsistency.
-    The solutions are substituted into the stored coefficient lists and the
-    remaining constraints, until a round solves nothing.  Returns the
-    surviving constraints and unknowns."""
+    columns in _column order.  The rows are eliminated fraction-free, in
+    ints: where the pivot row p has its pivot entry a g and a row r has
+    b g in that column, g = gcd, r becomes a r - b p, divided by the gcd
+    of its entries.  Each row is divided by its pivot entry once, at the
+    end.  The reduced row-echelon form is unique, so this is the form that
+    elimination over the rationals reaches.  A row led by an unknown is
+    affine: it solves that unknown in terms of later ones.  A row led by a
+    nonlinear monomial stays a constraint, and a nonzero constant row is an
+    inconsistency.  The solutions are substituted into the stored
+    coefficient lists and the remaining constraints, until a round solves
+    nothing.  Returns the surviving constraints and unknowns."""
     while True:
         rank = {u: i for i, u in enumerate(pending)}
         rows = [_row(c, rank) for c in constraints]
@@ -110,20 +128,31 @@ def _reduce(constraints, pending, coeff_lists, order):
                 continue
             if not col:
                 raise DESolveError("inconsistent linear system", order)
-            inv = 1 / Fraction(rows[piv][col])
-            pr = {m: c * inv for m, c in rows.pop(piv).items()}
+            pr = rows.pop(piv)
+            lead = pr[col]
             for r in rows + list(reduced.values()):
                 f = r.get(col)
                 if f:
+                    g = gcd(lead, f)
+                    a, b = lead // g, f // g
+                    if a != 1:
+                        for m in r:
+                            r[m] *= a
                     for m, c in pr.items():
-                        nc = r.get(m, 0) - f * c
+                        nc = r.get(m, 0) - b * c
                         if nc:
                             r[m] = nc
                         else:
                             del r[m]
+                    g = gcd(*r.values())
+                    if g > 1:
+                        for m in r:
+                            r[m] //= g
             reduced[col] = pr
         sub, constraints = {}, []
         for col, r in reduced.items():
+            lead = r[col]
+            r = {m: Fraction(c, lead) for m, c in r.items()}
             if sum(e for _, e in col) == 1:
                 del r[col]
                 sub[pending[col[0][0]]] = -_poly(r, pending)
@@ -139,7 +168,7 @@ def _reduce(constraints, pending, coeff_lists, order):
 
 
 def _unknown_poly(names, powers):
-    return MultiPoly.sum(MultiPoly.var(name) * V ** p
+    return MultiPoly.dot((MultiPoly.var(name), MultiPoly.var("v", p))
                          for name, p in zip(names, powers))
 
 
@@ -171,6 +200,7 @@ def solve_de_maps(q, nu, w, N):
     C = []
     pending = []
     constraints = []
+    delta_sq = [delta0 * delta0, 2 * delta0 * delta1, delta1 * delta1]
     stages = N + 4
     for n in range(stages):
         a_names = [f"_a{j}n{n}" for j in (1, 2, 3, 4)]
@@ -181,17 +211,20 @@ def solve_de_maps(q, nu, w, N):
         C.append((MultiPoly.const(c0) if n == 0 else MultiPoly.zero())
                  + _unknown_poly(c_names, [1, 2]))
         pending = pending + a_names + b_names + c_names
-        Ax = TSeries("t", n + 1, A)
-        Bx = TSeries("t", n + 1, B)
-        Cx = TSeries("t", n, C)
-        Delta = TSeries("t", n + 1, [delta0, delta1])
-        D = Ax * Delta * Delta
-        E = ((4 * V ** 3) * Cx + (2 * V ** 4) * Cx.diff("v")) * D \
-            - (V ** 4) * Cx * D.diff("v") \
-            - (V ** 2) * (2 * Bx.diff_main() * D - Bx * D.diff_main())
-        constraints = constraints + [p for p in
-                                     E.coeff(n).by_powers("v").values()
-                                     if not p.is_zero()]
+        # D_k = [t^k] A Delta^2 for k <= n + 1, then [t^n] of the identity
+        D = [MultiPoly.dot((A[k - l], delta_sq[l])
+                           for l in range(min(k, 2) + 1))
+             for k in range(n + 2)]
+        pairs = []
+        for i in range(n + 1):
+            j = n - i
+            pairs += [(V3 * (4 * C[i]) + V4 * (2 * C[i].diff("v"))
+                       - V2 * (2 * (i + 1) * B[i + 1]), D[j]),
+                      (V4 * C[i], -D[j].diff("v")),
+                      (V2 * ((j + 1) * B[i]), D[j + 1])]
+        constraints = constraints + [
+            p for p in MultiPoly.dot(pairs).by_powers("v").values()
+            if not p.is_zero()]
         constraints, pending = _reduce(constraints, pending, [A, B, C], n)
     _require_resolved(A[:N + 3] + B[:N + 3] + C[:N + 2], pending, stages)
 
@@ -243,13 +276,15 @@ def solve_de_tri(q, N):
         A.append(_unknown_poly(a_names, [1, 2, 3]))
         B.append(_unknown_poly(b_names, [0, 1]))
         pending = pending + a_names + b_names
-        Ax = TSeries("z", n + 1, A)
-        Bx = TSeries("z", n + 1, B)
-        E = (4 * delta * (3 * V * Ax - V ** 2 * Ax.diff("v"))).shift(1) \
-            + 2 * Bx.diff_main() * Ax - Bx * Ax.diff_main()
-        constraints = constraints + [p for p in
-                                     E.coeff(n).by_powers("v").values()
-                                     if not p.is_zero()]
+        # [z^n] of the identity, from the stored coefficients
+        pairs = [(B[i + 1], 2 * (i + 1) * A[n - i]) for i in range(n + 1)]
+        pairs += [(B[i], -(n - i + 1) * A[n - i + 1]) for i in range(n + 1)]
+        if n:
+            pairs.append((4 * delta, V * (3 * A[n - 1])
+                          - V2 * A[n - 1].diff("v")))
+        constraints = constraints + [
+            p for p in MultiPoly.dot(pairs).by_powers("v").values()
+            if not p.is_zero()]
         constraints, pending = _reduce(constraints, pending, [A, B], n)
     _require_resolved(A[:N + 5] + B[:N + 5], pending, stages)
 

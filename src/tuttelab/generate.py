@@ -245,8 +245,16 @@ def all_bipolar_orientations(m: RootedMap):
     and unique sink at its other endpoint.
 
     An orientation is the tuple of chosen head darts, one per edge of
-    m.edges().  Empty exactly when the map is separable (and always empty
-    for maps with a loop, since a loop closes a cycle)."""
+    m.edges().  A depth-first search orients the edges in that order, head
+    0 before head 1, so the orientations come in lexicographic order of
+    their choices.  An arc into the source s or out of the sink t fails
+    its branch at once; once the last edge at any other vertex is
+    oriented, the branch fails unless that vertex has both an in-arc and
+    an out-arc.  Each vertex then has the arcs it needs (s and t have at
+    least one edge, none a loop), and a complete orientation is kept when
+    repeated source removal from s reaches every vertex, so it is acyclic.
+    Empty exactly when the map is separable (and always empty for maps
+    with a loop, since a loop closes a cycle)."""
     if m.is_atomic:
         raise MapError("the atomic map has no orientations")
     edges = m.edges()
@@ -256,36 +264,55 @@ def all_bipolar_orientations(m: RootedMap):
     t = m.vertex_of[m.alpha[m.root]]
     if any(a == b for a, b in vg) or s == t:
         return []
-    out = []
-    for heads in itertools.product(*[(0, 1) for _ in edges]):
-        arcs = []
-        for (u, w), h in zip(vg, heads):
-            arcs.append((u, w) if h else (w, u))
-        # acyclicity by repeated source removal, tracking degrees
-        indeg = [0] * v
-        outdeg = [0] * v
-        adj = [[] for _ in range(v)]
-        for u, w in arcs:
-            indeg[w] += 1
-            outdeg[u] += 1
-            adj[u].append(w)
-        if [i for i in range(v) if indeg[i] == 0] != [s]:
-            continue
-        if [i for i in range(v) if outdeg[i] == 0] != [t]:
-            continue
-        seen = 0
-        deg = indeg[:]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            seen += 1
-            for w in adj[u]:
-                deg[w] -= 1
-                if deg[w] == 0:
-                    stack.append(w)
-        if seen == v:
-            out.append(tuple(e[h] for e, h in zip(edges, heads)))
+    closing = [[] for _ in vg]  # the inner vertices whose last edge is i
+    for x, i in {x: i for i, e in enumerate(vg) for x in e}.items():
+        if x not in (s, t):
+            closing[i].append(x)
+    indeg, outdeg = [0] * v, [0] * v
+    heads, arcs, out = [], [], []
+
+    def search(i):
+        if i == len(vg):
+            if _acyclic(v, s, arcs):
+                out.append(tuple(e[h] for e, h in zip(edges, heads)))
+            return
+        u, w = vg[i]
+        for h, (a, b) in enumerate(((w, u), (u, w))):  # head dart e[h]
+            if b == s or a == t:
+                continue
+            outdeg[a] += 1
+            indeg[b] += 1
+            heads.append(h)
+            arcs.append((a, b))
+            if all(indeg[x] and outdeg[x] for x in closing[i]):
+                search(i + 1)
+            heads.pop()
+            arcs.pop()
+            outdeg[a] -= 1
+            indeg[b] -= 1
+
+    search(0)
     return out
+
+
+def _acyclic(v, s, arcs):
+    """Whether repeated source removal from s, over the arcs (tail, head)
+    on vertices 0..v-1, removes every vertex."""
+    indeg = [0] * v
+    adj = [[] for _ in range(v)]
+    for a, b in arcs:
+        indeg[b] += 1
+        adj[a].append(b)
+    seen = 0
+    stack = [s]
+    while stack:
+        a = stack.pop()
+        seen += 1
+        for b in adj[a]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                stack.append(b)
+    return seen == v
 
 
 def graph_colouring_sum(v: int, edges, q: int, nu=None):

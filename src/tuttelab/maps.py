@@ -183,6 +183,20 @@ def _root_face(m):
     return tuple(cyc[i:] + cyc[:i])
 
 
+def _root_face_degree(m):
+    """The length of the phi-orbit of alpha(root), counted along the walk
+    of _root_face without building it; 0 for the atomic map."""
+    if m.is_atomic:
+        return 0
+    sigma, alpha = m.sigma, m.alpha
+    start = alpha[m.root]
+    d, n = sigma[alpha[start]], 1
+    while d != start:
+        d = sigma[alpha[d]]
+        n += 1
+    return n
+
+
 def _inv_sigma(m):
     """sigma^-1, as a list."""
     out = [0] * m.n_darts
@@ -197,7 +211,7 @@ _ON_FIRST_USE = {
     "faces": lambda m: _orbits(_phi(m)) if m.n_darts else [()],
     "vertex_of": lambda m: _cycle_labels(m.sigma),
     "face_of": lambda m: _cycle_labels(_phi(m)),
-    "root_face_degree": lambda m: len(_root_face(m)),
+    "root_face_degree": _root_face_degree,
 }
 
 

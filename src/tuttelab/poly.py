@@ -495,19 +495,34 @@ class MultiPoly:
             {-k: c.numerator}, len(self.vars)))
 
     def eval(self, values: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate fully at rational points; every live variable needs a value."""
-        total = Fraction(0)
+        """Evaluate fully at rational points; every live variable needs a
+        value.  Each power of a value is computed once, as an int over the
+        lcm of the denominators of that variable's powers, and the
+        numerators are summed as ints over one common denominator."""
         vals = [Fraction(exact(values[v])) if v in values else None
                 for v in self.vars]
-        for exps, c in self.terms():
-            prod = Fraction(c)
-            for i, e in enumerate(exps):
-                if e:
-                    if vals[i] is None:
-                        raise ValueError(f"no value for variable {self.vars[i]}")
-                    prod *= vals[i] ** e
-            total += prod
-        return exact(total)
+        shifts, off, _, _ = _fields(len(self.vars))
+        den, tables = self._d, []  # (shift, {exponent: scaled power})
+        for name, x, s in zip(self.vars, vals, shifts):
+            exps = {(((k + off) >> s) & _MASK) - _HALF for k in self._t} - {0}
+            if not exps:
+                continue
+            if x is None:
+                raise ValueError(f"no value for variable {name}")
+            pows = {e: x ** e for e in exps}
+            d = lcm(*(p.denominator for p in pows.values()))
+            table = {e: p.numerator * (d // p.denominator)
+                     for e, p in pows.items()}
+            table[0] = d
+            tables.append((s, table))
+            den *= d
+        total = 0
+        for k, c in self._t.items():
+            u = k + off
+            for s, table in tables:
+                c *= table[((u >> s) & _MASK) - _HALF]
+            total += c
+        return _scalar(total, den)
 
     # -- exact division --------------------------------------------------------
 

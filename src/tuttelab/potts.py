@@ -16,14 +16,15 @@ deletion-contraction,
     P_G = P_{G\\e} + (nu - 1) P_{G/e},
 
 whose two minors are reduced by the rules again.  The recursion, the
-interpolation route and the Tutte polynomial are each memoised on one
-key of the labelled multigraph, built by _graph_key alone: (v, edges),
-with v the vertex count and edges the sorted edge pairs, each low end
-first, flattened and stored by maps._compact (bytes below 256 vertices, a
-tuple from 256 up).  No isomorphism search is made.  What limits the size
-of a graph is the cost of deletion-contraction on its core and the size
-of the result, which is dense: the star with 255 leaves has no core, and
-its P = q (q + nu - 1)^255 has 32,896 terms.
+interpolation route, the Tutte polynomial and P read from it are each
+memoised on one key of the labelled multigraph, built by _graph_key
+alone: (v, edges), with v the vertex count and edges the sorted edge
+pairs, each low end first, flattened and stored by maps._compact (bytes
+below 256 vertices, a tuple from 256 up).  No isomorphism search is
+made.  What limits the size of a graph is the cost of
+deletion-contraction on its core and the size of the result, which is
+dense: the star with 255 leaves has no core, and its
+P = q (q + nu - 1)^255 has 32,896 terms.
 
 The Tutte polynomial T_G(mu, nu) is computed by its subset expansion and
 tied to P by q = (mu - 1)(nu - 1):
@@ -249,9 +250,15 @@ def potts_from_tutte(m: RootedMap) -> MultiPoly:
     with q = (mu-1)(nu-1).  Writing mu = 1+a and nu = 1+b, each monomial
     a^i b^j of T(1+a, 1+b) becomes a^{i+1} b^{j+v} = q^{i+1} (nu-1)^{j-i-1+v},
     where j-i-1+v is the edge count of the spanning subgraphs it stands for.
-    Each power of (nu-1) is computed once, by one product from the last."""
-    v = m.n_vertices
-    shifted = tutte(m).subs({"mu": MU + 1, "nu": NU + 1})
+    Each power of (nu-1) is computed once, by one product from the last.
+    Memoised on the key of the labelled multigraph, and read from the
+    Tutte memo of that key, as tutte reads it."""
+    return _potts_from_tutte_of_key(*_key(m))
+
+
+@lru_cache(maxsize=None)
+def _potts_from_tutte_of_key(v, edges):
+    shifted = _tutte_of_key(v, edges).subs({"mu": MU + 1, "nu": NU + 1})
     terms = [(c, i + 1, j - i - 1 + v)
              for i, ci in shifted.by_powers("mu").items()
              for j, c in ci.by_powers("nu").items()]

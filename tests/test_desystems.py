@@ -14,6 +14,11 @@ def test_maps_system_small_order():
     assert check_de_maps(Fraction(5, 2), Fraction(3), Fraction(1), 4)
 
 
+def test_systems_above_the_verify_orders():
+    assert check_de_tri(Fraction(5, 2), 24)
+    assert check_de_maps(Fraction(3), Fraction(1, 2), Fraction(2, 3), 10)
+
+
 def test_maps_system_returns_series():
     A, B, C, m11 = solve_de_maps(Fraction(2), Fraction(2), Fraction(1), 3)
     assert A.order == B.order == C.order == m11.order == 3
@@ -94,6 +99,12 @@ def test_reduce_quadratic_turns_affine():
 def test_reduce_cancels_quadratic_monomials():
     values, left, free = _solve([X * Y + X - 3, X * Y - 1], "xy")
     assert values == [2, Fraction(1, 2)] and left == [] and free == []
+
+
+def test_reduce_clears_rational_coefficients():
+    values, left, free = _solve([X / 2 + Y / 3 - 1, X - Y / 4], "xy")
+    assert values == [Fraction(6, 11), Fraction(24, 11)]
+    assert left == [] and free == []
 
 
 def test_reduce_inconsistent_raises():

@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
 
 from tuttelab import closed_forms as cf
 from tuttelab import generate
@@ -16,6 +17,8 @@ from tuttelab.generate import (CapExceeded, all_bipolar_orientations,
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.poly import MultiPoly
 from tuttelab.potts import potts, spanning_tree_count
+
+from test_maps import rooted_maps
 
 
 def test_counts_match_formula():
@@ -249,6 +252,51 @@ def test_bipolar_orientations():
     # a loop admits none; the link admits exactly one
     assert all_bipolar_orientations(RootedMap.loop()) == []
     assert len(all_bipolar_orientations(RootedMap.link())) == 1
+
+
+def _bipolar_by_filter(m):
+    """Every one of the 2^e orientations, in itertools.product order, kept
+    when its only source is s, its only sink is t and repeated source
+    removal reaches every vertex: the reference for the pruned search."""
+    edges, vg, v = m.edges(), m.multigraph_edges(), m.n_vertices
+    s, t = m.vertex_of[m.root], m.vertex_of[m.alpha[m.root]]
+    if any(a == b for a, b in vg) or s == t:
+        return []
+    out = []
+    for heads in itertools.product((0, 1), repeat=len(edges)):
+        arcs = [(u, w) if h else (w, u) for (u, w), h in zip(vg, heads)]
+        indeg, outdeg = [0] * v, [0] * v
+        for u, w in arcs:
+            outdeg[u] += 1
+            indeg[w] += 1
+        if [x for x in range(v) if not indeg[x]] != [s] \
+                or [x for x in range(v) if not outdeg[x]] != [t]:
+            continue
+        removed, stack = 0, [s]
+        while stack:
+            u = stack.pop()
+            removed += 1
+            for a, w in arcs:
+                if a == u:
+                    indeg[w] -= 1
+                    if not indeg[w]:
+                        stack.append(w)
+        if removed == v:
+            out.append(tuple(e[h] for e, h in zip(edges, heads)))
+    return out
+
+
+@settings(deadline=None)
+@given(rooted_maps(max_edges=7))
+def test_pruned_bipolar_search_is_the_filter(m):
+    assume(not m.is_atomic)
+    assert all_bipolar_orientations(m) == _bipolar_by_filter(m)
+
+
+def test_pruned_bipolar_search_on_near_triangulations():
+    for e in range(1, 7):
+        for m in near_angulations(e, 3):
+            assert all_bipolar_orientations(m) == _bipolar_by_filter(m)
 
 
 def test_colouring_sum_matches_potts():

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tuttelab.poly import MultiPoly, _integral, _pack, lagrange_interpolate
+from tuttelab.poly import (MultiPoly, _integral, _pack, exact,
+                           lagrange_interpolate)
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -169,6 +170,29 @@ def test_subs_then_eval_is_eval_at_the_substituted_values(
     at = dict(zip(("q", "nu", "w"), point))
     extended = dict(at, x=value.eval(at), y=mono.eval(at))
     assert p.subs({"x": value, "y": mono}).eval(at) == p.eval(extended)
+
+
+@given(polys_in(names=("x", "y", "w")),
+       st.tuples(nonzero, nonzero, nonzero))
+def test_eval_is_the_sum_of_the_terms(p, point):
+    # the term-by-term Fraction sum as the reference for the integer sum
+    at = dict(zip(("x", "y", "w"), point))
+    expected = Fraction(0)
+    for exps, c in p.terms():
+        for name, e in zip(p.vars, exps):
+            c *= at[name] ** e
+        expected += c
+    got = p.eval(at)
+    assert got == expected and type(got) is type(exact(expected))
+
+
+def test_eval_refuses_a_missing_value_and_zero_to_a_negative_power():
+    p = MultiPoly(("x", "y"), {(-1, 0): 1, (0, 2): Fraction(1, 3)})
+    with pytest.raises(ValueError, match="no value for variable y"):
+        p.eval({"x": 2})
+    with pytest.raises(ZeroDivisionError):
+        p.eval({"x": 0, "y": 1})
+    assert (p - MultiPoly.var("y", 2) / 3).eval({"x": 4}) == Fraction(1, 4)
 
 
 # -- the packed representation against a tuple-keyed reference ---------------

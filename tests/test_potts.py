@@ -38,24 +38,31 @@ def test_three_methods_agree():
 
 
 def test_potts_from_tutte_reads_tutte(monkeypatch):
-    # the Tutte route must depend on tutte(), not recompute P another way
+    # the Tutte route must depend on the Tutte memo, not recompute P another
+    # way; its own memo is cleared on both sides of the patch
     m = all_maps(2)[0]
     right = tutte(m)
-    monkeypatch.setattr(potts_mod, "tutte", lambda _: 2 * right)
-    assert potts_from_tutte(m) == 2 * potts(m)
+    potts_mod._potts_from_tutte_of_key.cache_clear()
+    monkeypatch.setattr(potts_mod, "_tutte_of_key", lambda v, edges: 2 * right)
+    try:
+        assert potts_from_tutte(m) == 2 * potts(m)
+    finally:
+        potts_mod._potts_from_tutte_of_key.cache_clear()
 
 
 def test_potts_key_is_the_labelled_multigraph(monkeypatch):
-    # the memo key potts, the interpolation route and tutte read is the
-    # labelled multigraph of multigraph_edges, flattened, also on radial
-    # maps, whose alpha is not the standard involution
-    for memo in ("_potts_of_key", "_interpolated", "_tutte_of_key"):
+    # the memo key potts, the interpolation route, tutte and the Tutte route
+    # read is the labelled multigraph of multigraph_edges, flattened, also
+    # on radial maps, whose alpha is not the standard involution
+    for memo in ("_potts_of_key", "_interpolated", "_tutte_of_key",
+                 "_potts_from_tutte_of_key"):
         monkeypatch.setattr(potts_mod, memo, lambda v, edges: (v, edges))
     radials = [m for n in range(1, 5) for m in four_valent(n)]
     for m in [m for n in range(6) for m in all_maps(n)] + radials:
         v, edges = _labelled_key(m)
         key = (v, bytes(x for e in edges for x in e))
-        assert potts(m) == potts_by_interpolation(m) == tutte(m) == key
+        assert potts(m) == potts_by_interpolation(m) == tutte(m) \
+            == potts_from_tutte(m) == key
 
 
 def test_potts_memo_is_lean():
