@@ -29,8 +29,6 @@ leaves, and the two left unmatched form the root edge.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from tuttelab.maps import MapError, RootedMap
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
                             LabelledTree)
@@ -332,13 +330,26 @@ def _cvs_root_orientation(w_corner, c1, c2, ftype):
     return c1, c2
 
 
-@lru_cache(maxsize=None)
-def _cvs_table(n):
-    """{tree string: (quadrangulation, pointed vertex)} over all pointed
-    quadrangulations with n faces."""
+# n -> {tree string: (quadrangulation, pointed vertex)}: the inverse of
+# cvs_forward on the quadrangulations with n faces, kept by cvs_pass
+_cvs_tables = {}
+
+
+def cvs_pass(n):
+    """Run cvs_forward once on each pointed quadrangulation with n faces.
+
+    Yields (q, trees) for each quadrangulation q, trees being {v0: tree}
+    over the pointed vertices where cvs_forward applies.  The trees of q
+    are entered in a table {tree string: (q, v0)} before q is yielded, and
+    a tree met twice raises BijectionError: the labelling map is not
+    injective.  Once the pass has run to its end, the table is what
+    cvs_backward reads, so a caller that reads the pass (the cvs round
+    trip) leaves the table filled with no second pass.  Nothing beyond
+    the table and the trees of one quadrangulation is held."""
     from tuttelab.generate import quadrangulations
     table = {}
     for q in quadrangulations(n):
+        trees = {}
         for v0 in range(q.n_vertices):
             try:
                 tree = cvs_forward(q, v0)
@@ -346,19 +357,28 @@ def _cvs_table(n):
                 continue
             key = tree.to_string()
             if key in table:
-                raise BijectionError("labelling map is not injective")
+                raise BijectionError(
+                    f"labelling map is not injective: quadrangulation "
+                    f"{q.to_json()}, v0={v0}")
             table[key] = (q, v0)
-    return table
+            trees[v0] = tree
+        yield q, trees
+    _cvs_tables[n] = table
 
 
 def cvs_backward(t: LabelledTree):
     """Inverse of cvs_forward: the pointed rooted quadrangulation mapping
     to the given labelled tree.  Computed by inverting cvs_forward over
-    all quadrangulations with n faces and all valid pointings."""
+    all quadrangulations with n faces and all valid pointings, in one
+    cvs_pass unless one has run already."""
     if not isinstance(t, LabelledTree) or not t.is_valid():
         raise BijectionError("input is not a valid labelled tree")
+    n = t.n_edges
+    if n not in _cvs_tables:
+        for _ in cvs_pass(n):
+            pass
     try:
-        return _cvs_table(t.n_edges)[t.to_string()]
+        return _cvs_tables[n][t.to_string()]
     except KeyError:
         raise BijectionError("tree is not in the image of cvs_forward")
 

@@ -117,7 +117,9 @@ def _reduce(constraints, pending, coeff_lists, order):
     nonlinear monomial stays a constraint, and a nonzero constant row is an
     inconsistency.  The solutions are substituted into the stored
     coefficient lists and the remaining constraints, until a round solves
-    nothing.  Returns the surviving constraints and unknowns."""
+    nothing; a stored coefficient is substituted into only while it still
+    holds a solved unknown.  Returns the surviving constraints and
+    unknowns."""
     while True:
         rank = {u: i for i, u in enumerate(pending)}
         rows = [_row(c, rank) for c in constraints]
@@ -161,8 +163,10 @@ def _reduce(constraints, pending, coeff_lists, order):
         if not sub:
             return constraints, pending
         pending = [u for u in pending if u not in sub]
-        for lst in coeff_lists:
-            lst[:] = [p.subs(sub) for p in lst]
+        for lst in coeff_lists:  # entries solved stages ago stay as they are
+            for i, p in enumerate(lst):
+                if not sub.keys().isdisjoint(p.vars):
+                    lst[i] = p.subs(sub)
         constraints = [c for c in (p.subs(sub) for p in constraints)
                        if not c.is_zero()]
 

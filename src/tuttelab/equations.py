@@ -285,7 +285,9 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     caller sets, are applied once per coefficient; a symbolic parameter is
     never substituted.  The top size is asked for first, as a stream of
     the family, so a size over its cap is refused before any map is built
-    and the top size is never held.  The two quasi-triangulation
+    and the top size is never held, unless a memo holds it already.  The
+    non-separable near-triangulations are the exception: their short
+    lists are memoised at every size.  The two quasi-triangulation
     ids yield the x = 0 slice (near-triangulations), the only slice with a
     direct combinatorial meaning.
     """
@@ -306,7 +308,9 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
 
     all_maps, nt = family("all_maps"), family("near_angulations", 3)
     eulerian = family("eulerian_near_triangulations")
-    nonsep = family("non_separable_near_triangulations")
+    # memoised at every size, the top too: TUTTE_NONSEP_TRI and BIPOLAR_TRI
+    # keep the same few maps of one stream of the near-triangulations
+    nonsep = g.non_separable_near_triangulations
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))

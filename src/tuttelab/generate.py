@@ -14,18 +14,24 @@ Eulerian and the non-separable ones filter those of near_angulations(e, 3).
 
 stream(family, n, ...) checks the cap and yields the maps of any family
 of the table unsorted, built from the memoised lists of the smaller sizes
-of the three root-edge families, and keeps none of them.  Each list
-function sorts its stream by canonical code, so output is deterministic;
-only the three root-edge lists are memoised.  A caller that only counts
-or sums the top size streams it: gen --count-only counts it,
-equations.brute_force_gf sums over it at its order, and verify reads both
-its `maps(n) generator` rows and its MAPS_1CAT equation row off one such
-sum, so verify streams the 6-edge maps once and never holds them.
+of the three root-edge families, and keeps none of them; a list that a
+memo already holds is read instead of built again.  Each list function
+sorts its stream by canonical code, so output is deterministic; only the
+three root-edge lists and the short non-separable ones are memoised.  A
+caller that only counts or sums the top size streams it: gen --count-only
+counts it, equations.brute_force_gf sums over it at its order, and verify
+reads both its `maps(n) generator` rows and its MAPS_1CAT equation row off
+one such sum, so verify streams the 6-edge maps once and never holds
+them.
 
-all_maps_oracle is an independent check: it enumerates the rotation
-systems on 2n darts with a fixed edge involution and fixed root, up to a
-relabelling of the non-root edges, filters the connected genus-0 ones, and
-deduplicates.  It is exponential and capped at small n.
+all_maps_oracle is an independent check that never reads the root-edge
+recursion.  It enumerates the rotation systems (sigma, alpha) on 2n darts
+that are their own breadth-first labelling from dart 0, choosing each
+image as the walk reads it: a dart met already or the next new one.  Each
+rooted map of any genus arises exactly once that way (2, 10, 74, 706 and
+8,162 for n = 1..5), so nothing is deduplicated; the RootedMap
+constructor refuses the positive-genus ones, and each map kept must have
+the code it was enumerated as.  It is exponential and capped at n = 5.
 
 The brute-force counting oracles (colourings, spanning trees, bipolar
 orientations) are the ground truth for the rest of the package.
@@ -33,15 +39,15 @@ orientations) are the ground truth for the rest of the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
-from tuttelab.maps import MapError, RootedMap
+from tuttelab.maps import MapError, RootedMap, _cycle_labels
 from tuttelab.poly import MultiPoly
 
 LIST_CAP = 7
-ORACLE_CAP = 4
+ORACLE_CAP = 5
 
 
 class CapExceeded(ValueError):
@@ -107,21 +113,49 @@ FAMILIES = {
 
 def stream(family: str, n: int, *args):
     """The maps of family(n, *args), unsorted, for any family of FAMILIES.
-    They are built from memoised lists of smaller sizes and kept nowhere,
-    so a caller that only counts or sums them never holds them.  The cap is
-    checked here, before any map is built."""
+    The cap is checked here, before any map is built.  A list that a memo
+    holds is read as it is; otherwise the maps are built from memoised
+    lists of smaller sizes and kept nowhere, so a caller that only counts
+    or sums them never holds them."""
     unit, cap, maps = FAMILIES[family]
     _check_size(n, cap, family, unit)
-    return maps(n, *args)
+    held = _LISTS.get((family, n, *args))
+    return iter(held) if held is not None else maps(n, *args)
 
 
-@lru_cache(maxsize=None)
+# (family, n, *args) -> the sorted list of family(n, *args), for the list
+# functions memoised by _kept; stream reads a list from here when it is held
+_LISTS = {}
+
+
+def _kept(fn):
+    """Memoise fn, the list function of the family of FAMILIES that it is
+    named after, in _LISTS.  fn.cache_clear() drops its lists."""
+    family = fn.__name__
+
+    @functools.wraps(fn)
+    def listed(n, *args):
+        key = (family, n, *args)
+        held = _LISTS.get(key)
+        if held is None:
+            held = _LISTS[key] = fn(n, *args)
+        return held
+
+    def cache_clear():
+        for key in [key for key in _LISTS if key[0] == family]:
+            del _LISTS[key]
+
+    listed.cache_clear = cache_clear
+    return listed
+
+
+@_kept
 def all_maps(n: int):
     """All rooted planar maps with n edges, sorted by canonical code."""
     return _by_code(stream("all_maps", n))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def near_angulations(n: int, p: int):
     """All maps with n edges whose inner faces all have degree p, sorted by
     canonical code.  Inserting a root edge at index k into a root face of
@@ -129,30 +163,69 @@ def near_angulations(n: int, p: int):
     return _by_code(stream("near_angulations", n, p))
 
 
-def all_maps_oracle(n: int):
-    """Independent enumeration by filtering rotation systems.
+def _self_labelled_systems(n: int):
+    """Every (sigma, alpha) on 2n darts that is its own breadth-first
+    labelling from dart 0, sigma before alpha as in maps._bfs, as a pair
+    of tuples.
 
-    alpha is fixed to (0 1)(2 3)...; the root is dart 0.  Every rooted map
-    has such a representative, so deduplicating by canonical code yields the
-    full list.  Only the sigmas with sigma(0) in {0, 1, 2} are tried: a
-    relabelling of the non-root edges (permuting them, swapping the two
-    darts of one) keeps alpha and the root and turns a representative with
-    any other sigma(0) into one with sigma(0) = 2.
-    """
+    The walk meets the darts in the order 0, 1, 2, ...: when it reads
+    sigma(d) and then alpha(d), each is a dart met already or the next new
+    one.  So the search fixes sigma(d), then alpha(d) unless an earlier
+    dart fixed it, to each dart met already that keeps the permutation (a
+    dart with no sigma-preimage yet, a later dart with no alpha yet) and
+    then to the next new dart.  A branch ends early when the walk has read
+    every dart it met before meeting all 2n: the system is not connected.
+    A rooted map of any genus has exactly one such labelling, so each
+    arises once."""
+    darts = 2 * n
+    sigma, alpha = [-1] * darts, [-1] * darts
+    has_preimage = [False] * darts
+
+    def walk(d, met):
+        if d == darts:
+            yield tuple(sigma), tuple(alpha)
+            return
+        if d == met:
+            return
+        for s in range(min(met + 1, darts)):  # met already, or the next
+            if has_preimage[s]:
+                continue
+            sigma[d], has_preimage[s] = s, True
+            after_sigma = max(met, s + 1)
+            if alpha[d] >= 0:
+                yield from walk(d + 1, after_sigma)
+            else:
+                for a in range(d + 1, min(after_sigma + 1, darts)):
+                    if alpha[a] < 0:
+                        alpha[d], alpha[a] = a, d
+                        yield from walk(d + 1, max(after_sigma, a + 1))
+                        alpha[d] = alpha[a] = -1
+            has_preimage[s] = False
+
+    return walk(0, 1)
+
+
+def all_maps_oracle(n: int):
+    """Independent enumeration of the rooted planar maps with n edges: the
+    rotation systems of _self_labelled_systems(n) that the constructor
+    accepts, those of genus 0.  No map is met twice, so none is
+    deduplicated; the code of each is checked to be (2n, *sigma, *alpha),
+    the labelling it was enumerated as.  The root-edge recursion of
+    all_maps is never used."""
     if n > ORACLE_CAP:
         raise CapExceeded(f"oracle cap is {ORACLE_CAP} edges (asked for {n})")
     if n == 0:
         return [RootedMap.atomic()]
-    darts = 2 * n
-    alpha = [d + 1 if d % 2 == 0 else d - 1 for d in range(darts)]
-    out = set()
-    for first in range(min(3, darts)):
-        others = [d for d in range(darts) if d != first]
-        for rest in itertools.permutations(others):
-            try:
-                out.add(RootedMap(alpha, (first, *rest), 0))
-            except MapError:
-                continue
+    out = []
+    for sigma, alpha in _self_labelled_systems(n):
+        try:
+            m = RootedMap(alpha, sigma, 0)
+        except MapError:
+            continue
+        if tuple(m.code) != (2 * n, *sigma, *alpha):
+            raise AssertionError(
+                f"oracle: {m!r} is not its own breadth-first labelling")
+        out.append(m)
     return _by_code(out)
 
 
@@ -165,7 +238,7 @@ def near_triangulations(max_edges: int):
     return _by_code(stream("near_triangulations", max_edges))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def bipartite_maps(n_edges: int):
     """All bipartite maps with n_edges edges, sorted by canonical code.
     Colours alternate along a face, so inserting at index k joins corners
@@ -196,12 +269,15 @@ def four_valent(n_vertices: int):
     return _by_code(stream("four_valent", n_vertices))
 
 
+@_kept
 def non_separable_near_triangulations(n_inner_faces: int):
     """Non-separable near-triangulations with n finite (triangular) faces.
 
     Such a map has at most 2n + 1 edges (the outer face is a simple cycle),
     so the search space is finite; for n = 0 it is the link alone, the
-    atomic map being separable.
+    atomic map being separable.  Memoised: the 9 maps with 3 inner faces
+    are kept from one stream of the 2,680 near-triangulations with at most
+    7 edges.
     """
     return _by_code(stream("non_separable_near_triangulations",
                            n_inner_faces))
@@ -258,10 +334,11 @@ def all_bipolar_orientations(m: RootedMap):
     if m.is_atomic:
         raise MapError("the atomic map has no orientations")
     edges = m.edges()
-    vg = m.multigraph_edges()
+    vo = _cycle_labels(m.sigma)  # not kept on m, which a memo may hold
+    vg = [(vo[d], vo[a]) for d, a in edges]
     v = m.n_vertices
-    s = m.vertex_of[m.root]
-    t = m.vertex_of[m.alpha[m.root]]
+    s = vo[m.root]
+    t = vo[m.alpha[m.root]]
     if any(a == b for a, b in vg) or s == t:
         return []
     closing = [[] for _ in vg]  # the inner vertices whose last edge is i
@@ -320,15 +397,20 @@ def graph_colouring_sum(v: int, edges, q: int, nu=None):
     given (vertex, vertex) edges: over all q-colourings,
     nu^(#monochromatic edges).
 
-    With nu=None the result is a MultiPoly in nu; a rational nu gives an
-    exact rational value.
+    Permuting the colours keeps the number of monochromatic edges, so
+    vertex 0 takes colour 0 and every count is multiplied by q: q^(v-1)
+    colourings are read instead of q^v.  With no vertex the one empty
+    colouring counts once.  With nu=None the result is a MultiPoly in nu;
+    a rational nu gives an exact rational value.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
+    first, weight = ((0,), q) if v else ((), 1)
     counts: dict = {}
-    for col in itertools.product(range(q), repeat=v):
+    for rest in itertools.product(range(q), repeat=v - len(first)):
+        col = first + rest
         mono = sum(1 for a, b in edges if col[a] == col[b])
-        counts[mono] = counts.get(mono, 0) + 1
+        counts[mono] = counts.get(mono, 0) + weight
     if nu is None:
         return MultiPoly(("nu",), {(mono,): c for mono, c in counts.items()})
     nu = Fraction(nu)

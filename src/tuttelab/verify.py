@@ -47,7 +47,7 @@ from functools import cache, partial
 
 from tuttelab import algebraic, kernels
 from tuttelab import closed_forms as cf
-from tuttelab.bijections import (BijectionError, cvs_backward, cvs_forward,
+from tuttelab.bijections import (BijectionError, _distances, cvs_pass,
                                  ising_erase, ising_series_identity,
                                  ising_subdivide, mullin_decode,
                                  mullin_decompose, mullin_encode, phi_bar,
@@ -93,24 +93,39 @@ def roundtrip_psi(n):
 
 
 def roundtrip_cvs(n):
-    """cvs_backward inverts cvs_forward on the quadrangulations with n faces,
-    at every pointed vertex where cvs_forward applies (those are counted),
-    and the tree pointed at the root vertex is well labelled."""
+    """cvs_backward inverts cvs_forward on the quadrangulations with n faces.
+    One cvs_pass runs cvs_forward once on each pointed quadrangulation and
+    fills the table that cvs_backward reads, failing on a tree met twice.
+    On each quadrangulation, cvs_forward must apply at exactly the pointed
+    vertices nearer the origin of the root edge than its end (those are
+    counted), each tree must be valid, and the tree pointed at the root
+    vertex well labelled."""
     checked, bad = 0, None
-    for q in quadrangulations(n):
-        for v0 in range(q.n_vertices):
-            try:
-                t = cvs_forward(q, v0)
-            except BijectionError:
-                continue
-            checked += 1
-            if bad is None and not (t.is_valid()
-                                    and cvs_backward(t) == (q, v0)):
-                bad = f"quadrangulation {q.to_json()}, v0={v0}"
-        if bad is None and not cvs_forward(
-                q, q.vertex_of[q.root]).is_valid(well=True):
-            bad = f"quadrangulation {q.to_json()}, root tree not well labelled"
+    try:
+        for q, trees in cvs_pass(n):
+            checked += len(trees)
+            if bad is None:
+                bad = _cvs_counterexample(q, trees)
+    except BijectionError as err:  # a tree met twice
+        bad = str(err)
     return checked, bad
+
+
+def _cvs_counterexample(q, trees):
+    """What is wrong with the trees {v0: tree} that cvs_forward drew on the
+    quadrangulation q, or None."""
+    u, w = q.vertex_of[q.root], q.vertex_of[q.alpha[q.root]]
+    du, dw = _distances(q, u), _distances(q, w)
+    nearer = [v for v in range(q.n_vertices) if du[v] < dw[v]]
+    if list(trees) != nearer:
+        return (f"quadrangulation {q.to_json()}, trees at {list(trees)},"
+                f" not at {nearer}")
+    v0 = next((v for v, t in trees.items() if not t.is_valid()), None)
+    if v0 is not None:
+        return f"quadrangulation {q.to_json()}, v0={v0}"
+    if not trees[u].is_valid(well=True):
+        return f"quadrangulation {q.to_json()}, root tree not well labelled"
+    return None
 
 
 def roundtrip_mullin(n):

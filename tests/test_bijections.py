@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from tuttelab import bijections
 from tuttelab import closed_forms as cf
 from tuttelab.bijections import (BijectionError, _closure_match,
                                  corner_walk, cvs_backward, cvs_forward,
@@ -15,6 +16,7 @@ from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
                                quadrangulations)
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
                             LabelledTree)
+from tuttelab.verify import roundtrip_cvs
 
 
 def _greedy_closure_match(sigma, alpha, kind, start):
@@ -123,6 +125,63 @@ def test_cvs_roundtrip():
             # pointing at the root vertex gives a well-labelled tree
             assert cvs_forward(q, q.vertex_of[q.root]).is_valid(well=True)
         assert cnt == cf.labelled_tree_count(n)
+
+
+def _counting_cvs_forward(monkeypatch):
+    # a fresh table for cvs_backward, and a list that grows by one at each
+    # cvs_forward call
+    calls = []
+
+    def counted(q, v0):
+        calls.append((q, v0))
+        return forward(q, v0)
+
+    forward = bijections.cvs_forward
+    monkeypatch.setattr(bijections, "_cvs_tables", {})
+    monkeypatch.setattr(bijections, "cvs_forward", counted)
+    return calls
+
+
+def test_cvs_round_trip_is_one_forward_pass(monkeypatch):
+    # the round trip runs cvs_forward once on each pointed quadrangulation,
+    # and that pass fills the table that cvs_backward reads
+    calls = _counting_cvs_forward(monkeypatch)
+    for n in range(1, 5):
+        assert roundtrip_cvs(n) == (cf.labelled_tree_count(n), None)
+        assert len(calls) == (n + 2) * cf.quadrangulation_count(n)
+        assert len({(q.code, v0) for q, v0 in calls}) == len(calls)
+        del calls[:]
+        for t in LabelledTree.all_labelled_trees(n):
+            cvs_backward(t)
+        assert not calls
+
+
+def test_cvs_backward_alone_runs_one_pass(monkeypatch):
+    calls = _counting_cvs_forward(monkeypatch)
+    trees = LabelledTree.all_labelled_trees(3)
+    pointings = {(q.code, v0) for q, v0 in map(cvs_backward, trees)}
+    assert len(pointings) == len(trees) == cf.labelled_tree_count(3)
+    assert len(calls) == 5 * cf.quadrangulation_count(3)
+
+
+@pytest.mark.parametrize("fault", ["not injective", "invalid tree",
+                                   "drops a pointing"])
+def test_cvs_round_trip_catches_a_faulty_forward(monkeypatch, fault):
+    forward = bijections.cvs_forward
+
+    def faulty(q, v0):
+        t = forward(q, v0)
+        if fault == "not injective":
+            return LabelledTree(1, [LabelledTree(2)] * q.n_faces)
+        if fault == "invalid tree":
+            return LabelledTree(t.label + 3, t.children)
+        if v0 == q.n_vertices - 1:
+            raise BijectionError("dropped")
+        return t
+
+    monkeypatch.setattr(bijections, "_cvs_tables", {})
+    monkeypatch.setattr(bijections, "cvs_forward", faulty)
+    assert all(roundtrip_cvs(n)[1] is not None for n in range(1, 5))
 
 
 def test_labelled_trees_are_the_cvs_images():

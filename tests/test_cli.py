@@ -37,6 +37,8 @@ def test_gen_count_only_streams(capsys, monkeypatch, family, listed, count):
          "non_separable_near_triangulations": 3}.get(family, 5)
     asked = []
     build = getattr(generate, listed)
+    if family in ("maps", "bipartite"):
+        build.cache_clear()  # stream reads a held list of size n as it is
 
     def spy(size):
         asked.append(size)

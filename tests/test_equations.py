@@ -198,3 +198,21 @@ def test_brute_force_text_is_pinned(name, order, params, digest):
 ])
 def test_shared_step_expansions_are_pinned(name, order, params, digest):
     assert _digest(expand(EquationId[name], order, params)) == digest
+
+
+def test_non_separable_rows_stream_the_near_triangulations_once(monkeypatch):
+    # TUTTE_NONSEP_TRI and BIPOLAR_TRI read one memoised list of the
+    # non-separable near-triangulations, kept from one stream
+    streams, calls = generate.stream, []
+
+    def stream(family, n, *args):
+        calls.append((family, n, *args))
+        return streams(family, n, *args)
+
+    monkeypatch.setattr(generate, "stream", stream)
+    generate.non_separable_near_triangulations.cache_clear()
+    for name in ("TUTTE_NONSEP_TRI", "BIPOLAR_TRI"):
+        eq = EquationId[name]
+        assert brute_force_gf(eq, 3) == expand(eq, 3)
+    assert calls.count(("near_angulations", 7, 3)) == 1
+    assert calls.count(("non_separable_near_triangulations", 3)) == 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -204,10 +205,24 @@ def test_near_triangulation_streams_build_each_map_once(monkeypatch):
 
     monkeypatch.setattr(generate, "_root_edge_recursion", counted)
     near_angulations.cache_clear()
+    non_separable_near_triangulations.cache_clear()
     for _ in generate.stream("non_separable_near_triangulations", 3):
         pass
     assert built == 2680
     assert sum(len(near_angulations(e, 3)) for e in range(8)) == 2680
+
+
+def test_stream_reads_a_held_list(monkeypatch):
+    # a list that the memo holds is streamed as it is, with no map built
+    held = all_maps(4)
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("a held list was built again")
+
+    monkeypatch.setattr(generate, "_root_edge_recursion", no_building)
+    monkeypatch.setattr(RootedMap, "__init__", no_building)
+    assert list(generate.stream("all_maps", 4)) == held
+    assert all(a is b for a, b in zip(generate.stream("all_maps", 4), held))
 
 
 def test_bipartite_maps_build_no_other_maps(monkeypatch):
@@ -306,6 +321,30 @@ def test_colouring_sum_matches_potts():
                                        3, 2) == potts(m).eval({"q": 3, "nu": 2})
 
 
+def _colouring_sum_over_all_colourings(v, edges, q, nu):
+    # every one of the q^v colourings, the reference for the sum that fixes
+    # the colour of vertex 0
+    counts = {}
+    for col in itertools.product(range(q), repeat=v):
+        mono = sum(1 for a, b in edges if col[a] == col[b])
+        counts[mono] = counts.get(mono, 0) + 1
+    if nu is None:
+        return MultiPoly(("nu",), {(k,): c for k, c in counts.items()})
+    return sum(c * Fraction(nu) ** k for k, c in counts.items())
+
+
+def test_colouring_sum_fixes_one_colour():
+    graphs = [(0, [])] + [(m.n_vertices, m.multigraph_edges())
+                          for n in range(4) for m in all_maps(n)]
+    for v, edges in graphs:
+        for q in (1, 2, 3):
+            for nu in (None, Fraction(-2, 3), 0):
+                assert graph_colouring_sum(v, edges, q, nu) \
+                    == _colouring_sum_over_all_colourings(v, edges, q, nu)
+    assert graph_colouring_sum(0, [], 3) == MultiPoly.one()
+    assert graph_colouring_sum(0, [], 3, 5) == 1
+
+
 def test_proper_colourings_of_an_edge():
     m = RootedMap.link()
     # proper colourings of a single edge with q colours: q(q-1)
@@ -327,13 +366,49 @@ def _unrestricted_oracle_codes(n):
 
 
 def test_oracle_loses_no_map_to_its_restriction():
-    # the oracle tries only sigma(0) in {0, 1, 2}
+    # the oracle reads only the rotation systems that are their own
+    # breadth-first labelling, not every sigma against a fixed alpha
     for n in range(1, 4):
         assert [m.code for m in all_maps_oracle(n)] \
             == _unrestricted_oracle_codes(n)
 
 
 def test_oracle_equals_generator():
-    for n in range(5):
+    for n in range(6):
         assert [m.code for m in all_maps_oracle(n)] \
             == [m.code for m in all_maps(n)]
+
+
+def _double_factorial(k):
+    return 1 if k < 1 else k * _double_factorial(k - 2)
+
+
+def test_oracle_enumerates_the_rooted_maps_of_all_genera():
+    # before the genus filter, one rotation system per rooted map of any
+    # genus with n edges: a(n + 1) of OEIS A000698, where a(0) = 1 and
+    # a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k)
+    a = [1]
+    for n in range(1, 7):
+        a.append(_double_factorial(2 * n - 1)
+                 - sum(_double_factorial(2 * k - 1) * a[n - k]
+                       for k in range(1, n)))
+    assert a[2:] == [2, 10, 74, 706, 8162]
+    for n in range(1, 6):
+        systems = list(generate._self_labelled_systems(n))
+        assert len(systems) == len(set(systems)) == a[n + 1]
+
+
+def test_oracle_never_reads_the_root_edge_recursion(monkeypatch):
+    def no_recursion(*args, **kwargs):
+        raise AssertionError("the oracle read the root-edge recursion")
+
+    for name in ("_root_edge_recursion", "stream", "all_maps"):
+        monkeypatch.setattr(generate, name, no_recursion)
+    assert [len(all_maps_oracle(n)) for n in range(6)] \
+        == [cf.maps_count(n) for n in range(6)]
+
+
+def test_oracle_cap():
+    with pytest.raises(CapExceeded) as err:
+        all_maps_oracle(6)
+    assert str(err.value) == "oracle cap is 5 edges (asked for 6)"
