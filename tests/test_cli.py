@@ -321,3 +321,102 @@ def test_json_and_csv_exclusive(capsys):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# Every command that renders its own result, as (case id, argv).  A
+# "{map}" argument is a map file written by the test: a 3-edge map with
+# two vertices, or the atomic map.
+_PINNED_MAPS = {
+    "map3": '{"n_darts":6,"alpha":[1,0,3,2,5,4],"sigma":[5,0,4,1,2,3],'
+            '"root":4}',
+    "atomic": '{"n_darts":0,"alpha":[],"sigma":[],"root":null}',
+}
+_PINNED_COMMANDS = [
+    *((f"tutte{flag[1:]}-{name}", ["tutte", name, *filter(None, [flag])])
+      for name in _PINNED_MAPS for flag in ("", "--potts", "--special")),
+    ("series-symbolic", ["series", "expand", "--eq", "POTTS_MAPS",
+                         "--order", "2"]),
+    ("series-set", ["series", "expand", "--eq", "POTTS_MAPS", "--order", "2",
+                    "--set", "q=2,nu=5/2"]),
+    ("bijection-pass", ["bijection", "roundtrip", "psi", "--max-size", "3"]),
+    ("bijection-fail", ["bijection", "roundtrip", "psi", "--max-size", "1"]),
+    ("formula-1", ["formula", "maps", "3"]),
+    ("formula-2", ["formula", "tree_rooted", "1", "2"]),
+    ("gen-count", ["gen", "maps", "--n", "3", "--count-only"]),
+    ("gen-atomic", ["gen", "maps", "--n", "0"]),
+    ("gen-list", ["gen", "bipartite", "--n", "2"]),
+]
+
+# sha256 prefixes of each command's exit code, stdout and stderr, joined by
+# NUL characters, in plain, JSON and CSV form
+_PINNED_DIGESTS = {
+    ("tutte-map3", "plain"): "d8c30b7d8a5b1b99",
+    ("tutte-map3", "json"): "9f54e46ab098fd3d",
+    ("tutte-map3", "csv"): "5675507c31cd1d15",
+    ("tutte-potts-map3", "plain"): "6f5274a17d252687",
+    ("tutte-potts-map3", "json"): "4572b538a911ab1d",
+    ("tutte-potts-map3", "csv"): "f3b2da23fd045137",
+    ("tutte-special-map3", "plain"): "3123d6a7daf98d5f",
+    ("tutte-special-map3", "json"): "3533d5590e16a80b",
+    ("tutte-special-map3", "csv"): "34a4e753b07ce748",
+    ("tutte-atomic", "plain"): "684d1a4835101175",
+    ("tutte-atomic", "json"): "b610b61511761fc7",
+    ("tutte-atomic", "csv"): "6937a047dfa5a5e2",
+    ("tutte-potts-atomic", "plain"): "2728457713d2896b",
+    ("tutte-potts-atomic", "json"): "cefa685ef2b96f92",
+    ("tutte-potts-atomic", "csv"): "33a149d4477bc198",
+    ("tutte-special-atomic", "plain"): "cb385d7123c0f5ab",
+    ("tutte-special-atomic", "json"): "a62f89ddd7823f8e",
+    ("tutte-special-atomic", "csv"): "03b1226012f2d1a2",
+    ("series-symbolic", "plain"): "46360b991fa2fcf1",
+    ("series-symbolic", "json"): "28a4a8d4ca62a416",
+    ("series-symbolic", "csv"): "e8beaaa80c8f832d",
+    ("series-set", "plain"): "643a14a044dd52c1",
+    ("series-set", "json"): "6f5c83b055ef4883",
+    ("series-set", "csv"): "ad663d5ef51ea0b1",
+    ("bijection-pass", "plain"): "e922c16b7d7b69c4",
+    ("bijection-pass", "json"): "20781713c4fbdea8",
+    ("bijection-pass", "csv"): "e3ec047ad11d2529",
+    ("bijection-fail", "plain"): "b2ab0d8f0da4177c",
+    ("bijection-fail", "json"): "41a90b61009f8ec2",
+    ("bijection-fail", "csv"): "ed41fe6b4f8f94f5",
+    ("formula-1", "plain"): "f5fd7cc71da00e02",
+    ("formula-1", "json"): "83c0f0e9983636e8",
+    ("formula-1", "csv"): "c34817b2f92b0dad",
+    ("formula-2", "plain"): "0f5e884fbaa30245",
+    ("formula-2", "json"): "c8c19cdf4a834022",
+    ("formula-2", "csv"): "bfa4be7a169ada80",
+    ("gen-count", "plain"): "f5fd7cc71da00e02",
+    ("gen-count", "json"): "29acde2c98d19118",
+    ("gen-count", "csv"): "20cd4b850367f454",
+    ("gen-atomic", "plain"): "32faafccc0349616",
+    ("gen-atomic", "json"): "48a0617d3061e022",
+    ("gen-atomic", "csv"): "09e9eb0163aa5491",
+    ("gen-list", "plain"): "0eb97669430a7087",
+    ("gen-list", "json"): "7978e6bdb6baa092",
+    ("gen-list", "csv"): "124af10a0acd3454",
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("case,argv", _PINNED_COMMANDS,
+                         ids=[case for case, _ in _PINNED_COMMANDS])
+def test_every_command_output_is_pinned(tmp_path, capsys, monkeypatch,
+                                        case, argv, fmt):
+    from tuttelab import verify
+    if case == "bijection-fail":  # a counterexample a CSV field must quote
+        monkeypatch.setitem(verify.ROUNDTRIPS, "psi", lambda n: (
+            1, 'map {"alpha":[1,0]}, tree ()'))
+    for name, text in _PINNED_MAPS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _PINNED_MAPS else a for a in argv]
+    flags = {"plain": [], "json": ["--json"], "csv": ["--csv"]}[fmt]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16]
+    assert digest == _PINNED_DIGESTS[case, fmt]
+
+
+def test_atomic_map_csv_has_an_empty_root(capsys):
+    # the atomic map has no root dart: its CSV root field is empty
+    code, out, _ = run_cli(capsys, "gen", "maps", "--n", "0", "--csv")
+    assert code == 0 and out == "alpha,sigma,root\n,,\n"
