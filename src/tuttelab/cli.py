@@ -6,14 +6,15 @@ Exit codes: 0 all checks pass / command succeeded, 1 a check failed or
 bad formula arguments, 2 unknown family, equation, formula or suite, or
 an invalid size, order or parameter, 3 malformed map file, 4 generation
 cap or `tutte` map size cap exceeded (checked before any work starts).
-Output is byte-deterministic for fixed inputs and flags.
+Output is byte-deterministic for fixed inputs and flags.  Every command
+but verify computes its result once and hands _emit three views of it,
+which prints the one the flags ask for: one line of JSON, a CSV header and
+rows, or plain lines.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -47,14 +48,6 @@ _GEN_FAMILIES = {
 }
 
 
-def _fmt(args) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    return "plain"
-
-
 def _add_format_flags(parser):
     g = parser.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_true",
@@ -68,6 +61,19 @@ def _quoted(value) -> str:
     return '"' + str(value).replace('"', '""') + '"'
 
 
+def _emit(args, obj, header, rows, lines) -> None:
+    """Print the view of one result that the flags ask for: obj(), its
+    JSON value, on one line; the CSV header, then the rows, whose fields
+    are written as they are (quoted already where they need it); or the
+    plain lines."""
+    if args.json:
+        lines = [json.dumps(obj())]
+    elif args.csv:
+        print(header)
+        lines = (",".join(map(str, row)) for row in rows)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
+
+
 def cmd_gen(args) -> int:
     from tuttelab.generate import stream
     if args.family not in _GEN_FAMILIES:
@@ -77,33 +83,19 @@ def cmd_gen(args) -> int:
     if args.n < 0:
         print(f"--n must be nonnegative (got {args.n})", file=sys.stderr)
         return EXIT_UNKNOWN
-    fmt = _fmt(args)
     maps = stream(_GEN_FAMILIES[args.family], args.n)
     if args.count_only:  # counted as generated: none is kept
         count = sum(1 for _ in maps)
-        if fmt == "json":
-            print(json.dumps({"family": args.family, "n": args.n,
-                              "count": count}))
-        elif fmt == "csv":
-            print("family,n,count")
-            print(f"{args.family},{args.n},{count}")
-        else:
-            print(count)
+        _emit(args, lambda: {"family": args.family, "n": args.n,
+                             "count": count},
+              "family,n,count", [(args.family, args.n, count)], [count])
         return EXIT_OK
     maps = sorted(maps, key=lambda m: m.code)
-    if fmt == "json":
-        print(json.dumps([m.to_json_obj() for m in maps]))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "sigma", "root"])
-        for m in maps:
-            writer.writerow([" ".join(map(str, m.alpha)),
-                             " ".join(map(str, m.sigma)), m.root])
-        sys.stdout.write(buf.getvalue())
-    else:
-        for m in maps:
-            print(m.to_json())
+    # the atomic map has no root dart: its root field is empty
+    _emit(args, lambda: [m.to_json_obj() for m in maps], "alpha,sigma,root",
+          ((" ".join(map(str, m.alpha)), " ".join(map(str, m.sigma)),
+            "" if m.root is None else m.root) for m in maps),
+          (m.to_json() for m in maps))
     return EXIT_OK
 
 
@@ -126,16 +118,8 @@ def cmd_tutte(args) -> int:
         rows = [("potts", str(potts.potts(m)))]
     else:
         rows = [("tutte", str(potts.tutte(m)))]
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(json.dumps(dict(rows)))
-    elif fmt == "csv":
-        print("name,value")
-        for k, v in rows:
-            print(f"{k},{_quoted(v)}")
-    else:
-        for k, v in rows:
-            print(f"{k}: {v}")
+    _emit(args, lambda: dict(rows), "name,value",
+          ((k, _quoted(v)) for k, v in rows), (f"{k}: {v}" for k, v in rows))
     return EXIT_OK
 
 
@@ -160,17 +144,12 @@ def cmd_bijection(args) -> int:
     found = (check(n)[1] for check, n in checks)
     counterexample = next((c for c in found if c is not None), None)
     ok = counterexample is None
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(json.dumps({"bijection": args.name, "max_size": args.max_size,
-                          "pass": ok, "counterexample": counterexample}))
-    elif fmt == "csv":
-        print("bijection,max_size,pass,counterexample")
-        print(f"{args.name},{args.max_size},"
-              f"{'pass' if ok else 'FAIL'},{_quoted(counterexample or '')}")
-    else:
-        print(f"{args.name} round trips up to size {args.max_size}: "
-              + ("pass" if ok else f"FAIL ({counterexample})"))
+    _emit(args, lambda: {"bijection": name, "max_size": k, "pass": ok,
+                         "counterexample": counterexample},
+          "bijection,max_size,pass,counterexample",
+          [(name, k, "pass" if ok else "FAIL", _quoted(counterexample or ""))],
+          [f"{name} round trips up to size {k}: "
+           + ("pass" if ok else f"FAIL ({counterexample})")])
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -203,17 +182,10 @@ def cmd_series(args) -> int:
         return EXIT_UNKNOWN
     rows = [(f"{series.var}^{n}", str(series.coeff(n)))
             for n in range(args.order + 1)]
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(json.dumps({"equation": eq.name, "var": series.var,
-                          "order": args.order, "coefficients": dict(rows)}))
-    elif fmt == "csv":
-        print("power,coefficient")
-        for k, v in rows:
-            print(f"{k},{_quoted(v)}")
-    else:
-        for k, v in rows:
-            print(f"{k}: {v}")
+    _emit(args, lambda: {"equation": eq.name, "var": series.var,
+                         "order": args.order, "coefficients": dict(rows)},
+          "power,coefficient", ((k, _quoted(v)) for k, v in rows),
+          (f"{k}: {v}" for k, v in rows))
     return EXIT_OK
 
 
@@ -225,7 +197,8 @@ def cmd_verify(args) -> int:
         print(f"{err.args[0]}; known suites: all, "
               + ", ".join(verify.SUITES), file=sys.stderr)
         return EXIT_UNKNOWN
-    sys.stdout.write(verify.format_report(results, _fmt(args)))
+    fmt = "json" if args.json else "csv" if args.csv else "plain"
+    sys.stdout.write(verify.format_report(results, fmt))
     return EXIT_OK if verify.all_pass(results) else EXIT_FAIL
 
 
@@ -239,15 +212,10 @@ def cmd_formula(args) -> int:
     except (TypeError, ValueError) as err:
         print(f"bad arguments: {err}", file=sys.stderr)
         return EXIT_FAIL
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(json.dumps({"formula": args.name, "args": args.args,
-                          "value": str(value)}))
-    elif fmt == "csv":
-        print("formula,args,value")
-        print(f"{args.name},{' '.join(map(str, args.args))},{value}")
-    else:
-        print(value)
+    _emit(args, lambda: {"formula": args.name, "args": args.args,
+                         "value": str(value)},
+          "formula,args,value",
+          [(args.name, " ".join(map(str, args.args)), value)], [value])
     return EXIT_OK
 
 

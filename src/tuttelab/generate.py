@@ -16,13 +16,12 @@ stream(family, n, ...) checks the cap and yields the maps of any family
 of the table unsorted, built from the memoised lists of the smaller sizes
 of the three root-edge families, and keeps none of them; a list that a
 memo already holds is read instead of built again.  Each list function
-sorts its stream by canonical code, so output is deterministic; only the
-three root-edge lists and the short non-separable ones are memoised.  A
-caller that only counts or sums the top size streams it: gen --count-only
-counts it, equations.brute_force_gf sums over it at its order, and verify
-reads both its `maps(n) generator` rows and its MAPS_1CAT equation row off
-one such sum, so verify streams the 6-edge maps once and never holds
-them.
+sorts its stream by canonical code, so output is deterministic, and every
+list function is memoised, so a process builds each list once.  A caller
+that only counts or sums the top size streams it: gen --count-only counts
+it, equations.brute_force_gf sums over it at its order, and verify reads
+both its `maps(n) generator` rows and its MAPS_1CAT equation row off one
+such sum, so verify streams the 6-edge maps once and never holds them.
 
 all_maps_oracle is an independent check that never reads the root-edge
 recursion.  It enumerates the rotation systems (sigma, alpha) on 2n darts
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from tuttelab.maps import MapError, RootedMap, _cycle_labels
 from tuttelab.poly import MultiPoly
@@ -232,6 +230,7 @@ def all_maps_oracle(n: int):
 # -- family generators ---------------------------------------------------------
 
 
+@_kept
 def near_triangulations(max_edges: int):
     """All near-triangulations (finite faces of degree 3) with <= max_edges
     edges.  A code starts with the number of darts, so they come by size."""
@@ -247,6 +246,7 @@ def bipartite_maps(n_edges: int):
     return _by_code(stream("bipartite_maps", n_edges))
 
 
+@_kept
 def eulerian_near_triangulations(n_black_faces: int):
     """Eulerian near-triangulations with n black faces.
 
@@ -259,11 +259,13 @@ def eulerian_near_triangulations(n_black_faces: int):
     return _by_code(stream("eulerian_near_triangulations", n_black_faces))
 
 
+@_kept
 def quadrangulations(n_faces: int):
     """All quadrangulations with n faces: duals of radials of n-edge maps."""
     return _by_code(stream("quadrangulations", n_faces))
 
 
+@_kept
 def four_valent(n_vertices: int):
     """All 4-valent maps with n vertices: radials of n-edge maps."""
     return _by_code(stream("four_valent", n_vertices))
@@ -275,9 +277,8 @@ def non_separable_near_triangulations(n_inner_faces: int):
 
     Such a map has at most 2n + 1 edges (the outer face is a simple cycle),
     so the search space is finite; for n = 0 it is the link alone, the
-    atomic map being separable.  Memoised: the 9 maps with 3 inner faces
-    are kept from one stream of the 2,680 near-triangulations with at most
-    7 edges.
+    atomic map being separable.  The 9 maps with 3 inner faces are kept
+    from one stream of the 2,680 near-triangulations with at most 7 edges.
     """
     return _by_code(stream("non_separable_near_triangulations",
                            n_inner_faces))
@@ -392,16 +393,15 @@ def _acyclic(v, s, arcs):
     return seen == v
 
 
-def graph_colouring_sum(v: int, edges, q: int, nu=None):
+def graph_colouring_sum(v: int, edges, q: int):
     """Potts partition sum of the multigraph on vertices 0..v-1 with the
-    given (vertex, vertex) edges: over all q-colourings,
-    nu^(#monochromatic edges).
+    given (vertex, vertex) edges, as a MultiPoly in nu: over all
+    q-colourings, nu^(#monochromatic edges).
 
     Permuting the colours keeps the number of monochromatic edges, so
     vertex 0 takes colour 0 and every count is multiplied by q: q^(v-1)
     colourings are read instead of q^v.  With no vertex the one empty
-    colouring counts once.  With nu=None the result is a MultiPoly in nu;
-    a rational nu gives an exact rational value.
+    colouring counts once.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -411,7 +411,4 @@ def graph_colouring_sum(v: int, edges, q: int, nu=None):
         col = first + rest
         mono = sum(1 for a, b in edges if col[a] == col[b])
         counts[mono] = counts.get(mono, 0) + weight
-    if nu is None:
-        return MultiPoly(("nu",), {(mono,): c for mono, c in counts.items()})
-    nu = Fraction(nu)
-    return sum(c * nu ** mono for mono, c in counts.items())
+    return MultiPoly(("nu",), {(mono,): c for mono, c in counts.items()})

@@ -119,6 +119,28 @@ def test_no_memo_is_filled_on_both_sides():
     assert filled[0] | filled[1] == {memo.__name__ for memo in memos}
 
 
+def test_radial_maps_are_built_once(monkeypatch):
+    # closed_forms and bijections read the 4-valent maps and the
+    # quadrangulations of sizes 1-4 from one memoised list each: 443
+    # radial maps apiece, where building the 4-valent list once per row
+    # that reads it made 1,772
+    from tuttelab import generate
+    from tuttelab.maps import RootedMap
+    for listed in (generate.four_valent, generate.quadrangulations):
+        listed.cache_clear()
+    calls = 0
+    radial = RootedMap.radial
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return radial(m)
+
+    monkeypatch.setattr(RootedMap, "radial", counted)
+    assert verify.all_pass(verify.run(["closed_forms", "bijections"]))
+    assert calls <= 886
+
+
 def test_counts_suite_passes():
     results = verify.run(["counts"])
     assert verify.all_pass(results)
