@@ -38,12 +38,16 @@ numerators into one dict over a running common denominator, which grows,
 and rescales the dict, only when a pair's denominator does not divide it.
 `*`, `+`, `-` and `sum` are all `dot`; `coeff`, `part`, `subs` and `diff`
 work on the numerators under their d, so ring operations build no Fraction.
+`subs` and `div_linear` each make one pass over the packed terms, and
+`divexact` pops the remainder's leading keys from a heap (Monagan & Pearce).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, lcm
 from operator import index, mul, or_
 from typing import Iterable, Mapping, Union
@@ -164,6 +168,19 @@ def _repack(terms: dict, old: tuple, new: tuple) -> dict:
             raise ValueError(f"cannot drop live variables {missing}")
         out[sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])] = c
     return out
+
+
+def _powers(x: Fraction, exps) -> tuple:
+    """(d, table): table[e] = x**e * d, an int, for e in exps and for 0,
+    with d the lcm of the denominators of those powers.  For x = a/b and
+    exponents in [-lo, hi], d = |a|^lo * b^hi: a and b are coprime."""
+    a, b = x.numerator, x.denominator
+    hi, lo = max(0, *exps), -min(0, *exps)
+    if lo and not a:
+        raise ZeroDivisionError("zero to a negative power")
+    table = {e: (-1 if a < 0 and e % 2 else 1) * abs(a) ** (lo + e)
+             * b ** (hi - e) for e in (*exps, 0)}
+    return table[0], table
 
 
 def _scalar(n: int, d: int) -> Scalar:
@@ -374,16 +391,10 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """n products by self, each costing the base's terms, not the power's."""
         if n < 0:
             raise ValueError("negative power; use monomial_inverse for monomials")
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return reduce(mul, repeat(self, n), MultiPoly.one())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -450,24 +461,47 @@ class MultiPoly:
         """Substitute polynomials/scalars for variables.
 
         Negative exponents are only allowed when the substituted value is an
-        invertible monomial (scalar times a single power product).  Terms
-        are grouped by their exponents of the substituted variables, under
-        this d, so each distinct group costs one product.
+        invertible monomial (scalar times a single power product).  One pass
+        over the terms subtracts each substituted field out of the key,
+        folds each constant value into the numerator from the table of its
+        powers (see `_powers`), and groups the terms by their exponents of
+        the other values, so a mapping of constants is one group.  Each
+        group is repacked over the kept variables once and costs one product.
         """
         mapping = {k: self._coerce(v) for k, v in mapping.items() if k in self.vars}
         if not mapping:
             return self
         keep = tuple(v for v in self.vars if v not in mapping)
-        subbed = [v for v in self.vars if v in mapping]
         shifts, off, _, _ = _fields(len(self.vars))
-        sub_shifts = [s for v, s in zip(self.vars, shifts) if v in mapping]
-        moved = _layout(self.vars, keep)[0]  # the kept fields
+        d, tables, subbed = self._d, [], []  # tables: (shift, {e: power})
+        for name, value in mapping.items():
+            s = shifts[self.vars.index(name)]
+            if value.vars:
+                subbed.append((name, s))
+                continue
+            seen = {(((k + off) >> s) & _MASK) - _HALF for k in self._t} - {0}
+            if not seen:
+                continue
+            x = Fraction(value._t.get(0, 0), value._d)
+            if not x and min(seen) < 0:
+                raise ValueError(f"cannot substitute 0 for {name} at a negative power")
+            dx, table = _powers(x, seen)
+            tables.append((s, table))
+            d *= dx
         groups: dict = {}
         for k, c in self._t.items():
             u = k + off
-            exps = tuple([((u >> s) & _MASK) - _HALF for s in sub_shifts])
-            key = sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])
-            groups.setdefault(exps, {})[key] = c
+            for s, table in tables:
+                e = ((u >> s) & _MASK) - _HALF
+                c *= table[e]
+                k -= e << s
+            exps = []
+            for _, s in subbed:
+                e = ((u >> s) & _MASK) - _HALF
+                exps.append(e)
+                k -= e << s
+            group = groups.setdefault(tuple(exps), {})
+            group[k] = group.get(k, 0) + c
         powers: dict = {}  # (name, sign) -> [value^0, value^sign, ...]
 
         def mono_pow(name, k):
@@ -479,11 +513,15 @@ class MultiPoly:
             return table[abs(k)]
 
         def value(exps):  # the product of the group's substituted powers
-            pows = [mono_pow(name, k) for name, k in zip(subbed, exps) if k]
+            pows = [mono_pow(name, k) for (name, _), k in zip(subbed, exps) if k]
             return reduce(mul, pows) if pows else _ONE
 
-        return MultiPoly.dot((_from_terms(keep, self._d, t), value(e))
-                             for e, t in groups.items())
+        def merged(t):  # a group's nonzero terms, over the kept variables
+            if 0 in t.values():
+                t = {k: c for k, c in t.items() if c}
+            return _from_terms(keep, d, _repack(t, self.vars, keep))
+
+        return MultiPoly.dot((merged(t), value(e)) for e, t in groups.items())
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent monomial)."""
@@ -509,11 +547,7 @@ class MultiPoly:
                 continue
             if x is None:
                 raise ValueError(f"no value for variable {name}")
-            pows = {e: x ** e for e in exps}
-            d = lcm(*(p.denominator for p in pows.values()))
-            table = {e: p.numerator * (d // p.denominator)
-                     for e, p in pows.items()}
-            table[0] = d
+            d, table = _powers(x, exps)
             tables.append((s, table))
             den *= d
         total = 0
@@ -527,29 +561,42 @@ class MultiPoly:
     # -- exact division --------------------------------------------------------
 
     def div_linear(self, name: str, c) -> "MultiPoly":
-        """Exact division by (name - c) with c a rational constant.
+        """Exact division by (name - c) with c = num/den a rational constant.
 
-        Synthetic division on the `name`-power decomposition, in one pass:
-        the carry at power p is the quotient's coefficient of name^(p-1),
-        and one `dot` adds the carries times those powers, aligning their
-        variables.  Raises ValueError if the remainder is nonzero.
+        Synthetic division by rows, a row being the terms whose keys agree
+        once the field of `name` is zeroed.  A row a_0 + ... + a_m name^m is
+        one Horner pass from the top, in integers: B_m = a_m and B_p =
+        den^(m-p) * a_p + num * B_(p+1), so B_p / den^(m-p) is the
+        quotient's coefficient of name^(p-1), written over den^(top-1) for
+        the top exponent `top` of all rows.  Raises ValueError if a row
+        leaves a remainder, den^m * a_0 + num * B_1 != 0.
         """
-        parts = self.by_powers(name)
-        if not parts:
+        if not self._t:
             return self
-        if min(parts) < 0:
-            raise ValueError("div_linear requires nonnegative exponents")
+        rows: dict = {}  # key with the field of name zeroed -> {e: numerator}
+        if name in self.vars:
+            for e, s, k, a in self._exponents(name):
+                if e < 0:
+                    raise ValueError("div_linear requires nonnegative exponents")
+                rows.setdefault(k - (e << s), {})[e] = a
         c = MultiPoly._coerce(c).constant_value()
-        carries = []
-        carry = MultiPoly.zero()
-        for p in range(max(parts), -1, -1):
-            carry = MultiPoly.dot(((parts[p], _ONE), (carry, c)) if p in parts
-                                  else ((carry, c),))
-            if p > 0:
-                carries.append((carry, MultiPoly.var(name, p - 1)))
-        if not carry.is_zero():
+        if not rows:  # a nonzero polynomial free of name
             raise ValueError(f"division by ({name} - {c}) is not exact")
-        return MultiPoly.dot(carries)
+        num, den = Fraction(c).as_integer_ratio()
+        top = max(map(max, rows.values()))
+        dens = [den ** i for i in range(top + 1)]
+        out = {}
+        for base, row in rows.items():
+            m, b = max(row), 0
+            for p in range(m, 0, -1):
+                b = dens[m - p] * row.get(p, 0) + num * b
+                if b:
+                    out[base + ((p - 1) << s)] = b * dens[top - 1 - m + p]
+            if dens[m] * row.get(0, 0) + num * b:
+                raise ValueError(f"division by ({name} - {c}) is not exact")
+        vars_ = _union(self.vars, ())  # sorted, as every `dot` leaves them
+        return _from_terms(vars_, self._d * dens[top - 1],
+                           _repack(out, self.vars, vars_))
 
     def div_monomial(self, name: str, k: int) -> "MultiPoly":
         """Laurent shift: divide by name**k (always exact in Laurent ring)."""
@@ -575,15 +622,19 @@ class MultiPoly:
         vars_, a, b = self._aligned(divisor)
         _, _, low, guard = _fields(len(vars_))
         rem = dict(a)
+        heap = [-k for k in rem]  # the remainder's keys, largest first
+        heapify(heap)
         lead = max(b)  # lex-max exponent of divisor
         lead_c = Fraction(b[lead])
         quot: dict = {}
         budget = 4 * (len(a) + 1) * (len(b) + 1) + 1000
-        while rem:
+        while heap:
+            e = -heappop(heap)
+            if e not in rem:  # cancelled since it was pushed
+                continue
             budget -= 1
             if budget < 0:
                 raise ValueError("polynomial division did not terminate; not exact")
-            e = max(rem)
             diff = e - lead
             if (diff + low) & guard:
                 raise OverflowError(f"an exponent left [-{_LIMIT}, {_LIMIT})")
@@ -593,10 +644,13 @@ class MultiPoly:
             quot[diff] = qc  # diff falls strictly, so each key is new
             for be, bc in b.items():
                 key = diff + be
-                s = rem.get(key, 0) - qc * bc
+                old = rem.get(key)
+                s = (old or 0) - qc * bc
                 if s:
                     rem[key] = s
-                elif key in rem:
+                    if old is None:
+                        heappush(heap, -key)
+                elif old is not None:
                     del rem[key]
         d, quot = _integral(quot)
         return _from_terms(vars_, d * self._d,

@@ -25,6 +25,8 @@ def test_basic_arithmetic():
     assert p == x * x - 1
     assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
     assert (x - x).is_zero()
+    with pytest.raises(ValueError, match="negative power"):
+        (x + 1) ** -1
 
 
 def test_mixed_variable_sets():
@@ -437,3 +439,87 @@ def test_exponent_limits_are_checked_everywhere():
             bad()
     assert (top * MultiPoly.var("x", -1)).degree("x") == LIMIT - 2
     assert bottom.div_monomial("x", -1).valuation("x") == 1 - LIMIT
+
+
+@settings(deadline=None)
+@given(polys_in(names=("q", "nu", "x")), st.integers(0, 6))
+def test_power_is_the_repeated_product(p, n):
+    product = MultiPoly.one()
+    for _ in range(n):
+        product = product * p
+    got = p ** n
+    assert got == product and got.vars == product.vars
+    assert ref(got) == ref(product)
+
+
+def test_subs_of_zero():
+    p = MultiPoly(("x", "y"), {(2, 1): 3, (0, 1): Fraction(1, 2), (1, 0): 5})
+    assert p.subs({"x": 0}) == y / 2 and p.subs({"y": 0}) == 5 * x
+    assert p.subs({"x": 0, "y": 0}).is_zero()
+    for zero in (0, MultiPoly.zero(), x - x):
+        with pytest.raises(ValueError):
+            (p * MultiPoly.var("x", -1)).subs({"x": zero})
+
+
+@settings(deadline=None)
+@given(polys_in(names=("x", "y", "w", "q")), polys_in(names=("q", "nu")),
+       scalars, scalars, nonzero, st.integers(-2, 2),
+       st.tuples(nonzero, nonzero))
+def test_subs_of_constants_beside_a_polynomial(p, value, a, b, c, e, point):
+    # x takes a polynomial, y and w constants (zero only at ordinary powers)
+    p = p.part("x", lo=0)
+    if not a:
+        p = p.part("y", lo=0)
+    if not b:
+        p = p.part("w", lo=0)
+    at = dict(zip(("q", "nu"), point))
+    got = p.subs({"x": value, "y": a, "w": b})
+    assert got.eval(at) == p.eval(dict(at, x=value.eval(at), y=a, w=b))
+    assert_one_form(got)
+    # with a monomial for x, the tuple-keyed reference applies
+    mono = c * MultiPoly.var("nu", e)
+    mapping = {"x": (c, (("nu", e),)), "y": (a, ()), "w": (b, ())}
+    assert ref(p.subs({"x": mono, "y": a, "w": b})) == ref_subs(ref(p), mapping)
+
+
+def test_subs_of_a_variable_in_no_term():
+    p = MultiPoly(("y", "x"), {(0, 2): 3, (0, 0): 1})
+    for value in (5, 0, q + 1, MultiPoly.var("nu", -1)):
+        got = p.subs({"y": value})
+        assert got == 3 * x ** 2 + 1 and got.vars == ("x",)
+    assert MultiPoly(("x",), {}).subs({"x": q}).vars == ()
+
+
+# rows (terms that agree but for y) with top exponents 3, 1, 0 and 2
+ROWS = MultiPoly(("x", "y", "q"), {
+    (0, 3, 0): 2, (0, 1, 0): Fraction(-1, 3), (1, 1, 0): 5, (1, 0, 0): 7,
+    (2, 0, 1): Fraction(3, 4), (0, 2, 2): -1, (0, 0, 2): 1})
+
+
+@pytest.mark.parametrize("c", [0, 1, -2, Fraction(-3, 2), Fraction(5, 7)])
+def test_div_linear_over_rows_of_different_tops(c):
+    product = ROWS * (y - c)
+    got = product.div_linear("y", c)
+    assert got == ROWS and got.vars == product.vars
+    assert ref(got) == ref(ROWS)
+    assert_one_form(got)
+    # the quotient is over the sorted variables, as a product would be
+    assert product.in_vars(("y", "x", "q")).div_linear("y", c).vars == (
+        "q", "x", "y")
+
+
+def test_div_linear_leaves_a_remainder_in_one_row():
+    # every row but q*x divides by (y + 3/2); that row leaves 4*q*x
+    p = ROWS * (y + Fraction(3, 2)) + 4 * q * x
+    with pytest.raises(ValueError, match="not exact"):
+        p.div_linear("y", Fraction(-3, 2))
+    with pytest.raises(ValueError, match="not exact"):
+        (x + 1).div_linear("y", 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        (y + MultiPoly.var("y", -1)).div_linear("y", 1)
+
+
+def test_div_linear_of_zero():
+    zero = MultiPoly(("x", "y"), {})
+    got = zero.div_linear("y", Fraction(2, 3))
+    assert got.is_zero() and got.vars == ("x", "y")
