@@ -64,16 +64,15 @@ def _by_code(maps):
     return sorted(maps, key=lambda m: m.code)
 
 
-def _root_edge_recursion(n, smaller, insertions):
+def _root_edge_recursion(n, smaller, indices):
     """The maps with n edges, unsorted, of a family closed under root-edge
-    deletion, given smaller(e), its maps with e < n edges, and
-    insertions(d), the indices allowed into a root face of degree d."""
+    deletion, given smaller(e), its maps with e < n edges, and indices(d),
+    the insertion indices allowed into a root face of degree d."""
     if n == 0:
         yield RootedMap.atomic()
         return
     for m in smaller(n - 1):
-        for k in insertions(m.root_face_degree):
-            yield m.insert_root_edge(k)
+        yield from m.insertions(indices(m.root_face_degree))
     for e1 in range(n):
         for m1 in smaller(e1):
             for m2 in smaller(n - 1 - e1):
@@ -163,8 +162,8 @@ def near_angulations(n: int, p: int):
 
 def _self_labelled_systems(n: int):
     """Every (sigma, alpha) on 2n darts that is its own breadth-first
-    labelling from dart 0, sigma before alpha as in maps._bfs, as a pair
-    of tuples.
+    labelling from dart 0, sigma before alpha as in the code of a
+    RootedMap, as a pair of tuples.
 
     The walk meets the darts in the order 0, 1, 2, ...: when it reads
     sigma(d) and then alpha(d), each is a dart met already or the next new

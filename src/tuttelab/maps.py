@@ -6,18 +6,20 @@ order of darts around each vertex).  Faces are the orbits of phi = sigma o
 alpha.  The atomic map (one vertex, no edge) is the unique map with zero
 darts and root None.
 
-An instance stores its darts (alpha, sigma, root), its canonical code and
-its numbers of vertices and faces.  The constructor checks that the darts
-are integers, that alpha and sigma are permutations, alpha a
-fixed-point-free involution and root a dart.  Then one breadth-first walk
-from the root labels the darts and writes the code, which covers every dart
-exactly when the map is connected, and one sweep over the darts counts the
-cycles of sigma and of phi together, whose counts satisfy Euler's relation
-exactly when the map has genus 0.  The orbit lists and labellings
-(vertices, faces, vertex_of, face_of) and root_face_degree, an int the
-generators read from every parent map, are computed on first use and kept.
-The root face and the inverse of sigma are computed each time they are
-asked for and not kept.  Instances are immutable.
+An instance stores its darts (alpha, sigma, root), its canonical code, its
+numbers of vertices and faces and its root-face degree.  The constructor
+checks that the darts of a list or tuple are integers, stores alpha and
+sigma in the compact form below, and checks on that form that they are
+permutations, alpha a fixed-point-free involution and root a dart.  Then
+one walk over the darts does the rest, in breadth-first order from the
+root: it labels the darts and writes the code, which covers every dart
+exactly when the map is connected; it counts the cycles of sigma and of
+phi, each at its first dart, whose counts satisfy Euler's relation exactly
+when the map has genus 0; and it measures the root face, walked first,
+whose degree the generators read from every parent map.  The orbit lists
+and labellings (vertices, faces, vertex_of, face_of) are computed on first
+use and kept.  The root face and the inverse of sigma are computed each
+time they are asked for and not kept.  Instances are immutable.
 
 sigma and alpha send each dart d to sigma[d] and alpha[d]; the code is
 n_darts followed by the breadth-first labels of sigma, then of alpha, over
@@ -37,7 +39,9 @@ functional equations):
 * insert_root_edge(k) draws a new root edge inside the root face, starting
   in the corner just after the root dart, whose other end lands k corners
   further along the face walk (k = 0..root_face_degree); the result has
-  root-face degree k + 1;
+  root-face degree k + 1.  insertions(ks) gives the results for every k of
+  ks from one walk along the root face, and insert_root_edge(k) is its
+  one-element case;
 * join_by_root_edge(m1, m2) adds an isthmus root edge between the root
   corners of m1 and m2; the result has root-face degree df(m1) + df(m2) + 2.
 
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import eq, ne
 
 
 class MapError(ValueError):
@@ -68,10 +73,11 @@ _BYTE_DARTS = 256
 
 
 def _compact(values, n):
-    """values, ints in 0..n, as a map on n darts stores its darts and code
-    and potts its keys of multigraphs on n vertices: bytes when
-    n < _BYTE_DARTS, so that each value fits a byte, and a tuple otherwise.
-    Given bytes with n < _BYTE_DARTS, returns that object itself."""
+    """values, ints in 0..n, as a map on n darts stores its darts and code:
+    bytes when n < _BYTE_DARTS, so that each value fits a byte, and a tuple
+    otherwise.  Given bytes with n < _BYTE_DARTS, returns that object
+    itself; given a value that does not fit a byte there, raises
+    ValueError."""
     return bytes(values) if n < _BYTE_DARTS else tuple(values)
 
 
@@ -79,6 +85,24 @@ def _compact(values, n):
 def _standard_alpha(n_darts):
     """The involution (1, 0, 3, 2, ...) on n_darts darts, shared by maps."""
     return tuple(d ^ 1 for d in range(n_darts))
+
+
+@lru_cache(maxsize=None)
+def _shift_table(shift):
+    """The bytes.translate table that adds shift to every byte below
+    _BYTE_DARTS - shift."""
+    return bytes(range(shift, _BYTE_DARTS)) + bytes(shift)
+
+
+@lru_cache(maxsize=None)
+def _dart_set(n_darts):
+    """The darts 0..n_darts-1, as a frozenset, which a permutation's images
+    form exactly when they are n_darts distinct values, each below n_darts
+    and none negative."""
+    return frozenset(range(n_darts))
+
+
+_NOT_PERMUTATIONS = "alpha and sigma must be permutations of 0..n_darts-1"
 
 
 def _orbits(perm):
@@ -113,14 +137,31 @@ def _cycle_labels(perm):
     return label
 
 
-def _cycle_counts(alpha, sigma):
-    """The numbers of cycles of sigma and of phi = sigma o alpha, counted in
-    one sweep over the darts."""
-    n = len(sigma)
+def _walk(alpha, sigma, root):
+    """One pass over the darts reachable from root, in the order of the
+    breadth-first walk from root (sigma before alpha), which labels each
+    dart it reaches by its position in the walk.  Returns the reached darts
+    in walk order; the code, stored by _compact: n_darts, then
+    label[sigma[d]] and then label[alpha[d]] for each reached dart d in walk
+    order; the numbers of cycles of sigma and of phi = sigma o alpha met on
+    the way, each counted at its first dart in walk order; and the length
+    of the root face, the phi-orbit of alpha(root), walked first."""
+    n = len(alpha)
     on_vertex = [False] * n
     on_face = [False] * n
-    vertices = faces = 0
-    for d in range(n):
+    d = alpha[root]
+    root_face_degree = 0
+    while not on_face[d]:
+        on_face[d] = True
+        root_face_degree += 1
+        d = sigma[alpha[d]]
+    vertices, faces = 0, 1
+    label = [-1] * n
+    label[root] = 0
+    order = [root]
+    code = [n]
+    alf = []
+    for d in order:
         if not on_vertex[d]:
             vertices += 1
             e = d
@@ -133,21 +174,6 @@ def _cycle_counts(alpha, sigma):
             while not on_face[e]:
                 on_face[e] = True
                 e = sigma[alpha[e]]
-    return vertices, faces
-
-
-def _bfs(alpha, sigma, root):
-    """The breadth-first walk from root (sigma before alpha), which labels
-    each dart it reaches by its position in the walk.  Returns the reached
-    darts in walk order and the code, stored by _compact: n_darts, then
-    label[sigma[d]] and then label[alpha[d]] for each reached dart d in
-    walk order."""
-    label = [-1] * len(alpha)
-    label[root] = 0
-    order = [root]
-    code = [len(alpha)]
-    alf = []
-    for d in order:
         e = sigma[d]
         if label[e] < 0:
             label[e] = len(order)
@@ -159,7 +185,7 @@ def _bfs(alpha, sigma, root):
             order.append(e)
         alf.append(label[e])
     code += alf
-    return order, _compact(code, len(alpha))
+    return order, _compact(code, n), vertices, faces, root_face_degree
 
 
 def _phi(m):
@@ -183,20 +209,6 @@ def _root_face(m):
     return tuple(cyc[i:] + cyc[:i])
 
 
-def _root_face_degree(m):
-    """The length of the phi-orbit of alpha(root), counted along the walk
-    of _root_face without building it; 0 for the atomic map."""
-    if m.is_atomic:
-        return 0
-    sigma, alpha = m.sigma, m.alpha
-    start = alpha[m.root]
-    d, n = sigma[alpha[start]], 1
-    while d != start:
-        d = sigma[alpha[d]]
-        n += 1
-    return n
-
-
 def _inv_sigma(m):
     """sigma^-1, as a list."""
     out = [0] * m.n_darts
@@ -211,7 +223,6 @@ _ON_FIRST_USE = {
     "faces": lambda m: _orbits(_phi(m)) if m.n_darts else [()],
     "vertex_of": lambda m: _cycle_labels(m.sigma),
     "face_of": lambda m: _cycle_labels(_phi(m)),
-    "root_face_degree": _root_face_degree,
 }
 
 
@@ -220,14 +231,15 @@ class RootedMap:
 
     Set by the constructor: n_darts, alpha, sigma, root, code (the canonical
     code: the breadth-first relabelling from the root, so two maps have
-    equal codes iff they are equal as rooted maps), n_vertices and n_faces.
-    sigma, alpha (unless it is the shared standard involution) and code are
-    bytes below 256 darts and tuples from 256 up; from_code takes either.
-    A bytes alpha or sigma given to the constructor is kept as it is, so
-    m.dual() shares the alpha of m.
+    equal codes iff they are equal as rooted maps), n_vertices, n_faces
+    and root_face_degree.  alpha and sigma may be given as lists, tuples,
+    bytes or bytearrays.  sigma, alpha (unless it is the shared standard
+    involution) and code are bytes below 256 darts and tuples from 256 up;
+    from_code takes either.  A bytes alpha or sigma given to the
+    constructor is kept as it is, so m.dual() shares the alpha of m.
     Computed on first use and kept: vertices (sigma-orbits, tuples of
     darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
-    face_of (dart -> index into vertices and faces), and root_face_degree.
+    face_of (dart -> index into vertices and faces).
     Computed each time and not kept: root_face (the phi-orbit of
     alpha(root), as it appears in faces).
     """
@@ -237,9 +249,6 @@ class RootedMap:
                  "root_face_degree")
 
     def __init__(self, alpha, sigma, root):
-        given_alpha, given_sigma = alpha, sigma
-        alpha = tuple(alpha)
-        sigma = tuple(sigma)
         n = len(alpha)
         if len(sigma) != n or n % 2:
             raise MapError("alpha and sigma must be permutations of an even dart set")
@@ -249,40 +258,43 @@ class RootedMap:
             self.n_darts, self.alpha, self.root = 0, (), None
             self.sigma = _compact((), 0)
             self.code, self.n_vertices, self.n_faces = _compact((0,), 0), 1, 1
+            self.root_face_degree = 0
             return
         standard = _standard_alpha(n)
         # bool is an int subclass and 1.0 == 1: both would pass the checks
-        # below.  The shared standard tuple holds ints, so it is exempt, but
-        # a tuple merely equal to it is not.
-        types = set(map(type, sigma))
-        if alpha is not standard:
-            types.update(map(type, alpha))
-        if types != {int}:
-            raise MapError("darts must be of type int")
-        darts = list(range(n))
+        # below.  Bytes hold ints only, so for them this check is vacuous.
+        # The shared standard tuple holds ints, so it is exempt, but a tuple
+        # merely equal to it is not.
+        for perm in (sigma,) if alpha is standard else (alpha, sigma):
+            if (not isinstance(perm, (bytes, bytearray))
+                    and set(map(type, perm)) != {int}):
+                raise MapError("darts must be of type int")
+        # every check below reads the compact form, which _compact refuses
+        # to make of a value that does not fit a byte; a bytes input is kept
+        # as it is, not copied
+        try:
+            sigma = _compact(sigma, n)
+            if alpha is not standard:
+                alpha = _compact(alpha, n)
+        except ValueError:
+            raise MapError(_NOT_PERMUTATIONS) from None
         # the standard involution needs no check, and maps share its tuple
-        is_standard = alpha is standard or alpha == standard
+        is_standard = alpha is standard or alpha == _compact(standard, n)
         if is_standard:
             alpha = standard
-        if not is_standard and sorted(alpha) != darts or sorted(sigma) != darts:
-            raise MapError("alpha and sigma must be permutations of 0..n_darts-1")
-        if not is_standard and any(alpha[alpha[d]] != d or alpha[d] == d
-                                   for d in darts):
+        darts = _dart_set(n)
+        if not (is_standard or set(alpha) == darts) or set(sigma) != darts:
+            raise MapError(_NOT_PERMUTATIONS)
+        if not is_standard and (any(map(eq, alpha, range(n))) or any(
+                map(ne, map(alpha.__getitem__, alpha), range(n)))):
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
-        # _compact keeps a bytes input as it is, not copied
-        if not is_standard:
-            alpha = _compact(
-                given_alpha if type(given_alpha) is bytes else alpha, n)
-        sigma = _compact(
-            given_sigma if type(given_sigma) is bytes else sigma, n)
         self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
-        _, self.code = _bfs(alpha, sigma, root)
-        # the code covers the darts reachable from the root, two entries each
-        if len(self.code) != 2 * n + 1:
+        (order, self.code, self.n_vertices, self.n_faces,
+         self.root_face_degree) = _walk(alpha, sigma, root)
+        if len(order) != n:
             raise MapError("rotation system is not connected")
-        self.n_vertices, self.n_faces = _cycle_counts(alpha, sigma)
         if self.n_vertices - n // 2 + self.n_faces != 2:
             raise MapError("rotation system has positive genus")
 
@@ -340,7 +352,7 @@ class RootedMap:
         iterates in walk order.  Empty for the atomic map."""
         if self.is_atomic:
             return {}
-        order, _ = _bfs(self.alpha, self.sigma, self.root)
+        order = _walk(self.alpha, self.sigma, self.root)[0]
         return {d: i for i, d in enumerate(order)}
 
     def relabelled(self) -> "RootedMap":
@@ -460,37 +472,47 @@ class RootedMap:
         k in 0..root_face_degree.  The result has root-face degree k + 1.
         Inverted by delete_root_edge.
         """
+        return self.insertions((k,))[0]
+
+    def insertions(self, ks) -> list:
+        """[self.insert_root_edge(k) for k in ks], from one walk along the
+        root face.
+
+        The new root dart a = n_darts follows the old root r around its
+        vertex, and b = alpha(a) is put after a for k = 0, and otherwise
+        after alpha(x_k), where x_0 = alpha(r) and x_k = phi(x_(k-1)) walk
+        the root face; alpha(x_d) = r for the root-face degree d.  Below
+        256 darts each child edits a bytearray copy of the parent's sigma.
+        """
         d = self.root_face_degree
-        if not (0 <= k <= d):
-            raise MapError(f"insertion index {k} out of range 0..{d}")
+        ks = list(ks)
+        for k in ks:
+            if not 0 <= k <= d:
+                raise MapError(f"insertion index {k} out of range 0..{d}")
         n = self.n_darts
-        a, b = n, n + 1  # a becomes the new root dart, b = alpha(a)
+        a, b = n, n + 1
         if self.alpha is _standard_alpha(n):
             alpha = _standard_alpha(n + 2)
         else:
             alpha = list(self.alpha) + [b, a]
         if self.is_atomic:
-            return RootedMap(alpha, [1, 0], a)
-        sigma = list(self.sigma) + [0, 0]
-        r = self.root
-        s = self.sigma[r]
-        if k == 0:
-            # b immediately after a: the new edge is a loop enclosing nothing
-            sigma[r], sigma[a], sigma[b] = a, b, s
-        elif k == d:
-            # b immediately before a: the loop encloses the whole root face
-            sigma[r], sigma[b], sigma[a] = b, a, s
-        else:
-            # walk the root face to its k-th dart x_k; b lands in the corner
-            # between alpha(x_k) and phi(x_k)
-            x = self.alpha[r]
-            for _ in range(k):
-                x = self.sigma[self.alpha[x]]
-            p = self.alpha[x]
-            sigma[r], sigma[a] = a, s
-            sigma[b] = sigma[p]
-            sigma[p] = b
-        return RootedMap(alpha, sigma, a)
+            return [RootedMap(alpha, (1, 0), a) for _ in ks]
+        r, sigma, old_alpha = self.root, self.sigma, self.alpha
+        after = [a]  # after[k]: the dart that b follows for index k
+        p = r
+        for _ in range(max(ks, default=0)):
+            p = old_alpha[sigma[p]]
+            after.append(p)
+        base = bytearray(n + 2) if n + 2 < _BYTE_DARTS else [0] * (n + 2)
+        base[:n] = sigma
+        base[r], base[a] = a, sigma[r]  # a follows r in every child
+        children = []
+        for k in ks:
+            child = base.copy()
+            p = after[k]
+            child[b], child[p] = child[p], b
+            children.append(RootedMap(alpha, child, a))
+        return children
 
     @staticmethod
     def join_by_root_edge(m1: "RootedMap", m2: "RootedMap") -> "RootedMap":
@@ -498,7 +520,9 @@ class RootedMap:
 
         The new edge runs from the root corner of m1 to the root corner of
         m2; the result has root-face degree df(m1) + df(m2) + 2 and its root
-        edge is an isthmus.  Inverted by delete_root_edge.
+        edge is an isthmus.  Inverted by delete_root_edge.  Below 256 darts
+        the result's sigma is a bytearray: m1's sigma, then m2's shifted by
+        n1 through a translation table.
         """
         n1, n2 = m1.n_darts, m2.n_darts
         a, b = n1 + n2, n1 + n2 + 1
@@ -506,7 +530,12 @@ class RootedMap:
             alpha = _standard_alpha(n1 + n2 + 2)
         else:
             alpha = list(m1.alpha) + [x + n1 for x in m2.alpha] + [b, a]
-        sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [0, 0]
+        if b < _BYTE_DARTS:
+            sigma = bytearray(m1.sigma)
+            sigma += m2.sigma.translate(_shift_table(n1))
+            sigma += b"\0\0"
+        else:
+            sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [0, 0]
         if m1.is_atomic:
             sigma[a] = a
         else:

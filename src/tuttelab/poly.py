@@ -410,12 +410,16 @@ class MultiPoly:
         return self._d == other._d and a == b
 
     def __hash__(self):
+        # hashed over the live variables, sorted, so that equal polynomials
+        # hash equal; the terms are rekeyed only when those are not vars
+        vars_, terms = self.vars, self._t
         live = self._live()
-        vars_ = tuple(sorted((self.vars[i] for i in live), key=_var_key))
+        if len(live) < len(vars_) or vars_ != _union(vars_, ()):
+            vars_ = tuple(sorted((vars_[i] for i in live), key=_var_key))
+            terms = _repack(terms, self.vars, vars_)
         if not vars_:  # a constant equals, so hashes like, its scalar
             return hash(self.constant_value())
-        canon = _repack(self._t, self.vars, vars_)
-        return hash((vars_, self._d, frozenset(canon.items())))
+        return hash((vars_, self._d, frozenset(terms.items())))
 
     def __bool__(self):
         return bool(self._t)
@@ -423,7 +427,7 @@ class MultiPoly:
     def _live(self) -> list:
         """Indices of the variables that occur with a nonzero exponent."""
         shifts, off, _, _ = _fields(len(self.vars))
-        seen = reduce(or_, ((k + off) ^ off for k in self._t), 0)
+        seen = reduce(or_, map(off.__xor__, map(off.__add__, self._t)), 0)
         return [i for i, s in enumerate(shifts) if (seen >> s) & _MASK]
 
     # -- coefficient extraction ----------------------------------------------

@@ -19,9 +19,9 @@ whose two minors are reduced by the rules again.  The recursion, the
 interpolation route, the Tutte polynomial and P read from it are each
 memoised on one key of the labelled multigraph, built by _graph_key
 alone: (v, edges), with v the vertex count and edges the sorted edge
-pairs, each low end first, flattened and stored by maps._compact (bytes
-below 256 vertices, a tuple from 256 up).  No isomorphism search is
-made.  What limits the size of a graph is the cost of
+pairs, each low end first, flattened and stored as maps._compact stores
+darts (bytes below 256 vertices, a tuple from 256 up).  No isomorphism
+search is made.  What limits the size of a graph is the cost of
 deletion-contraction on its core and the size of the result, which is
 dense: the star with 255 leaves has no core, and its
 P = q (q + nu - 1)^255 has 32,896 terms.
@@ -38,10 +38,12 @@ one route to P never goes through the key.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from functools import lru_cache
 
-from tuttelab.maps import RootedMap, _compact, _cycle_labels, _standard_alpha
+from tuttelab.maps import (_BYTE_DARTS, RootedMap, _cycle_labels,
+                           _standard_alpha)
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
 NU = MultiPoly.var("nu")
@@ -141,10 +143,15 @@ def _factor(isolated, loops, pendant):
 def _graph_key(v, ends):
     """The memo key of the multigraph on vertices 0..v-1 whose edges join
     ends[0] to ends[1], ends[2] to ends[3], and so on: v, and the edges
-    sorted, each low end first, flattened and stored by maps._compact."""
-    edges = [(a, b) if a <= b else (b, a) for a, b in _pairs(ends)]
-    edges.sort()
-    return v, _compact(itertools.chain.from_iterable(edges), v)
+    sorted, each low end first, flattened and stored as maps._compact
+    stores darts.  Below 256 vertices an edge (a, b) sorts as the int
+    a << 8 | b, whose two big-endian bytes are a and b."""
+    if v < _BYTE_DARTS:
+        edges = sorted([a << 8 | b if a <= b else b << 8 | a
+                        for a, b in _pairs(ends)])
+        return v, struct.pack(f">{len(edges)}H", *edges)
+    edges = sorted([(a, b) if a <= b else (b, a) for a, b in _pairs(ends)])
+    return v, tuple(itertools.chain.from_iterable(edges))
 
 
 def _pairs(ends):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import tracemalloc
@@ -34,6 +35,17 @@ def test_all_maps_distinct_and_sized():
         assert all(m.n_edges == n for m in maps)
 
 
+def _fill_free_lists():
+    """Fill the interpreter's free lists of tuples (up to 2,000 of each
+    length below 20), lists, dicts and floats, by freeing more of each than
+    a list holds."""
+    held = [tuple(range(size)) for size in range(1, 20) for _ in range(2100)]
+    held += [[] for _ in range(100)]
+    held += [{} for _ in range(100)]
+    held += [float(i) for i in range(200)]
+    del held
+
+
 def test_generated_maps_are_lean():
     assert not hasattr(all_maps(3)[5], "__dict__")
     for listed in (all_maps, four_valent, quadrangulations):
@@ -42,11 +54,18 @@ def test_generated_maps_are_lean():
         all_maps(n)
     for m in generate.stream("all_maps", 5):  # fill the potts memo
         potts(m)
-    # one pass of each radial family first, so that the interpreter's free
-    # lists of short-lived tuples are full before memory is counted
+    # one pass of each radial family first, so that the small caches of
+    # the maps module hold their sizes before memory is counted
     for family in ("four_valent", "quadrangulations"):
         for m in generate.stream(family, 5):
             pass
+    # what tracemalloc counts below must not depend on what ran before: a
+    # full collection empties the interpreter's free lists, and objects
+    # freed onto a list that has room stay counted, so the lists are filled
+    # again and no collection runs while memory is counted
+    gc.collect()
+    gc.disable()
+    _fill_free_lists()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -69,6 +88,7 @@ def test_generated_maps_are_lean():
         as_parents = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
+        gc.enable()
     # bytes per map, measured at 234 for all_maps(5) and 317 for each radial
     # family (Python 3.11), each bound about 25-30 % above
     assert retained / len(maps) < 300

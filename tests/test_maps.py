@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tuttelab.bijections import mullin_decode
 from tuttelab.generate import (LIST_CAP, all_bipolar_orientations, all_maps,
@@ -106,6 +106,185 @@ def test_statistics_match_walks():
 @given(rooted_maps())
 def test_statistics_match_walks_on_random_maps(m):
     assert_statistics_match_walks(m)
+
+
+def reference_walk(alpha, sigma, root):
+    """code, n_vertices, n_faces and root_face_degree of a connected
+    rotation system, each by its own walk: a breadth-first walk from root
+    (sigma before alpha) for the code, one sweep over the darts for each
+    orbit count, and a walk along the root face, the phi-orbit of
+    alpha(root)."""
+    label, order = {root: 0}, [root]
+    for d in order:
+        for e in (sigma[d], alpha[d]):
+            if e not in label:
+                label[e] = len(order)
+                order.append(e)
+    code = (len(alpha), *[label[sigma[d]] for d in order],
+            *[label[alpha[d]] for d in order])
+    phi = [sigma[alpha[d]] for d in range(len(alpha))]
+    start, degree = alpha[root], 1
+    d = phi[start]
+    while d != start:
+        d, degree = phi[d], degree + 1
+    return {"code": code, "n_vertices": len(walked_orbits(sigma)),
+            "n_faces": len(walked_orbits(phi)), "root_face_degree": degree,
+            "bfs_labels": label}
+
+
+@settings(deadline=None)
+@given(rooted_maps(), st.sampled_from([list, tuple, bytes, bytearray]))
+def test_one_walk_matches_separate_walks(m, kind):
+    assume(not m.is_atomic)
+    expected = reference_walk(list(m.alpha), list(m.sigma), m.root)
+    for built in (m, RootedMap(kind(m.alpha), kind(m.sigma), m.root)):
+        assert tuple(built.code) == expected["code"]
+        for name in ("n_vertices", "n_faces", "root_face_degree"):
+            assert getattr(built, name) == expected[name], name
+        labels = built.bfs_labels()
+        assert labels == expected["bfs_labels"]
+        assert list(labels) == list(expected["bfs_labels"])
+
+
+# (alpha, sigma, root, message) for each check of the constructor
+REJECTED = [
+    ((1, 0, 3, 2), (1, 2, 3), 0,
+     "alpha and sigma must be permutations of an even dart set"),
+    ((1, 0, 2), (1, 2, 0), 0,
+     "alpha and sigma must be permutations of an even dart set"),
+    ((), (), 0, "atomic map has root None"),
+    ((1, 0, 3, 2), (1, 1, 3, 0), 0,
+     "alpha and sigma must be permutations of 0..n_darts-1"),
+    ((1, 0, 3, 2), (1, 4, 3, 0), 0,
+     "alpha and sigma must be permutations of 0..n_darts-1"),
+    ((1, 0, 0, 2), (1, 2, 3, 0), 0,
+     "alpha and sigma must be permutations of 0..n_darts-1"),
+    ((1, 2, 3, 0), (1, 2, 3, 0), 0,
+     "alpha must be a fixed-point-free involution"),
+    ((0, 1, 3, 2), (1, 2, 3, 0), 0,
+     "alpha must be a fixed-point-free involution"),
+    ((1, 0, 3, 2), (1, 2, 3, 0), 4, "root must be a dart"),
+    ((1, 0, 3, 2), (1, 2, 3, 0), -1, "root must be a dart"),
+    ((1, 0, 3, 2), (1, 2, 3, 0), None, "root must be a dart"),
+    ((1, 0, 3, 2), (1, 2, 3, 0), True, "root must be a dart"),
+    ((1, 0, 3, 2), (1, 2, 3, 0), 0.0, "root must be a dart"),
+    ((1, 0, 3, 2), (0, 1, 2, 3), 0, "rotation system is not connected"),
+    ((1, 0, 3, 2), (0, 1, 2, 3), 2, "rotation system is not connected"),
+    # one vertex, two edges crossing at it: the torus
+    ((1, 0, 3, 2), (2, 3, 1, 0), 0, "rotation system has positive genus"),
+]
+
+
+def bad_darts(n, value):
+    """(alpha, sigma) on n darts, n even: the standard involution and the
+    cycle (0 1 ... n-1), one vertex with n // 2 + 1 faces around it, but
+    with value in place of sigma(0) = 1."""
+    sigma = [(d + 1) % n for d in range(n)]
+    sigma[0] = value
+    return list(_standard_alpha(n)), sigma
+
+
+@pytest.mark.parametrize("kind", [list, tuple, bytes, bytearray])
+def test_every_rejection_for_every_container(kind):
+    for alpha, sigma, root, message in REJECTED:
+        with pytest.raises(MapError) as err:
+            RootedMap(kind(alpha), kind(sigma), root)
+        assert str(err.value) == message
+    # a bool or a float dart, which bytes cannot hold, beside a
+    # permutation of each kind
+    typed = "darts must be of type int"
+    for bad in ([1.0, 0.0, 3, 2], [True, False, 3, 2], (1, 0, 3.0, 2)):
+        for alpha, sigma in ((bad, kind((1, 2, 3, 0))),
+                             (kind((1, 0, 3, 2)), bad)):
+            with pytest.raises(MapError, match=typed):
+                RootedMap(alpha, sigma, 0)
+    # a repeated or out-of-range dart on either side of 256 darts, where
+    # the compact form turns from bytes to a tuple; bytes hold darts up to
+    # 255, so 256 of them at most
+    for n in (254, 256, 258):
+        held = range(256) if kind in (bytes, bytearray) else range(-1, 301)
+        if n - 1 not in held:
+            continue
+        for value in (2, n, -1, 300):
+            if value in held:
+                alpha, sigma = bad_darts(n, value)
+                with pytest.raises(MapError, match="permutations of 0"):
+                    RootedMap(kind(alpha), kind(sigma), 0)
+        alpha, sigma = bad_darts(n, 1)
+        assert RootedMap(kind(alpha), kind(sigma), 0).n_faces == n // 2 + 1
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_insertions_are_the_one_element_insertions(data):
+    m = data.draw(rooted_maps())
+    d = m.root_face_degree
+    ks = data.draw(st.lists(st.integers(0, d), max_size=d + 3))
+    children = m.insertions(ks)
+    assert children == [m.insert_root_edge(k) for k in ks]
+    assert [c.root_face_degree for c in children] == [k + 1 for k in ks]
+    with pytest.raises(MapError, match="out of range"):
+        m.insertions([*ks, d + 1])
+
+
+def reference_insert(m, k):
+    """(alpha, sigma, root) of m.insert_root_edge(k), as lists, by the
+    convention of the maps module: the new root dart a follows the old root
+    around its vertex, and b = alpha(a) lands k corners further along the
+    root-face walk."""
+    n = m.n_darts
+    a, b = n, n + 1
+    alpha = list(m.alpha) + [b, a]
+    if m.is_atomic:
+        return alpha, [1, 0], a
+    sigma = list(m.sigma) + [0, 0]
+    r = m.root
+    s = sigma[r]
+    if k == 0:
+        sigma[r], sigma[a], sigma[b] = a, b, s
+    elif k == m.root_face_degree:
+        sigma[r], sigma[b], sigma[a] = b, a, s
+    else:
+        x = m.alpha[r]
+        for _ in range(k):
+            x = m.sigma[m.alpha[x]]
+        p = m.alpha[x]
+        sigma[r], sigma[a] = a, s
+        sigma[b], sigma[p] = sigma[p], b
+    return alpha, sigma, a
+
+
+def reference_join(m1, m2):
+    """(alpha, sigma, root) of RootedMap.join_by_root_edge(m1, m2), as
+    lists: an isthmus from the root corner of m1 to that of m2."""
+    n1, n2 = m1.n_darts, m2.n_darts
+    a, b = n1 + n2, n1 + n2 + 1
+    alpha = list(m1.alpha) + [x + n1 for x in m2.alpha] + [b, a]
+    sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [a, b]
+    for r, d in ((m1.root, a), (None if m2.is_atomic else m2.root + n1, b)):
+        if r is not None:
+            sigma[d], sigma[r] = sigma[r], d
+    return alpha, sigma, a
+
+
+def test_surgery_matches_the_reference_across_256_darts():
+    # parents of 252, 254 and 256 darts, so children of 254, 256 and 258
+    big = bouquet(127)
+    grown = bouquet(126).insertions([0, 1])[1].insertions([0, 1, 2])
+    parents = [bouquet(126), big, big.insertions([1])[0], *grown]
+    for m in parents:
+        children = m.insertions(range(m.root_face_degree + 1))
+        for k, child in enumerate(children):
+            assert tuple(child.code) == reference_walk(
+                *reference_insert(m, k))["code"]
+    for m1, m2 in ((bouquet(63), bouquet(63)), (bouquet(63), bouquet(64)),
+                   (big, RootedMap.atomic()), (RootedMap.atomic(), big),
+                   (grown[2], RootedMap.loop()), (big, RootedMap.link())):
+        joined = RootedMap.join_by_root_edge(m1, m2)
+        assert tuple(joined.code) == reference_walk(
+            *reference_join(m1, m2))["code"]
+        assert type(joined.sigma) is (bytes if joined.n_darts < 256
+                                      else tuple)
 
 
 def separable_by_cut_vertices(m):

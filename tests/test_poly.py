@@ -131,6 +131,24 @@ def polys_in(draw, names=("q", "nu", "x", "y", "u")):
     return MultiPoly(vars_, draw(st.dictionaries(exps, scalars, max_size=4)))
 
 
+@settings(deadline=None)
+@given(polys_in(), st.permutations(("q", "nu", "x", "y", "u", "w")))
+def test_equal_polynomials_hash_equal_over_any_variables(p, wide):
+    # the same polynomial over its own variables reversed, over six
+    # variables in any order (some of them dead), and over its live
+    # variables only; a constant hashes like its scalar
+    live = tuple(v for v in p.vars if any(
+        e[p.vars.index(v)] for e, _ in p.terms()))
+    same = [MultiPoly(p.vars[::-1], {e[::-1]: c for e, c in p.terms()}),
+            p.in_vars(wide), p.in_vars(live),
+            p + MultiPoly.var("w") - MultiPoly.var("w")]
+    for other in same:
+        assert other == p and hash(other) == hash(p)
+    if not live:
+        c = p.constant_value()
+        assert hash(p) == hash(c) and p in {c}
+
+
 @given(st.lists(st.one_of(polys_in(), scalars), max_size=6))
 def test_sum_is_the_left_fold(ps):
     fold = MultiPoly.zero()

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import tuttelab.potts as potts_mod
 
@@ -245,3 +245,17 @@ def test_interpolation_is_memoised_on_the_labelled_multigraph():
         assert all(potts_by_interpolation(m) is first for m in g[1:])
     assert max(len(g) for g in groups.values()) > 1
     assert potts_mod._interpolated.cache_info().misses == len(groups)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_graph_key_is_the_flattened_sorted_edges(data):
+    # bytes below 256 vertices, one byte an end, and a tuple from 256 up
+    v = data.draw(st.integers(1, 300))
+    ends = data.draw(st.lists(st.integers(0, v - 1), max_size=12))
+    ends = ends[:len(ends) // 2 * 2]
+    pairs = sorted(tuple(sorted(ends[i:i + 2]))
+                   for i in range(0, len(ends), 2))
+    flat = [x for pair in pairs for x in pair]
+    key = potts_mod._graph_key(v, ends)
+    assert key == (v, bytes(flat) if v < 256 else tuple(flat))
