@@ -29,7 +29,9 @@ leaves, and the two left unmatched form the root edge.
 
 from __future__ import annotations
 
-from tuttelab.maps import MapError, RootedMap
+from operator import eq, ne
+
+from tuttelab.maps import MapError, RootedMap, _compact
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
                             LabelledTree)
 
@@ -528,6 +530,10 @@ def ising_subdivide(m: RootedMap, colouring, counts):
     monochromatic edge needs an odd count and every bichromatic edge an
     even one, so the result is properly bicoloured (and bipartite).
 
+    The bicolouring is checked on the darts of the result: each dart must
+    have the colour of its sigma-successor (one colour per vertex) and not
+    that of its alpha-partner (two colours per edge).
+
     Returns (map, colouring, squares): vertex colours of the new map and
     the set of its square-vertex indices.
     """
@@ -540,34 +546,37 @@ def ising_subdivide(m: RootedMap, colouring, counts):
         raise BijectionError("one subdivision count per edge required")
     sigma = list(m.sigma)
     alpha = list(m.alpha)
-    dart_colour = {d: colouring[m.vertex_of[d]] for d in range(m.n_darts)}
+    dart_colour = list(map(colouring.__getitem__, m.vertex_of))
     for k, (d1, d2) in enumerate(edges):
         c = counts[k]
-        mono = colouring[m.vertex_of[d1]] == colouring[m.vertex_of[d2]]
+        col = dart_colour[d1]
+        mono = col == dart_colour[d2]
         if c < 0 or c % 2 != (1 if mono else 0):
             raise BijectionError(
                 f"edge {k} needs an {'odd' if mono else 'even'} count")
         if c == 0:
             continue
         prev = d1
-        col = colouring[m.vertex_of[d1]]
         for _ in range(c):
             a, b = len(sigma), len(sigma) + 1
             sigma.extend((b, a))
-            alpha.extend((prev, None))
+            alpha.extend((prev, 0))  # alpha[b] is set by the next step
             alpha[prev] = a
             col = 1 - col
-            dart_colour[a] = col
-            dart_colour[b] = col
+            dart_colour.extend((col, col))
             prev = b
         alpha[prev] = d2
         alpha[d2] = prev
-    m2 = RootedMap(alpha, sigma, m.root)
-    col2 = [dart_colour[cyc[0]] for cyc in m2.vertices]
-    for d in range(m2.n_darts):
-        if col2[m2.vertex_of[d]] == col2[m2.vertex_of[m2.alpha[d]]]:
-            raise BijectionError("subdivision is not properly bicoloured")
-    squares = frozenset(i for i, cyc in enumerate(m2.vertices)
+    colour_of = dart_colour.__getitem__
+    if (any(map(ne, map(colour_of, sigma), dart_colour))
+            or any(map(eq, map(colour_of, alpha), dart_colour))):
+        raise BijectionError("subdivision is not properly bicoloured")
+    # bytes below 256 darts, which the constructor keeps without a type check
+    m2 = RootedMap(_compact(alpha, len(alpha)), _compact(sigma, len(sigma)),
+                   m.root)
+    vertices = m2.vertices
+    col2 = [dart_colour[cyc[0]] for cyc in vertices]
+    squares = frozenset(i for i, cyc in enumerate(vertices)
                         if cyc[0] >= m.n_darts)
     return m2, col2, squares
 
@@ -575,24 +584,27 @@ def ising_subdivide(m: RootedMap, colouring, counts):
 def ising_erase(m: RootedMap, squares):
     """Erase a set of degree-2 vertices by splicing their two incident
     edges together; inverse of ising_subdivide."""
-    squares = set(squares)
-    sq_darts = set()
+    on_square = bytearray(m.n_darts)
     for v in squares:
-        if len(m.vertices[v]) != 2:
+        cyc = m.vertices[v]
+        if len(cyc) != 2:
             raise BijectionError("square vertices must have degree 2")
-        sq_darts.update(m.vertices[v])
-    if m.vertex_of[m.root] in squares:
+        on_square[cyc[0]] = on_square[cyc[1]] = 1
+    if on_square[m.root]:
         raise BijectionError("cannot erase the root vertex")
-    kept = [d for d in range(m.n_darts) if d not in sq_darts]
-    new_id = {d: i for i, d in enumerate(kept)}
+    kept = [d for d in range(m.n_darts) if not on_square[d]]
+    new_id = [0] * m.n_darts
+    for i, d in enumerate(kept):
+        new_id[d] = i
     alpha = []
     for d in kept:
         a = m.alpha[d]
-        while a in sq_darts:
+        while on_square[a]:
             a = m.alpha[m.sigma[a]]
         alpha.append(new_id[a])
     sigma = [new_id[m.sigma[d]] for d in kept]
-    return RootedMap(alpha, sigma, new_id[m.root])
+    return RootedMap(_compact(alpha, len(kept)), _compact(sigma, len(kept)),
+                     new_id[m.root])
 
 
 def ising_series_identity(order: int = 4):

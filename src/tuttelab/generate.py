@@ -8,9 +8,10 @@ face, or two smaller maps of the family joined by a new isthmus root edge.
 Deletion inverts both, so each map arises once.  They differ only in the
 insertion indices allowed: all_maps takes all of them, bipartite_maps the
 odd ones, near_angulations(n, p) the one that closes an inner p-gon.  The
-other standard sub-families are derived from these: quadrangulations and
-4-valent maps map the maps of all_maps, and the near-triangulations, the
-Eulerian and the non-separable ones filter those of near_angulations(e, 3).
+other standard sub-families are derived from these: 4-valent maps map the
+maps of all_maps and quadrangulations the 4-valent maps, and the
+near-triangulations, the Eulerian and the non-separable ones filter those
+of near_angulations(e, 3).
 
 stream(family, n, ...) checks the cap and yields the maps of any family
 of the table unsorted, built from the memoised lists of the smaller sizes
@@ -82,8 +83,9 @@ def _root_edge_recursion(n, smaller, indices):
 # family -> (what its size n counts, its cap on n, (n, *args) -> its maps,
 # unsorted).  The root-edge families read their memoised lists of smaller
 # sizes, looked up by name when a stream starts; the others map or filter
-# a stream of all_maps or of near_angulations(e, 3), reading the sizes
-# below the top from its memoised lists.
+# a stream of all_maps, of four_valent (read from its list when one is held)
+# or of near_angulations(e, 3), reading the sizes below the top from its
+# memoised lists.
 FAMILIES = {
     "all_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
         n, all_maps, lambda d: range(d + 1))),
@@ -93,7 +95,7 @@ FAMILIES = {
         n, lambda e: near_angulations(e, p),
         lambda d: [d - p + 1] if d >= p - 1 else [])),
     "quadrangulations": ("faces", LIST_CAP, lambda n: (
-        m.radial().dual() for m in stream("all_maps", n) if not m.is_atomic)),
+        m.dual() for m in stream("four_valent", n))),
     "four_valent": ("vertices", LIST_CAP, lambda n: (
         m.radial() for m in stream("all_maps", n) if not m.is_atomic)),
     "near_triangulations": ("edges", LIST_CAP, lambda n: itertools.chain(

@@ -88,6 +88,13 @@ def _standard_alpha(n_darts):
 
 
 @lru_cache(maxsize=None)
+def _compact_standard(n_darts):
+    """_compact of the standard involution on n_darts darts: what a copy of
+    it reads as once the constructor has compacted it."""
+    return _compact(_standard_alpha(n_darts), n_darts)
+
+
+@lru_cache(maxsize=None)
 def _shift_table(shift):
     """The bytes.translate table that adds shift to every byte below
     _BYTE_DARTS - shift."""
@@ -279,7 +286,7 @@ class RootedMap:
         except ValueError:
             raise MapError(_NOT_PERMUTATIONS) from None
         # the standard involution needs no check, and maps share its tuple
-        is_standard = alpha is standard or alpha == _compact(standard, n)
+        is_standard = alpha is standard or alpha == _compact_standard(n)
         if is_standard:
             alpha = standard
         darts = _dart_set(n)

@@ -26,13 +26,19 @@ read rows of brute_force_gf; the other closed-formula checks keep their
 own enumerator, and each says why.
 
 `run` uses two processes.  One worker process runs closed_forms, kernels,
-algebraic, desystems and bijections (WORKER_SUITES) while the calling
-process runs counts, potts and equations; the rows are merged in the order
-of the names.  The split follows the memos: the suites that share a memo
-sit on the same side, so each memo is still computed once.  Only the
-generated lists of maps and bipartite maps with at most 4 edges and of
-near-triangulations with at most 7 edges are built on both sides.  A run
-whose suites all sit on one side starts no worker.
+desystems and bijections (WORKER_SUITES) while the calling process runs
+algebraic, then counts, potts and equations; the rows are merged in the
+order of the names.  The split follows the memos: the suites that share a
+memo sit on the same side, so each memo is still computed once.  The
+generated lists that both sides hold are those of all_maps and
+bipartite_maps with at most 4 edges and of near_angulations(e, 3) with at
+most 6 edges.  The 7-edge near_angulations(7, 3) is built on both sides but
+held only by the worker: the calling side streams it.  algebraic builds no
+generated list and fills no memo of verify, potts or desystems, so it may
+run on either side.  It runs on the calling side, whose half is the
+shorter, and first there, so that its short-lived peak comes before that
+process holds any generated list.  A run whose suites all sit on one side
+starts no worker.
 """
 
 from __future__ import annotations
@@ -480,11 +486,12 @@ SUITES = {name: partial(_results, name, rows) for name, rows in (
 )}
 
 
-#: The suites that `run` hands to its worker process.  Suites that share a
-#: memo must sit on the same side of this set, or the memo is computed in
-#: both processes.
-WORKER_SUITES = frozenset({"closed_forms", "kernels", "algebraic",
-                           "desystems", "bijections"})
+#: The suites that `run` hands to its worker process, whose half takes
+#: longer.  Suites that share a memo must sit on the same side of this set,
+#: or the memo is computed in both processes.  algebraic shares nothing and
+#: holds no generated list, so it runs on the shorter, calling side, first.
+WORKER_SUITES = frozenset({"closed_forms", "kernels", "desystems",
+                           "bijections"})
 
 
 def _run_suites(names):
@@ -498,7 +505,8 @@ def run(names=None):
     every suite once; a name given twice repeats its rows, computed once.
 
     When the names fall on both sides of WORKER_SUITES, one worker process
-    runs the worker-side suites while this process runs the rest."""
+    runs the worker-side suites while this process runs the rest, algebraic
+    first."""
     for name in names or ():
         if name != "all" and name not in SUITES:
             raise KeyError(f"unknown verification suite {name!r}")
@@ -508,6 +516,8 @@ def run(names=None):
     remote = [name for name in unique if name in WORKER_SUITES]
     local = [name for name in unique if name not in WORKER_SUITES]
     if remote and local:
+        # algebraic first: its peak comes before the generated lists are held
+        local.sort(key="algebraic".__ne__)
         with ProcessPoolExecutor(max_workers=1) as pool:
             pending = pool.submit(_run_suites, remote)
             rows = _run_suites(local)

@@ -14,6 +14,7 @@ from tuttelab.bijections import (BijectionError, _closure_match,
                                  unbalanced_split)
 from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
                                quadrangulations)
+from tuttelab.maps import RootedMap
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
                             LabelledTree)
 from tuttelab.verify import roundtrip_cvs
@@ -247,8 +248,141 @@ def test_ising_subdivide_erase():
                 assert ising_erase(m2, squares) == m
 
 
+def _reference_ising_subdivide(m, colouring, counts):
+    """ising_subdivide as it was first written: darts coloured in a dict,
+    the bicolouring checked on the vertices of the result."""
+    edges = m.edges()
+    colouring = list(colouring)
+    counts = list(counts)
+    if len(colouring) != m.n_vertices or set(colouring) - {0, 1}:
+        raise BijectionError("colouring must give 0/1 per vertex")
+    if len(counts) != len(edges):
+        raise BijectionError("one subdivision count per edge required")
+    sigma = list(m.sigma)
+    alpha = list(m.alpha)
+    dart_colour = {d: colouring[m.vertex_of[d]] for d in range(m.n_darts)}
+    for k, (d1, d2) in enumerate(edges):
+        c = counts[k]
+        mono = colouring[m.vertex_of[d1]] == colouring[m.vertex_of[d2]]
+        if c < 0 or c % 2 != (1 if mono else 0):
+            raise BijectionError(
+                f"edge {k} needs an {'odd' if mono else 'even'} count")
+        if c == 0:
+            continue
+        prev = d1
+        col = colouring[m.vertex_of[d1]]
+        for _ in range(c):
+            a, b = len(sigma), len(sigma) + 1
+            sigma.extend((b, a))
+            alpha.extend((prev, None))
+            alpha[prev] = a
+            col = 1 - col
+            dart_colour[a] = col
+            dart_colour[b] = col
+            prev = b
+        alpha[prev] = d2
+        alpha[d2] = prev
+    m2 = RootedMap(alpha, sigma, m.root)
+    col2 = [dart_colour[cyc[0]] for cyc in m2.vertices]
+    for d in range(m2.n_darts):
+        if col2[m2.vertex_of[d]] == col2[m2.vertex_of[m2.alpha[d]]]:
+            raise BijectionError("subdivision is not properly bicoloured")
+    squares = frozenset(i for i, cyc in enumerate(m2.vertices)
+                        if cyc[0] >= m.n_darts)
+    return m2, col2, squares
+
+
+def _reference_ising_erase(m, squares):
+    """ising_erase as it was first written, on sets and a dict."""
+    squares = set(squares)
+    sq_darts = set()
+    for v in squares:
+        if len(m.vertices[v]) != 2:
+            raise BijectionError("square vertices must have degree 2")
+        sq_darts.update(m.vertices[v])
+    if m.vertex_of[m.root] in squares:
+        raise BijectionError("cannot erase the root vertex")
+    kept = [d for d in range(m.n_darts) if d not in sq_darts]
+    new_id = {d: i for i, d in enumerate(kept)}
+    alpha = []
+    for d in kept:
+        a = m.alpha[d]
+        while a in sq_darts:
+            a = m.alpha[m.sigma[a]]
+        alpha.append(new_id[a])
+    sigma = [new_id[m.sigma[d]] for d in kept]
+    return RootedMap(alpha, sigma, new_id[m.root])
+
+
+def _darts(m):
+    return m.alpha, m.sigma, m.root
+
+
+def _assert_subdivides_like_the_reference(m, col, counts):
+    m2, col2, squares = ising_subdivide(m, col, counts)
+    r2, rcol2, rsquares = _reference_ising_subdivide(m, col, counts)
+    assert _darts(m2) == _darts(r2)
+    assert col2 == rcol2 and squares == rsquares
+    erased = ising_erase(m2, squares)
+    assert _darts(erased) == _darts(_reference_ising_erase(r2, rsquares))
+    return m2, squares
+
+
+def test_ising_subdivide_and_erase_match_the_reference():
+    # every (map, colouring, counts) triple of the verify row, <= 3 edges
+    import itertools
+    checked = 0
+    for n in range(1, 4):
+        for m in all_maps(n):
+            vo = m.vertex_of
+            edges = m.edges()
+            for col in itertools.product((0, 1), repeat=m.n_vertices):
+                base = [1 if col[vo[d1]] == col[vo[d2]] else 0
+                        for d1, d2 in edges]
+                for extra in itertools.product((0, 2), repeat=len(edges)):
+                    counts = [b + e for b, e in zip(base, extra)]
+                    _assert_subdivides_like_the_reference(m, col, counts)
+                    checked += 1
+    assert checked == 3004
+
+
+def test_ising_subdivision_past_256_darts_matches_the_reference():
+    # 3 edges and 2 * (99 + 30 + 0) new darts: 264 darts, stored as tuples
+    m = next(m for m in all_maps(3) if m.n_vertices == 3)
+    edges = m.multigraph_edges()
+    col = (0, 1, 1)
+    counts = [99 if col[u] == col[v] else 30 for u, v in edges]
+    m2, squares = _assert_subdivides_like_the_reference(m, col, counts)
+    assert m2.n_darts > 256 and type(m2.sigma) is tuple
+    assert ising_erase(m2, squares) == m
+
+
+def _message(fn, *args):
+    with pytest.raises(BijectionError) as caught:
+        fn(*args)
+    return str(caught.value)
+
+
+def test_ising_errors_match_the_reference():
+    link = RootedMap.link()
+    for col, counts in (((0, 2), [1]), ((0,), [1]), ((0, 1, 0), [0]),
+                        ((0, 0), [1, 1]), ((0, 0), []), ((0, 0), [2]),
+                        ((0, 1), [1]), ((0, 0), [-1]), ((0, 1), [-2])):
+        assert (_message(ising_subdivide, link, col, counts)
+                == _message(_reference_ising_subdivide, link, col, counts))
+    # a square of degree 3, and the root vertex, of degree 2, as a square
+    star = next(m for m in all_maps(3) if m.vertex_degrees() == [1, 1, 1, 3])
+    centre = next(i for i, cyc in enumerate(star.vertices) if len(cyc) == 3)
+    path = next(m for m in all_maps(2)
+                if m.n_vertices == 3 and m.root_vertex_degree == 2)
+    for m, squares, message in (
+            (star, {centre}, "square vertices must have degree 2"),
+            (path, {path.vertex_of[path.root]}, "cannot erase the root vertex")):
+        assert _message(ising_erase, m, squares) == message
+        assert _message(_reference_ising_erase, m, squares) == message
+
+
 def test_ising_parity_enforced():
-    from tuttelab.maps import RootedMap
     link = RootedMap.link()
     with pytest.raises(BijectionError):
         # a monochromatic edge needs an odd subdivision count

@@ -89,8 +89,9 @@ def test_generated_maps_are_lean():
     finally:
         tracemalloc.stop()
         gc.enable()
-    # bytes per map, measured at 234 for all_maps(5) and 317 for each radial
-    # family (Python 3.11), each bound about 25-30 % above
+    # bytes per map, measured at 234 for all_maps(5), 317 for four_valent(5)
+    # and 264 for quadrangulations(5), the duals of that list, which share
+    # its alpha (Python 3.11); each bound is 25-30 % above the first two
     assert retained / len(maps) < 300
     assert radial[four_valent] < 410
     assert radial[quadrangulations] < 410

@@ -552,6 +552,20 @@ def bouquet(loops):
     return m
 
 
+@pytest.mark.parametrize("kind", [list, tuple, bytes, bytearray])
+def test_copies_of_the_standard_involution_store_the_shared_tuple(kind):
+    # an alpha equal to the standard involution is stored as the one tuple
+    # maps share, below 256 darts (where it is compared as bytes) and from
+    # 256 up (as a tuple); bytes hold no dart above 255
+    for n_darts in (2, 254, 256, 258):
+        if kind in (bytes, bytearray) and n_darts > 256:
+            continue
+        m = bouquet(n_darts // 2)
+        copy = RootedMap(kind(m.alpha), list(m.sigma), m.root)
+        assert copy.alpha is _standard_alpha(n_darts)
+        assert copy == m
+
+
 def test_storage_on_both_sides_of_256_darts():
     # a map below 256 darts stores sigma, a non-standard alpha and code as
     # bytes, and a larger one as tuples; the surgery below crosses the

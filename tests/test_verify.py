@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -119,11 +120,79 @@ def test_no_memo_is_filled_on_both_sides():
     assert filled[0] | filled[1] == {memo.__name__ for memo in memos}
 
 
+# Run the suites named in argv in this fresh process; print the keys of the
+# generated lists it built (streamed while no memo held them) and of those
+# it holds, and the verify, potts and desystems memos it filled.
+_SIDE_SCRIPT = """
+import json, sys
+from tuttelab import desystems, generate, potts, verify
+built = set()
+stream = generate.stream
+
+def recorded(family, n, *args):
+    if (family, n, *args) not in generate._LISTS:
+        built.add((family, n, *args))
+    return stream(family, n, *args)
+
+generate.stream = recorded
+verify._run_suites(sys.argv[1:])
+memos = [f for module in (verify, potts, desystems)
+         for f in vars(module).values()
+         if hasattr(f, "cache_info") and f.__module__ == module.__name__]
+print(json.dumps({"built": sorted(built), "held": sorted(generate._LISTS),
+                  "memos": [f.__name__ for f in memos
+                            if f.cache_info().currsize]}))
+"""
+
+
+def _side(names):
+    """What running the named suites in a fresh process builds, holds and
+    memoises: {"built": keys, "held": keys, "memos": names}."""
+    done = subprocess.run([sys.executable, "-c", _SIDE_SCRIPT, *names],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    return {what: {tuple(k) for k in out[what]} for what in ("built", "held")
+            } | {"memos": set(out["memos"])}
+
+
+def test_the_two_sides_share_only_the_small_lists():
+    # the lists both sides hold: maps and bipartite maps up to 4 edges and
+    # near-triangulations up to 6; near_angulations(7, 3) is built on both
+    # sides but held by the worker only
+    worker = _side(sorted(verify.WORKER_SUITES))
+    caller = _side([name for name in verify.SUITES
+                    if name not in verify.WORKER_SUITES])
+    shared = ({(family, e) for family in ("all_maps", "bipartite_maps")
+               for e in range(5)}
+              | {("near_angulations", e, 3) for e in range(7)})
+    assert worker["held"] & caller["held"] == shared
+    assert worker["built"] & caller["built"] == shared | {
+        ("near_angulations", 7, 3)}
+    assert ("near_angulations", 7, 3) in worker["held"] - caller["held"]
+
+
+def test_algebraic_may_run_on_either_side():
+    # it builds no generated list and fills no verify, potts or desystems
+    # memo, so the calling process runs it and builds nothing more
+    assert _side(["algebraic"]) == {"built": set(), "held": set(),
+                                    "memos": set()}
+
+
+@needs_fork
+def test_the_calling_side_runs_algebraic_first(monkeypatch):
+    ran = _fake_suites(monkeypatch)
+    rows = verify.run()
+    assert [r.suite for r in rows] == list(verify.SUITES)
+    assert ran == ["algebraic"] + [name for name in verify.SUITES
+                                   if name not in verify.WORKER_SUITES
+                                   and name != "algebraic"]
+
+
 def test_radial_maps_are_built_once(monkeypatch):
     # closed_forms and bijections read the 4-valent maps and the
-    # quadrangulations of sizes 1-4 from one memoised list each: 443
-    # radial maps apiece, where building the 4-valent list once per row
-    # that reads it made 1,772
+    # quadrangulations of sizes 1-4 from one memoised list each, and the
+    # quadrangulations are the duals of the 4-valent list: 443 radial maps
+    # in all
     from tuttelab import generate
     from tuttelab.maps import RootedMap
     for listed in (generate.four_valent, generate.quadrangulations):
@@ -138,7 +207,7 @@ def test_radial_maps_are_built_once(monkeypatch):
 
     monkeypatch.setattr(RootedMap, "radial", counted)
     assert verify.all_pass(verify.run(["closed_forms", "bijections"]))
-    assert calls <= 886
+    assert calls <= 443
 
 
 def test_counts_suite_passes():
