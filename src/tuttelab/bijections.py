@@ -574,9 +574,8 @@ def ising_subdivide(m: RootedMap, colouring, counts):
     # bytes below 256 darts, which the constructor keeps without a type check
     m2 = RootedMap(_compact(alpha, len(alpha)), _compact(sigma, len(sigma)),
                    m.root)
-    vertices = m2.vertices
-    col2 = [dart_colour[cyc[0]] for cyc in vertices]
-    squares = frozenset(i for i, cyc in enumerate(vertices)
+    col2 = [dart_colour[cyc[0]] for cyc in m2.vertices]
+    squares = frozenset(i for i, cyc in enumerate(m2.vertices)
                         if cyc[0] >= m.n_darts)
     return m2, col2, squares
 
