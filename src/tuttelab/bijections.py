@@ -474,15 +474,21 @@ def mullin_decode(w) -> tuple:
     return m, tree
 
 
-def tree_root_key(m: RootedMap, tree):
-    """Canonical key of a tree-rooted map: the map's code together with
-    the tree edges written in canonical dart labels."""
+def canonical_edges(m: RootedMap):
+    """The edges of m, in the order of m.edges(), each as the sorted pair
+    of its darts' canonical labels (m.bfs_labels())."""
     label = m.bfs_labels()
-    edges = m.edges()
-    tree_edges = tuple(sorted(
-        tuple(sorted((label[edges[e][0]], label[edges[e][1]])))
-        for e in tree))
-    return m.code, tree_edges
+    pairs = [(label[d], label[a]) for d, a in m.edges()]
+    return [(x, y) if x < y else (y, x) for x, y in pairs]
+
+
+def tree_root_key(m: RootedMap, tree, edges=None):
+    """Canonical key of a tree-rooted map: the map's code together with
+    the tree edges written in canonical dart labels.  `edges`, when given,
+    is canonical_edges(m), read once for all the trees of m."""
+    if edges is None:
+        edges = canonical_edges(m)
+    return m.code, tuple(sorted(edges[e] for e in tree))
 
 
 def mullin_decompose(m: RootedMap, tree):

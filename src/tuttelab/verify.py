@@ -39,6 +39,15 @@ run on either side.  It runs on the calling side, whose half is the
 shorter, and first there, so that its short-lived peak comes before that
 process holds any generated list.  A run whose suites all sit on one side
 starts no worker.
+
+The worker is a bare os.fork, after stdout and stderr are flushed: it
+inherits the imported modules and memos, runs its suites, writes its rows
+(or its exception and traceback text) to one pipe with pickle and leaves
+through os._exit.  The calling process runs its own suites, then reads the
+pipe to EOF and reaps the worker, also when its own suites raise.  A worker
+exception is raised again in the calling process with its type and message;
+a worker that ends without a result raises RuntimeError.  Where os.fork does
+not exist, every suite runs in the calling process.
 """
 
 from __future__ import annotations
@@ -47,19 +56,21 @@ import csv
 import io
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import sys
 from fractions import Fraction
 from functools import cache, partial
 
 from tuttelab import algebraic, kernels
 from tuttelab import closed_forms as cf
-from tuttelab.bijections import (BijectionError, _distances, cvs_pass,
-                                 ising_erase, ising_series_identity,
-                                 ising_subdivide, mullin_decode,
-                                 mullin_decompose, mullin_encode, phi_bar,
-                                 phi_close, psi_open, tprime_degrees,
-                                 tree_root_key, unbalanced_join,
-                                 unbalanced_split)
+from tuttelab.bijections import (BijectionError, _distances,
+                                 canonical_edges, cvs_pass, ising_erase,
+                                 ising_series_identity, ising_subdivide,
+                                 mullin_decode, mullin_decompose,
+                                 mullin_encode, phi_bar, phi_close, psi_open,
+                                 tprime_degrees, tree_root_key,
+                                 unbalanced_join, unbalanced_split)
 from tuttelab.desystems import check_de_maps, check_de_tri, check_tutte_ode
 from tuttelab.equations import EquationId, brute_force_gf, expand
 from tuttelab.generate import (all_bipolar_orientations, all_maps,
@@ -139,11 +150,13 @@ def roundtrip_mullin(n):
     edges."""
     checked, bad = 0, None
     for m in all_maps(n):
+        edges = canonical_edges(m)  # once for all the trees of m
         for tr in [()] if m.is_atomic else all_spanning_trees(m):
             checked += 1
             w = mullin_encode(m, tr)
             m2, tr2 = mullin_decode(w)
-            if bad is None and (tree_root_key(m2, tr2) != tree_root_key(m, tr)
+            if bad is None and (tree_root_key(m2, tr2)
+                                != tree_root_key(m, tr, edges)
                                 or mullin_encode(m2, tr2) != w):
                 bad = f"map {m.to_json()}, tree {tr}"
     return checked, bad
@@ -499,14 +512,70 @@ def _run_suites(names):
     return {name: SUITES[name]() for name in names}
 
 
+def _worker(remote, read_fd, write_fd):
+    """The forked worker: run the remote suites, write (True, rows) or
+    (False, (exception, traceback text)) to the pipe with pickle, and leave
+    through os._exit, with status 0 once the result is written and 1
+    otherwise.  It never returns, so it runs none of the calling process's
+    teardown and never flushes the stdio buffers it inherited."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = True, _run_suites(remote)
+        except BaseException as err:  # raised again by the calling process
+            import traceback  # only a failed worker reads it
+            result = False, (err, traceback.format_exc())
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_split(remote, local):
+    """{name: rows} for the suites of both lists: a forked worker runs the
+    remote ones while this process runs the local ones.  The worker is
+    drained and reaped even when a local suite raises."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # text written before the fork is written once
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _worker(remote, read_fd, write_fd)  # never returns
+    os.close(write_fd)
+    try:
+        rows = _run_suites(local)
+    finally:
+        try:
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as err:
+        raise RuntimeError(
+            "the verify worker process ended without a result (exit status"
+            f" {os.waitstatus_to_exitcode(status)})") from err
+    if not ok:
+        error, trace = value
+        raise error from RuntimeError(
+            f"in the verify worker process:\n{trace}")
+    rows.update(value)
+    return rows
+
+
 def run(names=None):
     """Run the named suites (all by default, in catalog order) and return
     their rows in the order of the names.  'all' anywhere in the names means
     every suite once; a name given twice repeats its rows, computed once.
 
-    When the names fall on both sides of WORKER_SUITES, one worker process
-    runs the worker-side suites while this process runs the rest, algebraic
-    first."""
+    When the names fall on both sides of WORKER_SUITES, a worker forked from
+    this process runs the worker-side suites while this process runs the
+    rest, algebraic first.  Without os.fork, this process runs them all."""
     for name in names or ():
         if name != "all" and name not in SUITES:
             raise KeyError(f"unknown verification suite {name!r}")
@@ -515,13 +584,10 @@ def run(names=None):
     unique = list(dict.fromkeys(names))
     remote = [name for name in unique if name in WORKER_SUITES]
     local = [name for name in unique if name not in WORKER_SUITES]
-    if remote and local:
+    if remote and local and hasattr(os, "fork"):
         # algebraic first: its peak comes before the generated lists are held
         local.sort(key="algebraic".__ne__)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(_run_suites, remote)
-            rows = _run_suites(local)
-            rows.update(pending.result())
+        rows = _run_split(remote, local)
     else:
         rows = _run_suites(unique)
     return [r for name in names for r in rows[name]]

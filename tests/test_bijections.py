@@ -5,13 +5,13 @@ import pytest
 from tuttelab import bijections
 from tuttelab import closed_forms as cf
 from tuttelab.bijections import (BijectionError, _closure_match,
-                                 corner_walk, cvs_backward, cvs_forward,
-                                 ising_erase, ising_series_identity,
-                                 ising_subdivide, mullin_decode,
-                                 mullin_decompose, mullin_encode, phi_bar,
-                                 phi_close, psi_open, tprime_degrees,
-                                 tree_root_key, unbalanced_join,
-                                 unbalanced_split)
+                                 canonical_edges, corner_walk, cvs_backward,
+                                 cvs_forward, ising_erase,
+                                 ising_series_identity, ising_subdivide,
+                                 mullin_decode, mullin_decompose,
+                                 mullin_encode, phi_bar, phi_close, psi_open,
+                                 tprime_degrees, tree_root_key,
+                                 unbalanced_join, unbalanced_split)
 from tuttelab.generate import (all_maps, all_spanning_trees, four_valent,
                                quadrangulations)
 from tuttelab.maps import RootedMap
@@ -217,6 +217,29 @@ def test_mullin_roundtrip():
                 m2, tr2 = mullin_decode(w)
                 assert tree_root_key(m2, tr2) == tree_root_key(m, tr)
                 assert mullin_encode(m2, tr2) == w
+
+
+def _reference_tree_root_key(m, tree):
+    # the key with the labels and edges read again for each tree
+    label = m.bfs_labels()
+    edges = m.edges()
+    return m.code, tuple(sorted(
+        tuple(sorted((label[edges[e][0]], label[edges[e][1]])))
+        for e in tree))
+
+
+def test_tree_root_key_with_canonical_edges_read_once():
+    # on the generated maps and on their decoded copies, whose darts are
+    # numbered along the tour
+    for n in range(5):
+        for m in all_maps(n):
+            edges = canonical_edges(m)
+            for tr in [()] if m.is_atomic else all_spanning_trees(m):
+                key = _reference_tree_root_key(m, tr)
+                assert tree_root_key(m, tr, edges) == key
+                assert tree_root_key(m, tr) == key
+                m2, tr2 = mullin_decode(mullin_encode(m, tr))
+                assert tree_root_key(m2, tr2) == key
 
 
 def test_mullin_example_word():

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +9,14 @@ from tuttelab import verify
 from tuttelab.desystems import DESolveError
 
 needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="only a forked worker sees suites patched in this process")
+
+
+def assert_no_child_left():
+    # every worker that run forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_catalog():
@@ -42,7 +47,8 @@ def test_unknown_suite(monkeypatch):
     for names in (["nope"], ["counts", "closed_forms", "nope"]):
         with pytest.raises(KeyError):
             verify.run(names)
-    assert ran == [] and multiprocessing.active_children() == []
+    assert ran == []
+    assert_no_child_left()
 
 
 def test_all_anywhere_means_every_suite_once(monkeypatch):
@@ -69,7 +75,7 @@ def test_rows_follow_the_names_and_no_worker_outlives_the_run():
     assert suites == sorted(suites, key=["closed_forms", "counts"].index)
     assert set(suites) == {"closed_forms", "counts"}
     assert verify.all_pass(rows)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @needs_fork
@@ -85,12 +91,108 @@ def test_worker_exception_reaches_the_caller(monkeypatch, error):
     with pytest.raises(type(error)) as caught:
         verify.run(["counts", "desystems"])
     assert str(caught.value) == str(error)
-    assert multiprocessing.active_children() == []
+    # chained to the worker's traceback
+    assert ", in broken\n" in str(caught.value.__cause__)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_local_exception_reaches_the_caller_and_the_worker_is_reaped(
+        monkeypatch):
+    _fake_suites(monkeypatch)
+
+    def broken():
+        raise LookupError("local boom")
+
+    monkeypatch.setitem(verify.SUITES, "counts", broken)
+    with pytest.raises(LookupError, match="^local boom$"):
+        verify.run(["counts", "desystems"])
+    assert_no_child_left()
+
+
+def _run_script(script, *args):
+    """The stdout of the script run with args in a fresh process, which must
+    end within a minute."""
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    return done.stdout
+
+
+# verify.run(["counts", "desystems"]) with counts returning no row and the
+# worker's desystems suite replaced by the function that argv[1] names, in
+# a fresh process, so that a hang fails by timeout.  The script prints what
+# run returned or raised, then whether every child was reaped.
+_WORKER_SCRIPT = """
+import os, sys
+from tuttelab import verify
+
+BIG = "".join(map(str, range(200_000)))  # about 1 MiB
+
+class TwoArgumentError(Exception):
+    # pickles, but does not unpickle: its args hold only the first argument
+    def __init__(self, message, extra):
+        super().__init__(message)
+
+def large():
+    return [verify.CaseResult("desystems", "large", BIG, BIG)]
+
+def vanish():
+    os._exit(3)
+
+def unsendable():
+    return [lambda: None]
+
+def unpicklable():
+    raise TwoArgumentError("lost", 1)
+
+verify.SUITES["counts"] = list
+verify.SUITES["desystems"] = globals()[sys.argv[1]]
+try:
+    rows = verify.run(["counts", "desystems"])
+    print([(r.case, r.expected == r.got == BIG) for r in rows])
+except RuntimeError as err:
+    print(type(err.__cause__).__name__, err)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+"""
+
+
+@needs_fork
+def test_a_worker_row_larger_than_a_pipe_buffer_arrives_intact():
+    assert _run_script(_WORKER_SCRIPT, "large").splitlines() == [
+        "[('large', True)]", "reaped"]
+
+
+@needs_fork
+@pytest.mark.parametrize("how, status, cause", [
+    ("vanish", 3, "EOFError"),
+    ("unsendable", 1, "EOFError"),
+    ("unpicklable", 0, "TypeError")])
+def test_a_worker_without_a_result_is_an_error(how, status, cause):
+    assert _run_script(_WORKER_SCRIPT, how).splitlines() == [
+        f"{cause} the verify worker process ended without a result"
+        f" (exit status {status})", "reaped"]
+
+
+def test_run_loads_no_process_pool():
+    # the worker is a bare fork: a full run imports neither multiprocessing
+    # nor concurrent.futures, and forks no thread (Python 3.12+ warns then)
+    script = ("import sys, warnings\n"
+              "warnings.simplefilter('always')\n"
+              "from tuttelab import verify\n"
+              "with warnings.catch_warnings(record=True) as seen:\n"
+              "    assert verify.all_pass(verify.run())\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+              " ('multiprocessing', 'concurrent')), seen)\n")
+    assert _run_script(script) == "[] []\n"
 
 
 def test_text_written_before_a_split_run_is_written_once():
-    # a forked worker flushes the stdio buffers it inherits when it exits;
-    # multiprocessing flushes this process's before it forks
+    # run flushes this process's stdio buffers before it forks, and the
+    # worker leaves through os._exit without flushing the copies it inherits
     script = ("import sys\n"
               "from tuttelab import verify\n"
               "sys.stdout.write('x')\n"
@@ -100,6 +202,21 @@ def test_text_written_before_a_split_run_is_written_once():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "x" and done.stderr == "y"
+
+
+@needs_fork
+def test_the_worker_runs_no_teardown_of_the_calling_process():
+    # the worker leaves through os._exit: no finally block and no atexit
+    # handler of the calling process runs twice
+    script = ("import atexit\n"
+              "from tuttelab import verify\n"
+              "atexit.register(print, 'atexit')\n"
+              "verify.SUITES.update(potts=list, closed_forms=list)\n"
+              "try:\n"
+              "    verify.run(['potts', 'closed_forms'])\n"
+              "finally:\n"
+              "    print('finally')\n")
+    assert _run_script(script) == "finally\natexit\n"
 
 
 def test_no_memo_is_filled_on_both_sides():
