@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 from tuttelab import verify
+from tuttelab.bijections import BijectionError, phi_close
 from tuttelab.desystems import DESolveError
+from tuttelab.trees import LEAF, BlossomingTree
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"),
@@ -325,6 +328,52 @@ def test_radial_maps_are_built_once(monkeypatch):
     monkeypatch.setattr(RootedMap, "radial", counted)
     assert verify.all_pass(verify.run(["closed_forms", "bijections"]))
     assert calls <= 443
+
+
+def _closes(t):
+    try:
+        phi_close(t)
+    except BijectionError:
+        return False
+    return True
+
+
+def _blossoming_rows(monkeypatch, name, patched):
+    """The psi and blossoming-tree rows of the bijections suite, {case:
+    values}, with verify's function `name` replaced by patched(real)."""
+    monkeypatch.setattr(verify, name, patched(getattr(verify, name)))
+    return {case: values for case, *values
+            in itertools.islice(verify.suite_bijections(), 15)}
+
+
+def test_a_balanced_tree_that_does_not_reopen_is_reported(monkeypatch):
+    # only the first balanced tree with 2 nodes reopens wrongly; its row
+    # reads -1 although the trees after it reopen
+    first, other = [t for t in BlossomingTree.all_trees(2) if _closes(t)][:2]
+    wrong = phi_close(first)
+    rows = _blossoming_rows(monkeypatch, "psi_open", lambda real: (
+        lambda m: other if m == wrong else real(m)))
+    assert [rows[f"balanced trees with {n} nodes (psi(phi)=id)"]
+            for n in (1, 2, 3)] == [[2, 2], [9, -1], [54, 54]]
+
+
+def test_an_unbalanced_tree_that_does_not_rejoin_is_reported(monkeypatch):
+    # only the first unbalanced tree with 1 node rejoins wrongly
+    first = next(t for t in BlossomingTree.all_trees(1) if not _closes(t))
+    rows = _blossoming_rows(monkeypatch, "unbalanced_join", lambda real: (
+        lambda *pieces: BlossomingTree(LEAF) if real(*pieces) == first
+        else real(*pieces)))
+    assert rows["unbalanced split/join round trips, <= 3 nodes"] == [False]
+    assert rows["balanced trees with 1 nodes (psi(phi)=id)"] == [2, 2]
+
+
+def test_two_phi_bar_images_collapsed_are_reported(monkeypatch):
+    # the two closures of one unbalanced tree with 3 nodes give one image
+    first = next(t for t in BlossomingTree.all_trees(3) if not _closes(t))
+    rows = _blossoming_rows(monkeypatch, "phi_bar", lambda real: (
+        lambda t, sign: real(t, "+") if t == first else real(t, sign)))
+    assert [rows[f"phi_bar image size, {n} nodes"] for n in (1, 2, 3)] \
+        == [[6, 6], [36, 36], [270, 269]]
 
 
 def test_counts_suite_passes():
