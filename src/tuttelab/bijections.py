@@ -388,8 +388,7 @@ def cvs_backward(t: LabelledTree):
 # -- spanning-tree contour words ----------------------------------------------
 
 
-def _check_spanning_tree(m: RootedMap, tree):
-    edges = m.edges()
+def _check_spanning_tree(m: RootedMap, tree, edges):
     tree = sorted(set(tree))
     if any(not 0 <= e < len(edges) for e in tree):
         raise BijectionError("tree edge index out of range")
@@ -417,10 +416,10 @@ def mullin_encode(m: RootedMap, tree) -> DyckShuffle:
     root dart, writing a/A at the first/second traversal of a tree edge
     (then turning around the edge) and b/B at the first/second crossing
     of a non-tree edge (then turning in place)."""
-    tree = _check_spanning_tree(m, tree)
+    edges = m.edges()
+    tree = _check_spanning_tree(m, tree, edges)
     if m.is_atomic:
         return DyckShuffle("")
-    edges = m.edges()
     edge_of = {d: i for i, edge in enumerate(edges) for d in edge}
     in_tree = set(tree)
     word = []

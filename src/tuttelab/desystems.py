@@ -25,7 +25,8 @@ Two systems are solved order by order in the main series variable:
   from which the chromatic generating function T_2(q,z;1) of non-separable
   near-triangulations of outer degree 2 is recovered.
 
-Both identities are cleared of denominators before coefficient matching.
+Both identities are cleared of denominators, and one stage solver,
+_solve_stages, matches the coefficients of both.
 Stage n of the main variable adds the unknown coefficients of order n + 1
 of A and B (order n of C) and forms one coefficient: [t^n] (or [z^n]) of
 the cleared identity, read from the stored coefficient lists as one
@@ -171,15 +172,35 @@ def _reduce(constraints, pending, coeff_lists, order):
                        if not c.is_zero()]
 
 
-def _unknown_poly(names, powers):
-    return MultiPoly.dot((MultiPoly.var(name), MultiPoly.var("v", p))
-                         for name, p in zip(names, powers))
+def _solve_stages(letters, identity, stages):
+    """Fill the lists of letters, {letter: (coefficient list, powers of v)},
+    each ending with the known part of the entry stage 0 completes.  Stage
+    n appends a zero entry if n > 0, adds _{letter}{k}n{n} v^k to it per
+    power k and solves the powers of v of MultiPoly.dot(identity(n)), [t^n]
+    of the cleared identity.  All but the last two entries must be solved."""
+    lists = [coeffs for coeffs, _ in letters.values()]
+    pending, constraints = [], []
+    for n in range(stages):
+        for letter, (coeffs, powers) in letters.items():
+            names = [f"_{letter}{k}n{n}" for k in powers]
+            pending += names
+            if n:
+                coeffs.append(MultiPoly.zero())
+            coeffs[-1] = coeffs[-1] + MultiPoly.dot(
+                (MultiPoly.var(name), MultiPoly.var("v", k))
+                for name, k in zip(names, powers))
+        constraints += [p for p in MultiPoly.dot(identity(n)).by_powers(
+            "v").values() if not p.is_zero()]
+        constraints, pending = _reduce(constraints, pending, lists, n)
+    if any(p.degree(u) > 0 for coeffs in lists for p in coeffs[:-2]
+           for u in pending):
+        raise DESolveError("coefficients remain undetermined", stages)
 
 
-def _require_resolved(coeffs, pending, order):
-    for p in coeffs:
-        if any(p.degree(u) > 0 for u in pending):
-            raise DESolveError("coefficients remain undetermined", order)
+def _v_series(var, order, *reads) -> list:
+    """The series in var to order of [v^k] of each (coefficient list, k)."""
+    return [TSeries(var, order, [p.coeff("v", k) for p in coeffs[:order + 1]])
+            for coeffs, k in reads]
 
 
 def solve_de_maps(q, nu, w, N):
@@ -198,44 +219,29 @@ def solve_de_maps(q, nu, w, N):
     c0 = w * (q + 2 * b) - 1 - nu
     delta0 = MultiPoly.const(q * nu + b * b) - q * (nu + 1) * V + q * V ** 2
     delta1 = b * (q - 4) * (w * q + b) * V ** 2
-
-    A = [(MultiPoly.one() - V) ** 2]
-    B = [MultiPoly.one() - V]
-    C = []
-    pending = []
-    constraints = []
     delta_sq = [delta0 * delta0, 2 * delta0 * delta1, delta1 * delta1]
-    stages = N + 4
-    for n in range(stages):
-        a_names = [f"_a{j}n{n}" for j in (1, 2, 3, 4)]
-        b_names = [f"_b{j}n{n}" for j in (0, 1, 2)]
-        c_names = [f"_c{j}n{n}" for j in (1, 2)]
-        A.append(_unknown_poly(a_names, [1, 2, 3, 4]))
-        B.append(_unknown_poly(b_names, [0, 1, 2]))
-        C.append((MultiPoly.const(c0) if n == 0 else MultiPoly.zero())
-                 + _unknown_poly(c_names, [1, 2]))
-        pending = pending + a_names + b_names + c_names
+
+    A = [(MultiPoly.one() - V) ** 2, MultiPoly.zero()]
+    B = [MultiPoly.one() - V, MultiPoly.zero()]
+    C = [MultiPoly.const(c0)]
+
+    def identity(n):
         # D_k = [t^k] A Delta^2 for k <= n + 1, then [t^n] of the identity
         D = [MultiPoly.dot((A[k - l], delta_sq[l])
                            for l in range(min(k, 2) + 1))
              for k in range(n + 2)]
-        pairs = []
         for i in range(n + 1):
             j = n - i
-            pairs += [(V3 * (4 * C[i]) + V4 * (2 * C[i].diff("v"))
-                       - V2 * (2 * (i + 1) * B[i + 1]), D[j]),
-                      (V4 * C[i], -D[j].diff("v")),
-                      (V2 * ((j + 1) * B[i]), D[j + 1])]
-        constraints = constraints + [
-            p for p in MultiPoly.dot(pairs).by_powers("v").values()
-            if not p.is_zero()]
-        constraints, pending = _reduce(constraints, pending, [A, B, C], n)
-    _require_resolved(A[:N + 3] + B[:N + 3] + C[:N + 2], pending, stages)
+            yield (V3 * (4 * C[i]) + V4 * (2 * C[i].diff("v"))
+                   - V2 * (2 * (i + 1) * B[i + 1]), D[j])
+            yield V4 * C[i], -D[j].diff("v")
+            yield V2 * ((j + 1) * B[i]), D[j + 1]
+
+    _solve_stages({"a": (A, (1, 2, 3, 4)), "b": (B, (0, 1, 2)),
+                   "c": (C, (1, 2))}, identity, N + 4)
 
     hi = N + 2
-    a2 = TSeries("t", hi, [p.coeff("v", 2) for p in A[:hi + 1]])
-    b1 = TSeries("t", hi, [p.coeff("v", 1) for p in B[:hi + 1]])
-    b2 = TSeries("t", hi, [p.coeff("v", 2) for p in B[:hi + 1]])
+    a2, b1, b2 = _v_series("t", hi, (A, 2), (B, 1), (B, 2))
     t = TSeries.t("t", hi)
     rhs = 4 * t * (1 - 3 * (b + 2) ** 2 * t
                    + (6 * (b + 2) * (q + 2 * b) * t + q + 3 * b) * w
@@ -269,32 +275,22 @@ def solve_de_tri(q, N):
         raise ValueError("T2 extraction is singular at q = 4")
     delta = V + MultiPoly.const(4 - q)
 
-    A = [MultiPoly.one() + Fraction(1, 4) * V]
-    B = [MultiPoly.one()]
-    pending = []
-    constraints = []
-    stages = N + 6
-    for n in range(stages):
-        a_names = [f"_a{j}n{n}" for j in (1, 2, 3)]
-        b_names = [f"_b{j}n{n}" for j in (0, 1)]
-        A.append(_unknown_poly(a_names, [1, 2, 3]))
-        B.append(_unknown_poly(b_names, [0, 1]))
-        pending = pending + a_names + b_names
+    A = [MultiPoly.one() + Fraction(1, 4) * V, MultiPoly.zero()]
+    B = [MultiPoly.one(), MultiPoly.zero()]
+
+    def identity(n):
         # [z^n] of the identity, from the stored coefficients
-        pairs = [(B[i + 1], 2 * (i + 1) * A[n - i]) for i in range(n + 1)]
-        pairs += [(B[i], -(n - i + 1) * A[n - i + 1]) for i in range(n + 1)]
+        for i in range(n + 1):
+            yield B[i + 1], 2 * (i + 1) * A[n - i]
+        for i in range(n + 1):
+            yield B[i], -(n - i + 1) * A[n - i + 1]
         if n:
-            pairs.append((4 * delta, V * (3 * A[n - 1])
-                          - V2 * A[n - 1].diff("v")))
-        constraints = constraints + [
-            p for p in MultiPoly.dot(pairs).by_powers("v").values()
-            if not p.is_zero()]
-        constraints, pending = _reduce(constraints, pending, [A, B], n)
-    _require_resolved(A[:N + 5] + B[:N + 5], pending, stages)
+            yield 4 * delta, V * (3 * A[n - 1]) - V2 * A[n - 1].diff("v")
+
+    _solve_stages({"a": (A, (1, 2, 3)), "b": (B, (0, 1))}, identity, N + 6)
 
     hi = N + 4
-    a2 = TSeries("z", hi, [p.coeff("v", 2) for p in A[:hi + 1]])
-    b1 = TSeries("z", hi, [p.coeff("v", 1) for p in B[:hi + 1]])
+    a2, b1 = _v_series("z", hi, (A, 2), (B, 1))
     z = TSeries.t("z", hi)
     z2 = z * z
     numerator = (2 * b1 * b1 + (96 * z2 - 24 * q * z2 + 1) * b1 - 2 * a2

@@ -198,7 +198,7 @@ def expand(eq: EquationId, order: int, params=None) -> TSeries:
     elif eq in (EquationId.POTTS_QUASI_TRI, EquationId.TUTTE_QUASI_TRI):
         nu, z = p["nu"], p["z"]
         # geometric series 1/(1 - x nu t z) to the working order
-        geo = fixed_point(lambda g: one + t * (x * nu * z) * g, var, order)
+        geo = (one - t * (x * nu * z)).inverse()
         # coefficients of y^2 t Q(0,y) Q (factor), y t (Q - Q(0,y))/x (geo_dd)
         if eq is EquationId.POTTS_QUASI_TRI:
             geo_dd = geo * (nu - 1)            # (nu-1)/(1-x z t nu)

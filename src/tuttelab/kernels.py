@@ -217,8 +217,7 @@ def bipolar_maps_extracted(order: int) -> TSeries:
     function of bipolar-oriented maps."""
     num = (ONE - UB * VB) * (U * VB - W * UB) * (UB * V_ - VB * WB)
     L = (ONE + UB) * (ONE + VB) * (U + V_ * W)
-    t = TSeries.t("t", order)
-    D = fixed_point(lambda g: 1 + t * L * g, "t", order)
+    D = (1 - TSeries.t("t", order) * L).inverse()
     return (D * num).nonneg_part("u").nonneg_part("v")
 
 
@@ -240,25 +239,17 @@ def bipolar_maps_nonneg_part_check(order: int = 6) -> bool:
 # -- tree-rooted maps: positive-part extraction ----------------------------------
 
 
-def _one_over_one_minus_ut(order: int) -> TSeries:
-    t = TSeries.t("t", order)
-    return fixed_point(lambda g: 1 + t * U * g, "t", order)
-
-
 def tree_rooted_S0(order: int) -> TSeries:
     """S(u, 0) = 1/(1-ut) * N(x -> 1/(1-ut), y -> 1, t -> t^2) where N is the
     edge generating function of maps weighted by spanning trees (w marking
     non-root vertices, z marking non-root faces, x the root-vertex degree)."""
     half = order // 2
     N = expand(EquationId.TUTTE_MAPS, half, {"mu": 1, "nu": 1})
-    G = _one_over_one_minus_ut(order)
+    G = (1 - TSeries.t("t", order) * U).inverse()
     out = TSeries.zero("t", order)
     for n in range(half + 1):
         c = N.coeff(n).subs({"y": 1})
-        term = TSeries.zero("t", order)
-        for d, cd in c.by_powers("x").items():
-            term = term + G ** d * cd
-        out = out + term.shift(2 * n)
+        out = out + G.compose_poly(c, "x").shift(2 * n)
     return out * G
 
 

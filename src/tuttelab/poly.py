@@ -323,17 +323,6 @@ class MultiPoly:
             return 0
         return max(e for e, _, _, _ in self._exponents(name))
 
-    def valuation(self, name: str) -> int:
-        """Smallest exponent of `name`; 0 for polynomials without it.
-
-        Raises on the zero polynomial (its valuation is +infinity).
-        """
-        if not self._t:
-            raise ValueError("valuation of zero polynomial")
-        if name not in self.vars:
-            return 0
-        return min(e for e, _, _, _ in self._exponents(name))
-
     def _exponents(self, name: str):
         """(exponent of `name`, shift, key, numerator) for every term."""
         s, off = self._field(name)

@@ -132,12 +132,9 @@ def _reduced(v, pairs):
 
 @lru_cache(maxsize=None)
 def _factor(isolated, loops, pendant):
-    """q^isolated nu^loops (q + nu - 1)^pendant, the powers of q + nu - 1
-    by one product from the last, as in _powers."""
-    p = MultiPoly(("q", "nu"), {(isolated, loops): 1})
-    for _ in range(pendant):
-        p = p * PENDANT
-    return p
+    """q^isolated nu^loops (q + nu - 1)^pendant; MultiPoly's power takes
+    the powers of q + nu - 1 by one product from the last, as _powers."""
+    return MultiPoly(("q", "nu"), {(isolated, loops): 1}) * PENDANT ** pendant
 
 
 def _graph_key(v, ends):

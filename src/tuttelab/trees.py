@@ -57,12 +57,6 @@ class BlossomingTree(namedtuple("BlossomingTree", "top")):
 
     __slots__ = ()
 
-    @property
-    def n_nodes(self) -> int:
-        def count(t):
-            return 0 if t is LEAF else 1 + count(t.left) + count(t.right)
-        return count(self.top)
-
     def to_string(self) -> str:
         def ser(t):
             if t is LEAF:

@@ -414,44 +414,38 @@ def suite_desystems():
 
 
 def suite_bijections():
+    """The bijection rows.  One pass walks the blossoming trees with 1-3
+    nodes: a tree that phi_close closes (a balanced one) must reopen by
+    psi_open, any other must round-trip through unbalanced_split and
+    unbalanced_join, and every tree gives phi_bar its two images.  A tree
+    that does not reopen turns its size's balanced count into -1."""
     for n in range(1, 5):
         yield (f"phi(psi(m)) = m, 4-valent, {n} vertices",
                roundtrip_psi(n)[1] is None)
+    balanced, images, split_ok = [], [], True
     for n in range(1, 4):
-        bal = 0
+        bal, seen = 0, set()
         for t in BlossomingTree.all_trees(n):
             try:
                 m = phi_close(t)
             except BijectionError:
-                continue
-            bal += 1
-            if psi_open(m) != t:
-                bal = -1
-                break
-        yield (f"balanced trees with {n} nodes (psi(phi)=id)",
-               cf.balanced_blossoming_count(n), bal)
-    for n in range(1, 4):
-        seen = set()
-        for t in BlossomingTree.all_trees(n):
+                if unbalanced_join(*unbalanced_split(t)) != t:
+                    split_ok = False
+            else:
+                bal = -1 if bal < 0 or psi_open(m) != t else bal + 1
             for s in ("+", "-"):
                 cm, fi = phi_bar(t, s)
                 seen.add((cm.code, fi))
-        yield (f"phi_bar image size, {n} nodes", 2 * cf.blossoming_count(n),
-               len(seen))
+        balanced.append((f"balanced trees with {n} nodes (psi(phi)=id)",
+                         cf.balanced_blossoming_count(n), bal))
+        images.append((f"phi_bar image size, {n} nodes",
+                       2 * cf.blossoming_count(n), len(seen)))
+    yield from balanced
+    yield from images
     for n in range(1, 5):
         yield (f"(n+2)m_n = 2t_n at n={n}", 2 * cf.blossoming_count(n),
                sum(m.n_faces for m in four_valent(n)))
-    ok = True
-    for n in range(1, 4):
-        for t in BlossomingTree.all_trees(n):
-            try:
-                phi_close(t)
-                continue
-            except BijectionError:
-                pass
-            if unbalanced_join(*unbalanced_split(t)) != t:
-                ok = False
-    yield "unbalanced split/join round trips, <= 3 nodes", ok
+    yield "unbalanced split/join round trips, <= 3 nodes", split_ok
 
     for n in range(1, 5):
         cnt, bad = roundtrip_cvs(n)

@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -14,6 +16,28 @@ from tuttelab.trees import LEAF, BlossomingTree
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"),
     reason="only a forked worker sees suites patched in this process")
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block after `seconds`, so that a split run
+    whose calling side never sees the pipe's EOF fails instead of hanging.
+    The alarm and its handler are restored afterwards; a forked worker does
+    not inherit the alarm.  Without os.fork there is no pipe to wait on."""
+    if not hasattr(os, "fork"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():
@@ -73,7 +97,8 @@ def test_a_name_given_twice_repeats_its_rows_computed_once(monkeypatch):
 
 
 def test_rows_follow_the_names_and_no_worker_outlives_the_run():
-    rows = verify.run(["closed_forms", "counts"])
+    with within(60):
+        rows = verify.run(["closed_forms", "counts"])
     suites = [r.suite for r in rows]
     assert suites == sorted(suites, key=["closed_forms", "counts"].index)
     assert set(suites) == {"closed_forms", "counts"}
@@ -91,7 +116,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, error):
         raise error
 
     monkeypatch.setitem(verify.SUITES, "desystems", broken)
-    with pytest.raises(type(error)) as caught:
+    with within(60), pytest.raises(type(error)) as caught:
         verify.run(["counts", "desystems"])
     assert str(caught.value) == str(error)
     # chained to the worker's traceback
@@ -108,7 +133,7 @@ def test_local_exception_reaches_the_caller_and_the_worker_is_reaped(
         raise LookupError("local boom")
 
     monkeypatch.setitem(verify.SUITES, "counts", broken)
-    with pytest.raises(LookupError, match="^local boom$"):
+    with within(60), pytest.raises(LookupError, match="^local boom$"):
         verify.run(["counts", "desystems"])
     assert_no_child_left()
 
@@ -301,7 +326,8 @@ def test_algebraic_may_run_on_either_side():
 @needs_fork
 def test_the_calling_side_runs_algebraic_first(monkeypatch):
     ran = _fake_suites(monkeypatch)
-    rows = verify.run()
+    with within(60):
+        rows = verify.run()
     assert [r.suite for r in rows] == list(verify.SUITES)
     assert ran == ["algebraic"] + [name for name in verify.SUITES
                                    if name not in verify.WORKER_SUITES
@@ -446,7 +472,7 @@ def _clear_memoised_checks():
 def six_edge_streamed_run():
     # one verify.run() serves the three tests below; it refuses every
     # all_maps list of 6 or more edges and every stream of 7 or more
-    with pytest.MonkeyPatch.context() as monkeypatch:
+    with pytest.MonkeyPatch.context() as monkeypatch, within(60):
         return _run_refusing(monkeypatch, 6, 7)
 
 
