@@ -7,7 +7,8 @@ function as the positive (or non-negative) part of an explicit rational
 expression.  This module builds those series, performs the extractions,
 and cross-checks them against direct equation iteration and against
 Lagrange-inversion coefficient formulas.  The closed counting formulas
-are checked against brute force in `tuttelab.verify`.
+are checked against brute force in `tuttelab.verify`.  Each geometric
+series 1/(1 - ct) here is a `TSeries.inverse`, never a fixed point.
 """
 
 from __future__ import annotations

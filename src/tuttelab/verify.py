@@ -414,11 +414,10 @@ def suite_desystems():
 
 
 def suite_bijections():
-    """The bijection rows.  One pass walks the blossoming trees with 1-3
-    nodes: a tree that phi_close closes (a balanced one) must reopen by
-    psi_open, any other must round-trip through unbalanced_split and
-    unbalanced_join, and every tree gives phi_bar its two images.  A tree
-    that does not reopen turns its size's balanced count into -1."""
+    """One pass walks the blossoming trees with 1-3 nodes: one that phi_close
+    closes must reopen by psi_open (else its size's count reads -1 for good),
+    any other must round-trip through unbalanced_split and unbalanced_join,
+    and each gives phi_bar its two images."""
     for n in range(1, 5):
         yield (f"phi(psi(m)) = m, 4-valent, {n} vertices",
                roundtrip_psi(n)[1] is None)
