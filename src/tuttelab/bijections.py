@@ -8,7 +8,7 @@ Four constructions, each with exact round-trip guarantees:
   (unbalanced_split / unbalanced_join);
 * the distance-labelling bijection: pointed rooted quadrangulations whose
   root edge is oriented away from the point <-> labelled trees
-  (cvs_forward, cvs_backward);
+  (cvs_forward, and its inverse by closure, cvs_backward);
 * the spanning-tree contour encoding: tree-rooted maps <-> shuffles of
   two Dyck words (mullin_encode, mullin_decode, mullin_decompose);
 * degree-2 subdivision: 2-coloured maps with parity-constrained edge
@@ -237,12 +237,11 @@ def unbalanced_join(t1, t2, t3) -> BlossomingTree:
 
 # -- quadrangulations and labelled trees --------------------------------------
 
-# The pictorial parts of the labelling bijection are read as follows, a
-# reading validated by exhaustive injectivity onto labelled trees
-# (3^n * Catalan(n) of them) for n <= 3: the "first" l+1 corner of an
-# l,l+1,l+2,l+1 face follows the l corner on the contour, the tree root
-# edge starts as _cvs_root_orientation says, and children are ordered in
-# the rotation sense of the map.
+# The pictorial parts of the labelling bijection are read as follows: the
+# "first" l+1 corner of an l,l+1,l+2,l+1 face follows the l corner on the
+# contour, the tree root edge starts as cvs_forward says, and children are
+# ordered in the rotation sense of the map.  The tests check the reading
+# against the closure cvs_backward both ways, up to 5 faces.
 
 
 def _distances(m: RootedMap, v0: int):
@@ -301,8 +300,13 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         host[c2] = c1
         if fi == root_face:
             root_pair = (c1, c2, ftype)
+    # The tree root edge points away from w_corner, the end of the map's
+    # root edge: from w_corner when the drawn edge ends there, and
+    # otherwise, only in an l,l+1,l+2,l+1 face, from its l+1 corner c1.
     c1, c2, ftype = root_pair
-    c_from, c_to = _cvs_root_orientation(w_corner, c1, c2, ftype)
+    if w_corner not in (c1, c2) and ftype == 1:
+        raise BijectionError("root corner missing from its face edge")
+    c_from = w_corner if w_corner in (c1, c2) else c1
 
     def build(at_corner, skip):
         """Subtree at the vertex of at_corner, children in rotation order
@@ -320,69 +324,64 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
     return tree
 
 
-def _cvs_root_orientation(w_corner, c1, c2, ftype):
-    """Orient the tree root edge away from the endpoint of the map's root
-    edge (the corner w_corner): when that corner is an endpoint of the
-    drawn edge, start there; otherwise, which happens only in a face with
-    labels l,l+1,l+2,l+1, start at the l+1 corner c1."""
-    if w_corner in (c1, c2):
-        return w_corner, c1 if w_corner == c2 else c2
-    if ftype == 1:
-        raise BijectionError("root corner missing from its face edge")
-    return c1, c2
-
-
-# n -> {tree string: (quadrangulation, pointed vertex)}: the inverse of
-# cvs_forward on the quadrangulations with n faces, kept by cvs_pass
-_cvs_tables = {}
-
-
-def cvs_pass(n):
-    """Run cvs_forward once on each pointed quadrangulation with n faces.
-
-    Yields (q, trees) for each quadrangulation q, trees being {v0: tree}
-    over the pointed vertices where cvs_forward applies.  The trees of q
-    are entered in a table {tree string: (q, v0)} before q is yielded, and
-    a tree met twice raises BijectionError: the labelling map is not
-    injective.  Once the pass has run to its end, the table is what
-    cvs_backward reads, so a caller that reads the pass (the cvs round
-    trip) leaves the table filled with no second pass.  Nothing beyond
-    the table and the trees of one quadrangulation is held."""
-    from tuttelab.generate import quadrangulations
-    table = {}
-    for q in quadrangulations(n):
-        trees = {}
-        for v0 in range(q.n_vertices):
-            try:
-                tree = cvs_forward(q, v0)
-            except BijectionError:
-                continue
-            key = tree.to_string()
-            if key in table:
-                raise BijectionError(
-                    f"labelling map is not injective: quadrangulation "
-                    f"{q.to_json()}, v0={v0}")
-            table[key] = (q, v0)
-            trees[v0] = tree
-        yield q, trees
-    _cvs_tables[n] = table
-
-
 def cvs_backward(t: LabelledTree):
-    """Inverse of cvs_forward: the pointed rooted quadrangulation mapping
-    to the given labelled tree.  Computed by inverting cvs_forward over
-    all quadrangulations with n faces and all valid pointings, in one
-    cvs_pass unless one has run already."""
+    """Inverse of cvs_forward: the closure of the labelled tree (Schaeffer
+    1998), built in one walk of its contour.
+
+    The 2n corners of a tree with n edges are its arrivals at a vertex
+    along the contour from the root, but the last.  Arc k, darts 2k and
+    2k + 1, joins corner k to the next corner, cyclically, whose label is
+    one less, or to a new vertex v0 from a label 1; the tree edges are
+    dropped.  At each corner c of a tree vertex come the arcs ending at c,
+    nearest source first, then arc c; v0 takes its arcs in reverse contour
+    order.  The root dart ends the arc from the first corner after the
+    first child's whose label is the root's, when the first child's is one
+    more, and otherwise the arc from the root's second corner (its first
+    if it has one child).
+
+    Returns (map, v0).  The map == the quadrangulation that cvs_forward
+    read, but its darts are numbered by the closure, so v0 indexes the
+    vertices of the returned map, not of that quadrangulation.
+    """
     if not isinstance(t, LabelledTree) or not t.is_valid():
         raise BijectionError("input is not a valid labelled tree")
-    n = t.n_edges
-    if n not in _cvs_tables:
-        for _ in cvs_pass(n):
-            pass
-    try:
-        return _cvs_tables[n][t.to_string()]
-    except KeyError:
+    if not t.children:
         raise BijectionError("tree is not in the image of cvs_forward")
+    corners = []  # (vertex, label); a vertex is numbered by its first one
+
+    def walk(s, v):
+        for child in s.children:
+            corners.append((v, s.label))
+            walk(child, len(corners))
+        corners.append((v, s.label))
+
+    walk(t, 0)
+    vert, lab = zip(*corners[:-1])  # drop the final return to the root
+    n2 = len(lab)
+    ends = [[] for _ in range(n2)]  # the arcs ending at each corner
+    nearest = {}  # label -> the nearest corner after, cyclically
+    # Labels move by at most 1 from corner to corner, so no arc passes over
+    # a corner of label 1: scanned back from one, each arc's end is seen
+    # before its source, and each corner's arcs are listed nearest first.
+    k1 = lab.index(1)
+    for i in range(k1, k1 - n2, -1):
+        k = i % n2
+        if lab[k] > 1:
+            ends[nearest[lab[k] - 1]].append(k)
+        nearest[lab[k]] = k
+    rings = [[] for _ in range(n2)]  # the darts around each tree vertex
+    for c, ks in enumerate(ends):
+        rings[vert[c]] += [2 * k + 1 for k in ks] + [2 * c]
+    rings.append([2 * k + 1 for k in reversed(range(n2)) if lab[k] == 1])
+    sigma = [0] * (2 * n2)
+    for ring in rings:
+        for d, e in zip(ring, ring[1:] + ring[:1]):
+            sigma[d] = e
+    up = lab[1] == lab[0] + 1
+    k = next((k for k in range(1, n2)
+              if (lab[k] == lab[0] if up else vert[k] == 0)), 0)
+    m = RootedMap([d ^ 1 for d in range(2 * n2)], sigma, 2 * k + 1)
+    return m, m.vertex_of[rings[-1][0]]
 
 
 # -- spanning-tree contour words ----------------------------------------------

@@ -15,12 +15,13 @@ algebraic suites name a row for each check function of `tuttelab.kernels`
 and `tuttelab.algebraic`.
 
 Each cross-check is written once.  The bijection round trips are
-shared with the `bijection roundtrip` command.  The brute-force work that
-two suites read is memoised, so it runs once per process: the four
-closed-formula vs brute-force checks (closed_forms and kernels) and the
-brute-force series of MAPS_1CAT to t^6 (counts reads the number of maps
-of each size off it, equations compares expand with it), whose 6-edge
-maps are streamed once and never held.  The bipolar maps and
+shared with the `bijection roundtrip` command; the cvs one inverts each
+tree by its closure.  The brute-force work that two suites read is
+memoised, so it runs once per process: the four closed-formula vs
+brute-force checks (closed_forms and kernels) and the brute-force series
+of MAPS_1CAT to t^6 (counts reads the number of maps of each size off it,
+equations compares expand with it), whose 6-edge maps are streamed once
+and never held.  The bipolar maps and
 spanning-tree series checks, like the bijections suite's Ising identity,
 read rows of brute_force_gf; the other closed-formula checks keep their
 own enumerator, and each says why.
@@ -65,17 +66,19 @@ from functools import cache, partial
 from tuttelab import algebraic, kernels
 from tuttelab import closed_forms as cf
 from tuttelab.bijections import (BijectionError, _distances,
-                                 canonical_edges, cvs_pass, ising_erase,
-                                 ising_series_identity, ising_subdivide,
-                                 mullin_decode, mullin_decompose,
-                                 mullin_encode, phi_bar, phi_close, psi_open,
-                                 tprime_degrees, tree_root_key,
-                                 unbalanced_join, unbalanced_split)
+                                 canonical_edges, cvs_backward, cvs_forward,
+                                 ising_erase, ising_series_identity,
+                                 ising_subdivide, mullin_decode,
+                                 mullin_decompose, mullin_encode, phi_bar,
+                                 phi_close, psi_open, tprime_degrees,
+                                 tree_root_key, unbalanced_join,
+                                 unbalanced_split)
 from tuttelab.desystems import check_de_maps, check_de_tri, check_tutte_ode
 from tuttelab.equations import EquationId, brute_force_gf, expand
 from tuttelab.generate import (all_bipolar_orientations, all_maps,
                                all_maps_oracle, all_spanning_trees,
                                four_valent, near_angulations, quadrangulations)
+from tuttelab.maps import MapError
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle)
 from tuttelab.trees import BlossomingTree, DyckShuffle
@@ -111,21 +114,31 @@ def roundtrip_psi(n):
 
 def roundtrip_cvs(n):
     """cvs_backward inverts cvs_forward on the quadrangulations with n faces.
-    One cvs_pass runs cvs_forward once on each pointed quadrangulation and
-    fills the table that cvs_backward reads, failing on a tree met twice.
-    On each quadrangulation, cvs_forward must apply at exactly the pointed
-    vertices nearer the origin of the root edge than its end (those are
-    counted), each tree must be valid, and the tree pointed at the root
-    vertex well labelled."""
+    cvs_forward runs once on each pointed quadrangulation and must apply at
+    exactly the pointed vertices nearer the origin of the root edge than
+    its end (those are counted); the tree pointed at the root vertex must
+    be well labelled.  The closure of each tree must give back the
+    quadrangulation, by ==, and its pointing, compared through canonical
+    labels because the closure numbers the darts its own way.  A closure
+    that raises, or builds no planar map, is a counterexample."""
     checked, bad = 0, None
-    try:
-        for q, trees in cvs_pass(n):
-            checked += len(trees)
-            if bad is None:
-                bad = _cvs_counterexample(q, trees)
-    except BijectionError as err:  # a tree met twice
-        bad = str(err)
+    for q in quadrangulations(n):
+        trees = {}
+        for v0 in range(q.n_vertices):
+            try:
+                trees[v0] = cvs_forward(q, v0)
+            except BijectionError:
+                pass
+        checked += len(trees)
+        if bad is None:
+            bad = _cvs_counterexample(q, trees)
     return checked, bad
+
+
+def _pointing(m, v0, label):
+    """The least canonical label (label = m.bfs_labels()) of a dart at v0,
+    which names the pointed vertex however the darts of m are numbered."""
+    return min(label[d] for d in m.vertices[v0])
 
 
 def _cvs_counterexample(q, trees):
@@ -137,11 +150,18 @@ def _cvs_counterexample(q, trees):
     if list(trees) != nearer:
         return (f"quadrangulation {q.to_json()}, trees at {list(trees)},"
                 f" not at {nearer}")
-    v0 = next((v for v, t in trees.items() if not t.is_valid()), None)
-    if v0 is not None:
-        return f"quadrangulation {q.to_json()}, v0={v0}"
     if not trees[u].is_valid(well=True):
         return f"quadrangulation {q.to_json()}, root tree not well labelled"
+    label = q.bfs_labels()
+    for v0, tree in trees.items():
+        try:
+            m, v = cvs_backward(tree)
+            ok = m == q and (_pointing(m, v, m.bfs_labels())
+                             == _pointing(q, v0, label))
+        except (BijectionError, MapError):  # no closure, or no planar one
+            ok = False
+        if not ok:
+            return f"quadrangulation {q.to_json()}, v0={v0}"
     return None
 
 

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from tuttelab import bijections
+from tuttelab import generate, verify
 from tuttelab import closed_forms as cf
 from tuttelab.bijections import (BijectionError, _closure_match,
                                  canonical_edges, corner_walk, cvs_backward,
@@ -111,8 +113,15 @@ def test_unbalanced_split_join():
             assert unbalanced_join(*pieces) == t
 
 
+def _pointed(m, v0):
+    # a pointed map up to the numbering of its darts: its code and the
+    # least canonical label of a dart at v0
+    label = m.bfs_labels()
+    return m.code, min(label[d] for d in m.vertices[v0])
+
+
 def test_cvs_roundtrip():
-    for n in range(1, 4):
+    for n in range(1, 6):
         cnt = 0
         for q in quadrangulations(n):
             for v0 in range(q.n_vertices):
@@ -122,53 +131,108 @@ def test_cvs_roundtrip():
                     continue
                 cnt += 1
                 assert t.is_valid()
-                assert cvs_backward(t) == (q, v0)
+                assert _pointed(*cvs_backward(t)) == _pointed(q, v0)
             # pointing at the root vertex gives a well-labelled tree
             assert cvs_forward(q, q.vertex_of[q.root]).is_valid(well=True)
         assert cnt == cf.labelled_tree_count(n)
 
 
-def _counting_cvs_forward(monkeypatch):
-    # a fresh table for cvs_backward, and a list that grows by one at each
-    # cvs_forward call
+def test_cvs_forward_after_closure_is_the_identity():
+    for n in range(1, 6):
+        for t in LabelledTree.all_labelled_trees(n):
+            assert cvs_forward(*cvs_backward(t)) == t
+
+
+def _random_labelled_tree(rng, n):
+    """A labelled tree with n edges drawn through rng.random() alone: a
+    plane tree by the cycle lemma, increments in {-1, 0, 1} along its
+    edges, labels shifted so that the least is 1."""
+    steps = [1] * n + [-1] * (n + 1)
+    for i in reversed(range(1, len(steps))):  # Fisher-Yates
+        j = int(rng.random() * (i + 1))
+        steps[i], steps[j] = steps[j], steps[i]
+    # the one rotation whose partial sums stay >= 0 until its last step
+    # starts after the first minimum; that last step is dropped
+    sums = list(itertools.accumulate(steps))
+    cut = sums.index(min(sums)) + 1
+    steps = (steps[cut:] + steps[:cut])[:-1]
+    labels, path = [0], [0]
+    for s in steps:
+        if s == 1:
+            path.append(path[-1] + int(rng.random() * 3) - 1)
+            labels.append(path[-1])
+        else:
+            path.pop()
+    low = min(labels)
+    shifted = iter(l + 1 - low for l in labels)
+    stack = [(next(shifted), [])]
+    for s in steps:
+        if s == 1:
+            stack.append((next(shifted), []))
+        else:
+            label, children = stack.pop()
+            stack[-1][1].append(LabelledTree(label, children))
+    return LabelledTree(*stack[0])
+
+
+def test_cvs_round_trip_far_above_the_cap():
+    rng = random.Random(2020)
+    for _ in range(20):
+        t = _random_labelled_tree(rng, 200)
+        assert t.is_valid() and t.n_edges == 200
+        m, v0 = cvs_backward(t)
+        assert m.is_quadrangulation() and m.n_faces == 200
+        assert m.n_darts >= 256  # the tuple storage of RootedMap
+        assert cvs_forward(m, v0) == t
+
+
+def test_cvs_backward_generates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cvs_backward called a generator")
+
+    for name in ("quadrangulations", "four_valent", "all_maps"):
+        monkeypatch.setattr(generate, name, refuse)
+    for t in LabelledTree.all_labelled_trees(3):
+        assert cvs_forward(*cvs_backward(t)) == t
+    with pytest.raises(BijectionError,
+                       match="tree is not in the image of cvs_forward"):
+        cvs_backward(LabelledTree(1))
+
+
+@pytest.mark.parametrize("t", [
+    "1:1 2:0",  # not a tree
+    LabelledTree(1, [LabelledTree(3)]),  # labels two apart
+    LabelledTree(2, [LabelledTree(3)]),  # no label 1
+    LabelledTree(0, [LabelledTree(1)]),  # a label below 1
+    LabelledTree(2),  # no edge and no label 1
+])
+def test_cvs_backward_refuses_a_bad_tree(t):
+    with pytest.raises(BijectionError,
+                       match="input is not a valid labelled tree"):
+        cvs_backward(t)
+
+
+def test_cvs_round_trip_is_one_forward_pass(monkeypatch):
+    # the round trip runs cvs_forward once on each pointed quadrangulation
     calls = []
 
     def counted(q, v0):
         calls.append((q, v0))
         return forward(q, v0)
 
-    forward = bijections.cvs_forward
-    monkeypatch.setattr(bijections, "_cvs_tables", {})
-    monkeypatch.setattr(bijections, "cvs_forward", counted)
-    return calls
-
-
-def test_cvs_round_trip_is_one_forward_pass(monkeypatch):
-    # the round trip runs cvs_forward once on each pointed quadrangulation,
-    # and that pass fills the table that cvs_backward reads
-    calls = _counting_cvs_forward(monkeypatch)
+    forward = verify.cvs_forward
+    monkeypatch.setattr(verify, "cvs_forward", counted)
     for n in range(1, 5):
         assert roundtrip_cvs(n) == (cf.labelled_tree_count(n), None)
         assert len(calls) == (n + 2) * cf.quadrangulation_count(n)
         assert len({(q.code, v0) for q, v0 in calls}) == len(calls)
         del calls[:]
-        for t in LabelledTree.all_labelled_trees(n):
-            cvs_backward(t)
-        assert not calls
-
-
-def test_cvs_backward_alone_runs_one_pass(monkeypatch):
-    calls = _counting_cvs_forward(monkeypatch)
-    trees = LabelledTree.all_labelled_trees(3)
-    pointings = {(q.code, v0) for q, v0 in map(cvs_backward, trees)}
-    assert len(pointings) == len(trees) == cf.labelled_tree_count(3)
-    assert len(calls) == 5 * cf.quadrangulation_count(3)
 
 
 @pytest.mark.parametrize("fault", ["not injective", "invalid tree",
                                    "drops a pointing"])
 def test_cvs_round_trip_catches_a_faulty_forward(monkeypatch, fault):
-    forward = bijections.cvs_forward
+    forward = verify.cvs_forward
 
     def faulty(q, v0):
         t = forward(q, v0)
@@ -180,8 +244,24 @@ def test_cvs_round_trip_catches_a_faulty_forward(monkeypatch, fault):
             raise BijectionError("dropped")
         return t
 
-    monkeypatch.setattr(bijections, "_cvs_tables", {})
-    monkeypatch.setattr(bijections, "cvs_forward", faulty)
+    monkeypatch.setattr(verify, "cvs_forward", faulty)
+    assert all(roundtrip_cvs(n)[1] is not None for n in range(1, 5))
+
+
+@pytest.mark.parametrize("fault", ["wrong pointing", "refuses",
+                                   "no planar map"])
+def test_cvs_round_trip_catches_a_faulty_backward(monkeypatch, fault):
+    backward = verify.cvs_backward
+
+    def faulty(t):
+        m, v0 = backward(t)
+        if fault == "wrong pointing":  # the right map, at another vertex
+            return m, (v0 + 1) % m.n_vertices
+        if fault == "refuses":
+            raise BijectionError("refused")
+        return RootedMap(m.alpha, m.alpha, m.root), v0  # not connected
+
+    monkeypatch.setattr(verify, "cvs_backward", faulty)
     assert all(roundtrip_cvs(n)[1] is not None for n in range(1, 5))
 
 
