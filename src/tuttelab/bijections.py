@@ -348,14 +348,15 @@ def cvs_backward(t: LabelledTree):
     if not t.children:
         raise BijectionError("tree is not in the image of cvs_forward")
     corners = []  # (vertex, label); a vertex is numbered by its first one
-
-    def walk(s, v):
-        for child in s.children:
-            corners.append((v, s.label))
-            walk(child, len(corners))
+    stack = [(t, 0, iter(t.children))]  # the contour, walked without recursion
+    while stack:
+        s, v, rest = stack[-1]
         corners.append((v, s.label))
-
-    walk(t, 0)
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append((child, len(corners), iter(child.children)))
     vert, lab = zip(*corners[:-1])  # drop the final return to the root
     n2 = len(lab)
     ends = [[] for _ in range(n2)]  # the arcs ending at each corner

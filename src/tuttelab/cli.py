@@ -2,10 +2,11 @@
 bijection round trips, series expansion, closed formulas and the
 verification suites.
 
-Exit codes: 0 all checks pass / command succeeded, 1 a check failed or
-bad formula arguments, 2 unknown family, equation, formula or suite, or
-an invalid size, order or parameter, 3 malformed map file, 4 generation
-cap or `tutte` map size cap exceeded (checked before any work starts).
+Exit codes: 0 all checks pass / command succeeded, 1 a check failed, bad
+formula arguments or the reader closed the output, 2 unknown family,
+equation, formula or suite, or an invalid size, order or parameter, 3
+malformed map file, 4 generation cap or `tutte` map size cap exceeded
+(checked before any work starts).
 Output is byte-deterministic for fixed inputs and flags.  Every command
 but verify computes its result once and hands _emit three views of it,
 which prints the one the flags ask for: one line of JSON, a CSV header and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -280,11 +282,20 @@ def main(argv=None) -> int:
     from tuttelab.generate import CapExceeded
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader is met here, not at exit
+        return code
     except CapExceeded as err:
         kind = _CAP_KIND.get(args.command, "generation")
         print(f"{kind} cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # The reader closed the output: what is still buffered goes to
+        # devnull, so that the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ annihilate the kernel of the equation, and then recovers the generating
 function as the positive (or non-negative) part of an explicit rational
 expression.  This module builds those series, performs the extractions,
 and cross-checks them against direct equation iteration and against
-Lagrange-inversion coefficient formulas.  The closed counting formulas
+Lagrange-inversion coefficient formulas.  Each coefficient formula is
+checked by building its whole table, to the truncation, as one MultiPoly
+and comparing it with the whole series in one `==`, so a term that the
+formula does not predict fails the check.  The closed counting formulas
 are checked against brute force in `tuttelab.verify`.  Each geometric
 series 1/(1 - ct) here is a `TSeries.inverse`, never a fixed point.
 """
@@ -114,8 +117,9 @@ def trinomial_coeff(n: int, a: int, b: int) -> int:
 
 
 def trinomial_expansion_check(order: int = 6, u_cap: int = 6) -> bool:
-    """The closed-form coefficients above match an independent truncated
-    geometric expansion of 1/(1 - (u + z(1/y + y/u)))."""
+    """The closed form above gives every coefficient, to z^order and
+    u^u_cap, of an independent truncated geometric expansion of
+    1/(1 - (u + z(1/y + y/u)))."""
     L = YB + Y * UB
     base = U + Z * L
     total = MultiPoly.one()
@@ -125,17 +129,9 @@ def trinomial_expansion_check(order: int = 6, u_cap: int = 6) -> bool:
         if power.is_zero():
             break
         total = total + power
-    total = total.part("u", hi=u_cap)
-    for n in range(order + 1):
-        zn = total.coeff("z", n)
-        for a in range(-n, u_cap + 1):
-            ua = zn.coeff("u", a)
-            for b in range(-n, n + 1):
-                got = ua.coeff("y", b)
-                want = trinomial_coeff(n, a, b)
-                if got != MultiPoly.const(want):
-                    return False
-    return True
+    table = {(n, a, b): trinomial_coeff(n, a, b) for n in range(order + 1)
+             for a in range(-n, u_cap + 1) for b in range(-n, n + 1)}
+    return total.part("u", hi=u_cap) == MultiPoly(("z", "u", "y"), table)
 
 
 # -- bipolar triangulations: positive-part extraction ---------------------------
@@ -194,16 +190,12 @@ def gbt_coeff(n: int, i: int, j: int):
 
 
 def gbt_closed_form_check(order: int = 6, u_cap: int = 4) -> bool:
-    """The triple-sum closed form matches BT(1/(1-u), y) by iteration."""
-    sub = bipolar_tri_substituted(order, u_cap)
-    for n in range(order + 1):
-        zn = sub.coeff(n)
-        for i in range(u_cap + 1):
-            ui = zn.coeff("u", i)
-            for j in range(0, n + 3):
-                if ui.coeff("y", j) != MultiPoly.const(gbt_coeff(n, i, j)):
-                    return False
-    return True
+    """The triple-sum closed form gives every coefficient of BT(1/(1-u), y)
+    by iteration, to z^order and u^u_cap."""
+    table = {(n, i, j): gbt_coeff(n, i, j) for n in range(order + 1)
+             for i in range(u_cap + 1) for j in range(n + 3)}
+    return (bipolar_tri_substituted(order, u_cap).as_poly()
+            == MultiPoly(("z", "u", "y"), table))
 
 
 # -- bipolar maps: non-negative-part extraction ----------------------------------
@@ -303,45 +295,28 @@ def tree_rooted_tri_q0_coeff(n: int, i: int):
                     (i + 1) * (n + i))
 
 
-# -- Lagrange-inversion spot checks ---------------------------------------------
+# -- Lagrange-inversion checks --------------------------------------------------
 
 
 def lagrange_V_spot_checks(order: int = 5) -> bool:
-    """lagrange_V_coeff matches V_series at every (i, j, n), n <= order."""
-    V = V_series(order)
-    for n in range(1, order + 1):
-        cn = V.coeff(n)
-        for i in range(0, n + 1):
-            for j in range(1, n + 1):
-                k = n + 1 - 2 * i - 2 * j
-                got = cn.coeff("w", i).coeff("z", j).coeff("u", k)
-                want = lagrange_V_coeff(i, j, n)
-                if got != MultiPoly.const(want):
-                    return False
-    return True
+    """lagrange_V_coeff gives every coefficient of V_series to t^order."""
+    table = {(n, i, j, n + 1 - 2 * i - 2 * j): lagrange_V_coeff(i, j, n)
+             for n in range(1, order + 1) for i in range(n + 1)
+             for j in range(1, n + 1)}
+    return V_series(order).as_poly() == MultiPoly(("t", "w", "z", "u"), table)
 
 
 def lagrange_U_spot_checks(order: int = 6) -> bool:
-    """lagrange_U_coeff matches U_series at every (n, i), n <= order."""
-    Us = U_series(order)
-    for n in range(1, order + 1):
-        cn = Us.coeff(n)
-        for i in range(0, n + 1):
-            if cn.coeff("y", 3 * i - n + 2) != MultiPoly.const(
-                    lagrange_U_coeff(n, i)):
-                return False
-    return True
+    """lagrange_U_coeff gives every coefficient of U_series to t^order."""
+    table = {(n, 3 * i - n + 2): lagrange_U_coeff(n, i)
+             for n in range(1, order + 1) for i in range(n + 1)}
+    return U_series(order).as_poly() == MultiPoly(("t", "y"), table)
 
 
 def tri_q0_closed_form(order: int = 6) -> bool:
-    """tree_rooted_tri_q0_coeff matches tree_rooted_tri_Q0 to t^order."""
-    Q0 = tree_rooted_tri_Q0(order)
-    for n in range(1, order + 1):
-        cn = Q0.coeff(n)
-        for i in range(0, n + 1):
-            d = 3 * i - n
-            if d < 0:
-                continue
-            if cn.coeff("y", d) != MultiPoly.const(tree_rooted_tri_q0_coeff(n, i)):
-                return False
-    return True
+    """Every coefficient of Q(0, y) to t^order: the constant term 1, and
+    tree_rooted_tri_q0_coeff at every other."""
+    table = {(n, 3 * i - n): tree_rooted_tri_q0_coeff(n, i)
+             for n in range(1, order + 1) for i in range(n + 1) if 3 * i >= n}
+    Q0 = tree_rooted_tri_Q0(order).as_poly()
+    return Q0 == 1 + MultiPoly(("t", "y"), table)

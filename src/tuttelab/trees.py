@@ -152,37 +152,36 @@ class LabelledTree(namedtuple("LabelledTree", "label children")):
     def __new__(cls, label, children=()):
         return super().__new__(cls, int(label), tuple(children))
 
+    def _preorder(self):
+        """The subtrees in preorder, the root first, walked with an explicit
+        stack so that a deep tree needs no deep recursion."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t
+            stack.extend(reversed(t.children))
+
     @property
     def n_edges(self) -> int:
-        return sum(1 + c.n_edges for c in self.children)
+        return sum(len(t.children) for t in self._preorder())
 
     def labels(self):
-        out = [self.label]
-        for c in self.children:
-            out.extend(c.labels())
-        return out
+        return [t.label for t in self._preorder()]
 
     def is_valid(self, well: bool = False) -> bool:
         """Labels positive with minimum 1, adjacent labels differing by
         0 or +-1; well labelled additionally means root label 1."""
-        def edges_ok(t):
-            return all(abs(t.label - c.label) <= 1 and edges_ok(c)
-                       for c in t.children)
         labs = self.labels()
-        ok = min(labs) == 1 and all(l >= 1 for l in labs) and edges_ok(self)
+        ok = min(labs) == 1 and all(
+            abs(t.label - c.label) <= 1
+            for t in self._preorder() for c in t.children)
         if well:
             ok = ok and self.label == 1
         return ok
 
     def to_string(self) -> str:
-        out = []
-
-        def ser(t):
-            out.append(f"{t.label}:{len(t.children)}")
-            for c in t.children:
-                ser(c)
-        ser(self)
-        return " ".join(out)
+        return " ".join(f"{t.label}:{len(t.children)}"
+                        for t in self._preorder())
 
     def __repr__(self):
         return f"LabelledTree({self.to_string()!r})"

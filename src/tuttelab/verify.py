@@ -60,6 +60,7 @@ import json
 import os
 import pickle
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 
@@ -79,6 +80,7 @@ from tuttelab.generate import (all_bipolar_orientations, all_maps,
                                all_maps_oracle, all_spanning_trees,
                                four_valent, near_angulations, quadrangulations)
 from tuttelab.maps import MapError
+from tuttelab.poly import MultiPoly
 from tuttelab.potts import (potts, potts_by_interpolation, potts_from_tutte,
                             potts_subset_oracle)
 from tuttelab.trees import BlossomingTree, DyckShuffle
@@ -223,67 +225,67 @@ ROUNDTRIPS = {
 
 @cache
 def bipolar_formula_vs_brute_force() -> bool:
-    """Bipolar orientations of maps with n <= 4 edges and m+1 vertices:
-    [t^n w^m] of the BIPOLAR_MAPS brute-force series at x = y = 1."""
+    """Bipolar orientations of maps with n <= 4 edges and m+1 vertices: the
+    whole BIPOLAR_MAPS brute-force series at x = y = 1, as a polynomial in t
+    and w, is t w (the link) plus bipolar_count(n, m) t^n w^m."""
     brute = brute_force_gf(EquationId.BIPOLAR_MAPS, 4)
-    return all(brute.coeff(n).subs({"x": 1, "y": 1}).coeff("w", m)
-               == cf.bipolar_count(n, m)
-               for n in range(2, 5) for m in range(1, n))
+    table = {(n, m): cf.bipolar_count(n, m) for n in range(2, 5)
+             for m in range(1, n)}
+    return (brute.as_poly().subs({"x": 1, "y": 1})
+            == MultiPoly(("t", "w"), {(1, 1): 1, **table}))
 
 
 @cache
 def bipolar_tri_formula_vs_brute_force() -> bool:
     """Sum of bipolar orientations over near-triangulations with m+1
-    vertices, m <= 3.  Maps with more than 7 edges all have outer degree 1
-    (a root loop) and hence no bipolar orientation, so the 7-edge
-    generation cap is exhaustive.  It sums here rather than reading the
-    BIPOLAR_TRI brute-force series: the case m = 3 needs 4 inner faces,
-    over the cap of the non-separable near-triangulations."""
-    for m in range(1, 4):
-        got = sum(len(all_bipolar_orientations(mm)) for e in range(1, 8)
-                  for mm in near_angulations(e, 3) if mm.n_vertices == m + 1)
-        if got != cf.bipolar_tri_count(m):
-            return False
-    return True
+    vertices, m <= 3, in one pass over the maps.  Maps with more than 7
+    edges all have outer degree 1 (a root loop) and hence no bipolar
+    orientation, so the 7-edge generation cap is exhaustive.  It sums here
+    rather than reading the BIPOLAR_TRI brute-force series: the case m = 3
+    needs 4 inner faces, over the cap of the non-separable
+    near-triangulations."""
+    got = Counter()
+    for e in range(1, 8):
+        for mm in near_angulations(e, 3):
+            if mm.n_vertices <= 4:
+                got[mm.n_vertices - 1] += len(all_bipolar_orientations(mm))
+    return got == Counter({m: cf.bipolar_tri_count(m) for m in range(1, 4)})
 
 
 @cache
 def tree_rooted_formula_vs_brute_force() -> bool:
-    """Spanning trees of maps with i+1 vertices and j+1 faces, i+j <= 4.
-    They are enumerated by all_spanning_trees rather than read off the
-    TUTTE_MAPS brute-force series, which reads `tutte`, the subset walk
-    that the Potts checks already share; this and its near-triangulation
-    twin are the only refined checks of that second enumerator."""
+    """Spanning trees of maps with i+1 vertices and j+1 faces, i+j <= 4, in
+    one pass over the maps.  They are enumerated by all_spanning_trees
+    rather than read off the TUTTE_MAPS brute-force series, which reads
+    `tutte`, the subset walk that the Potts checks already share; this and
+    its near-triangulation twin are the only refined checks of that second
+    enumerator."""
+    got = Counter()
     for n in range(1, 5):
-        for i in range(0, n + 1):
-            j = n - i
-            got = sum(len(all_spanning_trees(mm)) for mm in all_maps(n)
-                      if mm.n_vertices == i + 1 and mm.n_faces == j + 1)
-            if got != cf.tree_rooted_count(i, j):
-                return False
-    return True
+        for mm in all_maps(n):
+            got[mm.n_vertices - 1, mm.n_faces - 1] += len(all_spanning_trees(mm))
+    return got == Counter({(i, n - i): cf.tree_rooted_count(i, n - i)
+                           for n in range(1, 5) for i in range(n + 1)})
 
 
 @cache
 def tree_rooted_tri_formula_vs_brute_force() -> bool:
     """Spanning trees of near-triangulations with i+1 vertices, i <= 3, by
-    root-face degree d; such a map carries 3i-d edges.  The only case beyond
-    the 7-edge generation cap is (i, d) = (3, 1); a near-triangulation of
-    outer degree 1 is a root loop drawn around one of outer degree 2 with
-    the same spanning trees, so that case reduces to (3, 2).  Like
-    tree_rooted_formula_vs_brute_force, it checks all_spanning_trees."""
-
-    def brute(i, d):
-        return sum(len(all_spanning_trees(mm))
-                   for mm in near_angulations(3 * i - d, 3)
-                   if mm.n_vertices == i + 1 and mm.root_face_degree == d)
-
-    for i in range(1, 4):
-        for d in range(1, 2 * i + 1):
-            got = brute(i, 2) if 3 * i - d > 7 else brute(i, d)
-            if got != cf.tree_rooted_tri_count(i, d):
-                return False
-    return True
+    root-face degree d, in one pass over the maps; such a map carries 3i-d
+    edges.  The only case beyond the 7-edge generation cap is
+    (i, d) = (3, 1); a near-triangulation of outer degree 1 is a root loop
+    drawn around one of outer degree 2 with the same spanning trees, so that
+    case reduces to (3, 2).  Like tree_rooted_formula_vs_brute_force, it
+    checks all_spanning_trees."""
+    got = Counter()
+    for e in range(1, 8):
+        for mm in near_angulations(e, 3):
+            if mm.n_vertices <= 4:
+                got[mm.n_vertices - 1, mm.root_face_degree] += len(
+                    all_spanning_trees(mm))
+    got[3, 1] = got[3, 2]
+    return got == Counter({(i, d): cf.tree_rooted_tri_count(i, d)
+                           for i in range(1, 4) for d in range(1, 2 * i + 1)})
 
 
 # -- general maps by brute force ----------------------------------------------

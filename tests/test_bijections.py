@@ -199,6 +199,26 @@ def test_cvs_backward_generates_nothing(monkeypatch):
         cvs_backward(LabelledTree(1))
 
 
+def _path(labels):
+    """The labelled path whose nodes, from the root down, carry labels."""
+    labels = list(labels)
+    t = LabelledTree(labels.pop())
+    for label in reversed(labels):
+        t = LabelledTree(label, [t])
+    return t
+
+
+def test_cvs_backward_closes_a_path_deeper_than_the_recursion_limit():
+    m, _ = cvs_backward(_path(range(1, 1202)))
+    assert m.is_quadrangulation() and m.n_faces == 1200
+
+
+def test_cvs_backward_refuses_a_deep_path_without_label_1():
+    with pytest.raises(BijectionError,
+                       match="input is not a valid labelled tree"):
+        cvs_backward(_path([2] * 1201))
+
+
 @pytest.mark.parametrize("t", [
     "1:1 2:0",  # not a tree
     LabelledTree(1, [LabelledTree(3)]),  # labels two apart

@@ -310,6 +310,18 @@ def test_python_m_tuttelab_is_the_cli():
     assert (imported.returncode, imported.stdout, imported.stderr) == (0, b"", b"")
 
 
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # 2,916 maps, far more than a pipe buffer, so the writer meets the
+    # closed pipe while it writes
+    proc = subprocess.Popen([sys.executable, "-m", "tuttelab", "gen", "maps",
+                             "--n", "5"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b'{"n_darts"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_json_and_csv_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "counts", "--json", "--csv"])

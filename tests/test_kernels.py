@@ -1,8 +1,9 @@
 import pytest
 
 from tuttelab import closed_forms as cf
-from tuttelab import verify
+from tuttelab import kernels, verify
 from tuttelab.equations import EquationId, expand
+from tuttelab.series import TSeries
 from tuttelab.kernels import (U_series, V_series, kernel_six_pair_invariance,
                               lagrange_U_coeff, lagrange_V_coeff,
                               trinomial_coeff, trinomial_expansion_check,
@@ -55,6 +56,26 @@ def test_lagrange_coefficients_match_series():
             got = cn.coeff("y", 3 * i - n + 2)
             assert got.is_constant()
             assert got.constant_value() == lagrange_U_coeff(n, i)
+
+
+# Each stray term sits in a cell where the formula gives 0, one that a
+# check reading only the formula's own cells would never look at.
+@pytest.mark.parametrize("series, check, var, power, stray", [
+    ("V_series", "lagrange_V_spot_checks", "t", 3, kernels.Z * kernels.U ** 5),
+    ("U_series", "lagrange_U_spot_checks", "t", 2, kernels.Y),
+    ("tree_rooted_tri_Q0", "tri_q0_closed_form", "t", 2, kernels.Y ** 2),
+    ("bipolar_tri_substituted", "gbt_closed_form_check", "z", 1,
+     kernels.Y ** 4),
+])
+def test_formula_check_sees_a_stray_term(monkeypatch, series, check, var,
+                                         power, stray):
+    real = getattr(kernels, series)
+
+    def with_stray(order, *rest):
+        return real(order, *rest) + TSeries.const(stray, var, order).shift(power)
+
+    monkeypatch.setattr(kernels, series, with_stray)
+    assert not getattr(kernels, check)()
 
 
 def test_spanning_tree_weighted_maps_series():

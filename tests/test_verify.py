@@ -11,6 +11,9 @@ import pytest
 from tuttelab import verify
 from tuttelab.bijections import BijectionError, phi_close
 from tuttelab.desystems import DESolveError
+from tuttelab.equations import EquationId
+from tuttelab.poly import MultiPoly
+from tuttelab.series import TSeries
 from tuttelab.trees import LEAF, BlossomingTree
 
 needs_fork = pytest.mark.skipif(
@@ -431,6 +434,27 @@ def test_failures_are_reported():
     assert not verify.all_pass(bad)
     assert "[FAIL] demo: broken (expected 1, got 2)" \
         in verify.format_report(bad, "plain")
+
+
+def test_bipolar_formula_check_sees_a_stray_term(monkeypatch):
+    # x t is a loop given one orientation: a term at n = 1, m = 0, where
+    # the formula, with the link t w, gives 0
+    real = verify.brute_force_gf
+
+    def with_stray(eq, order, *rest):
+        series = real(eq, order, *rest)
+        if eq is EquationId.BIPOLAR_MAPS:
+            series = series + TSeries.const(MultiPoly.var("x"), "t",
+                                            order).shift(1)
+        return series
+
+    monkeypatch.setattr(verify, "brute_force_gf", with_stray)
+    check = verify.bipolar_formula_vs_brute_force
+    check.cache_clear()
+    try:
+        assert not check()
+    finally:
+        check.cache_clear()
 
 
 def _run_refusing(monkeypatch, list_from, stream_from):
