@@ -308,18 +308,35 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         raise BijectionError("root corner missing from its face edge")
     c_from = w_corner if w_corner in (c1, c2) else c1
 
-    def build(at_corner, skip):
-        """Subtree at the vertex of at_corner, children in rotation order
-        from at_corner; skip=1 leaves out at_corner itself, the edge to
-        the parent, which the root does not have."""
+    def node(at_corner, skip):
+        """The label of the vertex of at_corner and the corners of its
+        children, in rotation order from at_corner; skip=1 leaves out
+        at_corner itself, the edge to the parent, which the root does not
+        have."""
         v = m.vertex_of[at_corner]
         ring = [d for d in m.vertices[v] if d in host]
         i = ring.index(at_corner)
-        return LabelledTree(dist[v], [build(host[c], 1)
-                                      for c in ring[i + skip:] + ring[:i]])
+        return dist[v], iter([host[c] for c in ring[i + skip:] + ring[:i]])
 
-    tree = build(c_from, 0)
-    if tree.n_edges != m.n_faces:
+    # depth first with an explicit stack of (label, children's corners
+    # left, children built); a spanning tree has n_faces + 1 vertices, so
+    # a walk that meets more has met a cycle of drawn edges
+    stack, met = [(*node(c_from, 0), [])], 1
+    while True:
+        label, corners, built = stack[-1]
+        corner = next(corners, None)
+        if corner is not None:
+            met += 1
+            if met > m.n_faces + 1:
+                break
+            stack.append((*node(corner, 1), []))
+            continue
+        stack.pop()
+        tree = LabelledTree(label, built)
+        if not stack:
+            break
+        stack[-1][2].append(tree)
+    if stack or tree.n_edges != m.n_faces:
         raise BijectionError("drawn edges do not form a spanning tree")
     return tree
 

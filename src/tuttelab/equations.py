@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain
 
 from tuttelab.poly import MultiPoly
 from tuttelab.series import TSeries, fixed_point
@@ -279,17 +280,21 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     beside one monomial (nothing, its Potts or Tutte polynomial, or its
     number of bipolar orientations), which of w^(v-1), x^dv, y^(df/per)
     and z^(f-1) that monomial marks, and a fixed step (division by q of the
-    Potts weights, nu = 0 for TUTTE_NONSEP_TRI).  The maps of one size are
-    counted by (what the weight reads, exponents), and each group costs one
-    product with one monomial.  The fixed step, then the parameters the
-    caller sets, are applied once per coefficient; a symbolic parameter is
-    never substituted.  The top size is asked for first, as a stream of
-    the family, so a size over its cap is refused before any map is built
-    and the top size is never held, unless a memo holds it already.  The
-    non-separable near-triangulations are the exception: their short
-    lists are memoised at every size.  The two quasi-triangulation
-    ids yield the x = 0 slice (near-triangulations), the only slice with a
-    direct combinatorial meaning.
+    Potts weights, nu = 0 for TUTTE_NONSEP_TRI).  The maps of every size
+    are counted at once by (size, what the weight reads, exponents), and
+    each group costs one product with one monomial.  The fixed step, then
+    the parameters the caller sets, are applied once per coefficient; a
+    symbolic parameter is never substituted.  The top size is asked for
+    first, so a size over its cap is refused before any map is built.  A
+    root-edge family (all maps, near-p-angulations, bipartite maps) reads
+    its memoised lists below order - 1 and both top sizes from one pass of
+    generate.stream_with_parents; the Eulerian near-triangulations read
+    their lists below the order and a stream at it.  So the sizes streamed
+    are never held, unless a memo holds them already.  The non-separable
+    near-triangulations are the exception: their short lists are memoised
+    at every size.  The two quasi-triangulation ids yield the x = 0 slice
+    (near-triangulations), the only slice with a direct combinatorial
+    meaning.
     """
     from tuttelab import generate as g
     from tuttelab.potts import potts, tutte
@@ -297,20 +302,30 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     given = _given(eq, params)
     E = EquationId
 
-    def family(name, *args):
-        """size -> the maps of g.<name>(size, *args): the list below the
-        order, a stream at the order."""
-        def maps(n):
-            if n == order:
-                return g.stream(name, n, *args)
-            return getattr(g, name)(n, *args)
+    def root_edge(name, *args):
+        """order -> (size, map) for every map of g.<name>(size, *args) with
+        size <= order: the lists below order - 1, then sizes order - 1 and
+        order from one pass, so neither is held unless a memo holds it."""
+        def maps(order):
+            top = g.stream_with_parents(name, order, *args)
+            below = [getattr(g, name)(n, *args) for n in range(order - 1)]
+            return ((m.n_edges, m) for m in chain(*below, top))
         return maps
 
-    all_maps, nt = family("all_maps"), family("near_angulations", 3)
-    eulerian = family("eulerian_near_triangulations")
-    # memoised at every size, the top too: TUTTE_NONSEP_TRI and BIPOLAR_TRI
-    # keep the same few maps of one stream of the near-triangulations
-    nonsep = g.non_separable_near_triangulations
+    def eulerian(order):  # the lists below the order, a stream at it
+        top = g.stream("eulerian_near_triangulations", order)
+        below = map(g.eulerian_near_triangulations, range(order))
+        return ((m.n_edges // 3, m) for m in chain(*below, top))
+
+    def nonsep(order):
+        # memoised at every size, the top too: TUTTE_NONSEP_TRI and
+        # BIPOLAR_TRI keep the same few maps of one stream of the
+        # near-triangulations
+        top = g.non_separable_near_triangulations(order)
+        below = map(g.non_separable_near_triangulations, range(order))
+        return ((m.n_faces - 1, m) for m in chain(*below, top))
+
+    all_maps, nt = root_edge("all_maps"), root_edge("near_angulations", 3)
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
@@ -321,15 +336,15 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     def nu_0(c):  # P_T(q, 0)
         return c.subs({"nu": 0})
 
-    # {equation: (its maps of size n, the size being the exponent of the
-    # main variable; what the weight of a map reads, None for nothing; the
-    # variables its monomial marks; per, which divides the root-face degree;
-    # the fixed step)}
+    # {equation: (order -> (size, map) for its maps of every size up to
+    # order, the size being the exponent of the main variable; what the
+    # weight of a map reads, None for nothing; the variables its monomial
+    # marks; per, which divides the root-face degree; the fixed step)}
     table = {
         E.MAPS_1CAT: (all_maps, None, "y", 1, None),
         E.NT: (nt, None, "y", 1, None),
-        E.NQ: (family("near_angulations", 4), None, "y", 1, None),
-        E.BIP: (family("bipartite_maps"), None, "y", 2, None),
+        E.NQ: (root_edge("near_angulations", 4), None, "y", 1, None),
+        E.BIP: (root_edge("bipartite_maps"), None, "y", 2, None),
         E.EULER_NT: (eulerian, None, "y", 3, None),
         E.POTTS_MAPS: (all_maps, potts, "wxy", 1, over_q),
         E.TUTTE_MAPS: (all_maps, tutte, "wxyz", 1, None),
@@ -346,16 +361,17 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
             "z": lambda m: m.n_faces - 1}
     stats = [stat[v] for v in marks]
 
-    def key(m):
-        return reads(m) if reads else 1, tuple([s(m) for s in stats])
+    def key(sized):
+        n, m = sized
+        return n, reads(m) if reads else 1, tuple([s(m) for s in stats])
 
-    def coeff(ms):
-        groups = Counter(map(key, ms))
-        c = MultiPoly.dot((value, MultiPoly(marks, {exps: k}))
-                          for (value, exps), k in groups.items())
+    groups = [[] for _ in range(order + 1)]
+    for (n, value, exps), k in Counter(map(key, maps(order))).items():
+        groups[n].append((value, MultiPoly(marks, {exps: k})))
+
+    def coeff(group):
+        c = MultiPoly.dot(group)
         c = fixed(c) if fixed else c
         return c.subs(given) if given else c
 
-    top = maps(order)  # first, so that the cap is checked before any work
-    coeffs = [coeff(maps(n)) for n in range(order)] + [coeff(top)]
-    return TSeries(MAIN_VAR[eq], order, coeffs)
+    return TSeries(MAIN_VAR[eq], order, [coeff(group) for group in groups])

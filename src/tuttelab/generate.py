@@ -7,22 +7,30 @@ smaller map of the family with a new root edge inserted into its root
 face, or two smaller maps of the family joined by a new isthmus root edge.
 Deletion inverts both, so each map arises once.  They differ only in the
 insertion indices allowed: all_maps takes all of them, bipartite_maps the
-odd ones, near_angulations(n, p) the one that closes an inner p-gon.  The
-other standard sub-families are derived from these: 4-valent maps map the
-maps of all_maps and quadrangulations the 4-valent maps, and the
-near-triangulations, the Eulerian and the non-separable ones filter those
-of near_angulations(e, 3).
+odd ones, near_angulations(n, p) the one that closes an inner p-gon.  Size
+n is built from the memoised lists of the sizes up to n - 2 and one
+streamed pass over size n - 1, which yields each map's insertion children
+and its isthmus joins with the atomic map, on either side; the joins of
+two maps with edges read the lists.  So size n - 1 is built once and not
+listed for size n: all_maps(6) from an empty memo holds the lists of 0 to
+4 edges and of 6.  The other standard sub-families are derived from
+these: 4-valent maps map the maps of all_maps and quadrangulations the
+4-valent maps, and the near-triangulations, the Eulerian and the
+non-separable ones filter those of near_angulations(e, 3).
 
 stream(family, n, ...) checks the cap and yields the maps of any family
-of the table unsorted, built from the memoised lists of the smaller sizes
-of the three root-edge families, and keeps none of them; a list that a
-memo already holds is read instead of built again.  Each list function
-sorts its stream by canonical code, so output is deterministic, and every
-list function is memoised, so a process builds each list once.  A caller
-that only counts or sums the top size streams it: gen --count-only counts
-it, equations.brute_force_gf sums over it at its order, and verify reads
-both its `maps(n) generator` rows and its MAPS_1CAT equation row off one
-such sum, so verify streams the 6-edge maps once and never holds them.
+of the table unsorted, and keeps none of them: a root-edge family's from
+its lists up to n - 2 and a stream of size n - 1, the other families'
+from streams of a root-edge family and its lists below; a list that a
+memo already holds is read instead of built again.  stream_with_parents
+yields sizes n - 1 and n of a root-edge family from that one pass.  Each
+list function sorts its stream by canonical code, so output is
+deterministic, and every list function is memoised, so a process builds
+each list once.  A caller that only counts or sums the top sizes streams
+them: gen --count-only counts a stream, equations.brute_force_gf sums
+over its two top sizes from one pass, and verify reads both its `maps(n)
+generator` rows and its MAPS_1CAT equation row off one such sum, so
+verify builds the 5- and 6-edge maps in one pass and holds neither.
 
 all_maps_oracle is an independent check that never reads the root-edge
 recursion.  It enumerates the rotation systems (sigma, alpha) on 2n darts
@@ -65,35 +73,57 @@ def _by_code(maps):
     return sorted(maps, key=lambda m: m.code)
 
 
-def _root_edge_recursion(n, smaller, indices):
-    """The maps with n edges, unsorted, of a family closed under root-edge
-    deletion, given smaller(e), its maps with e < n edges, and indices(d),
-    the insertion indices allowed into a root face of degree d."""
+# the root-edge families -> the insertion indices allowed into a root face of
+# degree d, given d and the family's arguments
+_INDICES = {
+    "all_maps": lambda d: range(d + 1),
+    "bipartite_maps": lambda d: range(1, d + 1, 2),
+    "near_angulations": lambda d, p: [d - p + 1] if d >= p - 1 else [],
+}
+
+
+def _root_edge_recursion(family, n, *args, parents=False):
+    """The maps of family(n, *args), unsorted, for a root-edge family of
+    _INDICES.  Its memoised lists of the sizes below n - 1 are taken first,
+    smallest first, so each is built once; then one pass over a stream of
+    its maps of size n - 1 yields, for each, its insertion children and its
+    isthmus joins with the atomic map on either side (one join when n = 1),
+    and the joins of two smaller maps with edges follow.  Size n - 1 is
+    read once and kept nowhere.  With parents, each map of size n - 1 is
+    yielded too, before the maps built from it."""
     if n == 0:
         yield RootedMap.atomic()
         return
-    for m in smaller(n - 1):
-        yield from m.insertions(indices(m.root_face_degree))
-    for e1 in range(n):
-        for m1 in smaller(e1):
-            for m2 in smaller(n - 1 - e1):
-                yield RootedMap.join_by_root_edge(m1, m2)
+    listed = globals()[family]  # looked up now, so that a patch is read
+    indices = _INDICES[family]
+    held = [listed(e, *args) for e in range(n - 1)]
+    (atom,) = listed(0, *args)
+    join = RootedMap.join_by_root_edge
+    for m in stream(family, n - 1, *args):
+        if parents:
+            yield m
+        yield from m.insertions(indices(m.root_face_degree, *args))
+        yield join(atom, m)
+        if n > 1:
+            yield join(m, atom)
+    for e in range(1, n - 1):
+        for m1 in held[e]:
+            for m2 in held[n - 1 - e]:
+                yield join(m1, m2)
 
 
 # family -> (what its size n counts, its cap on n, (n, *args) -> its maps,
-# unsorted).  The root-edge families read their memoised lists of smaller
-# sizes, looked up by name when a stream starts; the others map or filter
-# a stream of all_maps, of four_valent (read from its list when one is held)
-# or of near_angulations(e, 3), reading the sizes below the top from its
-# memoised lists.
+# unsorted).  The root-edge families are those of _INDICES; the others map
+# or filter a stream of all_maps, of four_valent (read from its list when
+# one is held) or of near_angulations(e, 3), reading the sizes below the top
+# from its memoised lists.
 FAMILIES = {
     "all_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
-        n, all_maps, lambda d: range(d + 1))),
+        "all_maps", n)),
     "bipartite_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
-        n, bipartite_maps, lambda d: range(1, d + 1, 2))),
+        "bipartite_maps", n)),
     "near_angulations": ("edges", LIST_CAP, lambda n, p: _root_edge_recursion(
-        n, lambda e: near_angulations(e, p),
-        lambda d: [d - p + 1] if d >= p - 1 else [])),
+        "near_angulations", n, p)),
     "quadrangulations": ("faces", LIST_CAP, lambda n: (
         m.dual() for m in stream("four_valent", n))),
     "four_valent": ("vertices", LIST_CAP, lambda n: (
@@ -113,13 +143,29 @@ FAMILIES = {
 def stream(family: str, n: int, *args):
     """The maps of family(n, *args), unsorted, for any family of FAMILIES.
     The cap is checked here, before any map is built.  A list that a memo
-    holds is read as it is; otherwise the maps are built from memoised
-    lists of smaller sizes and kept nowhere, so a caller that only counts
-    or sums them never holds them."""
+    holds is read as it is; otherwise the maps are built and kept nowhere,
+    so a caller that only counts or sums them never holds them.  A
+    root-edge family builds them from its memoised lists of the sizes up
+    to n - 2 and a stream of size n - 1, which is not held either."""
     unit, cap, maps = FAMILIES[family]
     _check_size(n, cap, family, unit)
     held = _LISTS.get((family, n, *args))
     return iter(held) if held is not None else maps(n, *args)
+
+
+def stream_with_parents(family: str, n: int, *args):
+    """The maps of family(n - 1, *args) and of family(n, *args), unsorted,
+    from one pass, for a root-edge family of _INDICES: each map of size
+    n - 1 comes before the maps of size n built from it, and size n - 1 is
+    read once and kept nowhere.  The cap on n is checked here, before any
+    map is built.  A list of size n that a memo holds is read as it is,
+    after a stream of size n - 1."""
+    unit, cap, _ = FAMILIES[family]
+    _check_size(n, cap, family, unit)
+    held = _LISTS.get((family, n, *args))
+    if held is None or n == 0:
+        return _root_edge_recursion(family, n, *args, parents=True)
+    return itertools.chain(stream(family, n - 1, *args), held)
 
 
 # (family, n, *args) -> the sorted list of family(n, *args), for the list

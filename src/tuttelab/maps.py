@@ -7,7 +7,8 @@ alpha.  The atomic map (one vertex, no edge) is the unique map with zero
 darts and root None.
 
 An instance stores its darts (alpha, sigma, root), its canonical code, its
-numbers of vertices and faces and its root-face degree.  The constructor
+number of vertices and its root-face degree; n_darts is len(sigma) and
+n_faces is 2 - n_vertices + n_darts // 2, Euler's formula.  The constructor
 checks that the darts of a list or tuple are integers, stores alpha and
 sigma in the compact form below, and checks on that form that they are
 permutations, alpha a fixed-point-free involution and root a dart.  Then
@@ -15,8 +16,9 @@ one walk over the darts does the rest, in breadth-first order from the
 root: it labels the darts and writes the code, which covers every dart
 exactly when the map is connected; it counts the cycles of sigma and of
 phi, each at its first dart, whose counts satisfy Euler's relation exactly
-when the map has genus 0; and it measures the root face, walked first,
-whose degree the generators read from every parent map.  The orbit lists
+when the map has genus 0, so the derived n_faces is the number of faces
+walked; and it measures the root face, walked first, whose degree the
+generators read from every parent map.  The orbit lists
 and labellings (vertices, faces, vertex_of, face_of) are computed on first
 use and kept.  The root face and the inverse of sigma are computed each
 time they are asked for and not kept.  Instances are immutable.
@@ -236,14 +238,15 @@ _ON_FIRST_USE = {
 class RootedMap:
     """A rooted planar map.
 
-    Set by the constructor: n_darts, alpha, sigma, root, code (the canonical
-    code: the breadth-first relabelling from the root, so two maps have
-    equal codes iff they are equal as rooted maps), n_vertices, n_faces
-    and root_face_degree.  alpha and sigma may be given as lists, tuples,
-    bytes or bytearrays.  sigma, alpha (unless it is the shared standard
-    involution) and code are bytes below 256 darts and tuples from 256 up;
-    from_code takes either.  A bytes alpha or sigma given to the
-    constructor is kept as it is, so m.dual() shares the alpha of m.
+    Set by the constructor: alpha, sigma, root, code (the canonical code:
+    the breadth-first relabelling from the root, so two maps have equal
+    codes iff they are equal as rooted maps), n_vertices and
+    root_face_degree; n_darts, n_edges and n_faces are read off them.
+    alpha and sigma may be given as lists, tuples, bytes or bytearrays.
+    sigma, alpha (unless it is the shared standard involution) and code are
+    bytes below 256 darts and tuples from 256 up; from_code takes either.
+    A bytes alpha or sigma given to the constructor is kept as it is, so
+    m.dual() shares the alpha of m.
     Computed on first use and kept: vertices (sigma-orbits, tuples of
     darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
     face_of (dart -> index into vertices and faces).
@@ -251,9 +254,8 @@ class RootedMap:
     alpha(root), as it appears in faces).
     """
 
-    __slots__ = ("n_darts", "alpha", "sigma", "root", "code", "n_vertices",
-                 "n_faces", "vertices", "faces", "vertex_of", "face_of",
-                 "root_face_degree")
+    __slots__ = ("alpha", "sigma", "root", "code", "n_vertices", "vertices",
+                 "faces", "vertex_of", "face_of", "root_face_degree")
 
     def __init__(self, alpha, sigma, root):
         n = len(alpha)
@@ -262,9 +264,9 @@ class RootedMap:
         if n == 0:
             if root is not None:
                 raise MapError("atomic map has root None")
-            self.n_darts, self.alpha, self.root = 0, (), None
+            self.alpha, self.root = (), None
             self.sigma = _compact((), 0)
-            self.code, self.n_vertices, self.n_faces = _compact((0,), 0), 1, 1
+            self.code, self.n_vertices = _compact((0,), 0), 1
             self.root_face_degree = 0
             return
         standard = _standard_alpha(n)
@@ -297,12 +299,12 @@ class RootedMap:
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
-        self.n_darts, self.alpha, self.sigma, self.root = n, alpha, sigma, root
-        (order, self.code, self.n_vertices, self.n_faces,
+        self.alpha, self.sigma, self.root = alpha, sigma, root
+        (order, self.code, self.n_vertices, faces,
          self.root_face_degree) = _walk(alpha, sigma, root)
         if len(order) != n:
             raise MapError("rotation system is not connected")
-        if self.n_vertices - n // 2 + self.n_faces != 2:
+        if self.n_vertices - n // 2 + faces != 2:
             raise MapError("rotation system has positive genus")
 
     def __getattr__(self, name):
@@ -318,13 +320,22 @@ class RootedMap:
 
     @property
     def is_atomic(self) -> bool:
-        return self.n_darts == 0
+        return self.root is None
 
     # -- orbits and statistics -------------------------------------------
 
     @property
+    def n_darts(self):
+        return len(self.sigma)
+
+    @property
     def n_edges(self):
-        return self.n_darts // 2
+        return len(self.sigma) // 2
+
+    @property
+    def n_faces(self):
+        # Euler's formula, which the constructor checked against its count
+        return 2 - self.n_vertices + len(self.sigma) // 2
 
     @property
     def root_vertex_degree(self):
@@ -496,13 +507,13 @@ class RootedMap:
         for k in ks:
             if not 0 <= k <= d:
                 raise MapError(f"insertion index {k} out of range 0..{d}")
-        n = self.n_darts
+        n = len(self.sigma)  # read once: n_darts is a property
         a, b = n, n + 1
         if self.alpha is _standard_alpha(n):
             alpha = _standard_alpha(n + 2)
         else:
             alpha = list(self.alpha) + [b, a]
-        if self.is_atomic:
+        if not n:
             return [RootedMap(alpha, (1, 0), a) for _ in ks]
         r, sigma, old_alpha = self.root, self.sigma, self.alpha
         after = [a]  # after[k]: the dart that b follows for index k
@@ -531,7 +542,7 @@ class RootedMap:
         the result's sigma is a bytearray: m1's sigma, then m2's shifted by
         n1 through a translation table.
         """
-        n1, n2 = m1.n_darts, m2.n_darts
+        n1, n2 = len(m1.sigma), len(m2.sigma)  # n_darts, read once each
         a, b = n1 + n2, n1 + n2 + 1
         if m1.alpha is _standard_alpha(n1) and m2.alpha is _standard_alpha(n2):
             alpha = _standard_alpha(n1 + n2 + 2)
@@ -543,12 +554,12 @@ class RootedMap:
             sigma += b"\0\0"
         else:
             sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [0, 0]
-        if m1.is_atomic:
+        if not n1:
             sigma[a] = a
         else:
             sigma[a] = sigma[m1.root]
             sigma[m1.root] = a
-        if m2.is_atomic:
+        if not n2:
             sigma[b] = b
         else:
             r2 = m2.root + n1

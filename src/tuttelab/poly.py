@@ -137,19 +137,30 @@ def _union(a: tuple, b: tuple) -> tuple:
 def _layout(old: tuple, new: tuple):
     """How keys over `old` become keys over `new`.  A shift when the old
     variables sit together and in order in `new` (0 for constants); else
-    (old shift, new shift) for each kept field, and the mask and offset
-    that read the dropped fields."""
+    the runs of old fields that sit together and in order in `new`, each
+    (old shift, mask, new shift) of its unsigned fields, the offset of the
+    kept fields in `new`, and the mask and offset that read the dropped
+    fields.  Dropping one field leaves two runs: the fields below it stay,
+    and those above it move down by one shift."""
     if not old:
         return 0
     pos = [new.index(v) if v in new else None for v in old]
     if None not in pos and pos == list(range(pos[0], pos[0] + len(old))):
         return _W * (len(new) - 1 - pos[-1])
     old_s, new_s = _fields(len(old))[0], _fields(len(new))[0]
-    moved = tuple((old_s[i], new_s[p]) for i, p in enumerate(pos)
-                  if p is not None)
+    runs = []  # [first old index, last old index] of each run
+    for i, p in enumerate(pos):
+        if p is None:
+            continue
+        if runs and pos[runs[-1][1]] == p - 1 and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
     dropped = [old_s[i] for i, p in enumerate(pos) if p is None]
-    return (moved, sum(_MASK << s for s in dropped),
-            sum(_HALF << s for s in dropped))
+    return (tuple((old_s[j], (1 << _W * (j - i + 1)) - 1, new_s[pos[j]])
+                  for i, j in runs),
+            sum(_HALF << new_s[p] for p in pos if p is not None),
+            sum(_MASK << s for s in dropped), sum(_HALF << s for s in dropped))
 
 
 def _repack(terms: dict, old: tuple, new: tuple) -> dict:
@@ -158,7 +169,7 @@ def _repack(terms: dict, old: tuple, new: tuple) -> dict:
     plan = _layout(old, new)
     if type(plan) is int:
         return {k << plan: c for k, c in terms.items()} if plan else terms
-    moved, dmask, doff = plan
+    runs, koff, dmask, doff = plan
     off = _fields(len(old))[1]
     out = {}
     for k, c in terms.items():
@@ -166,7 +177,7 @@ def _repack(terms: dict, old: tuple, new: tuple) -> dict:
         if u & dmask != doff:
             missing = set(old) - set(new)
             raise ValueError(f"cannot drop live variables {missing}")
-        out[sum([(((u >> s) & _MASK) - _HALF) << t for s, t in moved])] = c
+        out[sum([((u >> s) & m) << t for s, m, t in runs]) - koff] = c
     return out
 
 

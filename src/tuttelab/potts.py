@@ -161,7 +161,7 @@ def _key(m: RootedMap):
     """_graph_key of the multigraph of m.  The vertices are labelled here,
     as in m.vertex_of, which stays unset on m."""
     label = _cycle_labels(m.sigma)
-    if m.alpha is _standard_alpha(m.n_darts):
+    if m.alpha is _standard_alpha(len(m.alpha)):
         ends = label  # edge i joins darts 2i and 2i + 1
     else:
         ends = [label[x] for d, a in enumerate(m.alpha) if d < a

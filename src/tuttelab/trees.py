@@ -14,8 +14,11 @@ Three families:
 
 All are immutable values (named tuples): two trees built by different
 routes are equal, and hash equal, exactly when they have the same
-structure, and a subtree may be shared between trees.  The named-tuple
-helpers _make and _replace go through the validating constructors.
+structure, and a subtree may be shared between trees.  A labelled tree
+is walked with an explicit stack, and compared and hashed by its preorder
+of (label, child count), so a deep one needs no deep recursion.  The
+named-tuple helpers _make and _replace go through the validating
+constructors.
 
 to_string is a deterministic output form, with no parser: blossoming trees
 in preorder over {l, n<flower-position>}, labelled trees as preorder
@@ -160,6 +163,25 @@ class LabelledTree(namedtuple("LabelledTree", "label children")):
             t = stack.pop()
             yield t
             stack.extend(reversed(t.children))
+
+    def _shape(self):
+        """The (label, child count) of each subtree in preorder, which
+        determines the tree."""
+        return tuple((t.label, len(t.children)) for t in self._preorder())
+
+    # compared and hashed through _shape: the tuple's own comparison would
+    # recurse once per level
+    def __eq__(self, other):
+        if not isinstance(other, LabelledTree):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self._shape())
 
     @property
     def n_edges(self) -> int:

@@ -20,26 +20,26 @@ tree by its closure.  The brute-force work that two suites read is
 memoised, so it runs once per process: the four closed-formula vs
 brute-force checks (closed_forms and kernels) and the brute-force series
 of MAPS_1CAT to t^6 (counts reads the number of maps of each size off it,
-equations compares expand with it), whose 6-edge maps are streamed once
-and never held.  The bipolar maps and
-spanning-tree series checks, like the bijections suite's Ising identity,
-read rows of brute_force_gf; the other closed-formula checks keep their
-own enumerator, and each says why.
+equations compares expand with it), whose 5- and 6-edge maps come from
+one pass and are never held.  The bipolar maps and spanning-tree series
+checks, like the bijections suite's Ising identity, read rows of
+brute_force_gf; the other closed-formula checks keep their own
+enumerator, and each says why.
 
 `run` uses two processes.  One worker process runs closed_forms, kernels,
 desystems and bijections (WORKER_SUITES) while the calling process runs
 algebraic, then counts, potts and equations; the rows are merged in the
 order of the names.  The split follows the memos: the suites that share a
 memo sit on the same side, so each memo is still computed once.  The
-generated lists that both sides hold are those of all_maps and
-bipartite_maps with at most 4 edges and of near_angulations(e, 3) with at
-most 6 edges.  The 7-edge near_angulations(7, 3) is built on both sides but
-held only by the worker: the calling side streams it.  algebraic builds no
-generated list and fills no memo of verify, potts or desystems, so it may
-run on either side.  It runs on the calling side, whose half is the
-shorter, and first there, so that its short-lived peak comes before that
-process holds any generated list.  A run whose suites all sit on one side
-starts no worker.
+generated lists that both sides hold are those of all_maps with at most
+4 edges, of bipartite_maps with at most 3 and of near_angulations(e, 3)
+with at most 6.  bipartite_maps(4) and near_angulations(7, 3) are built on
+both sides but held only by the worker: the calling side streams them.
+algebraic builds no generated list and fills no memo of verify, potts or
+desystems, so it may run on either side.  It runs on the calling side,
+whose half is the shorter, and first there, so that its short-lived peak
+comes before that process holds any generated list.  A run whose suites
+all sit on one side starts no worker.
 
 The worker is a bare os.fork, after stdout and stderr are flushed: it
 inherits the imported modules and memos, runs its suites, writes its rows

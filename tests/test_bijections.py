@@ -213,6 +213,13 @@ def test_cvs_backward_closes_a_path_deeper_than_the_recursion_limit():
     assert m.is_quadrangulation() and m.n_faces == 1200
 
 
+def test_cvs_round_trip_on_a_path_deeper_than_the_recursion_limit():
+    # forward builds its tree with a stack, and trees compare by a walk
+    t = _path(range(1, 1202))
+    assert cvs_forward(*cvs_backward(t)) == t
+    assert hash(cvs_forward(*cvs_backward(t))) == hash(t)
+
+
 def test_cvs_backward_refuses_a_deep_path_without_label_1():
     with pytest.raises(BijectionError,
                        match="input is not a valid labelled tree"):

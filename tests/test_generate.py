@@ -89,12 +89,12 @@ def test_generated_maps_are_lean():
     finally:
         tracemalloc.stop()
         gc.enable()
-    # bytes per map, measured at 234 for all_maps(5), 317 for four_valent(5)
-    # and 264 for quadrangulations(5), the duals of that list, which share
-    # its alpha (Python 3.11); each bound is 25-30 % above the first two
-    assert retained / len(maps) < 300
-    assert radial[four_valent] < 410
-    assert radial[quadrangulations] < 410
+    # bytes per map, measured at 218 for all_maps(5), 301 for four_valent(5)
+    # and 248 for quadrangulations(5), the duals of that list, which share
+    # its alpha (Python 3.11); each bound is 28-31 % above the first two
+    assert retained / len(maps) < 280
+    assert radial[four_valent] < 395
+    assert radial[quadrangulations] < 395
     # potts labels the vertices for itself and leaves nothing on the maps
     assert (after_potts - retained) / len(maps) < 8
     assert as_parents / len(maps) < 8
@@ -246,6 +246,78 @@ def test_stream_reads_a_held_list(monkeypatch):
     monkeypatch.setattr(RootedMap, "__init__", no_building)
     assert list(generate.stream("all_maps", 4)) == held
     assert all(a is b for a, b in zip(generate.stream("all_maps", 4), held))
+
+
+def _constructions(monkeypatch):
+    """A list that grows by one for each RootedMap constructed."""
+    built, init = [], RootedMap.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(RootedMap, "__init__", counted)
+    return built
+
+
+def test_all_maps_builds_each_map_once_and_lists_no_parent(monkeypatch):
+    # from an empty memo, the 6-edge list is built from the lists of 0 to 4
+    # edges and one pass over a stream of the 5-edge maps, which is not held
+    all_maps.cache_clear()
+    built = _constructions(monkeypatch)
+    assert len(all_maps(6)) == 24057
+    assert len(built) == sum(cf.maps_count(e) for e in range(7)) == 27417
+    assert ("all_maps", 5) not in generate._LISTS
+    assert all(("all_maps", e) in generate._LISTS for e in (0, 1, 2, 3, 4, 6))
+
+
+def test_brute_force_reads_its_two_top_sizes_off_one_pass(monkeypatch):
+    from tuttelab.equations import EquationId, brute_force_gf
+    all_maps.cache_clear()
+    built = _constructions(monkeypatch)
+    series = brute_force_gf(EquationId.MAPS_1CAT, 6)
+    assert [series.coeff(n).eval({"y": 1}) for n in range(7)] == [
+        cf.maps_count(n) for n in range(7)]
+    assert len(built) == 27417
+    assert not {("all_maps", 5), ("all_maps", 6)} & set(generate._LISTS)
+
+
+@pytest.mark.parametrize("family,args", [
+    ("all_maps", ()), ("bipartite_maps", ()), ("near_angulations", (3,)),
+    ("near_angulations", (4,))])
+def test_stream_with_parents_puts_each_parent_before_its_children(family,
+                                                                  args):
+    # a map of the top size is an insertion into a parent, a join of a
+    # parent with the atomic map, or a join of two maps with edges
+    listed = getattr(generate, family)
+    for n in range(6):
+        met, top = set(), []
+        for m in generate.stream_with_parents(family, n, *args):
+            if m.n_edges < n:
+                met.add(m.code)
+                continue
+            top.append(m.code)
+            if n:
+                kind, (a, b) = m.delete_root_edge()
+                parent = (a if kind == "single" or b.is_atomic
+                          else b if a.is_atomic else None)
+                assert parent is None or parent.code in met
+        parents = listed(n - 1, *args) if n else []
+        assert sorted(met) == [m.code for m in parents]
+        assert sorted(top) == [m.code for m in listed(n, *args)]
+    with pytest.raises(CapExceeded):
+        generate.stream_with_parents(family, generate.LIST_CAP + 1, *args)
+
+
+def test_stream_with_parents_reads_a_held_list(monkeypatch):
+    below, held = all_maps(3), all_maps(4)
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("a held list was built again")
+
+    monkeypatch.setattr(RootedMap, "__init__", no_building)
+    maps = list(generate.stream_with_parents("all_maps", 4))
+    assert maps == below + held
 
 
 def test_bipartite_maps_build_no_other_maps(monkeypatch):

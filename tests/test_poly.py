@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tuttelab.poly import (MultiPoly, _integral, _pack, exact,
-                           lagrange_interpolate)
+from tuttelab.poly import (MultiPoly, _integral, _pack, _repack, _unpack,
+                           exact, lagrange_interpolate)
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -439,6 +439,25 @@ def test_exponent_overflow_raises_and_never_carries(e1, e2, f, low_field):
     else:
         with pytest.raises(OverflowError):
             a * b
+
+
+@settings(deadline=None)
+@given(st.permutations(NAMES + ("w", "z")), st.integers(1, 7),
+       st.sets(st.sampled_from(NAMES + ("w", "z"))), st.data())
+def test_repack_moves_runs_of_fields_as_the_general_path(order, k, new, data):
+    # _repack moves each run of kept fields with one shift; the general
+    # path rebuilds every kept field of every key from its exponents.  The
+    # fields of the variables dropped are zero, as subs leaves them
+    old, new = tuple(order[:k]), tuple(data.draw(st.permutations(sorted(new))))
+    exps = st.integers(-LIMIT, LIMIT - 1)
+    rows = data.draw(st.lists(st.tuples(
+        *[exps if v in new else st.just(0) for v in old]), max_size=6))
+    terms = {_pack(row, len(old)): i + 1 for i, row in enumerate(rows)}
+    general = {}
+    for key, c in terms.items():
+        at = dict(zip(old, _unpack(key, len(old))))
+        general[_pack(tuple(at.get(v, 0) for v in new), len(new))] = c
+    assert _repack(terms, old, new) == general
 
 
 def test_exponent_limits_are_checked_everywhere():

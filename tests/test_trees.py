@@ -95,6 +95,21 @@ def test_labelled_tree_children_are_a_tuple():
     assert repr(t) == "LabelledTree('1:1 2:0')"
 
 
+def test_labelled_trees_compare_by_shape_at_any_depth():
+    # the same labels in preorder on two shapes, and two equal trees
+    # deeper than the recursion limit
+    chain = LabelledTree(1, [LabelledTree(2, [LabelledTree(1)])])
+    fork = LabelledTree(1, [LabelledTree(2), LabelledTree(1)])
+    assert chain.labels() == fork.labels() and chain != fork
+    assert not chain == fork and chain == chain._replace()
+    deep = [LabelledTree(1), LabelledTree(1)]
+    for _ in range(5000):
+        deep = [LabelledTree(2 - t.label, [t]) for t in deep]
+    assert deep[0] is not deep[1] and deep[0] == deep[1]
+    assert not deep[0] != deep[1] and hash(deep[0]) == hash(deep[1])
+    assert len({deep[0], deep[1], deep[0].children[0]}) == 2
+
+
 def test_labelled_tree_validity():
     assert LabelledTree(1, [LabelledTree(2)]).is_valid(well=True)
     assert not LabelledTree(2, [LabelledTree(1)]).is_valid(well=True)

@@ -304,19 +304,20 @@ def _side(names):
 
 
 def test_the_two_sides_share_only_the_small_lists():
-    # the lists both sides hold: maps and bipartite maps up to 4 edges and
-    # near-triangulations up to 6; near_angulations(7, 3) is built on both
-    # sides but held by the worker only
+    # the lists both sides hold: maps up to 4 edges, bipartite maps up to 3
+    # and near-triangulations up to 6; bipartite_maps(4) and
+    # near_angulations(7, 3) are built on both sides but held by the worker
+    # only
     worker = _side(sorted(verify.WORKER_SUITES))
     caller = _side([name for name in verify.SUITES
                     if name not in verify.WORKER_SUITES])
-    shared = ({(family, e) for family in ("all_maps", "bipartite_maps")
-               for e in range(5)}
+    shared = ({("all_maps", e) for e in range(5)}
+              | {("bipartite_maps", e) for e in range(4)}
               | {("near_angulations", e, 3) for e in range(7)})
+    streamed = {("bipartite_maps", 4), ("near_angulations", 7, 3)}
     assert worker["held"] & caller["held"] == shared
-    assert worker["built"] & caller["built"] == shared | {
-        ("near_angulations", 7, 3)}
-    assert ("near_angulations", 7, 3) in worker["held"] - caller["held"]
+    assert worker["built"] & caller["built"] == shared | streamed
+    assert streamed <= worker["held"] - caller["held"]
 
 
 def test_algebraic_may_run_on_either_side():
@@ -512,10 +513,12 @@ def test_verify_all_keeps_no_six_edge_list(six_edge_streamed_run):
 
 
 def test_verify_all_streams_the_six_edge_maps_once(six_edge_streamed_run):
-    # the counts and equations suites share one brute-force series
+    # the counts and equations suites share one brute-force series, whose
+    # one pass over a stream of the 5-edge maps builds the 6-edge maps
     results, calls = six_edge_streamed_run
     assert len(results) == 118 and verify.all_pass(results)
-    assert calls.count(("all_maps", 6)) == 1
+    assert calls.count(("all_maps", 5)) == 1
+    assert ("all_maps", 6) not in calls
 
 
 def test_verify_all_names_each_case_once(six_edge_streamed_run):
