@@ -156,14 +156,21 @@ def cmd_bijection(args) -> int:
 
 
 def _parse_set(text):
+    """{var: Fraction} from --set var=value,...; an item with no "=", a var
+    set twice or a value that Fraction cannot read is refused, by name."""
     params = {}
-    if not text:
-        return params
-    for item in text.split(","):
-        name, _, value = item.partition("=")
-        if not _:
+    for item in text.split(",") if text else ():
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq:
             raise ValueError(f"bad --set item {item!r} (want var=value)")
-        params[name.strip()] = Fraction(value.strip())
+        if name in params:
+            raise ValueError(f"bad --set item {item!r} ({name} set twice)")
+        try:
+            params[name] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad --set item {item!r} (the value is not a "
+                             "rational number)") from None
     return params
 
 
@@ -178,8 +185,8 @@ def cmd_series(args) -> int:
     try:
         series = expand(eq, args.order, _parse_set(args.set) or None)
     except (ValueError, ZeroDivisionError) as err:
-        # bad --set (a zero denominator too), --order or parameter name,
-        # or a zero parameter that the equation divides by
+        # bad --set, --order or parameter name, or a zero parameter that
+        # the equation divides by
         print(str(err), file=sys.stderr)
         return EXIT_UNKNOWN
     rows = [(f"{series.var}^{n}", str(series.coeff(n)))

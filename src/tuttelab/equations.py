@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import chain
 
 from tuttelab.poly import MultiPoly
 from tuttelab.series import TSeries, fixed_point
@@ -284,15 +283,9 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     are counted at once by (size, what the weight reads, exponents), and
     each group costs one product with one monomial.  The fixed step, then
     the parameters the caller sets, are applied once per coefficient; a
-    symbolic parameter is never substituted.  The top size is asked for
-    first, so a size over its cap is refused before any map is built.  A
-    root-edge family (all maps, near-p-angulations, bipartite maps) reads
-    its memoised lists below order - 1 and both top sizes from one pass of
-    generate.stream_with_parents; the Eulerian near-triangulations read
-    their lists below the order and a stream at it.  So the sizes streamed
-    are never held, unless a memo holds them already.  The non-separable
-    near-triangulations are the exception: their short lists are memoised
-    at every size.  The two quasi-triangulation ids yield the x = 0 slice
+    symbolic parameter is never substituted.  The maps come from
+    generate.up_to, which refuses a size over its cap before any map is
+    built.  The two quasi-triangulation ids yield the x = 0 slice
     (near-triangulations), the only slice with a direct combinatorial
     meaning.
     """
@@ -301,31 +294,6 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
 
     given = _given(eq, params)
     E = EquationId
-
-    def root_edge(name, *args):
-        """order -> (size, map) for every map of g.<name>(size, *args) with
-        size <= order: the lists below order - 1, then sizes order - 1 and
-        order from one pass, so neither is held unless a memo holds it."""
-        def maps(order):
-            top = g.stream_with_parents(name, order, *args)
-            below = [getattr(g, name)(n, *args) for n in range(order - 1)]
-            return ((m.n_edges, m) for m in chain(*below, top))
-        return maps
-
-    def eulerian(order):  # the lists below the order, a stream at it
-        top = g.stream("eulerian_near_triangulations", order)
-        below = map(g.eulerian_near_triangulations, range(order))
-        return ((m.n_edges // 3, m) for m in chain(*below, top))
-
-    def nonsep(order):
-        # memoised at every size, the top too: TUTTE_NONSEP_TRI and
-        # BIPOLAR_TRI keep the same few maps of one stream of the
-        # near-triangulations
-        top = g.non_separable_near_triangulations(order)
-        below = map(g.non_separable_near_triangulations, range(order))
-        return ((m.n_faces - 1, m) for m in chain(*below, top))
-
-    all_maps, nt = root_edge("all_maps"), root_edge("near_angulations", 3)
 
     def bipolar(m):  # the atomic map has none
         return 0 if m.is_atomic else len(g.all_bipolar_orientations(m))
@@ -336,16 +304,18 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
     def nu_0(c):  # P_T(q, 0)
         return c.subs({"nu": 0})
 
-    # {equation: (order -> (size, map) for its maps of every size up to
-    # order, the size being the exponent of the main variable; what the
-    # weight of a map reads, None for nothing; the variables its monomial
-    # marks; per, which divides the root-face degree; the fixed step)}
+    all_maps, nt = ("all_maps",), ("near_angulations", 3)
+    nonsep = ("non_separable_near_triangulations",)
+    # {equation: ((family, *args) of generate, whose size is the exponent
+    # of the main variable; what the weight of a map reads, None for
+    # nothing; the variables its monomial marks; per, which divides the
+    # root-face degree; the fixed step)}
     table = {
         E.MAPS_1CAT: (all_maps, None, "y", 1, None),
         E.NT: (nt, None, "y", 1, None),
-        E.NQ: (root_edge("near_angulations", 4), None, "y", 1, None),
-        E.BIP: (root_edge("bipartite_maps"), None, "y", 2, None),
-        E.EULER_NT: (eulerian, None, "y", 3, None),
+        E.NQ: (("near_angulations", 4), None, "y", 1, None),
+        E.BIP: (("bipartite_maps",), None, "y", 2, None),
+        E.EULER_NT: (("eulerian_near_triangulations",), None, "y", 3, None),
         E.POTTS_MAPS: (all_maps, potts, "wxy", 1, over_q),
         E.TUTTE_MAPS: (all_maps, tutte, "wxyz", 1, None),
         E.TUTTE_NONSEP_TRI: (nonsep, potts, "xy", 1, nu_0),
@@ -354,7 +324,8 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         E.BIPOLAR_MAPS: (all_maps, bipolar, "wxy", 1, None),
         E.BIPOLAR_TRI: (nonsep, bipolar, "xy", 1, None),
     }
-    maps, reads, marks, per, fixed = table[eq]
+    (family, *args), reads, marks, per, fixed = table[eq]
+    maps = g.up_to(family, order, *args)
     stat = {"w": lambda m: m.n_vertices - 1,
             "x": lambda m: m.root_vertex_degree,
             "y": lambda m: m.root_face_degree // per,
@@ -366,7 +337,7 @@ def brute_force_gf(eq: EquationId, order: int, params=None) -> TSeries:
         return n, reads(m) if reads else 1, tuple([s(m) for s in stats])
 
     groups = [[] for _ in range(order + 1)]
-    for (n, value, exps), k in Counter(map(key, maps(order))).items():
+    for (n, value, exps), k in Counter(map(key, maps)).items():
         groups[n].append((value, MultiPoly(marks, {exps: k})))
 
     def coeff(group):

@@ -15,22 +15,26 @@ two maps with edges read the lists.  So size n - 1 is built once and not
 listed for size n: all_maps(6) from an empty memo holds the lists of 0 to
 4 edges and of 6.  The other standard sub-families are derived from
 these: 4-valent maps map the maps of all_maps and quadrangulations the
-4-valent maps, and the near-triangulations, the Eulerian and the
-non-separable ones filter those of near_angulations(e, 3).
+4-valent maps; the near-triangulations with at most n edges are those of
+near_angulations(e, 3) for e <= n, which the Eulerian and the
+non-separable ones filter.
 
 stream(family, n, ...) checks the cap and yields the maps of any family
 of the table unsorted, and keeps none of them: a root-edge family's from
 its lists up to n - 2 and a stream of size n - 1, the other families'
 from streams of a root-edge family and its lists below; a list that a
-memo already holds is read instead of built again.  stream_with_parents
-yields sizes n - 1 and n of a root-edge family from that one pass.  Each
-list function sorts its stream by canonical code, so output is
-deterministic, and every list function is memoised, so a process builds
-each list once.  A caller that only counts or sums the top sizes streams
-them: gen --count-only counts a stream, equations.brute_force_gf sums
-over its two top sizes from one pass, and verify reads both its `maps(n)
-generator` rows and its MAPS_1CAT equation row off one such sum, so
-verify builds the 5- and 6-edge maps in one pass and holds neither.
+memo already holds is read instead of built again.  up_to(family, n, ...)
+checks the cap and yields (size, map) for every size up to n: a root-edge
+family's lists below n - 1, then sizes n - 1 and n from that one pass,
+the other families' lists up to n.  Each list function sorts its stream
+by canonical code, so output is deterministic, and every list function is
+memoised, so a process builds each list once.  A caller that only counts
+or sums the top sizes streams them: gen --count-only counts a stream, the
+near-triangulations with at most n edges and equations.brute_force_gf
+read up_to, so near_triangulations(7) keeps near_angulations(e, 3) up to
+5 edges only, and verify reads both its `maps(n) generator` rows and its
+MAPS_1CAT equation row off one such sum, so verify builds the 5- and
+6-edge maps in one pass and holds neither.
 
 all_maps_oracle is an independent check that never reads the root-edge
 recursion.  It enumerates the rotation systems (sigma, alpha) on 2n darts
@@ -115,8 +119,8 @@ def _root_edge_recursion(family, n, *args, parents=False):
 # family -> (what its size n counts, its cap on n, (n, *args) -> its maps,
 # unsorted).  The root-edge families are those of _INDICES; the others map
 # or filter a stream of all_maps, of four_valent (read from its list when
-# one is held) or of near_angulations(e, 3), reading the sizes below the top
-# from its memoised lists.
+# one is held) or of near_angulations(e, 3), and the near-triangulations
+# with at most n edges are those of up_to("near_angulations", n, 3).
 FAMILIES = {
     "all_maps": ("edges", LIST_CAP, lambda n: _root_edge_recursion(
         "all_maps", n)),
@@ -128,9 +132,8 @@ FAMILIES = {
         m.dual() for m in stream("four_valent", n))),
     "four_valent": ("vertices", LIST_CAP, lambda n: (
         m.radial() for m in stream("all_maps", n) if not m.is_atomic)),
-    "near_triangulations": ("edges", LIST_CAP, lambda n: itertools.chain(
-        (m for e in range(n) for m in near_angulations(e, 3)),
-        stream("near_angulations", n, 3))),
+    "near_triangulations": ("edges", LIST_CAP, lambda n: (
+        m for _, m in up_to("near_angulations", n, 3))),
     "eulerian_near_triangulations": ("black faces", LIST_CAP // 3, lambda n: (
         m for m in stream("near_angulations", 3 * n, 3) if m.is_eulerian())),
     "non_separable_near_triangulations": (
@@ -153,19 +156,27 @@ def stream(family: str, n: int, *args):
     return iter(held) if held is not None else maps(n, *args)
 
 
-def stream_with_parents(family: str, n: int, *args):
-    """The maps of family(n - 1, *args) and of family(n, *args), unsorted,
-    from one pass, for a root-edge family of _INDICES: each map of size
-    n - 1 comes before the maps of size n built from it, and size n - 1 is
-    read once and kept nowhere.  The cap on n is checked here, before any
-    map is built.  A list of size n that a memo holds is read as it is,
-    after a stream of size n - 1."""
+def up_to(family: str, n: int, *args):
+    """(size, map) for every map of family(size, *args) with size <= n, for
+    any family of FAMILIES but near_triangulations, whose size n already
+    holds every smaller one.  The cap on n is checked here, before any map
+    is built.  A root-edge family reads its memoised lists below n - 1 and
+    sizes n - 1 and n from one pass of the recursion, each map of size
+    n - 1 before the maps built from it, so neither is held; a list of size
+    n that a memo holds is read instead, after a stream of size n - 1.
+    Every other family reads its memoised lists up to n."""
     unit, cap, _ = FAMILIES[family]
     _check_size(n, cap, family, unit)
+    listed = globals()[family]  # looked up now, so that a patch is read
+    if family not in _INDICES or n == 0:
+        return ((e, m) for e in range(n + 1) for m in listed(e, *args))
     held = _LISTS.get((family, n, *args))
-    if held is None or n == 0:
-        return _root_edge_recursion(family, n, *args, parents=True)
-    return itertools.chain(stream(family, n - 1, *args), held)
+    top = (_root_edge_recursion(family, n, *args, parents=True)
+           if held is None
+           else itertools.chain(stream(family, n - 1, *args), held))
+    return itertools.chain(
+        ((e, m) for e in range(n - 1) for m in listed(e, *args)),
+        ((m.n_edges, m) for m in top))
 
 
 # (family, n, *args) -> the sorted list of family(n, *args), for the list

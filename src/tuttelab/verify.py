@@ -33,7 +33,7 @@ order of the names.  The split follows the memos: the suites that share a
 memo sit on the same side, so each memo is still computed once.  The
 generated lists that both sides hold are those of all_maps with at most
 4 edges, of bipartite_maps with at most 3 and of near_angulations(e, 3)
-with at most 6.  bipartite_maps(4) and near_angulations(7, 3) are built on
+with at most 5.  bipartite_maps(4) and near_angulations(6, 3) are built on
 both sides but held only by the worker: the calling side streams them.
 algebraic builds no generated list and fills no memo of verify, potts or
 desystems, so it may run on either side.  It runs on the calling side,

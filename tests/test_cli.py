@@ -238,11 +238,18 @@ def test_series_unknown_equation(capsys):
     ("POTTS_MAPS", "q2"),
     ("POTTS_MAPS", "q=1/0"),
     ("TUTTE_NONSEP_TRI", "q=0"),  # the equation divides by q
+    ("POTTS_MAPS", "q="),
+    ("POTTS_MAPS", "nu=1/2/3"),
+    ("POTTS_MAPS", "q=2,q=3"),
+    ("POTTS_MAPS", "q=2,nu=1, q=2"),
 ])
 def test_series_bad_set(capsys, eq, assignment):
-    code, _, err = run_cli(capsys, "series", "expand", "--eq", eq,
-                           "--order", "2", "--set", assignment)
-    assert code == cli.EXIT_UNKNOWN and err
+    # a refused item, the last one given here, is named in the message
+    code, out, err = run_cli(capsys, "series", "expand", "--eq", eq,
+                             "--order", "2", "--set", assignment)
+    named = ("division by zero" if assignment == "q=0"
+             else repr(assignment.split(",")[-1]))
+    assert code == cli.EXIT_UNKNOWN and not out and named in err
 
 
 def test_series_negative_order(capsys):

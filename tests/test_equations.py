@@ -27,6 +27,8 @@ def test_prefix_stability():
     ("MAPS_1CAT", 4), ("NT", 4), ("NQ", 3), ("BIP", 3), ("EULER_NT", 2),
     ("POTTS_MAPS", 3), ("TUTTE_MAPS", 3), ("TUTTE_NONSEP_TRI", 3),
     ("BIPOLAR_MAPS", 4), ("BIPOLAR_TRI", 3),
+    # at the list cap, where both top sizes come from the one pass
+    ("NT", 7), ("NQ", 7), ("BIP", 7),
 ])
 def test_expand_vs_brute_force(name, cap):
     eq = EquationId[name]
@@ -202,7 +204,8 @@ def test_shared_step_expansions_are_pinned(name, order, params, digest):
 
 def test_non_separable_rows_stream_the_near_triangulations_once(monkeypatch):
     # TUTTE_NONSEP_TRI and BIPOLAR_TRI read one memoised list of the
-    # non-separable near-triangulations, kept from one stream
+    # non-separable near-triangulations, kept from one stream, whose 6- and
+    # 7-edge near-triangulations come from one pass over a stream of size 6
     streams, calls = generate.stream, []
 
     def stream(family, n, *args):
@@ -214,5 +217,6 @@ def test_non_separable_rows_stream_the_near_triangulations_once(monkeypatch):
     for name in ("TUTTE_NONSEP_TRI", "BIPOLAR_TRI"):
         eq = EquationId[name]
         assert brute_force_gf(eq, 3) == expand(eq, 3)
-    assert calls.count(("near_angulations", 7, 3)) == 1
+    assert calls.count(("near_angulations", 6, 3)) == 1
+    assert calls.count(("near_angulations", 7, 3)) == 0
     assert calls.count(("non_separable_near_triangulations", 3)) == 1

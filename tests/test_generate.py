@@ -219,10 +219,10 @@ def test_near_triangulation_streams_build_each_map_once(monkeypatch):
     built = 0
     recursion = generate._root_edge_recursion
 
-    def counted(*args):
+    def counted(family, n, *args, parents=False):
         nonlocal built
-        for m in recursion(*args):
-            built += 1
+        for m in recursion(family, n, *args, parents=parents):
+            built += m.n_edges == n  # a parent counts where it is built
             yield m
 
     monkeypatch.setattr(generate, "_root_edge_recursion", counted)
@@ -282,42 +282,78 @@ def test_brute_force_reads_its_two_top_sizes_off_one_pass(monkeypatch):
     assert not {("all_maps", 5), ("all_maps", 6)} & set(generate._LISTS)
 
 
-@pytest.mark.parametrize("family,args", [
-    ("all_maps", ()), ("bipartite_maps", ()), ("near_angulations", (3,)),
-    ("near_angulations", (4,))])
-def test_stream_with_parents_puts_each_parent_before_its_children(family,
-                                                                  args):
-    # a map of the top size is an insertion into a parent, a join of a
-    # parent with the atomic map, or a join of two maps with edges
+# every family that up_to serves: near_triangulations(n) holds every size
+_UP_TO = [("all_maps", ()), ("bipartite_maps", ()), ("near_angulations", (3,)),
+          ("near_angulations", (4,)), ("quadrangulations", ()),
+          ("four_valent", ()), ("eulerian_near_triangulations", ()),
+          ("non_separable_near_triangulations", ())]
+
+
+@pytest.mark.parametrize("family,args", _UP_TO)
+def test_up_to_is_the_lists_tagged_by_size(family, args, monkeypatch):
+    # from an empty memo, so that no top size is read from a held list
+    monkeypatch.setattr(generate, "_LISTS", {})
     listed = getattr(generate, family)
-    for n in range(6):
-        met, top = set(), []
-        for m in generate.stream_with_parents(family, n, *args):
-            if m.n_edges < n:
+    for n in range(min(5, generate.FAMILIES[family][1]) + 1):
+        got = [(e, m.code) for e, m in generate.up_to(family, n, *args)]
+        assert sorted(got) == [(e, m.code) for e in range(n + 1)
+                               for m in listed(e, *args)]
+
+
+@pytest.mark.parametrize("family,args", _UP_TO[:4])
+def test_up_to_puts_each_parent_before_its_children(family, args,
+                                                    monkeypatch):
+    # a map of the top size is an insertion into a parent, a join of a
+    # parent with the atomic map, or a join of two maps with edges; the
+    # memo is empty, so that no top size is read from a held list
+    monkeypatch.setattr(generate, "_LISTS", {})
+    for n in range(1, 6):
+        met = set()
+        for e, m in generate.up_to(family, n, *args):
+            if e < n:
                 met.add(m.code)
                 continue
-            top.append(m.code)
-            if n:
-                kind, (a, b) = m.delete_root_edge()
-                parent = (a if kind == "single" or b.is_atomic
-                          else b if a.is_atomic else None)
-                assert parent is None or parent.code in met
-        parents = listed(n - 1, *args) if n else []
-        assert sorted(met) == [m.code for m in parents]
-        assert sorted(top) == [m.code for m in listed(n, *args)]
-    with pytest.raises(CapExceeded):
-        generate.stream_with_parents(family, generate.LIST_CAP + 1, *args)
+            kind, (a, b) = m.delete_root_edge()
+            parent = (a if kind == "single" or b.is_atomic
+                      else b if a.is_atomic else None)
+            assert parent is None or parent.code in met
 
 
-def test_stream_with_parents_reads_a_held_list(monkeypatch):
-    below, held = all_maps(3), all_maps(4)
+def test_up_to_reads_a_held_top_list(monkeypatch):
+    below = [(e, m) for e in range(4) for m in all_maps(e)]
+    held = [(4, m) for m in all_maps(4)]
 
     def no_building(*args, **kwargs):
         raise AssertionError("a held list was built again")
 
     monkeypatch.setattr(RootedMap, "__init__", no_building)
-    maps = list(generate.stream_with_parents("all_maps", 4))
-    assert maps == below + held
+    assert list(generate.up_to("all_maps", 4)) == below + held
+
+
+def test_up_to_checks_the_cap_before_any_map_is_built(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on the capped path")
+
+    for name, _ in _UP_TO:
+        monkeypatch.setattr(generate, name, no_work)
+    for name in ("_root_edge_recursion", "stream"):
+        monkeypatch.setattr(generate, name, no_work)
+    monkeypatch.setattr(RootedMap, "__init__", no_work)
+    for family, args in _UP_TO:
+        with pytest.raises(CapExceeded):
+            generate.up_to(family, generate.FAMILIES[family][1] + 1, *args)
+
+
+def test_near_triangulations_hold_no_list_of_size_n_minus_1(monkeypatch):
+    # from an empty memo, near_triangulations(7) reads the lists up to 5
+    # edges and builds the 6- and 7-edge maps from one pass, each map once
+    monkeypatch.setattr(generate, "_LISTS", {})
+    built = _constructions(monkeypatch)
+    assert len(near_triangulations(7)) == 2680
+    assert len(built) == 2680
+    assert set(generate._LISTS) == {("near_angulations", e, 3)
+                                    for e in range(6)} | {
+                                        ("near_triangulations", 7)}
 
 
 def test_bipartite_maps_build_no_other_maps(monkeypatch):

@@ -305,16 +305,16 @@ def _side(names):
 
 def test_the_two_sides_share_only_the_small_lists():
     # the lists both sides hold: maps up to 4 edges, bipartite maps up to 3
-    # and near-triangulations up to 6; bipartite_maps(4) and
-    # near_angulations(7, 3) are built on both sides but held by the worker
+    # and near-triangulations up to 5; bipartite_maps(4) and
+    # near_angulations(6, 3) are built on both sides but held by the worker
     # only
     worker = _side(sorted(verify.WORKER_SUITES))
     caller = _side([name for name in verify.SUITES
                     if name not in verify.WORKER_SUITES])
     shared = ({("all_maps", e) for e in range(5)}
               | {("bipartite_maps", e) for e in range(4)}
-              | {("near_angulations", e, 3) for e in range(7)})
-    streamed = {("bipartite_maps", 4), ("near_angulations", 7, 3)}
+              | {("near_angulations", e, 3) for e in range(6)})
+    streamed = {("bipartite_maps", 4), ("near_angulations", 6, 3)}
     assert worker["held"] & caller["held"] == shared
     assert worker["built"] & caller["built"] == shared | streamed
     assert streamed <= worker["held"] - caller["held"]
