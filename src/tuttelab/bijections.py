@@ -246,12 +246,13 @@ def unbalanced_join(t1, t2, t3) -> BlossomingTree:
 
 def _distances(m: RootedMap, v0: int):
     """Graph distances from vertex v0 in the underlying multigraph."""
+    vertices, vertex_of, alpha = m.vertices, m.vertex_of, m.alpha
     dist = [None] * m.n_vertices
     dist[v0] = 0
     queue = [v0]
     for v in queue:  # grows as the walk reaches new vertices
-        for d in m.vertices[v]:
-            u = m.vertex_of[m.alpha[d]]
+        for d in vertices[v]:
+            u = vertex_of[alpha[d]]
             if dist[u] is None:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -273,16 +274,17 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
     if not 0 <= v0 < m.n_vertices:
         raise BijectionError("pointed vertex out of range")
     dist = _distances(m, v0)
-    u = m.vertex_of[m.root]
+    vertices, vertex_of = m.vertices, m.vertex_of
+    u = vertex_of[m.root]
     w_corner = m.alpha[m.root]
-    if dist[u] != dist[m.vertex_of[w_corner]] - 1:
+    if dist[u] != dist[vertex_of[w_corner]] - 1:
         raise BijectionError(
             "root edge is not oriented away from the pointed vertex")
     root_face = m.face_of[w_corner]
     host = {}
     root_pair = None
     for fi, face in enumerate(m.faces):
-        labs = [dist[m.vertex_of[d]] for d in face]
+        labs = [dist[vertex_of[d]] for d in face]
         l = min(labs)
         i0 = labs.index(l)
         order, olabs = face[i0:] + face[:i0], labs[i0:] + labs[:i0]
@@ -313,8 +315,8 @@ def cvs_forward(m: RootedMap, v0: int) -> LabelledTree:
         children, in rotation order from at_corner; skip=1 leaves out
         at_corner itself, the edge to the parent, which the root does not
         have."""
-        v = m.vertex_of[at_corner]
-        ring = [d for d in m.vertices[v] if d in host]
+        v = vertex_of[at_corner]
+        ring = [d for d in vertices[v] if d in host]
         i = ring.index(at_corner)
         return dist[v], iter([host[c] for c in ring[i + skip:] + ring[:i]])
 
@@ -412,6 +414,7 @@ def _check_spanning_tree(m: RootedMap, tree, edges):
     if len(tree) != m.n_vertices - 1:
         raise BijectionError("edge subset is not a spanning tree")
     parent = list(range(m.n_vertices))
+    vertex_of = m.vertex_of
 
     def find(x):
         while parent[x] != x:
@@ -421,7 +424,7 @@ def _check_spanning_tree(m: RootedMap, tree, edges):
 
     for e in tree:
         d, a = edges[e]
-        ru, rv = find(m.vertex_of[d]), find(m.vertex_of[a])
+        ru, rv = find(vertex_of[d]), find(vertex_of[a])
         if ru == rv:
             raise BijectionError("edge subset is not a spanning tree")
         parent[ru] = rv
@@ -439,6 +442,7 @@ def mullin_encode(m: RootedMap, tree) -> DyckShuffle:
         return DyckShuffle("")
     edge_of = {d: i for i, edge in enumerate(edges) for d in edge}
     in_tree = set(tree)
+    sigma, alpha = m.sigma, m.alpha
     word = []
     seen = set()
     d = m.root
@@ -447,11 +451,11 @@ def mullin_encode(m: RootedMap, tree) -> DyckShuffle:
         if e in in_tree:
             word.append("A" if e in seen else "a")
             seen.add(e)
-            d = m.sigma[m.alpha[d]]
+            d = sigma[alpha[d]]
         else:
             word.append("B" if e in seen else "b")
             seen.add(e)
-            d = m.sigma[d]
+            d = sigma[d]
     if d != m.root or len(seen) != len(edges):
         raise BijectionError("tree tour is not a single cycle")
     return DyckShuffle("".join(word))
@@ -596,8 +600,9 @@ def ising_subdivide(m: RootedMap, colouring, counts):
     # bytes below 256 darts, which the constructor keeps without a type check
     m2 = RootedMap(_compact(alpha, len(alpha)), _compact(sigma, len(sigma)),
                    m.root)
-    col2 = [dart_colour[cyc[0]] for cyc in m2.vertices]
-    squares = frozenset(i for i, cyc in enumerate(m2.vertices)
+    vertices = m2.vertices
+    col2 = [dart_colour[cyc[0]] for cyc in vertices]
+    squares = frozenset(i for i, cyc in enumerate(vertices)
                         if cyc[0] >= m.n_darts)
     return m2, col2, squares
 
@@ -605,25 +610,26 @@ def ising_subdivide(m: RootedMap, colouring, counts):
 def ising_erase(m: RootedMap, squares):
     """Erase a set of degree-2 vertices by splicing their two incident
     edges together; inverse of ising_subdivide."""
-    on_square = bytearray(m.n_darts)
+    n, vertices, old_sigma, old_alpha = m.n_darts, m.vertices, m.sigma, m.alpha
+    on_square = bytearray(n)
     for v in squares:
-        cyc = m.vertices[v]
+        cyc = vertices[v]
         if len(cyc) != 2:
             raise BijectionError("square vertices must have degree 2")
         on_square[cyc[0]] = on_square[cyc[1]] = 1
     if on_square[m.root]:
         raise BijectionError("cannot erase the root vertex")
-    kept = [d for d in range(m.n_darts) if not on_square[d]]
-    new_id = [0] * m.n_darts
+    kept = [d for d in range(n) if not on_square[d]]
+    new_id = [0] * n
     for i, d in enumerate(kept):
         new_id[d] = i
     alpha = []
     for d in kept:
-        a = m.alpha[d]
+        a = old_alpha[d]
         while on_square[a]:
-            a = m.alpha[m.sigma[a]]
+            a = old_alpha[old_sigma[a]]
         alpha.append(new_id[a])
-    sigma = [new_id[m.sigma[d]] for d in kept]
+    sigma = [new_id[old_sigma[d]] for d in kept]
     return RootedMap(_compact(alpha, len(kept)), _compact(sigma, len(kept)),
                      new_id[m.root])
 

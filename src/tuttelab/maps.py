@@ -6,33 +6,37 @@ order of darts around each vertex).  Faces are the orbits of phi = sigma o
 alpha.  The atomic map (one vertex, no edge) is the unique map with zero
 darts and root None.
 
-An instance stores its darts (alpha, sigma, root), its canonical code, its
-number of vertices and its root-face degree; n_darts is len(sigma) and
-n_faces is 2 - n_vertices + n_darts // 2, Euler's formula.  The constructor
-checks that the darts of a list or tuple are integers, stores alpha and
-sigma in the compact form below, and checks on that form that they are
-permutations, alpha a fixed-point-free involution and root a dart.  Then
-one walk over the darts does the rest, in breadth-first order from the
-root: it labels the darts and writes the code, which covers every dart
-exactly when the map is connected; it counts the cycles of sigma and of
-phi, each at its first dart, whose counts satisfy Euler's relation exactly
-when the map has genus 0, so the derived n_faces is the number of faces
-walked; and it measures the root face, walked first, whose degree the
-generators read from every parent map.  The orbit lists
+An instance stores alpha, root, its number of vertices, its root-face
+degree and one buffer, _darts: sigma followed by the canonical code.
+sigma and code are read as slices of that buffer, n_darts is len(alpha)
+and n_faces is 2 - n_vertices + n_darts // 2, Euler's formula.  The
+constructor checks that the darts of a list or tuple are integers, stores
+alpha and sigma in the compact form below, and checks on that form that
+they are permutations, alpha a fixed-point-free involution and root a
+dart.  Then one walk over the darts does the rest, in breadth-first order
+from the root: it labels the darts and writes the code, which covers
+every dart exactly when the map is connected; it counts the cycles of
+sigma and of phi, each at its first dart, whose counts satisfy Euler's
+relation exactly when the map has genus 0, so the derived n_faces is the
+number of faces walked; and it measures the root face, walked first,
+whose degree the generators read from every parent map.  The orbit lists
 and labellings (vertices, faces, vertex_of, face_of) are computed on first
-use and kept.  The root face and the inverse of sigma are computed each
-time they are asked for and not kept.  Instances are immutable.
+use and kept, together in one list in one slot.  The root face and the
+inverse of sigma are computed each time they are asked for and not kept.
+Instances are immutable.  Each read of sigma or code is a new slice, and
+each read of a kept value a function call, so a loop binds them once.
 
 sigma and alpha send each dart d to sigma[d] and alpha[d]; the code is
 n_darts followed by the breadth-first labels of sigma, then of alpha, over
-the darts in walk order.  Below 256 darts a map stores the three as bytes,
-one byte an entry; from 256 darts up, as tuples of ints.  Both index and
-iterate as ints and compare lexicographically, so readers need not know
-which they hold, and codes sort alike either way, by size first.  Codes
-compare within one side of 256 darts only: a bytes code never equals a
-tuple code, and the two cannot be ordered.  The standard involution
-(1, 0, 3, 2, ...) is one tuple per dart count, shared by every map whose
-alpha it is.
+the darts in walk order.  Below 256 darts a map stores alpha and the
+buffer as bytes, one byte an entry; from 256 darts up, as tuples of ints.
+Both index and iterate as ints and compare lexicographically, so readers
+need not know which they hold, and codes sort alike either way, by size
+first.  Codes compare within one side of 256 darts only: a bytes code
+never equals a tuple code, and the two cannot be ordered.  The standard
+involution (1, 0, 3, 2, ...) is one tuple per dart count, shared by every
+map whose alpha it is.  A map of all_maps(6) holds about 158 traced bytes
+on Python 3.11: the instance, with six slots, and its buffer.
 
 Conventions frozen here (and validated in the tests against the catalytic
 functional equations):
@@ -70,7 +74,7 @@ class MapError(ValueError):
     pass
 
 
-# maps with fewer darts store sigma, alpha and code as bytes
+# maps with fewer darts store alpha and the buffer of sigma and code as bytes
 _BYTE_DARTS = 256
 
 
@@ -226,36 +230,50 @@ def _inv_sigma(m):
     return out
 
 
-# the slots RootedMap.__getattr__ fills on first use, and how
-_ON_FIRST_USE = {
-    "vertices": lambda m: _orbits(m.sigma),
-    "faces": lambda m: _orbits(_phi(m)) if m.n_darts else [()],
-    "vertex_of": lambda m: _cycle_labels(m.sigma),
-    "face_of": lambda m: _cycle_labels(_phi(m)),
-}
+# the number of values a map derives on first use and keeps in one list
+_N_KEPT = 4
+
+
+def _kept(i, compute):
+    """A property whose value on a map m is compute(m), made on first read
+    and kept at index i of the list in m's slot _derived, which the first
+    read of any kept value makes."""
+    def read(m):
+        try:
+            kept = m._derived
+        except AttributeError:
+            kept = m._derived = [None] * _N_KEPT
+        value = kept[i]
+        if value is None:
+            value = kept[i] = compute(m)
+        return value
+    return property(read)
 
 
 class RootedMap:
     """A rooted planar map.
 
-    Set by the constructor: alpha, sigma, root, code (the canonical code:
-    the breadth-first relabelling from the root, so two maps have equal
-    codes iff they are equal as rooted maps), n_vertices and
-    root_face_degree; n_darts, n_edges and n_faces are read off them.
-    alpha and sigma may be given as lists, tuples, bytes or bytearrays.
-    sigma, alpha (unless it is the shared standard involution) and code are
-    bytes below 256 darts and tuples from 256 up; from_code takes either.
-    A bytes alpha or sigma given to the constructor is kept as it is, so
-    m.dual() shares the alpha of m.
-    Computed on first use and kept: vertices (sigma-orbits, tuples of
-    darts), faces (phi-orbits; [()] for the atomic map), vertex_of and
-    face_of (dart -> index into vertices and faces).
+    Set by the constructor: alpha, root, n_vertices, root_face_degree and
+    the buffer _darts, sigma followed by the canonical code (the
+    breadth-first relabelling from the root, so two maps have equal codes
+    iff they are equal as rooted maps); sigma and code are slices of it,
+    and n_darts, n_edges and n_faces are read off len(alpha) and
+    n_vertices.  alpha and sigma may be given as lists, tuples, bytes or
+    bytearrays.  The buffer and alpha (unless it is the shared standard
+    involution) are bytes below 256 darts and tuples from 256 up; from_code
+    takes either.  A bytes alpha given to the constructor is kept as it
+    is, so m.dual() shares the alpha of m; sigma is copied into the
+    buffer.
+    Computed on first use and kept, in one list in the slot _derived:
+    vertices (sigma-orbits, tuples of darts), faces (phi-orbits; [()] for
+    the atomic map), vertex_of and face_of (dart -> index into vertices
+    and faces).
     Computed each time and not kept: root_face (the phi-orbit of
     alpha(root), as it appears in faces).
     """
 
-    __slots__ = ("alpha", "sigma", "root", "code", "n_vertices", "vertices",
-                 "faces", "vertex_of", "face_of", "root_face_degree")
+    __slots__ = ("alpha", "_darts", "root", "n_vertices", "root_face_degree",
+                 "_derived")
 
     def __init__(self, alpha, sigma, root):
         n = len(alpha)
@@ -265,8 +283,7 @@ class RootedMap:
             if root is not None:
                 raise MapError("atomic map has root None")
             self.alpha, self.root = (), None
-            self.sigma = _compact((), 0)
-            self.code, self.n_vertices = _compact((0,), 0), 1
+            self._darts, self.n_vertices = _compact((0,), 0), 1
             self.root_face_degree = 0
             return
         standard = _standard_alpha(n)
@@ -299,24 +316,28 @@ class RootedMap:
             raise MapError("alpha must be a fixed-point-free involution")
         if type(root) is not int or not 0 <= root < n:
             raise MapError("root must be a dart")
-        self.alpha, self.sigma, self.root = alpha, sigma, root
-        (order, self.code, self.n_vertices, faces,
+        self.alpha, self.root = alpha, root
+        (order, code, self.n_vertices, faces,
          self.root_face_degree) = _walk(alpha, sigma, root)
+        self._darts = sigma + code
         if len(order) != n:
             raise MapError("rotation system is not connected")
         if self.n_vertices - n // 2 + faces != 2:
             raise MapError("rotation system has positive genus")
 
-    def __getattr__(self, name):
-        # reached only for a name with no value yet: fill its slot on first use
-        try:
-            compute = _ON_FIRST_USE[name]
-        except KeyError:
-            raise AttributeError(
-                f"'RootedMap' object has no attribute {name!r}") from None
-        value = compute(self)
-        setattr(self, name, value)
-        return value
+    # each read is a new slice of the buffer: a loop binds it once
+    @property
+    def sigma(self):
+        return self._darts[:len(self.alpha)]
+
+    @property
+    def code(self):
+        return self._darts[len(self.alpha):]
+
+    vertices = _kept(0, lambda m: _orbits(m.sigma))
+    faces = _kept(1, lambda m: _orbits(_phi(m)) if m.n_darts else [()])
+    vertex_of = _kept(2, lambda m: _cycle_labels(m.sigma))
+    face_of = _kept(3, lambda m: _cycle_labels(_phi(m)))
 
     @property
     def is_atomic(self) -> bool:
@@ -326,16 +347,16 @@ class RootedMap:
 
     @property
     def n_darts(self):
-        return len(self.sigma)
+        return len(self.alpha)
 
     @property
     def n_edges(self):
-        return len(self.sigma) // 2
+        return len(self.alpha) // 2
 
     @property
     def n_faces(self):
         # Euler's formula, which the constructor checked against its count
-        return 2 - self.n_vertices + len(self.sigma) // 2
+        return 2 - self.n_vertices + len(self.alpha) // 2
 
     @property
     def root_vertex_degree(self):
@@ -360,7 +381,8 @@ class RootedMap:
 
     def multigraph_edges(self):
         """Edges as (vertex, vertex) pairs of the underlying multigraph."""
-        return [(self.vertex_of[d], self.vertex_of[a]) for d, a in self.edges()]
+        vertex_of = self.vertex_of
+        return [(vertex_of[d], vertex_of[a]) for d, a in self.edges()]
 
     # -- equality / canonical code -----------------------------------------
 
@@ -469,14 +491,15 @@ class RootedMap:
             return self
         n = self.n_darts
         inv = _inv_sigma(self)
+        old_alpha, old_sigma = self.alpha, self.sigma
         alpha = [0] * (2 * n)
         sigma = [0] * (2 * n)
         for d in range(n):
             # rotation at the midpoint of the edge carrying dart d
             sigma[2 * d] = 2 * d + 1
-            sigma[2 * d + 1] = 2 * self.alpha[d]
+            sigma[2 * d + 1] = 2 * old_alpha[d]
             # radial edge across the corner (d, sigma(d))
-            alpha[2 * d] = 2 * self.sigma[d] + 1
+            alpha[2 * d] = 2 * old_sigma[d] + 1
             alpha[2 * d + 1] = 2 * inv[d]
         return RootedMap(alpha, sigma, 2 * self.root + 1)
 
@@ -507,7 +530,7 @@ class RootedMap:
         for k in ks:
             if not 0 <= k <= d:
                 raise MapError(f"insertion index {k} out of range 0..{d}")
-        n = len(self.sigma)  # read once: n_darts is a property
+        n = len(self.alpha)
         a, b = n, n + 1
         if self.alpha is _standard_alpha(n):
             alpha = _standard_alpha(n + 2)
@@ -542,18 +565,19 @@ class RootedMap:
         the result's sigma is a bytearray: m1's sigma, then m2's shifted by
         n1 through a translation table.
         """
-        n1, n2 = len(m1.sigma), len(m2.sigma)  # n_darts, read once each
+        s1, s2 = m1.sigma, m2.sigma  # read once each: each read is a slice
+        n1, n2 = len(s1), len(s2)
         a, b = n1 + n2, n1 + n2 + 1
         if m1.alpha is _standard_alpha(n1) and m2.alpha is _standard_alpha(n2):
             alpha = _standard_alpha(n1 + n2 + 2)
         else:
             alpha = list(m1.alpha) + [x + n1 for x in m2.alpha] + [b, a]
         if b < _BYTE_DARTS:
-            sigma = bytearray(m1.sigma)
-            sigma += m2.sigma.translate(_shift_table(n1))
+            sigma = bytearray(s1)
+            sigma += s2.translate(_shift_table(n1))
             sigma += b"\0\0"
         else:
-            sigma = list(m1.sigma) + [x + n1 for x in m2.sigma] + [0, 0]
+            sigma = list(s1) + [x + n1 for x in s2] + [0, 0]
         if not n1:
             sigma[a] = a
         else:
@@ -580,14 +604,16 @@ class RootedMap:
             raise MapError("cannot delete the root edge of the atomic map")
         a = self.root
         b = self.alpha[a]
+        sigma = self.sigma
         inv = _inv_sigma(self)
         pred_a, pred_b = inv[a], inv[b]
-        sig = {d: s for d, s in enumerate(self.sigma) if d not in (a, b)}
+        sig = {d: s for d, s in enumerate(sigma) if d not in (a, b)}
         alf = {d: x for d, x in enumerate(self.alpha) if d not in (a, b)}
         for p in (pred_a, pred_b):  # splice a and b out of their rotations
             while p in sig and sig[p] in (a, b):
-                sig[p] = self.sigma[sig[p]]
-        if self.face_of[a] == self.face_of[b]:
+                sig[p] = sigma[sig[p]]
+        face_of = self.face_of
+        if face_of[a] == face_of[b]:
             # isthmus: two components, rooted at the predecessors of a and b
             m1 = _extract(sig, alf, pred_a if pred_a != a else None)
             m2 = _extract(sig, alf, pred_b if pred_b != b else None)

@@ -89,12 +89,12 @@ def test_generated_maps_are_lean():
     finally:
         tracemalloc.stop()
         gc.enable()
-    # bytes per map, measured at 218 for all_maps(5), 301 for four_valent(5)
-    # and 248 for quadrangulations(5), the duals of that list, which share
-    # its alpha (Python 3.11); each bound is 28-31 % above the first two
-    assert retained / len(maps) < 280
-    assert radial[four_valent] < 395
-    assert radial[quadrangulations] < 395
+    # bytes per map, measured at 153 for all_maps(5), 236 for four_valent(5)
+    # and 183 for quadrangulations(5), the duals of that list, which share
+    # its alpha (Python 3.11); each bound is about 30 % above its size
+    assert retained / len(maps) < 200
+    assert radial[four_valent] < 305
+    assert radial[quadrangulations] < 240
     # potts labels the vertices for itself and leaves nothing on the maps
     assert (after_potts - retained) / len(maps) < 8
     assert as_parents / len(maps) < 8

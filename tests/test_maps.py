@@ -503,15 +503,16 @@ def test_dual_involution():
 
 
 def test_dual_shares_a_bytes_alpha():
-    # the constructor keeps a bytes alpha or sigma it is given, so a radial
-    # map and its dual hold one alpha; the few radial maps whose alpha is
-    # the standard involution hold the shared tuple
+    # the constructor keeps a bytes alpha it is given, so a radial map and
+    # its dual hold one alpha; the few radial maps whose alpha is the
+    # standard involution hold the shared tuple.  sigma is copied into the
+    # buffer it shares with the code.
     radials = [m for n in range(1, 5) for m in four_valent(n)]
     assert any(type(m.alpha) is bytes for m in radials)
     for m in radials:
         d = m.dual()
         assert d.alpha is m.alpha and d.dual().alpha is m.alpha
-        assert RootedMap(m.alpha, m.sigma, m.root).sigma is m.sigma
+        assert RootedMap(m.alpha, m.sigma, m.root).sigma == m.sigma
 
 
 def test_radial_is_4valent():
@@ -566,6 +567,23 @@ def test_copies_of_the_standard_involution_store_the_shared_tuple(kind):
         assert copy == m
 
 
+def assert_read_off_one_buffer(m, sigma):
+    """m, built from the rotation sigma, reads sigma back, a code that
+    rebuilds it and its dart count, and keeps each orbit on first use."""
+    assert list(m.sigma) == list(sigma)
+    assert RootedMap.from_code(m.code) == m
+    assert m.n_darts == len(m.sigma) == len(m.alpha)
+    for name in ("vertices", "faces", "vertex_of", "face_of"):
+        assert getattr(m, name) is getattr(m, name), name
+
+
+@settings(deadline=None)
+@given(rooted_maps(), st.sampled_from([list, tuple, bytes, bytearray]))
+def test_sigma_and_code_read_off_one_buffer(m, kind):
+    sigma = kind(m.sigma)
+    assert_read_off_one_buffer(RootedMap(m.alpha, sigma, m.root), sigma)
+
+
 def test_storage_on_both_sides_of_256_darts():
     # a map below 256 darts stores sigma, a non-standard alpha and code as
     # bytes, and a larger one as tuples; the surgery below crosses the
@@ -596,6 +614,8 @@ def test_storage_on_both_sides_of_256_darts():
             assert copy == m and hash(copy) == hash(m)
             assert copy.code == m.code and type(copy.code) is stored
         assert RootedMap.from_code(tuple(m.code)) == m
+        sigma = list(m.sigma)
+        assert_read_off_one_buffer(RootedMap(m.alpha, sigma, m.root), sigma)
         assert m.delete_root_edge() == deleted
         assert m != deleted[1][0]
     assert len({m for m, _ in cases}) == len(cases)

@@ -269,20 +269,25 @@ def test_no_memo_is_filled_on_both_sides():
 
 
 # Run the suites named in argv in this fresh process; print the keys of the
-# generated lists it built (streamed while no memo held them) and of those
-# it holds, and the verify, potts and desystems memos it filled.
+# generated lists it built (each size that no memo held when a stream or a
+# pass of the root-edge recursion built it) and of those it holds, and the
+# verify, potts and desystems memos it filled.
 _SIDE_SCRIPT = """
 import json, sys
 from tuttelab import desystems, generate, potts, verify
 built = set()
-stream = generate.stream
 
-def recorded(family, n, *args):
-    if (family, n, *args) not in generate._LISTS:
-        built.add((family, n, *args))
-    return stream(family, n, *args)
+def recording(build):
+    def recorded(family, n, *args, **kwargs):
+        if (family, n, *args) not in generate._LISTS:
+            built.add((family, n, *args))
+        return build(family, n, *args, **kwargs)
+    return recorded
 
-generate.stream = recorded
+# stream builds a size of any family, and up_to the top size of a root-edge
+# family through the recursion alone
+generate.stream = recording(generate.stream)
+generate._root_edge_recursion = recording(generate._root_edge_recursion)
 verify._run_suites(sys.argv[1:])
 memos = [f for module in (verify, potts, desystems)
          for f in vars(module).values()
@@ -306,15 +311,16 @@ def _side(names):
 def test_the_two_sides_share_only_the_small_lists():
     # the lists both sides hold: maps up to 4 edges, bipartite maps up to 3
     # and near-triangulations up to 5; bipartite_maps(4) and
-    # near_angulations(6, 3) are built on both sides but held by the worker
-    # only
+    # near_angulations(6, 3) and (7, 3) are built on both sides but held by
+    # the worker only, the calling side streams them
     worker = _side(sorted(verify.WORKER_SUITES))
     caller = _side([name for name in verify.SUITES
                     if name not in verify.WORKER_SUITES])
     shared = ({("all_maps", e) for e in range(5)}
               | {("bipartite_maps", e) for e in range(4)}
               | {("near_angulations", e, 3) for e in range(6)})
-    streamed = {("bipartite_maps", 4), ("near_angulations", 6, 3)}
+    streamed = {("bipartite_maps", 4), ("near_angulations", 6, 3),
+                ("near_angulations", 7, 3)}
     assert worker["held"] & caller["held"] == shared
     assert worker["built"] & caller["built"] == shared | streamed
     assert streamed <= worker["held"] - caller["held"]
