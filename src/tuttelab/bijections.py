@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from operator import eq, ne
 
-from tuttelab.maps import MapError, RootedMap, _compact
+from tuttelab.maps import MapError, RootedMap, _compact, _components
 from tuttelab.trees import (FLOWER, LEAF, BlossomingTree, DyckShuffle,
                             LabelledTree)
 
@@ -411,23 +411,11 @@ def _check_spanning_tree(m: RootedMap, tree, edges):
     tree = sorted(set(tree))
     if any(not 0 <= e < len(edges) for e in tree):
         raise BijectionError("tree edge index out of range")
-    if len(tree) != m.n_vertices - 1:
-        raise BijectionError("edge subset is not a spanning tree")
-    parent = list(range(m.n_vertices))
     vertex_of = m.vertex_of
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in tree:
-        d, a = edges[e]
-        ru, rv = find(vertex_of[d]), find(vertex_of[a])
-        if ru == rv:
-            raise BijectionError("edge subset is not a spanning tree")
-        parent[ru] = rv
+    ends = [(vertex_of[edges[e][0]], vertex_of[edges[e][1]]) for e in tree]
+    # v - 1 edges span a tree exactly when they leave one component
+    if len(tree) != m.n_vertices - 1 or _components(m.n_vertices, ends) != 1:
+        raise BijectionError("edge subset is not a spanning tree")
     return tuple(tree)
 
 

@@ -347,7 +347,9 @@ def non_separable_near_triangulations(n_inner_faces: int):
 
 def all_spanning_trees(m: RootedMap):
     """Every spanning edge subset that is a tree, as sorted tuples of edge
-    indices into m.edges()."""
+    indices into m.edges().  It keeps a union-find of its own, not
+    maps._components, so that a sum over spanning trees shares no
+    enumeration with the subset expansion of potts._subset_counts."""
     if m.is_atomic:
         raise MapError("the atomic map has no spanning tree oracle")
     edges = m.multigraph_edges()

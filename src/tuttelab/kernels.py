@@ -289,12 +289,6 @@ def lagrange_U_coeff(n: int, i: int):
     return Fraction(comb(n, i + 1) * comb(n + i - 1, i), n)
 
 
-def tree_rooted_tri_q0_coeff(n: int, i: int):
-    """[t^n y^{3i-n}] Q(0, y) = (3i-n)/((i+1)(n+i)) C(n, i) C(n+i, i)."""
-    return Fraction((3 * i - n) * comb(n, i) * comb(n + i, i),
-                    (i + 1) * (n + i))
-
-
 # -- Lagrange-inversion checks --------------------------------------------------
 
 
@@ -315,8 +309,9 @@ def lagrange_U_spot_checks(order: int = 6) -> bool:
 
 def tri_q0_closed_form(order: int = 6) -> bool:
     """Every coefficient of Q(0, y) to t^order: the constant term 1, and
-    tree_rooted_tri_q0_coeff at every other."""
-    table = {(n, 3 * i - n): tree_rooted_tri_q0_coeff(n, i)
-             for n in range(1, order + 1) for i in range(n + 1) if 3 * i >= n}
+    [t^n y^d] Q(0, y) = closed_forms.tree_rooted_tri_count(i, d) for
+    n = 3i - d and d >= 1, the tree-rooted near-triangulations it counts."""
+    table = {(n, 3 * i - n): closed_forms.tree_rooted_tri_count(i, 3 * i - n)
+             for n in range(1, order + 1) for i in range(n + 1) if 3 * i > n}
     Q0 = tree_rooted_tri_Q0(order).as_poly()
     return Q0 == 1 + MultiPoly(("t", "y"), table)

@@ -21,8 +21,8 @@ relation exactly when the map has genus 0, so the derived n_faces is the
 number of faces walked; and it measures the root face, walked first,
 whose degree the generators read from every parent map.  The orbit lists
 and labellings (vertices, faces, vertex_of, face_of) are computed on first
-use and kept, together in one list in one slot.  The root face and the
-inverse of sigma are computed each time they are asked for and not kept.
+use and kept, together in one list in one slot, and the root face is
+read off the kept faces.
 Instances are immutable.  Each read of sigma or code is a new slice, and
 each read of a kept value a function call, so a loop binds them once.
 
@@ -52,7 +52,8 @@ functional equations):
   corners of m1 and m2; the result has root-face degree df(m1) + df(m2) + 2.
 
 Every rooted map with at least one edge arises exactly once as an insertion
-or a join, and delete_root_edge inverts both.
+or a join, and delete_root_edge inverts both.  It reads each piece off by
+the constructor's walk, numbered as its code numbers it, rooted at dart 0.
 
 Connectivity is read off the faces, by two facts about a connected plane
 map (half-edges, as in the blossoming trees of the bijections, included):
@@ -150,6 +151,26 @@ def _cycle_labels(perm):
     return label
 
 
+def _components(v, edges):
+    """The number of connected components of the multigraph on vertices
+    0..v-1 with the given (vertex, vertex) edges, by one union-find."""
+    parent = list(range(v))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    comp = v
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            comp -= 1
+    return comp
+
+
 def _walk(alpha, sigma, root):
     """One pass over the darts reachable from root, in the order of the
     breadth-first walk from root (sigma before alpha), which labels each
@@ -207,29 +228,6 @@ def _phi(m):
     return [sigma[a] for a in m.alpha]
 
 
-def _root_face(m):
-    """The phi-orbit of alpha(root), from its least dart as in m.faces."""
-    if m.is_atomic:
-        return ()
-    sigma, alpha = m.sigma, m.alpha
-    start = alpha[m.root]
-    cyc = [start]
-    d = sigma[alpha[start]]
-    while d != start:
-        cyc.append(d)
-        d = sigma[alpha[d]]
-    i = cyc.index(min(cyc))
-    return tuple(cyc[i:] + cyc[:i])
-
-
-def _inv_sigma(m):
-    """sigma^-1, as a list."""
-    out = [0] * m.n_darts
-    for d, s in enumerate(m.sigma):
-        out[s] = d
-    return out
-
-
 # the number of values a map derives on first use and keeps in one list
 _N_KEPT = 4
 
@@ -267,9 +265,8 @@ class RootedMap:
     Computed on first use and kept, in one list in the slot _derived:
     vertices (sigma-orbits, tuples of darts), faces (phi-orbits; [()] for
     the atomic map), vertex_of and face_of (dart -> index into vertices
-    and faces).
-    Computed each time and not kept: root_face (the phi-orbit of
-    alpha(root), as it appears in faces).
+    and faces).  root_face, the phi-orbit of alpha(root), is read off
+    them.
     """
 
     __slots__ = ("alpha", "_darts", "root", "n_vertices", "root_face_degree",
@@ -370,7 +367,9 @@ class RootedMap:
 
     @property
     def root_face(self):
-        return _root_face(self)
+        if self.is_atomic:
+            return ()
+        return self.faces[self.face_of[self.alpha[self.root]]]
 
     def vertex_degrees(self):
         return sorted(len(c) for c in self.vertices) if not self.is_atomic else [0]
@@ -490,8 +489,10 @@ class RootedMap:
         if self.is_atomic:
             return self
         n = self.n_darts
-        inv = _inv_sigma(self)
         old_alpha, old_sigma = self.alpha, self.sigma
+        inv = [0] * n  # sigma^-1
+        for d, s in enumerate(old_sigma):
+            inv[s] = d
         alpha = [0] * (2 * n)
         sigma = [0] * (2 * n)
         for d in range(n):
@@ -598,32 +599,30 @@ class RootedMap:
         join_by_root_edge(m1, m2) == self, and ("single", (m, k)) otherwise,
         with m.insert_root_edge(k) == self.  The isthmus fact of the module
         docstring tells the cases apart, and k = root_face_degree - 1 since
-        insertion at k gives root-face degree k + 1.
+        insertion at k gives root-face degree k + 1.  Each piece is numbered
+        as its code numbers it, rooted at dart 0.
         """
         if self.is_atomic:
             raise MapError("cannot delete the root edge of the atomic map")
-        a = self.root
-        b = self.alpha[a]
-        sigma = self.sigma
-        inv = _inv_sigma(self)
-        pred_a, pred_b = inv[a], inv[b]
-        sig = {d: s for d, s in enumerate(sigma) if d not in (a, b)}
-        alf = {d: x for d, x in enumerate(self.alpha) if d not in (a, b)}
+        alpha, sigma, a = self.alpha, self.sigma, self.root
+        b = alpha[a]
+        pred_a, pred_b = sigma.index(a), sigma.index(b)
+        sig = list(sigma)
         for p in (pred_a, pred_b):  # splice a and b out of their rotations
-            while p in sig and sig[p] in (a, b):
+            while p not in (a, b) and sig[p] in (a, b):
                 sig[p] = sigma[sig[p]]
         face_of = self.face_of
         if face_of[a] == face_of[b]:
             # isthmus: two components, rooted at the predecessors of a and b
-            m1 = _extract(sig, alf, pred_a if pred_a != a else None)
-            m2 = _extract(sig, alf, pred_b if pred_b != b else None)
+            m1 = _piece(alpha, sig, pred_a if pred_a != a else None)
+            m2 = _piece(alpha, sig, pred_b if pred_b != b else None)
             return "pair", (m1, m2)
         # single map: recover the old root dart from the local pattern
         if pred_a == b:
             r = pred_b if pred_b != a else None
         else:
             r = pred_a
-        return "single", (_extract(sig, alf, r), self.root_face_degree - 1)
+        return "single", (_piece(alpha, sig, r), self.root_face_degree - 1)
 
     # -- predicates -------------------------------------------------------------
 
@@ -670,24 +669,10 @@ class RootedMap:
         return not self.is_atomic and all(len(v) == 4 for v in self.vertices)
 
 
-def _component(sig, alf, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        d = stack.pop()
-        for e in (sig[d], alf[d]):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    return seen
-
-
-def _extract(sig, alf, root) -> RootedMap:
-    """Build the RootedMap spanned by the component of `root` in a dart dict."""
-    if root is None or root not in sig:
+def _piece(alpha, sigma, root) -> RootedMap:
+    """The map on the darts that the walk from root reaches, numbered as its
+    code numbers them and rooted at dart 0; the atomic map for root None."""
+    if root is None:
         return RootedMap.atomic()
-    comp = sorted(_component(sig, alf, root))
-    relabel = {d: i for i, d in enumerate(comp)}
-    alpha = [relabel[alf[d]] for d in comp]
-    sigma = [relabel[sig[d]] for d in comp]
-    return RootedMap(alpha, sigma, relabel[root])
+    order, code = _walk(alpha, sigma, root)[:2]
+    return RootedMap.from_code([len(order), *code[1:]])

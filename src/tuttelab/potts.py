@@ -32,7 +32,9 @@ tied to P by q = (mu - 1)(nu - 1):
     P_G(q, nu) = (mu - 1)^{c(G)} (nu - 1)^{v(G)} T_G(mu, nu).
 
 potts_subset_oracle reads m.multigraph_edges() and is not memoised, so
-one route to P never goes through the key.
+one route to P never goes through the key.  It and tutte count the
+components of each edge subset with maps._components, the union-find
+that the Mullin encoding's spanning-tree check also uses.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ import struct
 from collections import Counter
 from functools import lru_cache
 
-from tuttelab.maps import (_BYTE_DARTS, RootedMap, _cycle_labels,
-                           _standard_alpha)
+from tuttelab.maps import (_BYTE_DARTS, RootedMap, _components,
+                           _cycle_labels, _standard_alpha)
 from tuttelab.poly import MultiPoly, lagrange_interpolate
 
 NU = MultiPoly.var("nu")
@@ -201,24 +203,6 @@ def _interpolated(v, edges):
     points = [(0, MultiPoly.zero())]
     points += [(k, graph_colouring_sum(v, edges, k)) for k in range(1, v + 2)]
     return lagrange_interpolate(points)
-
-
-def _components(v, edges):
-    parent = list(range(v))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comp = v
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comp -= 1
-    return comp
 
 
 def _subset_counts(v, edges) -> Counter:

@@ -356,6 +356,32 @@ def test_mullin_example_word():
     assert mullin_encode(m, tr).word == "bbaaBBAbBA"
 
 
+def test_mullin_encode_refuses_what_is_not_a_spanning_tree():
+    def refused(m, tree, message):
+        with pytest.raises(BijectionError, match=f"^{message}$"):
+            mullin_encode(m, tree)
+
+    # a link and a loop at one of its ends: two vertices, so one tree edge
+    m = RootedMap.link().insert_root_edge(0)
+    pairs = m.multigraph_edges()
+    loop = next(e for e, (u, v) in enumerate(pairs) if u == v)
+    for tree in ([len(pairs)], [-1], [0, len(pairs)]):
+        refused(m, tree, "tree edge index out of range")
+    for tree in ([], [0, 1]):
+        refused(m, tree, "edge subset is not a spanning tree")
+    refused(m, [loop], "edge subset is not a spanning tree")
+    # every subset of v - 1 edges that closes a cycle, against the
+    # generator's own union-find
+    for n in range(1, 5):
+        for m in all_maps(n):
+            trees = set(all_spanning_trees(m))
+            for tree in itertools.combinations(range(n), m.n_vertices - 1):
+                if tree in trees:
+                    mullin_encode(m, tree)
+                else:
+                    refused(m, tree, "edge subset is not a spanning tree")
+
+
 def test_mullin_decompose_degrees():
     for n in range(1, 4):
         for m in all_maps(n):

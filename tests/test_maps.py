@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,19 +9,17 @@ from tuttelab.generate import (LIST_CAP, all_bipolar_orientations, all_maps,
 from tuttelab.maps import MapError, RootedMap, _orbits, _standard_alpha
 
 
-@st.composite
-def rooted_maps(draw, max_edges=LIST_CAP + 3):
-    """The map of a random shuffle of two Dyck words (Mullin's encoding of
-    tree-rooted maps), up to max_edges edges."""
-    n = draw(st.integers(0, max_edges))
-    left = {"a": draw(st.integers(0, n))}
-    left["b"] = n - left["a"]
+def shuffle_map(n, n_a, pick):
+    """The map of a shuffle of a Dyck word on a/A with n_a up-steps and one
+    on b/B with n - n_a (Mullin's encoding of tree-rooted maps), written
+    letter by letter: pick(options) chooses each letter among those that
+    keep both words Dyck."""
+    left = {"a": n_a, "b": n - n_a}
     depth = {"a": 0, "b": 0}
     word = []
     for _ in range(2 * n):
-        ch = draw(st.sampled_from(
-            [c for c in "ab" if left[c]]
-            + [c.upper() for c in "ab" if depth[c]]))
+        ch = pick([c for c in "ab" if left[c]]
+                  + [c.upper() for c in "ab" if depth[c]])
         c = ch.lower()
         if ch == c:
             left[c] -= 1
@@ -28,6 +28,23 @@ def rooted_maps(draw, max_edges=LIST_CAP + 3):
             depth[c] -= 1
         word.append(ch)
     return mullin_decode("".join(word))[0]
+
+
+@st.composite
+def rooted_maps(draw, max_edges=LIST_CAP + 3):
+    """The map of a random shuffle of two Dyck words, up to max_edges
+    edges."""
+    n = draw(st.integers(0, max_edges))
+    return shuffle_map(n, draw(st.integers(0, n)),
+                       lambda options: draw(st.sampled_from(options)))
+
+
+def random_map(rng, n):
+    """shuffle_map with n edges, drawn through rng.random() alone."""
+    def pick(options):
+        return options[int(rng.random() * len(options))]
+
+    return shuffle_map(n, int(rng.random() * (n + 1)), pick)
 
 
 @settings(deadline=None)
@@ -48,6 +65,22 @@ def test_delete_inverts_insert(m):
 def test_delete_inverts_join(m1, m2):
     joined = RootedMap.join_by_root_edge(m1, m2)
     assert joined.delete_root_edge() == ("pair", (m1, m2))
+
+
+def test_delete_root_edge_far_above_the_caps():
+    # 100 to 200 edges, so 200 to 400 darts: both storage forms of the
+    # pieces that delete_root_edge reads off, and joins of 400 darts or more
+    rng = random.Random(1963)
+    for _ in range(5):
+        m1, m2 = (random_map(rng, 100 + int(rng.random() * 101))
+                  for _ in range(2))
+        for m in (m1, m2):
+            d = m.root_face_degree
+            for k in sorted({0, 1, d // 2, d}):
+                assert (m.insert_root_edge(k).delete_root_edge()
+                        == ("single", (m, k)))
+        joined = RootedMap.join_by_root_edge(m1, m2)
+        assert joined.delete_root_edge() == ("pair", (m1, m2))
 
 
 def walked_orbits(perm):
